@@ -16,7 +16,6 @@ from .assembler import (
     assemble_snapshot,
     assign_nodes,
     check_connectivity,
-    degree_joint_distribution_baseline,
     wire_inter,
     wire_intra,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "check_graphable",
     "classify_events",
     "count_lattice",
-    "degree_joint_distribution_baseline",
     "dump_sequences",
     "enumerate_lattice",
     "erdos_gallai",

@@ -26,6 +26,9 @@ from .sequences import CommunitySpec, DegreeSpec
 log = logging.getLogger(__name__)
 
 DEFAULT_REPAIR_BUDGET_FACTOR = 50
+# assignment passes per snapshot; 200 matches the earlier nested limit of
+# 10 assembler retries of 20 assignment passes each
+ASSIGNMENT_ATTEMPTS = 200
 
 
 @dataclass
@@ -155,7 +158,6 @@ def assign_nodes(
     temporal_shape: ShapeParams | None = None,
     prev_degrees: dict[int, int] | None = None,
     start_id: int = 0,
-    retries: int = 20,
 ) -> dict[int, tuple[int, int, int]]:
     """Assign communities and degree tuples to nodes; returns id -> (community, d, e).
 
@@ -169,28 +171,27 @@ def assign_nodes(
     a Beta(``temporal_shape``) position in the remaining degree-ordered tuple
     list (restricted to tuples that fit the community), largest previous
     degrees drawing first.  Ids without history (newborns) draw uniformly.
+
+    One pass; raises ``GraphabilityError`` when a node finds no fitting
+    community or tuple.  ``assemble_snapshot`` retries with fresh draws.
     """
     k = len(sizes)
     n = len(spec)
     if surviving is None:
         order = sorted(range(n), key=lambda i: (-spec.intra[i], -spec.total[i], i))
-        for _ in range(max(1, retries)):
-            caps = np.array(sizes.sizes, dtype=np.int64)
-            out: dict[int, tuple[int, int, int]] = {}
-            ok = True
-            for slot in order:
-                e = spec.intra[slot]
-                eligible = np.flatnonzero((caps > 0) & (np.array(sizes.sizes) - 1 >= e))
-                if eligible.size == 0:
-                    ok = False
-                    break
-                weights = caps[eligible].astype(np.float64)
-                c = int(rng.choice(eligible, p=weights / weights.sum()))
-                caps[c] -= 1
-                out[start_id + slot] = (c, spec.total[slot], spec.intra[slot])
-            if ok:
-                return out
-        raise GraphabilityError("node assignment ran out of community capacity")
+        caps = np.array(sizes.sizes, dtype=np.int64)
+        room = np.array(sizes.sizes) - 1
+        out: dict[int, tuple[int, int, int]] = {}
+        for slot in order:
+            e = spec.intra[slot]
+            eligible = np.flatnonzero((caps > 0) & (room >= e))
+            if eligible.size == 0:
+                raise GraphabilityError("node assignment ran out of community capacity")
+            weights = caps[eligible].astype(np.float64)
+            c = int(rng.choice(eligible, p=weights / weights.sum()))
+            caps[c] -= 1
+            out[start_id + slot] = (c, spec.total[slot], spec.intra[slot])
+        return out
 
     if len(surviving) != n:
         raise ConfigurationError(
@@ -206,29 +207,24 @@ def assign_nodes(
     tuples = sorted(zip(spec.total, spec.intra), key=lambda de: (de[0], de[1]))
     d_arr = np.array([d for d, _ in tuples], dtype=np.int64)
     e_arr = np.array([e for _, e in tuples], dtype=np.int64)
-    for _ in range(max(1, retries)):
-        alive = np.ones(n, dtype=bool)
-        out = {}
-        ok = True
-        for nid in survivors + newborns:
-            cap = sizes.sizes[surviving[nid]] - 1
-            eligible = np.flatnonzero(alive & (e_arr <= cap))
-            if eligible.size == 0:
-                ok = False
-                break
-            if nid in prev_degrees:
-                pos = float(rng.beta(shape.alpha, shape.beta))
-                idx = min(int(pos * eligible.size), eligible.size - 1)
-            else:
-                idx = int(rng.integers(eligible.size))
-            pick = int(eligible[idx])
-            alive[pick] = False
-            out[nid] = (surviving[nid], int(d_arr[pick]), int(e_arr[pick]))
-        if ok:
-            return out
-    raise GraphabilityError(
-        "degree tuples could not be matched to the flow-dictated communities"
-    )
+    alive = np.ones(n, dtype=bool)
+    out = {}
+    for nid in survivors + newborns:
+        cap = sizes.sizes[surviving[nid]] - 1
+        eligible = np.flatnonzero(alive & (e_arr <= cap))
+        if eligible.size == 0:
+            raise GraphabilityError(
+                "degree tuples could not be matched to the flow-dictated communities"
+            )
+        if nid in prev_degrees:
+            pos = float(rng.beta(shape.alpha, shape.beta))
+            idx = min(int(pos * eligible.size), eligible.size - 1)
+        else:
+            idx = int(rng.integers(eligible.size))
+        pick = int(eligible[idx])
+        alive[pick] = False
+        out[nid] = (surviving[nid], int(d_arr[pick]), int(e_arr[pick]))
+    return out
 
 
 def repair_intra_parity(
@@ -478,21 +474,6 @@ def check_connectivity(member_ids, links) -> int:
     return len({find(x) for x in parent})
 
 
-def degree_joint_distribution_baseline(degrees) -> np.ndarray:
-    """Plain configuration-model pairing probabilities ``k_i k_j / (S - 1)``.
-
-    Test-suite baseline for the uniform-pairing regime before the
-    no-self-loop/no-multi-edge exclusions distort it at small stub counts.
-    """
-    d = np.asarray(list(degrees), dtype=np.float64)
-    s = d.sum()
-    if s < 2:
-        raise ConfigurationError("need at least two stubs")
-    p = np.outer(d, d) / (s - 1.0)
-    np.fill_diagonal(p, 0.0)
-    return p
-
-
 # ---------------------------------------------------------------------------
 # snapshot orchestration
 # ---------------------------------------------------------------------------
@@ -510,17 +491,17 @@ def assemble_snapshot(
     born_at: dict[int, int] | None = None,
     start_id: int = 0,
     repair_budget_factor: int = DEFAULT_REPAIR_BUDGET_FACTOR,
-    assignment_retries: int = 10,
 ) -> Snapshot:
     """Build one snapshot: assign, repair parity, gate, wire, and validate.
 
-    The full post-assignment graphability check runs before any wiring; a
-    failing assignment is retried with fresh randomness up to
-    ``assignment_retries`` times before raising ``GraphabilityError``.
+    The full post-assignment graphability check runs before any wiring.  A
+    failing assignment pass (no fit, no parity swap, or a failed gate) is
+    redrawn, up to ``ASSIGNMENT_ATTEMPTS`` passes, before raising
+    ``GraphabilityError``.
     """
     pairing_shape = pairing_shape or ShapeParams()
-    last_error: Exception | None = None
-    for _ in range(max(1, assignment_retries)):
+    failures: list[str] = []
+    for _ in range(ASSIGNMENT_ATTEMPTS):
         try:
             assignment = assign_nodes(
                 sizes,
@@ -533,7 +514,7 @@ def assemble_snapshot(
             )
             assignment = repair_intra_parity(assignment, sizes)
         except GraphabilityError as exc:
-            last_error = exc
+            failures.append(str(exc))
             continue
         ids = sorted(assignment)
         membership = [assignment[nid][0] for nid in ids]
@@ -544,11 +525,9 @@ def assemble_snapshot(
         report = check_graphable(sizes, aligned, membership)
         if report.ok:
             break
-        last_error = GraphabilityError(
-            f"timestep {t}: {report.failing_condition.value}: {report.detail}"
-        )
+        failures.append(report.reason)
     else:
-        raise last_error or GraphabilityError(f"timestep {t}: assignment failed")
+        raise GraphabilityError.exhausted(t, failures)
 
     born_at = born_at or {}
     nodes = {

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from collections import Counter
+
 
 class TemponetError(Exception):
     """Base class for all package errors."""
@@ -14,9 +16,24 @@ class ConfigurationError(TemponetError):
 
 
 class GraphabilityError(TemponetError):
-    """Sequences cannot be realized as a simple clustered graph."""
+    """Sequences cannot be realized as a simple clustered graph.
+
+    When the error ends a retry loop, ``attempts`` holds the failing
+    condition of every attempt, in order.
+    """
 
     exit_code = 3
+
+    def __init__(self, message: str, attempts=()):
+        super().__init__(message)
+        self.attempts = list(attempts)
+
+    @classmethod
+    def exhausted(cls, t: int, attempts: list[str]) -> "GraphabilityError":
+        """The error ending timestep ``t``'s retry loop, naming each failed attempt."""
+        tally = Counter(attempts)
+        reasons = "; ".join(why if n == 1 else f"{why} (x{n})" for why, n in tally.items())
+        return cls(f"timestep {t}: {len(attempts)} attempt(s) failed: {reasons}", attempts)
 
 
 class WiringError(TemponetError):

@@ -38,6 +38,10 @@ class GraphabilityReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    @property
+    def reason(self) -> str:
+        return f"{self.failing_condition.value}: {self.detail}"
+
 
 def erdos_gallai(degrees) -> bool:
     """True iff the degree sequence is realizable as a simple graph.

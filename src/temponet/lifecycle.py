@@ -70,20 +70,63 @@ def _continuation_kind(size_before: int, size_after: int, band: float) -> str:
     return CONTINUES
 
 
+def flow_jaccard(flow, birth_row: int | None = None, death_col: int | None = None) -> np.ndarray:
+    """Jaccard index of every real (source, target) community pair, read off the flow.
+
+    The flow counts the shared nodes, |a_i & b_j| = u_ij, and its marginals
+    (birth row and death column included) are the community sizes, so
+    |a_i | b_j| = row_i + col_j - u_ij.  Equals ``jaccard`` on the member sets,
+    including 0 for two empty communities.
+    """
+    u = np.asarray(flow, dtype=np.int64)
+    rows = [i for i in range(u.shape[0]) if i != birth_row]
+    cols = [j for j in range(u.shape[1]) if j != death_col]
+    inter = u[np.ix_(rows, cols)]
+    union = u.sum(axis=1)[rows][:, None] + u.sum(axis=0)[cols][None, :] - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
+
+
+def inherit_labels(jac: np.ndarray, labels_t, threshold: float, counter: int):
+    """Carry community labels across the boundary by greedy Jaccard matching.
+
+    Returns the t+1 labels and the next unused label; targets without a
+    match above ``threshold`` take fresh labels from ``counter`` on.
+    """
+    k, l = jac.shape
+    pairs = sorted(
+        ((jac[i, j], i, j) for i in range(k) for j in range(l)),
+        key=lambda p: (-p[0], p[1], p[2]),
+    )
+    labels1: list[int | None] = [None] * l
+    used = set()
+    for value, i, j in pairs:
+        if value < threshold:
+            break
+        if i in used or labels1[j] is not None:
+            continue
+        labels1[j] = labels_t[i]
+        used.add(i)
+    for j in range(l):
+        if labels1[j] is None:
+            labels1[j] = counter
+            counter += 1
+    return labels1, counter
+
+
 def classify_events(
-    members_t,
-    members_t1,
     flow,
     thresholds: LifecycleThresholds | None = None,
     death_col: int | None = None,
     birth_row: int | None = None,
+    jac: np.ndarray | None = None,
 ) -> list[EventRecord]:
     """Classify lifecycle events from a node-resolved contingency matrix.
 
-    ``members_t``/``members_t1`` hold the node-id sets of the real communities
-    on each side; ``flow`` is the full contingency including the optional
-    death column and birth row at the given indices.  Adjustment flows decide
-    only the born/dead labels and are excluded from the other events.
+    ``flow`` is the full contingency including the optional death column and
+    birth row at the given indices; the other rows and columns are the real
+    communities, whose sizes are the flow's marginals.  Adjustment flows
+    decide only the born/dead labels and are excluded from the other events.
+    ``jac`` is the ``flow_jaccard`` matrix when the caller already holds it.
 
     Rules, per real source community i (side ``end_of_t``):
 
@@ -102,19 +145,13 @@ def classify_events(
     """
     th = thresholds or LifecycleThresholds()
     u = np.asarray(flow, dtype=np.int64)
-    k_real = len(members_t)
-    l_real = len(members_t1)
-    real_rows = [i for i in range(u.shape[0]) if i != birth_row][:k_real]
-    real_cols = [j for j in range(u.shape[1]) if j != death_col][:l_real]
-    if len(real_rows) != k_real or len(real_cols) != l_real:
-        raise ConfigurationError("contingency shape does not match the community lists")
-
-    sizes_t = [len(g) for g in members_t]
-    sizes_t1 = [len(g) for g in members_t1]
-    jac = np.zeros((k_real, l_real))
-    for a, ga in enumerate(members_t):
-        for b, gb in enumerate(members_t1):
-            jac[a, b] = jaccard(ga, gb)
+    real_rows = [i for i in range(u.shape[0]) if i != birth_row]
+    real_cols = [j for j in range(u.shape[1]) if j != death_col]
+    k_real, l_real = len(real_rows), len(real_cols)
+    sizes_t = u[real_rows].sum(axis=1).tolist()
+    sizes_t1 = u[:, real_cols].sum(axis=0).tolist()
+    if jac is None:
+        jac = flow_jaccard(u, birth_row, death_col)
 
     share = np.zeros((k_real, l_real))
     for a, i in enumerate(real_rows):

@@ -1,11 +1,13 @@
 """End-to-end temporal network generation.
 
-Per boundary the pipeline: acquires and gates the next timestep's sequences,
-applies the kill set, balances populations with birth/death adjustment
-communities, searches the flow polytope for the minimum-VI node flow (kept
-flows pinned to the user kills), materializes the flow into concrete node
-moves, re-assigns degree tuples with the temporal-correlation draw, wires the
-new snapshot and reports metrics plus lifecycle events.
+Every timestep goes through one step.  From T1 on, the step first applies
+the kill set, balances populations with birth/death adjustment communities,
+searches the flow polytope for the minimum-VI node flow (kept flows pinned
+to the user kills) and materializes the flow into concrete node moves.  Then
+it assigns degree tuples (with the temporal-correlation draw after T0),
+wires the snapshot and reports metrics plus lifecycle events.  Interactive
+sampling draws a timestep's sequences again when they fail the gate or the
+assembly, up to ``max_sequence_retries`` draws per timestep.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from .assembler import (
 )
 from .errors import ConfigurationError, GraphabilityError
 from .graphability import check_graphable
-from .lifecycle import LifecycleThresholds, classify_events, jaccard
+from .lifecycle import (  # noqa: F401 -- perfbench/tracer.py patches pipeline.jaccard by name
+    LifecycleThresholds,
+    classify_events,
+    flow_jaccard,
+    inherit_labels,
+    jaccard,
+)
 from .metrics import (
     assortativity_details,
     modularity,
@@ -216,54 +224,13 @@ def _kills_for_boundary(cfg: RunConfig, boundary: int):
     return tuple(int(x) for x in spec), 0
 
 
-class _SequenceSource:
-    """Per-timestep sequence acquisition with the graphability gate."""
-
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.rng = rng
-        self.steps = None
-        if cfg.sequence_file is not None:
-            self.steps = load_sequences(cfg.sequence_file)
-            if len(self.steps) < cfg.timesteps:
-                raise ConfigurationError(
-                    f"sequence file provides {len(self.steps)} timesteps,"
-                    f" the run needs {cfg.timesteps}"
-                )
-
-    def acquire(self, t: int) -> tuple[CommunitySpec, DegreeSpec]:
-        if self.steps is not None:
-            sizes, spec = self.steps[t]
-            report = check_graphable(sizes, spec)
-            if not report.ok:
-                raise GraphabilityError(
-                    f"timestep {t}: {report.failing_condition.value}: {report.detail}"
-                )
-            return sizes, spec
-        cfg = self.cfg
-        attempts = cfg.max_sequence_retries if cfg.interactive else 1
-        last = None
-        for _ in range(max(1, attempts)):
-            sizes = sample_sizes(cfg.community_cfg, cfg.community_count, self.rng)
-            total = sample_degrees(cfg.degree_cfg, sizes.node_count, self.rng)
-            spec = split_degrees(
-                total,
-                cfg.degree_cfg.mix_ratio,
-                cfg.degree_cfg.mix_mode,
-                cfg.degree_cfg.rounding,
-                self.rng,
-            )
-            spec = fix_parity(
-                spec, self.rng, (cfg.degree_cfg.minimum, cfg.degree_cfg.maximum)
-            )
-            report = check_graphable(sizes, spec)
-            if report.ok:
-                return sizes, spec
-            last = report
-        raise GraphabilityError(
-            f"timestep {t}: {last.failing_condition.value}: {last.detail}"
-            + ("" if cfg.interactive else " (batch mode: not resampling)")
-        )
+def _draw_sequences(cfg: RunConfig, rng: np.random.Generator) -> tuple[CommunitySpec, DegreeSpec]:
+    """One sampler-mode draw of a timestep's sequences, not yet gated."""
+    deg = cfg.degree_cfg
+    sizes = sample_sizes(cfg.community_cfg, cfg.community_count, rng)
+    total = sample_degrees(deg, sizes.node_count, rng)
+    spec = split_degrees(total, deg.mix_ratio, deg.mix_mode, deg.rounding, rng)
+    return sizes, fix_parity(spec, rng, (deg.minimum, deg.maximum))
 
 
 def _snapshot_metrics(snap: Snapshot) -> SnapshotMetrics:
@@ -281,51 +248,45 @@ def _snapshot_metrics(snap: Snapshot) -> SnapshotMetrics:
     )
 
 
-def _inherit_labels(jac: np.ndarray, labels_t, threshold: float, counter: int):
-    """Carry community labels across the boundary by greedy Jaccard matching."""
-    k, l = jac.shape
-    pairs = sorted(
-        ((jac[i, j], i, j) for i in range(k) for j in range(l)),
-        key=lambda p: (-p[0], p[1], p[2]),
-    )
-    labels1: list[int | None] = [None] * l
-    used = set()
-    for value, i, j in pairs:
-        if value < threshold:
-            break
-        if i in used or labels1[j] is not None:
-            continue
-        labels1[j] = labels_t[i]
-        used.add(i)
-    for j in range(l):
-        if labels1[j] is None:
-            labels1[j] = counter
-            counter += 1
-    return labels1, counter
+@dataclass
+class _State:
+    """What the next timestep needs from the last one."""
+
+    snap: Snapshot
+    sizes: CommunitySpec
+    next_id: int  # node ids are never recycled
+    next_label: int  # neither are community labels
 
 
-def _advance_boundary(cfg, rng, snap, sizes_t, sizes_t1, spec_t1, t, next_id):
-    """Plan kills, search the flow, materialize moves and assemble T(t+1).
+@dataclass
+class _Moves:
+    """One boundary's transition: the kill plan, the searched flow and every node's target."""
 
-    Returns (plan, flow, pool_vi, surviving, new_snap, next_id); raises
-    ``GraphabilityError`` when the new step's sequences cannot be assembled,
-    leaving the current snapshot untouched so the caller may resample.
-    """
-    explicit_ids, random_count = _kills_for_boundary(cfg, t)
+    plan: TransitionPlan
+    flow: np.ndarray
+    pool_vi: list[float]
+    surviving: dict[int, int]  # node id -> community at the new timestep
+    born_at: dict[int, int]
+
+
+def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: int) -> _Moves:
+    """Plan the kills into timestep ``t``, search the flow and materialize it into node moves."""
+    snap = prev.snap
+    explicit_ids, random_count = _kills_for_boundary(cfg, t - 1)
     alive = sorted(snap.nodes)
     bad = [nid for nid in explicit_ids if nid not in snap.nodes]
     if bad:
-        raise ConfigurationError(f"boundary {t}: kill ids {bad} are not alive at T{t}")
+        raise ConfigurationError(f"boundary {t - 1}: kill ids {bad} are not alive at T{t - 1}")
     kill_ids = set(explicit_ids)
     if random_count:
         pool = [nid for nid in alive if nid not in kill_ids]
         if random_count > len(pool):
-            raise ConfigurationError(f"boundary {t}: cannot kill {random_count} nodes")
+            raise ConfigurationError(f"boundary {t - 1}: cannot kill {random_count} nodes")
         picks = rng.choice(len(pool), size=random_count, replace=False)
         kill_ids |= {pool[int(p)] for p in picks}
-    plan = plan_transition(sizes_t, sizes_t1, sorted(kill_ids), rng, alive_ids=alive)
+    plan = plan_transition(prev.sizes, sizes_t1, sorted(kill_ids), rng, alive_ids=alive)
 
-    k_real, l_real = len(sizes_t), len(sizes_t1)
+    k_real, l_real = len(prev.sizes), len(sizes_t1)
     lower = np.zeros((len(plan.sizes_from_augmented), len(plan.sizes_to_augmented)), np.int64)
     kills_per_comm = [0] * k_real
     for nid in plan.kill_ids:
@@ -354,145 +315,144 @@ def _advance_boundary(cfg, rng, snap, sizes_t, sizes_t1, spec_t1, t, next_id):
                 surviving[nid] = j
     born_at: dict[int, int] = {}
     if plan.birth_row is not None:
+        nid = prev.next_id
         for j in range(l_real):
             for _ in range(int(flow[plan.birth_row, j])):
-                surviving[next_id] = j
-                born_at[next_id] = t + 1
-                next_id += 1
+                surviving[nid] = j
+                born_at[nid] = t
+                nid += 1
+    return _Moves(plan, flow, pool_vi, surviving, born_at)
 
-    prev_degrees = {nid: snap.nodes[nid].degree for nid in surviving if nid in snap.nodes}
-    new_snap = assemble_snapshot(
-        t + 1,
-        sizes_t1,
-        spec_t1,
+
+def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot, report) -> int:
+    """Mark the kills, check the realized contingency, label and report the boundary.
+
+    Returns the next unused community label.
+    """
+    old, plan, flow = prev.snap, moves.plan, moves.flow
+    t = old.t
+    for nid in plan.kill_ids:
+        old.nodes[nid].died_at = t
+    k_real, l_real = len(prev.sizes), snap.community_count
+
+    # realized contingency must reproduce the flow exactly
+    recount = np.zeros((k_real, l_real), dtype=np.int64)
+    for nid, j in moves.surviving.items():
+        if nid in old.nodes:
+            recount[old.nodes[nid].community, j] += 1
+    if not np.array_equal(recount, flow[:k_real, :l_real]):
+        raise AssertionError("realized contingency deviates from the searched flow")
+
+    jac = flow_jaccard(flow, plan.birth_row, plan.death_col)
+    events = classify_events(
+        flow, cfg.thresholds, death_col=plan.death_col, birth_row=plan.birth_row, jac=jac
+    )
+    snap.community_labels, next_label = inherit_labels(
+        jac, old.community_labels, cfg.thresholds.continuation, prev.next_label
+    )
+
+    corr, corr_degenerate = temporal_degree_correlation_details(old, snap)
+    row_labels = [str(x) for x in old.community_labels] + (
+        ["births"] if plan.birth_row is not None else []
+    )
+    col_labels = [str(x) for x in snap.community_labels] + (
+        ["deaths"] if plan.death_col is not None else []
+    )
+    search_vi = variation_of_information(flow)
+    report.boundaries.append(
+        BoundaryReport(
+            t_from=t,
+            t_to=t + 1,
+            vi=search_vi,
+            contingency=[[int(x) for x in row] for row in flow],
+            row_labels=row_labels,
+            col_labels=col_labels,
+            temporal_degree_correlation=corr,
+            correlation_degenerate=corr_degenerate,
+            deaths=plan.deaths,
+            births=plan.births,
+            seed_pool_vi=moves.pool_vi,
+            search_vi=search_vi,
+            events=events,
+        )
+    )
+    return next_label
+
+
+def _step(cfg: RunConfig, rng, prev: _State | None, sizes, spec, t: int, report) -> _State:
+    """Build timestep ``t`` from the previous one (``None`` bootstraps T0) and report it.
+
+    Raises ``GraphabilityError`` before anything is recorded when the gated
+    sequences cannot be assembled, so that the caller may draw again.
+    """
+    if prev is None:
+        moves, placement = None, {}
+    else:
+        moves = _plan_moves(cfg, rng, prev, sizes, t)
+        placement = dict(
+            surviving=moves.surviving,
+            prev_degrees={
+                nid: prev.snap.nodes[nid].degree
+                for nid in moves.surviving
+                if nid in prev.snap.nodes
+            },
+            born_at=moves.born_at,
+        )
+    snap = assemble_snapshot(
+        t,
+        sizes,
+        spec,
         rng,
         pairing_shape=cfg.pairing_shape,
         temporal_shape=cfg.temporal_shape,
-        surviving=surviving,
-        prev_degrees=prev_degrees,
-        born_at=born_at,
         repair_budget_factor=cfg.repair_budget_factor,
+        **placement,
     )
-    if new_snap.disconnected_communities and cfg.on_disconnected == "abort":
+    if snap.disconnected_communities and cfg.on_disconnected == "abort":
         raise GraphabilityError(
-            f"timestep {t + 1}: communities {new_snap.disconnected_communities}"
-            " are internally disconnected"
+            f"communities {snap.disconnected_communities} are internally disconnected"
         )
-    return plan, flow, pool_vi, surviving, new_snap, next_id
+    if prev is None:
+        state = _State(snap, sizes, snap.node_count, snap.community_count)
+    else:
+        next_label = _record_boundary(cfg, prev, moves, snap, report)
+        state = _State(snap, sizes, prev.next_id + len(moves.born_at), next_label)
+    report.snapshots.append(_snapshot_metrics(snap))
+    return state
 
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute the full generation loop; identical configs give identical outputs."""
     rng = np.random.default_rng(cfg.seed)
-    source = _SequenceSource(cfg, rng)
+    steps = None
+    if cfg.sequence_file is not None:
+        steps = load_sequences(cfg.sequence_file)
+        if len(steps) < cfg.timesteps:
+            raise ConfigurationError(
+                f"sequence file provides {len(steps)} timesteps, the run needs {cfg.timesteps}"
+            )
+    # interactive sampling draws a timestep again when its sequences fail the
+    # gate or cannot be assembled; batch mode and sequence files stop at once
+    draws = max(1, cfg.max_sequence_retries) if cfg.interactive and steps is None else 1
     report = RunReport(seed=cfg.seed, config=cfg.echo())
     snapshots: list[Snapshot] = []
-    # graphability can also fail after assignment (per-community conditions);
-    # interactive sampling re-draws the step's sequences in that case
-    resamples = max(1, cfg.max_sequence_retries) if cfg.interactive and source.steps is None else 1
-
-    snap = None
-    last_error: GraphabilityError | None = None
-    for _ in range(resamples):
-        sizes_t, spec_t = source.acquire(0)
-        try:
-            snap = assemble_snapshot(
-                0,
-                sizes_t,
-                spec_t,
-                rng,
-                pairing_shape=cfg.pairing_shape,
-                start_id=0,
-                repair_budget_factor=cfg.repair_budget_factor,
-            )
-            break
-        except GraphabilityError as exc:
-            last_error = exc
-    if snap is None:
-        raise last_error
-    if snap.disconnected_communities and cfg.on_disconnected == "abort":
-        raise GraphabilityError(
-            f"timestep 0: communities {snap.disconnected_communities} are internally disconnected"
-        )
-    snapshots.append(snap)
-    report.snapshots.append(_snapshot_metrics(snap))
-    next_id = snap.node_count
-    label_counter = snap.community_count  # labels 0..k-1 already taken
-
-    for t in range(cfg.timesteps - 1):
-        boundary = None
-        for _ in range(resamples):
-            sizes_t1, spec_t1 = source.acquire(t + 1)
+    state = None
+    for t in range(cfg.timesteps):
+        failures: list[str] = []
+        for _ in range(draws):
+            sizes, spec = steps[t] if steps is not None else _draw_sequences(cfg, rng)
+            gate = check_graphable(sizes, spec)
+            if not gate.ok:
+                failures.append(gate.reason)
+                continue
             try:
-                boundary = _advance_boundary(
-                    cfg, rng, snap, sizes_t, sizes_t1, spec_t1, t, next_id
-                )
+                state = _step(cfg, rng, state, sizes, spec, t, report)
                 break
             except GraphabilityError as exc:
-                last_error = exc
-        if boundary is None:
-            raise last_error
-        plan, flow, pool_vi, surviving, new_snap, next_id = boundary
-        search_vi = variation_of_information(flow)
-        for nid in plan.kill_ids:
-            snap.nodes[nid].died_at = t
-        k_real, l_real = len(sizes_t), len(sizes_t1)
-
-        # realized contingency must reproduce the flow exactly
-        recount = np.zeros((k_real, l_real), dtype=np.int64)
-        for nid, j in surviving.items():
-            if nid in snap.nodes:
-                recount[snap.nodes[nid].community, j] += 1
-        if not np.array_equal(recount, flow[:k_real, :l_real]):
-            raise AssertionError("realized contingency deviates from the searched flow")
-
-        members_t = [set(g) for g in snap.clustering]
-        members_t1 = [set(g) for g in new_snap.clustering]
-        events = classify_events(
-            members_t,
-            members_t1,
-            flow,
-            cfg.thresholds,
-            death_col=plan.death_col,
-            birth_row=plan.birth_row,
-        )
-        jac = np.zeros((k_real, l_real))
-        for i in range(k_real):
-            for j in range(l_real):
-                jac[i, j] = jaccard(members_t[i], members_t1[j])
-        labels_t1, label_counter = _inherit_labels(
-            jac, snap.community_labels, cfg.thresholds.continuation, label_counter
-        )
-        new_snap.community_labels = labels_t1
-
-        corr, corr_degenerate = temporal_degree_correlation_details(snap, new_snap)
-        row_labels = [str(x) for x in snap.community_labels] + (
-            ["births"] if plan.birth_row is not None else []
-        )
-        col_labels = [str(x) for x in labels_t1] + (
-            ["deaths"] if plan.death_col is not None else []
-        )
-        report.boundaries.append(
-            BoundaryReport(
-                t_from=t,
-                t_to=t + 1,
-                vi=search_vi,
-                contingency=[[int(x) for x in row] for row in flow],
-                row_labels=row_labels,
-                col_labels=col_labels,
-                temporal_degree_correlation=corr,
-                correlation_degenerate=corr_degenerate,
-                deaths=plan.deaths,
-                births=plan.births,
-                seed_pool_vi=pool_vi,
-                search_vi=search_vi,
-                events=events,
-            )
-        )
-        snapshots.append(new_snap)
-        report.snapshots.append(_snapshot_metrics(new_snap))
-        snap = new_snap
-        sizes_t = sizes_t1
+                failures.append(str(exc))
+        else:
+            raise GraphabilityError.exhausted(t, failures)
+        snapshots.append(state.snap)
 
     output_dir = None
     if cfg.output_dir is not None:
@@ -559,7 +519,6 @@ def load_run_config(path, overrides=None) -> RunConfig:
             search=SearchConfig(
                 local_tries_threshold=int(search_sec.get("local_tries", 50)),
                 global_tries_threshold=int(search_sec.get("global_tries", 10)),
-                enumeration_cap=int(search_sec.get("enumeration_cap", 500_000)),
             ),
             thresholds=LifecycleThresholds(
                 continuation=float(life.get("continuation", 0.3)),

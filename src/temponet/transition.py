@@ -456,23 +456,6 @@ def best_of_pool(system: FlowSystem) -> np.ndarray:
     return pool[int(np.argmin(scores))]
 
 
-def random_feasible(system: FlowSystem, rng) -> np.ndarray:
-    """A random feasible flow: greedy fill over uniformly shuffled open cells."""
-    rr = system.row_slack.astype(np.int64).copy()
-    cr = system.col_slack.astype(np.int64).copy()
-    u = system.lower.copy()
-    while rr.max() > 0:
-        open_cells = [
-            (i, j) for i in range(system.k) if rr[i] > 0 for j in range(system.l) if cr[j] > 0
-        ]
-        i, j = open_cells[int(rng.integers(len(open_cells)))]
-        m = min(int(rr[i]), int(cr[j]))
-        u[i, j] += m
-        rr[i] -= m
-        cr[j] -= m
-    return u
-
-
 # ---------------------------------------------------------------------------
 # taboo search
 # ---------------------------------------------------------------------------
@@ -480,18 +463,14 @@ def random_feasible(system: FlowSystem, rng) -> np.ndarray:
 
 @dataclass
 class SearchConfig:
-    """Stopping thresholds for the hull search plus the enumeration cap."""
+    """Stopping thresholds for the hull search."""
 
     local_tries_threshold: int = 50
     global_tries_threshold: int = 10
-    enumeration_cap: int = 500_000
-    visited_cap: int | None = None
 
     def __post_init__(self):
         if self.local_tries_threshold < 1 or self.global_tries_threshold < 1:
             raise ConfigurationError("search thresholds must be >= 1")
-        if self.enumeration_cap < 1:
-            raise ConfigurationError("enumeration cap must be >= 1")
 
 
 _MIX = 0x9E3779B97F4A7C15
@@ -555,13 +534,7 @@ def taboo_search(
     cur_vi = variation_of_information(u)
     best_vi = cur_vi
     cur_hash = _matrix_hash(u)
-    visited: dict[int, None] = {}
-
-    def remember(h: int) -> None:
-        visited[h] = None
-        if cfg.visited_cap is not None and len(visited) > cfg.visited_cap:
-            visited.pop(next(iter(visited)))
-
+    visited: set[int] = set()
     if trace is not None:
         trace.append((0, cur_vi, best_vi))
     moves = 0
@@ -620,7 +593,7 @@ def taboo_search(
                 dead_end = True
                 break
             cand_vi, h, cells, deltas = best_cand
-            remember(h)
+            visited.add(h)
             if cand_vi >= best_vi - 1e-12:
                 local_tries += 1  # non-improving probes count double, per the stopping rule
             else:

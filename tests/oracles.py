@@ -212,3 +212,35 @@ def rounded_uniform_pmf(minimum: int, maximum: int) -> dict[int, float]:
 
 def pearson_reference(x, y) -> float:
     return float(np.corrcoef(np.asarray(x, float), np.asarray(y, float))[0, 1])
+
+
+def random_feasible(system, rng) -> np.ndarray:
+    """A random feasible flow: greedy fill over uniformly shuffled open cells."""
+    rr = system.row_slack.astype(np.int64).copy()
+    cr = system.col_slack.astype(np.int64).copy()
+    u = system.lower.copy()
+    while rr.max() > 0:
+        open_cells = [
+            (i, j) for i in range(system.k) if rr[i] > 0 for j in range(system.l) if cr[j] > 0
+        ]
+        i, j = open_cells[int(rng.integers(len(open_cells)))]
+        m = min(int(rr[i]), int(cr[j]))
+        u[i, j] += m
+        rr[i] -= m
+        cr[j] -= m
+    return u
+
+
+def degree_joint_distribution_baseline(degrees) -> np.ndarray:
+    """Plain configuration-model pairing probabilities ``k_i k_j / (S - 1)``.
+
+    Baseline for the uniform-pairing regime before the
+    no-self-loop/no-multi-edge exclusions distort it at small stub counts.
+    """
+    d = np.asarray(list(degrees), dtype=np.float64)
+    s = d.sum()
+    if s < 2:
+        raise ValueError("need at least two stubs")
+    p = np.outer(d, d) / (s - 1.0)
+    np.fill_diagonal(p, 0.0)
+    return p

@@ -15,15 +15,14 @@ from temponet import (
     assign_nodes,
     check_connectivity,
     check_graphable,
-    degree_joint_distribution_baseline,
     fix_parity,
     sample_degrees,
     split_degrees,
     wire_intra,
 )
-from temponet.assembler import repair_intra_parity
+from temponet.assembler import ASSIGNMENT_ATTEMPTS, repair_intra_parity
 
-from oracles import spectral_component_count
+from oracles import degree_joint_distribution_baseline, spectral_component_count
 
 WORKED_SIZES = CommunitySpec((4, 4, 2))
 WORKED_SPEC = DegreeSpec((4, 4, 4, 3, 3, 3, 3, 2, 2, 2), (3, 3, 3, 2, 2, 2, 2, 1, 1, 1))
@@ -122,6 +121,20 @@ def test_assign_temporal_skewed_shape_correlates():
     new_d = np.array([assignment[nid][1] for nid in range(40)], float)
     prev_d = np.array([prev[nid] for nid in range(40)], float)
     assert np.corrcoef(prev_d, new_d)[0, 1] > 0.9
+
+
+def test_exhausted_assignment_names_timestep_attempts_and_conditions():
+    # the singleton can only take the intra-degree-0 slot, whose 4 inter stubs
+    # outnumber everyone else's, so every assignment pass fails the inter gate
+    sizes = CommunitySpec((1, 3))
+    spec = DegreeSpec((4, 2, 2, 2), (0, 2, 2, 2))
+    assert check_graphable(sizes, spec).ok
+    with pytest.raises(GraphabilityError) as info:
+        assemble_snapshot(5, sizes, spec, np.random.default_rng(0))
+    assert str(info.value).startswith(f"timestep 5: {ASSIGNMENT_ATTEMPTS} attempt(s) failed:")
+    assert "inter_max" in str(info.value)
+    assert len(info.value.attempts) == ASSIGNMENT_ATTEMPTS
+    assert all(a.startswith("inter_max") for a in info.value.attempts)
 
 
 def test_repair_intra_parity_fixes_odd_communities():

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from temponet import ConfigurationError, LifecycleThresholds, classify_events, jaccard
+from temponet import (
+    ConfigurationError,
+    LifecycleThresholds,
+    RunConfig,
+    SamplerConfig,
+    classify_events,
+    jaccard,
+    run,
+)
 from temponet.lifecycle import (
     BORN,
     CONTINUES,
@@ -16,6 +24,7 @@ from temponet.lifecycle import (
     SPLIT_FROM,
     SPLIT_INTO,
     START_OF_T1,
+    flow_jaccard,
     render_event_table,
 )
 
@@ -27,8 +36,36 @@ def test_jaccard_basics():
     assert jaccard(set(), set()) == 0.0
 
 
+def test_flow_jaccard_matches_set_jaccard_on_every_boundary():
+    # the flow holds |a & b| and, with the birth row and death column, the
+    # community sizes: its Jaccard matrix must equal the set-based one bit for bit
+    cfg = RunConfig(
+        timesteps=4,
+        seed=8,
+        community_cfg=SamplerConfig("uniform", 8, 30),
+        degree_cfg=SamplerConfig("uniform", 3, 10, mix_ratio=0.8),
+        community_count=30,
+        kills=40,
+        interactive=True,
+    )
+    result = run(cfg)
+    cells = 0
+    for boundary in result.report.boundaries:
+        before = result.snapshots[boundary.t_from].clustering
+        after = result.snapshots[boundary.t_to].clustering
+        birth_row = boundary.row_labels.index("births") if "births" in boundary.row_labels else None
+        death_col = boundary.col_labels.index("deaths") if "deaths" in boundary.col_labels else None
+        jac = flow_jaccard(boundary.contingency, birth_row, death_col)
+        want = np.array([[jaccard(a, b) for b in after] for a in before])
+        assert jac.shape == want.shape
+        assert np.array_equal(jac, want)
+        cells += jac.size
+    assert cells == 3 * 30 * 30
+
+
 def _events(members_t, members_t1, flow, **kw):
-    return classify_events(members_t, members_t1, np.asarray(flow), **kw)
+    # the member sets document each case; classification reads only the flow
+    return classify_events(np.asarray(flow), **kw)
 
 
 def _by(records, side, community):

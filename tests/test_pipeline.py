@@ -207,6 +207,45 @@ def test_run_interactive_resamples(monkeypatch):
         run(RunConfig(**cfg, interactive=True, max_sequence_retries=40))
 
 
+def test_abort_on_disconnected_redraws_at_t0_in_interactive_mode():
+    # sparse intra degrees often wire a community in several pieces; this
+    # seed's first T0 draw does, so batch mode stops and interactive mode
+    # draws again, as it does at every later timestep
+    cfg = dict(
+        timesteps=1,
+        seed=1,
+        community_cfg=SamplerConfig("uniform", 5, 8),
+        degree_cfg=SamplerConfig("uniform", 2, 4, mix_ratio=0.6),
+        community_count=2,
+        on_disconnected="abort",
+    )
+    with pytest.raises(GraphabilityError, match="internally disconnected"):
+        run(RunConfig(**cfg))
+    result = run(RunConfig(**cfg, interactive=True))
+    assert result.snapshots[0].disconnected_communities == []
+
+
+def test_exhausted_sequence_draws_name_timestep_attempts_and_conditions():
+    # every intra degree equals the single community's size, so every draw
+    # fails the capacity condition
+    cfg = RunConfig(
+        timesteps=1,
+        seed=0,
+        community_cfg=SamplerConfig("uniform", 4, 4),
+        degree_cfg=SamplerConfig("uniform", 4, 4, mix_ratio=1.0, rounding="nearest"),
+        community_count=1,
+        interactive=True,
+        max_sequence_retries=3,
+    )
+    with pytest.raises(GraphabilityError) as info:
+        run(cfg)
+    message = str(info.value)
+    assert message.startswith("timestep 0: 3 attempt(s) failed:")
+    assert "assignment_infeasible" in message and "(x3)" in message
+    assert len(info.value.attempts) == 3
+    assert all(a.startswith("assignment_infeasible") for a in info.value.attempts)
+
+
 def test_mid_scale_run_produces_lifecycle_events(tmp_path):
     # ~200 nodes moving from 10 to 9 communities: the minimum-VI flow has to
     # absorb one community, so the log carries events beyond plain

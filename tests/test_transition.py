@@ -19,9 +19,9 @@ from temponet import (
     variation_of_information,
     vi_partitions,
 )
-from temponet.transition import best_of_pool, random_feasible
+from temponet.transition import best_of_pool
 
-from oracles import brute_force_flow_count, vi_reference
+from oracles import brute_force_flow_count, random_feasible, vi_reference
 
 
 def test_vi_identical_clusterings_is_zero():
