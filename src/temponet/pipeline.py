@@ -13,7 +13,7 @@ assembly, up to ``max_sequence_retries`` draws per timestep.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -163,45 +163,13 @@ class RunConfig:
             raise ConfigurationError("on_disconnected must be 'warn' or 'abort'")
 
     def echo(self) -> dict:
-        def shape(s):
-            return {"alpha": s.alpha, "beta": s.beta}
+        """Every field of the config, nested configs included, for report.json.
 
-        out = {
-            "timesteps": self.timesteps,
-            "seed": self.seed,
-            "community_count": self.community_count,
-            "sequence_file": self.sequence_file,
-            "kills": self.kills if isinstance(self.kills, int) else list(self.kills),
-            "pairing_shape": shape(self.pairing_shape),
-            "temporal_shape": shape(self.temporal_shape),
-            "no_search": self.no_search,
-            "interactive": self.interactive,
-            "on_disconnected": self.on_disconnected,
-            "search": {
-                "local_tries_threshold": self.search.local_tries_threshold,
-                "global_tries_threshold": self.search.global_tries_threshold,
-            },
-            "thresholds": {
-                "continuation": self.thresholds.continuation,
-                "share": self.thresholds.share,
-            },
-        }
-        for name, cfg in (("communities", self.community_cfg), ("degrees", self.degree_cfg)):
-            if cfg is not None:
-                out[name] = {
-                    "family": cfg.family,
-                    "min": cfg.minimum,
-                    "max": cfg.maximum,
-                    "param": cfg.param,
-                }
-                if name == "degrees":
-                    out[name].update(
-                        {
-                            "mix_ratio": cfg.mix_ratio,
-                            "mix_mode": cfg.mix_mode,
-                            "rounding": cfg.rounding,
-                        }
-                    )
+        ``output_dir`` is left out: where a run writes does not change what it
+        produces.
+        """
+        out = asdict(self)
+        del out["output_dir"]
         return out
 
 

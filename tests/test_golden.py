@@ -27,12 +27,12 @@ FILES = ("nodes.csv", "edges.csv", "report.json")
 SAMPLER_DIGESTS = {
     "nodes.csv": "9ee4b7410c103181bf2499b8c6ba255b4761a62e4cac870a38a87b884b27bd25",
     "edges.csv": "a80303fadeaf73731434ada4d2399e1758dd30dbd5afeaffe2aae46dbd5fd6e9",
-    "report.json": "feb49270483a4999b8f27d819bf05e202536df085e06c421dc791e7a5ed1080f",
+    "report.json": "dc24bcfc5b54249afc1f828621a88a19984a3a028711a2785fe71bf8ff3eeba8",
 }
 SEQUENCE_FILE_DIGESTS = {
     "nodes.csv": "38e35636556f9c358f72c9e0c2fd039371bfd6a738bfaefe31c11f711a9de351",
     "edges.csv": "7887694c19c8cf32e1a8d85d236e17b536a789f23f544a1ec61abba70c8bc790",
-    "report.json": "5d153b06820aaa6f0703ee2cb815e31508e7391aedd1082bc6dab42c7e9489d4",
+    "report.json": "f3bf252e5c7820ea3a3777900d6a5d609e5d3dd5737ab429787b9933bb6cb17f",
 }
 
 

@@ -179,6 +179,20 @@ def test_run_output_files(tmp_path):
     assert payload["seed"] == 11
 
 
+def test_report_echoes_the_complete_config(tmp_path):
+    # a run must be reproducible from its report alone; only the output
+    # directory, which does not change the outputs, is left out
+    from dataclasses import fields
+
+    cfg = small_cfg(output_dir=str(tmp_path), max_sequence_retries=7, repair_budget_factor=9)
+    run(cfg)
+    echo = json.load(open(tmp_path / "report.json"))["config"]
+    assert set(echo) == {f.name for f in fields(RunConfig)} - {"output_dir"}
+    assert echo["max_sequence_retries"] == 7 and echo["repair_budget_factor"] == 9
+    assert echo["thresholds"]["size_dead_band"] == cfg.thresholds.size_dead_band
+    assert echo["degree_cfg"]["mix_ratio"] == 0.7
+
+
 def test_run_interactive_resamples(monkeypatch):
     # batch mode stops on the first ungraphable draw; interactive retries.
     # A tiny odd-sized community with high degrees is frequently ungraphable,
