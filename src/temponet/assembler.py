@@ -175,7 +175,6 @@ def assign_nodes(
     One pass; raises ``GraphabilityError`` when a node finds no fitting
     community or tuple.  ``assemble_snapshot`` retries with fresh draws.
     """
-    k = len(sizes)
     n = len(spec)
     if surviving is None:
         order = sorted(range(n), key=lambda i: (-spec.intra[i], -spec.total[i], i))
