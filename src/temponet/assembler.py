@@ -26,9 +26,11 @@ from .sequences import CommunitySpec, DegreeSpec
 log = logging.getLogger(__name__)
 
 DEFAULT_REPAIR_BUDGET_FACTOR = 50
-# assignment passes per snapshot; 200 matches the earlier nested limit of
-# 10 assembler retries of 20 assignment passes each
-ASSIGNMENT_ATTEMPTS = 200
+# a snapshot gives up after ASSIGNMENT_ATTEMPTS failed attempts; an attempt
+# fails at parity repair, at the gate, or after MISFIT_PASSES passes in a row
+# in which some node fit nowhere (so at most 200 assignment passes)
+ASSIGNMENT_ATTEMPTS = 10
+MISFIT_PASSES = 20
 
 
 @dataclass
@@ -494,13 +496,13 @@ def assemble_snapshot(
     """Build one snapshot: assign, repair parity, gate, wire, and validate.
 
     The full post-assignment graphability check runs before any wiring.  A
-    failing assignment pass (no fit, no parity swap, or a failed gate) is
-    redrawn, up to ``ASSIGNMENT_ATTEMPTS`` passes, before raising
-    ``GraphabilityError``.
+    failing assignment pass is redrawn; ``GraphabilityError`` ends the
+    snapshot after ``ASSIGNMENT_ATTEMPTS`` failed attempts.
     """
     pairing_shape = pairing_shape or ShapeParams()
     failures: list[str] = []
-    for _ in range(ASSIGNMENT_ATTEMPTS):
+    misfits = 0
+    while len(failures) < ASSIGNMENT_ATTEMPTS:
         try:
             assignment = assign_nodes(
                 sizes,
@@ -511,6 +513,14 @@ def assemble_snapshot(
                 prev_degrees=prev_degrees,
                 start_id=start_id,
             )
+        except GraphabilityError as exc:
+            misfits += 1
+            if misfits == MISFIT_PASSES:
+                failures.append(str(exc))
+                misfits = 0
+            continue
+        misfits = 0
+        try:
             assignment = repair_intra_parity(assignment, sizes)
         except GraphabilityError as exc:
             failures.append(str(exc))
@@ -526,7 +536,7 @@ def assemble_snapshot(
             break
         failures.append(report.reason)
     else:
-        raise GraphabilityError.exhausted(t, failures)
+        raise GraphabilityError.exhausted(t, "assignment attempt", failures)
 
     born_at = born_at or {}
     nodes = {

@@ -16,24 +16,21 @@ class ConfigurationError(TemponetError):
 
 
 class GraphabilityError(TemponetError):
-    """Sequences cannot be realized as a simple clustered graph.
-
-    When the error ends a retry loop, ``attempts`` holds the failing
-    condition of every attempt, in order.
-    """
+    """Sequences cannot be realized as a simple clustered graph."""
 
     exit_code = 3
 
-    def __init__(self, message: str, attempts=()):
-        super().__init__(message)
-        self.attempts = list(attempts)
-
     @classmethod
-    def exhausted(cls, t: int, attempts: list[str]) -> "GraphabilityError":
-        """The error ending timestep ``t``'s retry loop, naming each failed attempt."""
-        tally = Counter(attempts)
+    def exhausted(cls, t: int, noun: str, failures: list[str]) -> "GraphabilityError":
+        """The error ending timestep ``t``'s retry loop, naming each failed ``noun``.
+
+        A failure that is itself a timestep-``t`` error loses its repeated
+        ``timestep t:`` prefix.
+        """
+        prefix = f"timestep {t}: "
+        tally = Counter(why.removeprefix(prefix) for why in failures)
         reasons = "; ".join(why if n == 1 else f"{why} (x{n})" for why, n in tally.items())
-        return cls(f"timestep {t}: {len(attempts)} attempt(s) failed: {reasons}", attempts)
+        return cls(f"{prefix}{len(failures)} {noun}(s) failed: {reasons}")
 
 
 class WiringError(TemponetError):

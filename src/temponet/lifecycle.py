@@ -118,7 +118,6 @@ def classify_events(
     thresholds: LifecycleThresholds | None = None,
     death_col: int | None = None,
     birth_row: int | None = None,
-    jac: np.ndarray | None = None,
 ) -> list[EventRecord]:
     """Classify lifecycle events from a node-resolved contingency matrix.
 
@@ -126,7 +125,6 @@ def classify_events(
     birth row at the given indices; the other rows and columns are the real
     communities, whose sizes are the flow's marginals.  Adjustment flows
     decide only the born/dead labels and are excluded from the other events.
-    ``jac`` is the ``flow_jaccard`` matrix when the caller already holds it.
 
     Rules, per real source community i (side ``end_of_t``):
 
@@ -150,8 +148,7 @@ def classify_events(
     k_real, l_real = len(real_rows), len(real_cols)
     sizes_t = u[real_rows].sum(axis=1).tolist()
     sizes_t1 = u[:, real_cols].sum(axis=0).tolist()
-    if jac is None:
-        jac = flow_jaccard(u, birth_row, death_col)
+    jac = flow_jaccard(u, birth_row, death_col)
 
     share = np.zeros((k_real, l_real))
     for a, i in enumerate(real_rows):

@@ -311,12 +311,14 @@ def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot
     if not np.array_equal(recount, flow[:k_real, :l_real]):
         raise AssertionError("realized contingency deviates from the searched flow")
 
-    jac = flow_jaccard(flow, plan.birth_row, plan.death_col)
     events = classify_events(
-        flow, cfg.thresholds, death_col=plan.death_col, birth_row=plan.birth_row, jac=jac
+        flow, cfg.thresholds, death_col=plan.death_col, birth_row=plan.birth_row
     )
     snap.community_labels, next_label = inherit_labels(
-        jac, old.community_labels, cfg.thresholds.continuation, prev.next_label
+        flow_jaccard(flow, plan.birth_row, plan.death_col),
+        old.community_labels,
+        cfg.thresholds.continuation,
+        prev.next_label,
     )
 
     corr, corr_degenerate = temporal_degree_correlation_details(old, snap)
@@ -419,7 +421,7 @@ def run(cfg: RunConfig) -> RunResult:
             except GraphabilityError as exc:
                 failures.append(str(exc))
         else:
-            raise GraphabilityError.exhausted(t, failures)
+            raise GraphabilityError.exhausted(t, "sequence draw", failures)
         snapshots.append(state.snap)
 
     output_dir = None

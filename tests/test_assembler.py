@@ -20,7 +20,8 @@ from temponet import (
     split_degrees,
     wire_intra,
 )
-from temponet.assembler import ASSIGNMENT_ATTEMPTS, repair_intra_parity
+from temponet import assembler
+from temponet.assembler import ASSIGNMENT_ATTEMPTS, MISFIT_PASSES, repair_intra_parity
 
 from oracles import degree_joint_distribution_baseline, spectral_component_count
 
@@ -123,18 +124,48 @@ def test_assign_temporal_skewed_shape_correlates():
     assert np.corrcoef(prev_d, new_d)[0, 1] > 0.9
 
 
-def test_exhausted_assignment_names_timestep_attempts_and_conditions():
+def _counting_assign(monkeypatch):
+    calls = []
+    real = assembler.assign_nodes
+
+    def counted(*args, **kw):
+        calls.append(None)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(assembler, "assign_nodes", counted)
+    return calls
+
+
+def test_exhausted_assignment_names_timestep_attempts_and_conditions(monkeypatch):
     # the singleton can only take the intra-degree-0 slot, whose 4 inter stubs
     # outnumber everyone else's, so every assignment pass fails the inter gate
     sizes = CommunitySpec((1, 3))
     spec = DegreeSpec((4, 2, 2, 2), (0, 2, 2, 2))
     assert check_graphable(sizes, spec).ok
+    calls = _counting_assign(monkeypatch)
     with pytest.raises(GraphabilityError) as info:
         assemble_snapshot(5, sizes, spec, np.random.default_rng(0))
-    assert str(info.value).startswith(f"timestep 5: {ASSIGNMENT_ATTEMPTS} attempt(s) failed:")
-    assert "inter_max" in str(info.value)
-    assert len(info.value.attempts) == ASSIGNMENT_ATTEMPTS
-    assert all(a.startswith("inter_max") for a in info.value.attempts)
+    message = str(info.value)
+    assert message.startswith(f"timestep 5: {ASSIGNMENT_ATTEMPTS} assignment attempt(s) failed:")
+    assert "inter_max" in message and f"(x{ASSIGNMENT_ATTEMPTS})" in message
+    # a failed gate ends an attempt after a single pass
+    assert len(calls) == ASSIGNMENT_ATTEMPTS
+
+
+def test_assignment_misfits_use_up_to_misfit_passes_per_attempt(monkeypatch):
+    # node 0 stays in the singleton, where no intra degree 2 fits, so every
+    # pass misfits
+    sizes = CommunitySpec((1, 3))
+    spec = DegreeSpec((2, 2, 2, 2), (2, 2, 2, 2))
+    calls = _counting_assign(monkeypatch)
+    with pytest.raises(GraphabilityError) as info:
+        assemble_snapshot(
+            2, sizes, spec, np.random.default_rng(0), surviving={0: 0, 1: 1, 2: 1, 3: 1}
+        )
+    message = str(info.value)
+    assert message.startswith(f"timestep 2: {ASSIGNMENT_ATTEMPTS} assignment attempt(s) failed:")
+    assert "could not be matched" in message
+    assert len(calls) == ASSIGNMENT_ATTEMPTS * MISFIT_PASSES
 
 
 def test_repair_intra_parity_fixes_odd_communities():

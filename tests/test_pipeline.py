@@ -254,10 +254,21 @@ def test_exhausted_sequence_draws_name_timestep_attempts_and_conditions():
     with pytest.raises(GraphabilityError) as info:
         run(cfg)
     message = str(info.value)
-    assert message.startswith("timestep 0: 3 attempt(s) failed:")
+    assert message.startswith("timestep 0: 3 sequence draw(s) failed:")
     assert "assignment_infeasible" in message and "(x3)" in message
-    assert len(info.value.attempts) == 3
-    assert all(a.startswith("assignment_infeasible") for a in info.value.attempts)
+
+
+def test_exhausted_assembly_names_its_conditions_in_the_draw_error(tmp_path):
+    # the gate passes, but the singleton's only fitting slot has 4 inter stubs
+    # that nobody else can take, so every assignment attempt fails
+    path = tmp_path / "steps.txt"
+    path.write_text("1 3\n4 0\n2 2\n2 2\n2 2\n")
+    with pytest.raises(GraphabilityError) as info:
+        run(RunConfig(timesteps=1, seed=0, sequence_file=str(path)))
+    message = str(info.value)
+    assert message.startswith("timestep 0: 1 sequence draw(s) failed: 10 assignment attempt(s)")
+    assert message.count("timestep 0") == 1
+    assert "inter_max" in message and "(x10)" in message
 
 
 def test_mid_scale_run_produces_lifecycle_events(tmp_path):
