@@ -8,6 +8,14 @@ reproduces plain configuration-model pairing conditioned on simplicity.
 Self-loops and duplicate links are excluded by construction; dead ends are
 repaired by breaking an existing link of an otherwise-eligible node, within
 a configurable budget.
+
+The open stubs live in a Fenwick tree (Fenwick, "A new data structure for
+cumulative frequency tables", 1994) over the degree-ordered positions, so a
+draw, and each ban or stub update, costs O(log n).  While a node fills, it
+and its neighbours carry weight 0 in the tree.  Inter mode adds one tree per
+community over the same positions, k * n cells in all, and descends the
+global tree minus the node's own-community tree.  A draw picks exactly the
+position that a cumulative sum and ``searchsorted`` would pick.
 """
 
 from __future__ import annotations
@@ -308,28 +316,121 @@ def repair_intra_parity(
 # ---------------------------------------------------------------------------
 
 
-class _StubPool:
-    """Open stubs of one wiring phase, indexable by degree-ordered position."""
+def _fenwick(weights: np.ndarray) -> list[int]:
+    """Fenwick tree over ``weights``: cell i sums the ``i & -i`` weights
+    ending at position i - 1; cell 0 is unused."""
+    cum = np.zeros(weights.size + 1, dtype=np.int64)
+    np.cumsum(weights, out=cum[1:])
+    idx = np.arange(1, cum.size)
+    cum[1:] -= cum[idx - (idx & -idx)]
+    return cum.tolist()
 
-    def __init__(self, entries):
+
+class _StubSampler:
+    """Open stubs of one wiring phase, drawn by degree-ordered position in O(log n).
+
+    Positions sort the phase's nodes by (total degree, id); ``rem[p]`` counts
+    the open stubs at position p.  ``tree`` is a Fenwick tree over each
+    position's effective weight: ``rem[p]``, or 0 while p is banned for the
+    node being filled.  In inter mode (``community_of`` given) ``own[c]``
+    mirrors those effective weights for the members of community c only, so
+    the weight eligible for a node of community c is ``tree - own[c]``.
+    ``saturated`` holds the positions whose stubs were all taken by links.
+    """
+
+    def __init__(self, entries, community_of=None):
         # entries: iterable of (node_id, total_degree, stubs)
         entries = sorted(entries, key=lambda t: (t[1], t[0]))
         self.ids = [nid for nid, _, _ in entries]
         self.pos = {nid: p for p, nid in enumerate(self.ids)}
-        self.rem = np.array([s for _, _, s in entries], dtype=np.int64)
+        rem = np.array([s for _, _, s in entries], dtype=np.int64)
+        self.rem: list[int] = rem.tolist()
+        self.banned = [False] * len(self.ids)
+        self.saturated: set[int] = set()
+        self.tree = _fenwick(rem)
+        self.total = sum(self.rem)
+        self.comm: list[int] | None = None
+        if community_of is not None:
+            index: dict[object, int] = {}
+            self.comm = [index.setdefault(community_of[nid], len(index)) for nid in self.ids]
+            comm = np.array(self.comm, dtype=np.int64)
+            self.own: list[list[int]] = []
+            self.own_total: list[int] = []
+            for c in range(len(index)):
+                weights = np.where(comm == c, rem, 0)
+                self.own.append(_fenwick(weights))
+                self.own_total.append(int(weights.sum()))
 
-    def draw(self, rng, shape: ShapeParams, banned_positions) -> int | None:
-        """Pick an open stub's owner by Beta position among eligible stubs."""
-        weights = self.rem.copy()
-        if banned_positions:
-            weights[banned_positions] = 0
-        cum = np.cumsum(weights)
-        total = int(cum[-1]) if cum.size else 0
+    def _add(self, p: int, delta: int) -> None:
+        """Add ``delta`` to position p's effective weight."""
+        tree, m = self.tree, len(self.rem)
+        i = p + 1
+        self.total += delta
+        if self.comm is None:
+            while i <= m:
+                tree[i] += delta
+                i += i & -i
+            return
+        c = self.comm[p]
+        own = self.own[c]
+        self.own_total[c] += delta
+        while i <= m:
+            tree[i] += delta
+            own[i] += delta
+            i += i & -i
+
+    def ban(self, p: int) -> None:
+        self.banned[p] = True
+        if self.rem[p]:
+            self._add(p, -self.rem[p])
+
+    def unban(self, p: int) -> None:
+        self.banned[p] = False
+        if self.rem[p]:
+            self._add(p, self.rem[p])
+
+    def take(self, p: int) -> None:
+        """Close one of position p's stubs."""
+        self.rem[p] -= 1
+        if not self.rem[p]:
+            self.saturated.add(p)
+        if not self.banned[p]:
+            self._add(p, -1)
+
+    def give(self, p: int) -> None:
+        """Reopen one of position p's stubs."""
+        self.rem[p] += 1
+        self.saturated.discard(p)
+        if not self.banned[p]:
+            self._add(p, 1)
+
+    def draw(self, rng, shape: ShapeParams, p: int) -> int | None:
+        """Position of a partner for position p's node, or None when none is eligible.
+
+        The Beta variate picks a rank among the eligible stubs; the descent
+        returns the first position whose eligible prefix weight exceeds it.
+        """
+        tree = self.tree
+        if self.comm is None:
+            own, total = None, self.total
+        else:
+            c = self.comm[p]
+            own, total = self.own[c], self.total - self.own_total[c]
         if total <= 0:
             return None
         rank = min(int(rng.beta(shape.alpha, shape.beta) * total), total - 1)
-        p = int(np.searchsorted(cum, rank, side="right"))
-        return self.ids[p]
+        m = len(self.rem)
+        pos = 0
+        step = 1 << (m.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= m:
+                w = tree[nxt] if own is None else tree[nxt] - own[nxt]
+                if w <= rank:
+                    pos = nxt
+                    rank -= w
+            step >>= 1
+        return pos
 
 
 def _wire_phase(
@@ -345,52 +446,42 @@ def _wire_phase(
     different community.  Raises ``WiringError`` when the repair budget is
     exhausted.
     """
-    pool = _StubPool(entries)
-    total_open = int(pool.rem.sum())
-    if total_open % 2 == 1:
+    pool = _StubSampler(entries, community_of)
+    ids, pos, rem = pool.ids, pool.pos, pool.rem
+    if pool.total % 2 == 1:
         raise WiringError("odd number of stubs in a wiring phase")
     adjacency: dict[int, set[int]] = defaultdict(set)
     links: set[tuple[int, int]] = set()
     repairs = 0
-    if community_of is not None:
-        comm_positions: dict[int, list[int]] = defaultdict(list)
-        for nid in pool.ids:
-            comm_positions[community_of[nid]].append(pool.pos[nid])
-        comm_positions = {c: np.array(ps) for c, ps in comm_positions.items()}
 
     heap = [(-d, nid) for nid, d, s in entries if s > 0]
     heapq.heapify(heap)
     degree_of = {nid: d for nid, d, _ in entries}
 
-    def banned_for(u: int) -> list[int]:
-        banned = [pool.pos[u]]
-        banned.extend(pool.pos[v] for v in adjacency[u])
-        if community_of is not None:
-            banned.extend(int(p) for p in comm_positions[community_of[u]])
-        return banned
-
-    def add_link(a: int, b: int) -> None:
-        links.add((a, b) if a < b else (b, a))
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-        pool.rem[pool.pos[a]] -= 1
-        pool.rem[pool.pos[b]] -= 1
+    def add_link(u: int, b: int) -> None:
+        # u is being filled: b joins its banned neighbours
+        links.add((u, b) if u < b else (b, u))
+        adjacency[u].add(b)
+        adjacency[b].add(u)
+        pool.ban(pos[b])
+        pool.take(pos[u])
+        pool.take(pos[b])
 
     def repair(u: int) -> None:
         nonlocal repairs
-        # candidates: eligible partners with all stubs taken but >= 1 link to break
-        mask = pool.rem == 0
+        # candidates, in position order: eligible partners with all stubs
+        # taken, so >= 1 link to break (u itself still has open stubs)
         cands = []
-        for p in np.flatnonzero(mask):
-            w = pool.ids[int(p)]
-            if w == u or w in adjacency[u] or not adjacency[w]:
+        for p in sorted(pool.saturated):
+            w = ids[p]
+            if w in adjacency[u]:
                 continue
             if community_of is not None and community_of[w] == community_of[u]:
                 continue
             cands.append(w)
         if not cands:
             raise WiringError(
-                f"node {u}: no candidate links to rewire ({int(pool.rem[pool.pos[u]])} stubs left)"
+                f"node {u}: no candidate links to rewire ({rem[pos[u]]} stubs left)"
             )
         w = cands[int(rng.integers(len(cands)))]
         neighbors = sorted(adjacency[w])
@@ -399,8 +490,8 @@ def _wire_phase(
         links.discard(key)
         adjacency[w].discard(v)
         adjacency[v].discard(w)
-        pool.rem[pool.pos[w]] += 1
-        pool.rem[pool.pos[v]] += 1
+        pool.give(pos[w])
+        pool.give(pos[v])
         add_link(u, w)
         heapq.heappush(heap, (-degree_of[v], v))
         repairs += 1
@@ -409,13 +500,22 @@ def _wire_phase(
 
     while heap:
         _, u = heapq.heappop(heap)
-        while pool.rem[pool.pos[u]] > 0:
-            v = pool.draw(rng, shape, banned_for(u))
-            if v is None:
+        p = pos[u]
+        if not rem[p]:
+            continue
+        pool.ban(p)
+        for v in adjacency[u]:
+            pool.ban(pos[v])
+        while rem[p] > 0:
+            q = pool.draw(rng, shape, p)
+            if q is None:
                 repair(u)
             else:
-                add_link(u, v)
-    if int(pool.rem.sum()) != 0:
+                add_link(u, ids[q])
+        pool.unban(p)
+        for v in adjacency[u]:
+            pool.unban(pos[v])
+    if any(rem):
         raise WiringError("stubs left unpaired after the wiring loop")
     return links, repairs
 

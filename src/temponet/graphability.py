@@ -1,9 +1,10 @@
 """Realizability tests for clustered degree sequences.
 
 A (sizes, degrees) pair is accepted when every community's intra sequence is
-graphable as a simple graph (Erdos-Gallai) and the community-aggregated inter
+graphable as a simple graph (Erdos-Gallai), the community-aggregated inter
 degrees are graphable as a loop-free multigraph on the reduced community
-graph.  Before a membership exists only the necessary conditions can be
+graph, and no node needs more inter partners than live outside its
+community.  Before a membership exists only the necessary conditions can be
 checked: global sum parities plus the capacity matching between intra degrees
 and community sizes.
 """
@@ -25,6 +26,7 @@ class FailedCondition(Enum):
     INTRA_ERDOS_GALLAI = "intra_erdos_gallai"
     INTER_PARITY = "inter_parity"
     INTER_MAX = "inter_max"
+    INTER_NODE_MAX = "inter_node_max"
     ASSIGNMENT_INFEASIBLE = "assignment_infeasible"
 
 
@@ -125,8 +127,9 @@ def check_graphable(
     """Full graphability report for one timestep's sequences.
 
     With a concrete ``membership`` (community index per node slot) the
-    Erdos-Gallai condition is applied per community on the intra degrees and
-    the max condition on per-community inter aggregates.  Without one, only
+    Erdos-Gallai condition is applied per community on the intra degrees, the
+    max condition on per-community inter aggregates, and the bound
+    ``f_i <= n - |c_i|`` on every node's inter degree.  Without one, only
     the global parities and the capacity matching can be verified.
     """
     n = len(spec)
@@ -206,4 +209,14 @@ def check_graphable(
             FailedCondition.INTER_MAX,
             f"community {worst}: inter aggregate exceeds the remaining inter stubs",
         )
+    for slot, c in enumerate(membership):
+        outside = n - sizes.sizes[c]
+        if inter[slot] > outside:
+            return GraphabilityReport(
+                False,
+                c,
+                FailedCondition.INTER_NODE_MAX,
+                f"community {c}: slot {slot} needs {inter[slot]} inter partners,"
+                f" only {outside} nodes lie outside",
+            )
     return GraphabilityReport(True)

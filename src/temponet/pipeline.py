@@ -439,7 +439,7 @@ def run(cfg: RunConfig) -> RunResult:
 
 def load_run_config(path, overrides=None) -> RunConfig:
     """Read a RunConfig from an INI-style key/value file (see README)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
@@ -493,11 +493,16 @@ def load_run_config(path, overrides=None) -> RunConfig:
             thresholds=LifecycleThresholds(
                 continuation=float(life.get("continuation", 0.3)),
                 share=float(life.get("share", 0.1)),
+                size_dead_band=float(life.get("size_dead_band", 0.02)),
             ),
             no_search=run_sec.get("no_search", "false").strip().lower()
             in ("1", "true", "yes"),
             interactive=run_sec.get("interactive", "false").strip().lower()
             in ("1", "true", "yes"),
+            max_sequence_retries=int(run_sec.get("max_sequence_retries", 10)),
+            repair_budget_factor=int(
+                run_sec.get("repair_budget_factor", DEFAULT_REPAIR_BUDGET_FACTOR)
+            ),
             on_disconnected=run_sec.get("on_disconnected", "warn"),
             output_dir=overrides.get("output", run_sec.get("output")) or None,
         )

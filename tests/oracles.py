@@ -3,17 +3,20 @@
 Everything here is deliberately written along a different path than the
 library: realizability by exhaustive backtracking over adjacency structures,
 VI through entropies, modularity straight from the definition, connectivity
-through the Laplacian spectrum, and tiny flow counts by filtering the full
-cell product.
+through the Laplacian spectrum, tiny flow counts by filtering the full cell
+product, and stub pairing through a full cumulative sum per draw.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import defaultdict
 
 import numpy as np
+
+from temponet import WiringError
 
 
 def realizable_with_parts(degrees, parts) -> bool:
@@ -244,3 +247,87 @@ def degree_joint_distribution_baseline(degrees) -> np.ndarray:
     p = np.outer(d, d) / (s - 1.0)
     np.fill_diagonal(p, 0.0)
     return p
+
+
+def reference_wire_phase(entries, shape, rng, budget, community_of=None):
+    """The configuration-model wiring loop with one ``np.cumsum`` per drawn stub.
+
+    Same contract, draw order and RNG use as ``temponet.assembler._wire_phase``:
+    positions are the open stubs sorted by (total degree, id), the node being
+    filled, its neighbours and (``community_of`` given) its own community get
+    weight 0, and the partner is the first position whose cumulative weight
+    exceeds ``min(int(beta * total), total - 1)``.  Returns (links, repairs).
+    """
+    entries = sorted(entries, key=lambda t: (t[1], t[0]))
+    ids = [nid for nid, _, _ in entries]
+    pos = {nid: p for p, nid in enumerate(ids)}
+    rem = np.array([s for _, _, s in entries], dtype=np.int64)
+    if int(rem.sum()) % 2 == 1:
+        raise WiringError("odd number of stubs in a wiring phase")
+    adjacency: dict[int, set[int]] = defaultdict(set)
+    links: set[tuple[int, int]] = set()
+    repairs = 0
+    heap = [(-d, nid) for nid, d, s in entries if s > 0]
+    heapq.heapify(heap)
+    degree_of = {nid: d for nid, d, _ in entries}
+    if community_of is not None:
+        comm = np.array([community_of[nid] for nid in ids])
+
+    def draw(u):
+        weights = rem.copy()
+        weights[pos[u]] = 0
+        for v in adjacency[u]:
+            weights[pos[v]] = 0
+        if community_of is not None:
+            weights[comm == community_of[u]] = 0
+        cum = np.cumsum(weights)
+        total = int(cum[-1])
+        if total <= 0:
+            return None
+        rank = min(int(rng.beta(shape.alpha, shape.beta) * total), total - 1)
+        return ids[int(np.searchsorted(cum, rank, side="right"))]
+
+    def add_link(a, b):
+        links.add((a, b) if a < b else (b, a))
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+        rem[pos[a]] -= 1
+        rem[pos[b]] -= 1
+
+    def repair(u):
+        nonlocal repairs
+        cands = []
+        for p in np.flatnonzero(rem == 0):
+            w = ids[int(p)]
+            if w == u or w in adjacency[u] or not adjacency[w]:
+                continue
+            if community_of is not None and community_of[w] == community_of[u]:
+                continue
+            cands.append(w)
+        if not cands:
+            raise WiringError(f"node {u}: no candidate links to rewire")
+        w = cands[int(rng.integers(len(cands)))]
+        neighbors = sorted(adjacency[w])
+        v = neighbors[int(rng.integers(len(neighbors)))]
+        links.discard((w, v) if w < v else (v, w))
+        adjacency[w].discard(v)
+        adjacency[v].discard(w)
+        rem[pos[w]] += 1
+        rem[pos[v]] += 1
+        add_link(u, w)
+        heapq.heappush(heap, (-degree_of[v], v))
+        repairs += 1
+        if repairs > budget:
+            raise WiringError(f"wiring repair budget ({budget}) exhausted")
+
+    while heap:
+        _, u = heapq.heappop(heap)
+        while rem[pos[u]] > 0:
+            v = draw(u)
+            if v is None:
+                repair(u)
+            else:
+                add_link(u, v)
+    if int(rem.sum()) != 0:
+        raise WiringError("stubs left unpaired after the wiring loop")
+    return links, repairs

@@ -23,7 +23,11 @@ from temponet import (
 from temponet import assembler
 from temponet.assembler import ASSIGNMENT_ATTEMPTS, MISFIT_PASSES, repair_intra_parity
 
-from oracles import degree_joint_distribution_baseline, spectral_component_count
+from oracles import (
+    degree_joint_distribution_baseline,
+    reference_wire_phase,
+    spectral_component_count,
+)
 
 WORKED_SIZES = CommunitySpec((4, 4, 2))
 WORKED_SPEC = DegreeSpec((4, 4, 4, 3, 3, 3, 3, 2, 2, 2), (3, 3, 3, 2, 2, 2, 2, 1, 1, 1))
@@ -361,7 +365,7 @@ def test_uniform_pairing_approximates_cm_baseline():
     # exclusions lifted (plain uniform stub matching driven through the same
     # position-draw machinery), expected pair multiplicities equal
     # k_i * k_j / (S - 1); checked for pairs with small k_i * k_j
-    from temponet.assembler import _StubPool
+    from temponet.assembler import _StubSampler
 
     degrees = (4, 4, 3, 3, 4, 3, 3, 2, 2, 2)
     baseline = degree_joint_distribution_baseline(degrees)
@@ -370,15 +374,15 @@ def test_uniform_pairing_approximates_cm_baseline():
     runs = 100_000
     counts = np.zeros((10, 10))
     for _ in range(runs):
-        pool = _StubPool([(i, d, d) for i, d in enumerate(degrees)])
+        pool = _StubSampler([(i, d, d) for i, d in enumerate(degrees)])
         open_nodes = sorted(range(10), key=lambda i: -degrees[i])
         while True:
             u = next((i for i in open_nodes if pool.rem[pool.pos[i]] > 0), None)
             if u is None:
                 break
-            pool.rem[pool.pos[u]] -= 1  # the stub being matched
-            v = pool.draw(rng, shape, [])
-            pool.rem[pool.pos[v]] -= 1
+            pool.take(pool.pos[u])  # the stub being matched
+            v = pool.ids[pool.draw(rng, shape, pool.pos[u])]
+            pool.take(pool.pos[v])
             if u != v:
                 counts[u, v] += 1
                 counts[v, u] += 1
@@ -392,6 +396,40 @@ def test_uniform_pairing_approximates_cm_baseline():
     assert small, "no small-product pairs to compare"
     for u, v in small:
         assert mean_mult[u, v] == pytest.approx(baseline[u, v], rel=0.05), (u, v)
+
+
+@pytest.mark.parametrize("pairing", [(1, 1), (5, 1), (1, 5)])
+def test_tree_sampler_wires_like_the_cumsum_reference(pairing):
+    # the Fenwick descent must pick exactly the partner the per-draw cumsum
+    # and searchsorted picked: same links, repairs, errors and generator state
+    shape = ShapeParams(*pairing)
+    gen = np.random.default_rng(53)
+    repaired = {"intra": 0, "inter": 0}
+    for trial in range(120):
+        n = int(gen.integers(2, 40))
+        if trial % 2:
+            mode, k = "inter", int(gen.integers(2, 6))
+            community_of = {i: int(gen.integers(k)) for i in range(n)}
+            stubs = [int(gen.integers(0, 7)) for _ in range(n)]
+        else:
+            mode, community_of = "intra", None
+            stubs = [int(gen.integers(0, n)) for _ in range(n)]
+        if sum(stubs) % 2:
+            stubs[int(gen.integers(n))] += 1
+        entries = [(i, int(gen.integers(1, 30)), stubs[i]) for i in range(n)]
+        outcomes = []
+        for wire in (reference_wire_phase, assembler._wire_phase):
+            rng = np.random.default_rng(1000 + trial)
+            try:
+                result = wire(entries, shape, rng, 50 * n, community_of)
+            except WiringError:
+                result = "WiringError"
+            outcomes.append((result, rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1], (trial, mode)
+        result = outcomes[0][0]
+        if result != "WiringError" and result[1] > 0:
+            repaired[mode] += 1
+    assert repaired["intra"] > 0 and repaired["inter"] > 0
 
 
 def test_assemble_deterministic_given_seed():

@@ -10,6 +10,8 @@ from temponet import (
     ConfigurationError,
     DegreeSpec,
     FailedCondition,
+    GraphabilityError,
+    assemble_snapshot,
     assignment_feasible,
     check_graphable,
     erdos_gallai,
@@ -164,6 +166,24 @@ def test_check_graphable_condition_labels():
     assert report.failing_condition is FailedCondition.INTER_MAX
     report = check_graphable(sizes, DegreeSpec((2, 2, 2, 1), (1, 1, 1, 1)), [0, 0, 1, 1])
     assert report.failing_condition is FailedCondition.INTER_PARITY
+
+
+def test_inter_degree_above_the_outside_population_is_rejected():
+    # the aggregates (12, 12) pass the max condition, but the singleton's
+    # node needs 12 distinct partners and only 10 nodes lie outside it
+    sizes = CommunitySpec((1, 10))
+    inter = (12, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)
+    intra = (0,) + (2,) * 10
+    spec = DegreeSpec(tuple(e + f for e, f in zip(intra, inter)), intra)
+    membership = [0] + [1] * 10
+    report = check_graphable(sizes, spec, membership)
+    assert report.failing_condition is FailedCondition.INTER_NODE_MAX
+    assert report.failing_community == 0
+    assert not realizable_clustered(sizes.sizes, membership, intra, spec.inter)
+    # the intra degrees force that membership on every assignment pass
+    assert check_graphable(sizes, spec).ok
+    with pytest.raises(GraphabilityError, match="inter_node_max"):
+        assemble_snapshot(0, sizes, spec, np.random.default_rng(0))
 
 
 def test_check_graphable_validation_errors():

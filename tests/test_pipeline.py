@@ -301,6 +301,8 @@ def test_config_file_loading(tmp_path):
 timesteps = 3
 seed = 9
 kills = 1
+max_sequence_retries = 3
+repair_budget_factor = 7
 
 [communities]
 family = uniform
@@ -326,6 +328,7 @@ global_tries = 4
 [lifecycle]
 continuation = 0.25
 share = 0.15
+size_dead_band = 0.05
 """
     )
     cfg = load_run_config(path)
@@ -334,11 +337,26 @@ share = 0.15
     assert cfg.degree_cfg.mix_mode == "bernoulli"
     assert cfg.pairing_shape.alpha == 2.0 and cfg.temporal_shape.alpha == 3.0
     assert cfg.search.local_tries_threshold == 12
-    assert cfg.thresholds.continuation == 0.25
+    assert cfg.thresholds.continuation == 0.25 and cfg.thresholds.size_dead_band == 0.05
+    assert cfg.max_sequence_retries == 3 and cfg.repair_budget_factor == 7
     cfg2 = load_run_config(path, overrides={"seed": 77})
     assert cfg2.seed == 77
     result = run(cfg)
     assert len(result.snapshots) == 3
+
+
+def test_readme_config_example_loads_verbatim(tmp_path):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = load_run_config(path)
+    assert cfg.timesteps == 11 and cfg.seed == 42 and cfg.kills == 3
+    assert cfg.interactive is True and cfg.no_search is False
+    assert cfg.sequence_file is None and cfg.output_dir is None
+    assert cfg.community_count == 5 and cfg.degree_cfg.rounding == "stochastic"
+    assert cfg.max_sequence_retries == 10 and cfg.repair_budget_factor == 50
+    assert cfg.thresholds.size_dead_band == 0.02
 
 
 def test_cli_version_and_flow(capsys):
