@@ -2,7 +2,7 @@
 
 The feasible flows between clusterings with sizes {10,8,6} and {12,10,2}
 form a lattice of 279 points.  The demo enumerates them all, scores the
-greedy seed pool, runs the taboo hull search, and confirms the search found
+greedy seed pool, runs the steepest-descent hull search, and confirms it found
 the global optimum.  It also shows the sparsity/similarity correlation that
 motivates searching the polytope hull.
 """
@@ -10,7 +10,6 @@ motivates searching the polytope hull.
 import numpy as np
 
 from temponet import (
-    SearchConfig,
     build_flow_system,
     enumerate_lattice,
     kernel_basis,
@@ -33,7 +32,7 @@ for name, flow in zip(names, pool):
     print(f"  seed {name:>16}: VI = {variation_of_information(flow):.4f}")
 
 trace = []
-best = taboo_search(system, cfg=SearchConfig(50, 10), trace=trace)
+best = taboo_search(system, trace=trace)
 print("taboo search found VI =", round(variation_of_information(best), 6))
 print("global optimum        =", round(float(vis.min()), 6))
 print("best flow:")

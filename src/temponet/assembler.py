@@ -54,10 +54,6 @@ class ShapeParams:
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigurationError("beta shape parameters must be positive")
 
-    @property
-    def is_uniform(self) -> bool:
-        return self.alpha == 1.0 and self.beta == 1.0
-
 
 @dataclass
 class Node:
@@ -167,14 +163,13 @@ def assign_nodes(
     surviving: dict[int, int] | None = None,
     temporal_shape: ShapeParams | None = None,
     prev_degrees: dict[int, int] | None = None,
-    start_id: int = 0,
 ) -> dict[int, tuple[int, int, int]]:
     """Assign communities and degree tuples to nodes; returns id -> (community, d, e).
 
-    Bootstrap mode (``surviving`` is None): fresh ids ``start_id + slot`` take
-    the slot's degree tuple and are placed into a random community drawn with
-    probability proportional to remaining capacity, never where ``e`` reaches
-    the community size.
+    Bootstrap mode (``surviving`` is None): node id ``slot`` takes the slot's
+    degree tuple and is placed into a random community drawn with probability
+    proportional to remaining capacity, never where ``e`` reaches the
+    community size.
 
     Temporal mode: every id in ``surviving`` keeps its flow-dictated
     community; nodes with a previous degree draw their new tuple by sampling
@@ -199,7 +194,7 @@ def assign_nodes(
             weights = caps[eligible].astype(np.float64)
             c = int(rng.choice(eligible, p=weights / weights.sum()))
             caps[c] -= 1
-            out[start_id + slot] = (c, spec.total[slot], spec.intra[slot])
+            out[slot] = (c, spec.total[slot], spec.intra[slot])
         return out
 
     if len(surviving) != n:
@@ -590,7 +585,6 @@ def assemble_snapshot(
     surviving: dict[int, int] | None = None,
     prev_degrees: dict[int, int] | None = None,
     born_at: dict[int, int] | None = None,
-    start_id: int = 0,
     repair_budget_factor: int = DEFAULT_REPAIR_BUDGET_FACTOR,
 ) -> Snapshot:
     """Build one snapshot: assign, repair parity, gate, wire, and validate.
@@ -611,7 +605,6 @@ def assemble_snapshot(
                 surviving=surviving,
                 temporal_shape=temporal_shape,
                 prev_degrees=prev_degrees,
-                start_id=start_id,
             )
         except GraphabilityError as exc:
             misfits += 1

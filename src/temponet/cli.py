@@ -2,9 +2,9 @@
 
 Subcommands: ``generate`` runs the full pipeline from a config file,
 ``check`` tests a sequence file for graphability, ``flow`` explores a single
-transition (enumeration, seed pool, search) and ``version`` prints the
-package version.  Exit codes: 0 ok, 2 validation, 3 graphability, 4 wiring,
-5 I/O.
+transition (lattice count, seed pool, steepest-descent search) and
+``version`` prints the package version.  Exit codes: 0 ok, 2 validation,
+3 graphability, 4 wiring, 5 I/O.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .graphability import check_graphable
 from .pipeline import load_run_config, run
 from .sequences import load_sequences
 from .transition import (
-    SearchConfig,
     build_flow_system,
     count_lattice,
     kernel_basis,
@@ -112,14 +111,11 @@ def _cmd_flow(args) -> int:
     for name, score in zip(names, scores):
         print(f"seed {name:>16}: VI = {score:.6f}")
     best = pool[int(np.argmin(scores))]
-    cfg = SearchConfig(
-        local_tries_threshold=args.local_tries, global_tries_threshold=args.global_tries
-    )
     trace: list = []
-    found = taboo_search(system, best, kernel_basis(system), cfg, trace=trace)
+    found = taboo_search(system, best, kernel_basis(system), trace=trace)
     print(f"taboo search: VI = {variation_of_information(found):.6f}")
-    for move, cur, best_vi in trace:
-        print(f"  move {move:>4}: VI = {cur:.6f} (best {best_vi:.6f})")
+    for move, vi in trace:
+        print(f"  move {move:>4}: VI = {vi:.6f}")
     print("best flow found:")
     for row in found:
         print("  " + " ".join(f"{int(x):>4}" for x in row))
@@ -154,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     flw.add_argument("--sizes-from", dest="sizes_from", type=_sizes_arg, required=True)
     flw.add_argument("--sizes-to", dest="sizes_to", type=_sizes_arg, required=True)
     flw.add_argument("--cap", type=int, default=500_000, help="enumeration cap")
-    flw.add_argument("--local-tries", type=int, default=50)
-    flw.add_argument("--global-tries", type=int, default=10)
     flw.set_defaults(func=_cmd_flow)
 
     ver = sub.add_parser("version", help="print the package version")

@@ -49,7 +49,6 @@ class BoundaryReport:
     deaths: int
     births: int
     seed_pool_vi: list[float]
-    search_vi: float
     events: list[EventRecord] = field(default_factory=list)
 
 
@@ -211,7 +210,7 @@ def render_report(report: RunReport) -> str:
             + (" (degenerate)" if b.correlation_degenerate else "")
         )
         pool = " ".join(f"{v:.4f}" for v in b.seed_pool_vi)
-        lines.append(f"seed pool VI: [{pool}] search VI: {b.search_vi:.6f}")
+        lines.append(f"seed pool VI: [{pool}]")
         lines.append(f"contingency (rows: T{b.t_from}, cols: T{b.t_to}):")
         lines.extend(_contingency_lines(b))
         lines.append("")

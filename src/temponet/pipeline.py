@@ -13,6 +13,7 @@ assembly, up to ``max_sequence_retries`` draws per timestep.
 from __future__ import annotations
 
 import configparser
+import hashlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -55,7 +56,6 @@ from .sequences import (
     split_degrees,
 )
 from .transition import (
-    SearchConfig,
     build_flow_system,
     kernel_basis,
     materialize_flow,
@@ -140,7 +140,6 @@ class RunConfig:
     kills: object = 0  # int per boundary, or a per-boundary list of int / id lists
     pairing_shape: ShapeParams = field(default_factory=ShapeParams)
     temporal_shape: ShapeParams = field(default_factory=ShapeParams)
-    search: SearchConfig = field(default_factory=SearchConfig)
     thresholds: LifecycleThresholds = field(default_factory=LifecycleThresholds)
     no_search: bool = False
     interactive: bool = False
@@ -165,11 +164,15 @@ class RunConfig:
     def echo(self) -> dict:
         """Every field of the config, nested configs included, for report.json.
 
-        ``output_dir`` is left out: where a run writes does not change what it
-        produces.
+        ``output_dir`` is left out and ``sequence_file`` is replaced by the
+        sha256 of the file's contents: where a run reads and writes does not
+        change what it produces.
         """
         out = asdict(self)
         del out["output_dir"]
+        if self.sequence_file is not None:
+            with open(self.sequence_file, "rb") as fh:
+                out["sequence_file"] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
         return out
 
 
@@ -267,7 +270,7 @@ def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: i
     pool_vi = [variation_of_information(u) for u in pool_flows]
     flow = pool_flows[int(np.argmin(pool_vi))]
     if not cfg.no_search:
-        flow = taboo_search(system, flow, kernel_basis(system), cfg.search)
+        flow = taboo_search(system, flow, kernel_basis(system))
 
     # concrete node moves: survivors only; the pinned death column is the kill set
     victims = set(plan.kill_ids)
@@ -328,12 +331,11 @@ def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot
     col_labels = [str(x) for x in snap.community_labels] + (
         ["deaths"] if plan.death_col is not None else []
     )
-    search_vi = variation_of_information(flow)
     report.boundaries.append(
         BoundaryReport(
             t_from=t,
             t_to=t + 1,
-            vi=search_vi,
+            vi=variation_of_information(flow),
             contingency=[[int(x) for x in row] for row in flow],
             row_labels=row_labels,
             col_labels=col_labels,
@@ -342,7 +344,6 @@ def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot
             deaths=plan.deaths,
             births=plan.births,
             seed_pool_vi=moves.pool_vi,
-            search_vi=search_vi,
             events=events,
         )
     )
@@ -466,7 +467,6 @@ def load_run_config(path, overrides=None) -> RunConfig:
             except ValueError as exc:
                 raise ConfigurationError(f"[{name}] section: {exc}") from None
     shapes = section("shapes")
-    search_sec = section("search")
     life = section("lifecycle")
     try:
         cfg = RunConfig(
@@ -485,10 +485,6 @@ def load_run_config(path, overrides=None) -> RunConfig:
             temporal_shape=ShapeParams(
                 float(shapes.get("temporal_alpha", 1.0)),
                 float(shapes.get("temporal_beta", 1.0)),
-            ),
-            search=SearchConfig(
-                local_tries_threshold=int(search_sec.get("local_tries", 50)),
-                global_tries_threshold=int(search_sec.get("global_tries", 10)),
             ),
             thresholds=LifecycleThresholds(
                 continuation=float(life.get("continuation", 0.3)),

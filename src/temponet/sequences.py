@@ -48,7 +48,7 @@ class DegreeSpec:
 
     The inter degree of slot ``i`` is derived as ``total[i] - intra[i]``.
     Parity of the sums is not enforced by the constructor; ``fix_parity``
-    repairs freshly sampled sequences and ``parity_ok`` reports the state.
+    repairs freshly sampled sequences.
     """
 
     total: tuple[int, ...]
@@ -70,11 +70,6 @@ class DegreeSpec:
     @property
     def inter(self) -> tuple[int, ...]:
         return tuple(d - e for d, e in zip(self.total, self.intra))
-
-    @property
-    def parity_ok(self) -> bool:
-        intra_sum = sum(self.intra)
-        return intra_sum % 2 == 0 and (sum(self.total) - intra_sum) % 2 == 0
 
     def __len__(self) -> int:
         return len(self.total)

@@ -4,9 +4,11 @@ The feasible flows form the lattice points of a transportation polytope
 ``Ax = B`` where ``A`` is the incidence matrix of the complete bipartite
 community graph and ``B`` stacks the community sizes of both timesteps.
 This module provides the exact enumerator (verification oracle), a pool of
-one-pass greedy seed heuristics, and the anytime taboo search that walks the
-polytope hull along kernel-basis directions minimizing the variation of
-information between the clusterings.
+one-pass greedy seed heuristics, and the search that walks the polytope hull
+along kernel-basis directions minimizing the variation of information between
+the clusterings.  The paper calls it an anytime taboo search; since it only
+moves to strictly better flows, it is a steepest descent, and neither a taboo
+list nor try thresholds change where it stops.
 
 Optional per-cell lower bounds pin flows (used by the pipeline to force
 user-specified kills into the death-adjustment column); all algorithms
@@ -358,24 +360,19 @@ def sorted_residual_greedy(system: FlowSystem) -> np.ndarray:
 
 
 def max_chunk_greedy(system: FlowSystem) -> np.ndarray:
-    """Commit the largest feasible single flow first (sparsity objective)."""
+    """Commit the largest feasible single flow first (sparsity objective).
+
+    The largest commit is ``m = min(max row residual, max column residual)``,
+    and the lowest row-major cell where it fits is the first row and the
+    first column with a residual of at least ``m``.
+    """
     rr = system.row_slack.astype(np.int64).copy()
     cr = system.col_slack.astype(np.int64).copy()
-    k, l = system.k, system.l
     u = system.lower.copy()
     while rr.max() > 0:
-        best = None
-        for i in range(k):
-            if rr[i] == 0:
-                continue
-            for j in range(l):
-                if cr[j] == 0:
-                    continue
-                m = min(int(rr[i]), int(cr[j]))
-                key = (-m, i * l + j)
-                if best is None or key < best[0]:
-                    best = (key, i, j, m)
-        _, i, j, m = best
+        m = min(int(rr.max()), int(cr.max()))
+        i = int(np.argmax(rr >= m))
+        j = int(np.argmax(cr >= m))
         u[i, j] += m
         rr[i] -= m
         cr[j] -= m
@@ -461,39 +458,12 @@ def best_of_pool(system: FlowSystem) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SearchConfig:
-    """Stopping thresholds for the hull search."""
+    """No settings; ``taboo_search`` accepts an instance and ignores it.
 
-    local_tries_threshold: int = 50
-    global_tries_threshold: int = 10
-
-    def __post_init__(self):
-        if self.local_tries_threshold < 1 or self.global_tries_threshold < 1:
-            raise ConfigurationError("search thresholds must be >= 1")
-
-
-_MIX = 0x9E3779B97F4A7C15
-
-
-def _splitmix64(x: int) -> int:
-    x = (x + _MIX) & 0xFFFFFFFFFFFFFFFF
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
-
-
-def _cell_hash(cell: int, value: int) -> int:
-    return _splitmix64(cell * 0x100000001B3 + value + 1)
-
-
-def _matrix_hash(u: np.ndarray) -> int:
-    h = 0
-    flat = u.ravel()
-    for idx in range(flat.size):
-        h ^= _cell_hash(idx, int(flat[idx]))
-    return h
+    The descent stops by itself at a point no jump improves, so it needs no
+    try thresholds.
+    """
 
 
 def taboo_search(
@@ -502,19 +472,20 @@ def taboo_search(
     basis: list[KernelVector] | None = None,
     cfg: SearchConfig | None = None,
     trace: list | None = None,
-    check_feasible: bool = False,
 ) -> np.ndarray:
-    """Anytime greedy hull search with a taboo list of visited points.
+    """Steepest descent over the kernel-basis jumps; the paper's taboo hull search.
 
-    From the current point the search jumps, for every kernel-basis vector and
-    both signs, to the boundary of feasibility (the maximal multiple of the
-    vector that stays a valid flow), evaluates unvisited endpoints, marks the
-    best one visited and moves there only when it improves the best VI so far.
-    Counters reset on global improvement; the search stops on the configured
-    thresholds or when the whole neighborhood has been visited.  Always
+    From the current flow the search jumps, for every kernel-basis vector and
+    both signs, to the boundary of feasibility (the largest multiple of the
+    vector that keeps a valid flow).  It moves to the jump with the lowest
+    VI (within 1e-12, the lexicographically smallest flow) while that jump
+    beats the current VI by more than 1e-12.  A taboo list and try thresholds
+    cannot change the result: every visited point is worse than the current
+    one, and once the best jump fails, every other jump from the same point
+    fails too.  ``cfg`` is ignored (see ``SearchConfig``).  ``trace``
+    receives ``(moves, VI)`` at the start and after each move.  Always
     returns a feasible flow no worse than the seed.
     """
-    cfg = cfg or SearchConfig()
     if basis is None:
         basis = kernel_basis(system)
     if seed is None:
@@ -522,7 +493,6 @@ def taboo_search(
     u = np.asarray(seed, dtype=np.int64).copy()
     if not system.is_feasible(u):
         raise ConfigurationError("taboo_search seed is not a feasible flow")
-    k, l = system.k, system.l
     n = float(system.node_count)
     rows_full = [float(s) for s in system.sizes_from]
     cols_full = [float(s) for s in system.sizes_to]
@@ -532,86 +502,54 @@ def taboo_search(
         return _cell_contrib(float(val), rows_full[i], cols_full[j], n)
 
     cur_vi = variation_of_information(u)
-    best_vi = cur_vi
-    cur_hash = _matrix_hash(u)
-    visited: set[int] = set()
-    if trace is not None:
-        trace.append((0, cur_vi, best_vi))
     moves = 0
-    global_tries = 0
-    while global_tries <= cfg.global_tries_threshold:
-        global_tries += 1
-        local_tries = 0
-        dead_end = False
-        while local_tries <= cfg.local_tries_threshold:
-            local_tries += 1
-            best_cand = None  # (vi, hash, cells) with lexicographic tie break
-            best_cells = None
-            for v in basis:
-                cells = (
-                    (v.i, v.j),
-                    (v.i, v.ref_col),
-                    (v.ref_row, v.j),
-                    (v.ref_row, v.ref_col),
-                )
-                for sign in (1, -1):
-                    if sign == 1:
-                        step = min(
-                            int(u[v.i, v.ref_col] - lower[v.i, v.ref_col]),
-                            int(u[v.ref_row, v.j] - lower[v.ref_row, v.j]),
-                        )
-                    else:
-                        step = min(
-                            int(u[v.i, v.j] - lower[v.i, v.j]),
-                            int(u[v.ref_row, v.ref_col] - lower[v.ref_row, v.ref_col]),
-                        )
-                    if step < 1:
-                        continue
-                    deltas = (sign * step, -sign * step, -sign * step, sign * step)
-                    h = cur_hash
-                    dvi = 0.0
-                    for (ci, cj), dd in zip(cells, deltas):
-                        old = int(u[ci, cj])
-                        new = old + dd
-                        h ^= _cell_hash(ci * l + cj, old) ^ _cell_hash(ci * l + cj, new)
-                        dvi += contrib(new, ci, cj) - contrib(old, ci, cj)
-                    if h in visited:
-                        continue
-                    cand_vi = cur_vi + dvi
-                    if best_cand is None or cand_vi < best_cand[0] - 1e-12:
-                        best_cand = (cand_vi, h, cells, deltas)
-                        best_cells = None
-                    elif abs(cand_vi - best_cand[0]) <= 1e-12:
-                        # tie: lowest flattened lexicographic endpoint wins
-                        if best_cells is None:
-                            best_cells = _apply(u, best_cand[2], best_cand[3])
-                        cand_mat = _apply(u, cells, deltas)
-                        if _lex_less(cand_mat, best_cells):
-                            best_cand = (cand_vi, h, cells, deltas)
-                            best_cells = cand_mat
-            if best_cand is None:
-                dead_end = True
-                break
-            cand_vi, h, cells, deltas = best_cand
-            visited.add(h)
-            if cand_vi >= best_vi - 1e-12:
-                local_tries += 1  # non-improving probes count double, per the stopping rule
-            else:
+    if trace is not None:
+        trace.append((moves, cur_vi))
+    while True:
+        best = None  # (vi, cells, deltas)
+        best_mat = None
+        for v in basis:
+            cells = ((v.i, v.j), (v.i, v.ref_col), (v.ref_row, v.j), (v.ref_row, v.ref_col))
+            for sign in (1, -1):
+                if sign == 1:
+                    step = min(
+                        int(u[v.i, v.ref_col] - lower[v.i, v.ref_col]),
+                        int(u[v.ref_row, v.j] - lower[v.ref_row, v.j]),
+                    )
+                else:
+                    step = min(
+                        int(u[v.i, v.j] - lower[v.i, v.j]),
+                        int(u[v.ref_row, v.ref_col] - lower[v.ref_row, v.ref_col]),
+                    )
+                if step < 1:
+                    continue
+                deltas = (sign * step, -sign * step, -sign * step, sign * step)
+                dvi = 0.0
                 for (ci, cj), dd in zip(cells, deltas):
-                    u[ci, cj] += dd
-                cur_hash = h
-                cur_vi = variation_of_information(u)
-                best_vi = cur_vi
-                local_tries = 0
-                global_tries = 0
-                moves += 1
-                if check_feasible and not system.is_feasible(u):
-                    raise AssertionError("taboo move left the solution space")
-                if trace is not None:
-                    trace.append((moves, cur_vi, best_vi))
-        if dead_end:
-            break
-    return u
+                    old = int(u[ci, cj])
+                    dvi += contrib(old + dd, ci, cj) - contrib(old, ci, cj)
+                cand_vi = cur_vi + dvi
+                if best is None or cand_vi < best[0] - 1e-12:
+                    best = (cand_vi, cells, deltas)
+                    best_mat = None
+                elif abs(cand_vi - best[0]) <= 1e-12:
+                    # tie: lowest flattened lexicographic endpoint wins
+                    if best_mat is None:
+                        best_mat = _apply(u, best[1], best[2])
+                    cand_mat = _apply(u, cells, deltas)
+                    if _lex_less(cand_mat, best_mat):
+                        best = (cand_vi, cells, deltas)
+                        best_mat = cand_mat
+        if best is None or best[0] >= cur_vi - 1e-12:
+            return u
+        for (ci, cj), dd in zip(best[1], best[2]):
+            u[ci, cj] += dd
+        cur_vi = variation_of_information(u)
+        moves += 1
+        if not system.is_feasible(u):
+            raise AssertionError("taboo move left the solution space")
+        if trace is not None:
+            trace.append((moves, cur_vi))
 
 
 def _apply(u: np.ndarray, cells, deltas) -> np.ndarray:

@@ -4,7 +4,10 @@ Everything here is deliberately written along a different path than the
 library: realizability by exhaustive backtracking over adjacency structures,
 VI through entropies, modularity straight from the definition, connectivity
 through the Laplacian spectrum, tiny flow counts by filtering the full cell
-product, and stub pairing through a full cumulative sum per draw.
+product, and stub pairing through a full cumulative sum per draw.  The flow
+search and the max-chunk heuristic have their earlier forms here: the taboo
+search with its hashed visited set and try thresholds, and a scan of every
+open cell per commit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from temponet import WiringError
+from temponet import WiringError, variation_of_information
 
 
 def realizable_with_parts(degrees, parts) -> bool:
@@ -331,3 +334,173 @@ def reference_wire_phase(entries, shape, rng, budget, community_of=None):
     if int(rem.sum()) != 0:
         raise WiringError("stubs left unpaired after the wiring loop")
     return links, repairs
+
+
+def reference_max_chunk_greedy(system) -> np.ndarray:
+    """``transition.max_chunk_greedy`` as a scan of every open cell per commit.
+
+    Each commit puts ``min(row residual, column residual)`` on the open cell
+    where that amount is largest, ties to the lowest row-major index.
+    """
+    rr = system.row_slack.astype(np.int64).copy()
+    cr = system.col_slack.astype(np.int64).copy()
+    k, l = system.k, system.l
+    u = system.lower.copy()
+    while rr.max() > 0:
+        best = None
+        for i in range(k):
+            if rr[i] == 0:
+                continue
+            for j in range(l):
+                if cr[j] == 0:
+                    continue
+                m = min(int(rr[i]), int(cr[j]))
+                key = (-m, i * l + j)
+                if best is None or key < best[0]:
+                    best = (key, i, j, m)
+        _, i, j, m = best
+        u[i, j] += m
+        rr[i] -= m
+        cr[j] -= m
+    return u
+
+
+_MIX = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(x: int) -> int:
+    x = (x + _MIX) & 0xFFFFFFFFFFFFFFFF
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
+
+
+def _cell_hash(cell: int, value: int) -> int:
+    return _splitmix64(cell * 0x100000001B3 + value + 1)
+
+
+def _matrix_hash(u: np.ndarray) -> int:
+    h = 0
+    flat = u.ravel()
+    for idx in range(flat.size):
+        h ^= _cell_hash(idx, int(flat[idx]))
+    return h
+
+
+def _cell_contrib(value: float, row_total: float, col_total: float, n: float) -> float:
+    if value <= 0:
+        return 0.0
+    return -(value / n) * (math.log(value / row_total) + math.log(value / col_total))
+
+
+def _apply(u: np.ndarray, cells, deltas) -> np.ndarray:
+    out = u.copy()
+    for (ci, cj), dd in zip(cells, deltas):
+        out[ci, cj] += dd
+    return out
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
+    fa, fb = a.ravel(), b.ravel()
+    for x, y in zip(fa, fb):
+        if x != y:
+            return bool(x < y)
+    return False
+
+
+def reference_taboo_search(system, seed, basis, local_tries_threshold, global_tries_threshold):
+    """The anytime taboo hull search with a Zobrist-hashed visited set.
+
+    From the current point the search jumps, for every kernel-basis vector and
+    both signs, to the boundary of feasibility, evaluates unvisited endpoints,
+    marks the best one visited and moves there only when it improves the best
+    VI so far.  Counters reset on improvement; the search stops on the two
+    thresholds or when the whole neighbourhood has been visited.  Returns
+    (flow, moves).
+    """
+    u = np.asarray(seed, dtype=np.int64).copy()
+    k, l = system.k, system.l
+    n = float(system.node_count)
+    rows_full = [float(s) for s in system.sizes_from]
+    cols_full = [float(s) for s in system.sizes_to]
+    lower = system.lower
+
+    def contrib(val, i, j):
+        return _cell_contrib(float(val), rows_full[i], cols_full[j], n)
+
+    cur_vi = variation_of_information(u)
+    best_vi = cur_vi
+    cur_hash = _matrix_hash(u)
+    visited: set[int] = set()
+    moves = 0
+    global_tries = 0
+    while global_tries <= global_tries_threshold:
+        global_tries += 1
+        local_tries = 0
+        dead_end = False
+        while local_tries <= local_tries_threshold:
+            local_tries += 1
+            best_cand = None  # (vi, hash, cells) with lexicographic tie break
+            best_cells = None
+            for v in basis:
+                cells = (
+                    (v.i, v.j),
+                    (v.i, v.ref_col),
+                    (v.ref_row, v.j),
+                    (v.ref_row, v.ref_col),
+                )
+                for sign in (1, -1):
+                    if sign == 1:
+                        step = min(
+                            int(u[v.i, v.ref_col] - lower[v.i, v.ref_col]),
+                            int(u[v.ref_row, v.j] - lower[v.ref_row, v.j]),
+                        )
+                    else:
+                        step = min(
+                            int(u[v.i, v.j] - lower[v.i, v.j]),
+                            int(u[v.ref_row, v.ref_col] - lower[v.ref_row, v.ref_col]),
+                        )
+                    if step < 1:
+                        continue
+                    deltas = (sign * step, -sign * step, -sign * step, sign * step)
+                    h = cur_hash
+                    dvi = 0.0
+                    for (ci, cj), dd in zip(cells, deltas):
+                        old = int(u[ci, cj])
+                        new = old + dd
+                        h ^= _cell_hash(ci * l + cj, old) ^ _cell_hash(ci * l + cj, new)
+                        dvi += contrib(new, ci, cj) - contrib(old, ci, cj)
+                    if h in visited:
+                        continue
+                    cand_vi = cur_vi + dvi
+                    if best_cand is None or cand_vi < best_cand[0] - 1e-12:
+                        best_cand = (cand_vi, h, cells, deltas)
+                        best_cells = None
+                    elif abs(cand_vi - best_cand[0]) <= 1e-12:
+                        # tie: lowest flattened lexicographic endpoint wins
+                        if best_cells is None:
+                            best_cells = _apply(u, best_cand[2], best_cand[3])
+                        cand_mat = _apply(u, cells, deltas)
+                        if _lex_less(cand_mat, best_cells):
+                            best_cand = (cand_vi, h, cells, deltas)
+                            best_cells = cand_mat
+            if best_cand is None:
+                dead_end = True
+                break
+            cand_vi, h, cells, deltas = best_cand
+            visited.add(h)
+            if cand_vi >= best_vi - 1e-12:
+                local_tries += 1  # non-improving probes count double, per the stopping rule
+            else:
+                for (ci, cj), dd in zip(cells, deltas):
+                    u[ci, cj] += dd
+                cur_hash = h
+                cur_vi = variation_of_information(u)
+                best_vi = cur_vi
+                local_tries = 0
+                global_tries = 0
+                moves += 1
+        if dead_end:
+            break
+    return u, moves

@@ -18,7 +18,6 @@ from temponet import (
     GraphabilityError,
     RunConfig,
     SamplerConfig,
-    SearchConfig,
     ShapeParams,
     assemble_snapshot,
     assortativity_coefficient,
@@ -76,8 +75,8 @@ def test_acceptance_2_large_lattice_count():
 
 @pytest.mark.slow
 def test_slow_taboo_reaches_optimum_of_large_space():
-    # sweep all 16.8M solutions for the global minimum VI and compare with a
-    # generous-threshold search
+    # sweep all 16.8M solutions for the global minimum VI and compare with
+    # the search
     import math
 
     system = build_flow_system((13, 13, 12, 10), (15, 11, 11, 11))
@@ -99,9 +98,7 @@ def test_slow_taboo_reaches_optimum_of_large_space():
     start = time.time()
     best = min(quick_vi(u.tolist()) for u in iter_lattice(system))
     sweep_time = time.time() - start
-    found = taboo_search(
-        system, cfg=SearchConfig(local_tries_threshold=200, global_tries_threshold=40)
-    )
+    found = taboo_search(system)
     got = variation_of_information(found)
     assert got <= best + 1e-9, (got, best)
     _report(
@@ -113,7 +110,6 @@ def test_slow_taboo_reaches_optimum_of_large_space():
 
 def test_acceptance_3_heuristic_optimality():
     rng = np.random.default_rng(2024)
-    cfg = SearchConfig(local_tries_threshold=50, global_tries_threshold=10)
     instances = 0
     optimal = 0
     while instances < 100:
@@ -129,7 +125,7 @@ def test_acceptance_3_heuristic_optimality():
             continue
         best_enum = min(variation_of_information(u) for u in iter_lattice(system))
         seed = best_of_pool(system)
-        found = taboo_search(system, seed, kernel_basis(system), cfg)
+        found = taboo_search(system, seed, kernel_basis(system))
         got = variation_of_information(found)
         assert got <= variation_of_information(seed) + 1e-12, "worse than best-of-pool"
         instances += 1

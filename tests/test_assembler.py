@@ -64,7 +64,6 @@ def assembled_graphable_spec(rng, n_max=120):
 def test_shape_params_validation():
     with pytest.raises(ConfigurationError):
         ShapeParams(0.0, 1.0)
-    assert ShapeParams(1, 1).is_uniform
 
 
 def test_assign_bootstrap_respects_capacity():

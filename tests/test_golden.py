@@ -6,6 +6,7 @@ affected digest and says why in CHANGES.md.
 """
 
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
@@ -27,12 +28,12 @@ FILES = ("nodes.csv", "edges.csv", "report.json")
 SAMPLER_DIGESTS = {
     "nodes.csv": "9ee4b7410c103181bf2499b8c6ba255b4761a62e4cac870a38a87b884b27bd25",
     "edges.csv": "a80303fadeaf73731434ada4d2399e1758dd30dbd5afeaffe2aae46dbd5fd6e9",
-    "report.json": "dc24bcfc5b54249afc1f828621a88a19984a3a028711a2785fe71bf8ff3eeba8",
+    "report.json": "5ed1ae72b7047c21ed3c56158c746ef230aa9d54382336315db44a2db6bff00c",
 }
 SEQUENCE_FILE_DIGESTS = {
     "nodes.csv": "38e35636556f9c358f72c9e0c2fd039371bfd6a738bfaefe31c11f711a9de351",
     "edges.csv": "7887694c19c8cf32e1a8d85d236e17b536a789f23f544a1ec61abba70c8bc790",
-    "report.json": "f3bf252e5c7820ea3a3777900d6a5d609e5d3dd5737ab429787b9933bb6cb17f",
+    "report.json": "2a3dec1c8f85cd6544fb8d40b44cfe8b677323563754d4ca25d2497f2988e66f",
 }
 
 
@@ -69,9 +70,7 @@ def test_golden_sampler_mode(tmp_path, monkeypatch):
     assert digests(tmp_path) == SAMPLER_DIGESTS
 
 
-def test_golden_sequence_file_mode(tmp_path, monkeypatch):
-    # report.json echoes the sequence file path, so keep it relative
-    monkeypatch.chdir(tmp_path)
+def write_steps(path):
     rng = np.random.default_rng(77)
     degrees = SamplerConfig("uniform", 3, 9, mix_ratio=0.7)
     steps = []
@@ -80,7 +79,26 @@ def test_golden_sequence_file_mode(tmp_path, monkeypatch):
         total = sample_degrees(degrees, sizes.node_count, rng)
         spec = split_degrees(total, degrees.mix_ratio, "fixed", "stochastic", rng)
         steps.append((sizes, fix_parity(spec, rng, (degrees.minimum, degrees.maximum))))
-    dump_sequences(steps, "steps.txt")
-    out = tmp_path / "out"
-    run(RunConfig(timesteps=3, seed=5, sequence_file="steps.txt", kills=4, output_dir=str(out)))
-    assert digests(out) == SEQUENCE_FILE_DIGESTS
+    dump_sequences(steps, str(path))
+
+
+def sequence_file_run(steps, outdir):
+    run(RunConfig(timesteps=3, seed=5, sequence_file=str(steps), kills=4, output_dir=str(outdir)))
+
+
+def test_golden_sequence_file_mode(tmp_path):
+    write_steps(tmp_path / "steps.txt")
+    sequence_file_run(tmp_path / "steps.txt", tmp_path / "out")
+    assert digests(tmp_path / "out") == SEQUENCE_FILE_DIGESTS
+
+
+def test_report_does_not_depend_on_where_the_sequence_file_lives(tmp_path):
+    # report.json echoes the sequence file's digest, not its path
+    write_steps(tmp_path / "steps.txt")
+    reports = []
+    for where in ("a", "b/c"):
+        (tmp_path / where).mkdir(parents=True)
+        shutil.copy(tmp_path / "steps.txt", tmp_path / where / "steps.txt")
+        sequence_file_run(tmp_path / where / "steps.txt", tmp_path / where / "out")
+        reports.append((tmp_path / where / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]

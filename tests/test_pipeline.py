@@ -321,10 +321,6 @@ mix_mode = bernoulli
 pairing_alpha = 2.0
 temporal_alpha = 3.0
 
-[search]
-local_tries = 12
-global_tries = 4
-
 [lifecycle]
 continuation = 0.25
 share = 0.15
@@ -336,7 +332,6 @@ size_dead_band = 0.05
     assert cfg.community_cfg.maximum == 14 and cfg.community_count == 3
     assert cfg.degree_cfg.mix_mode == "bernoulli"
     assert cfg.pairing_shape.alpha == 2.0 and cfg.temporal_shape.alpha == 3.0
-    assert cfg.search.local_tries_threshold == 12
     assert cfg.thresholds.continuation == 0.25 and cfg.thresholds.size_dead_band == 0.05
     assert cfg.max_sequence_retries == 3 and cfg.repair_budget_factor == 7
     cfg2 = load_run_config(path, overrides={"seed": 77})

@@ -1,4 +1,4 @@
-"""Flow systems, VI, enumeration, seed heuristics and the taboo search."""
+"""Flow systems, VI, enumeration, seed heuristics and the descent search."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from temponet import (
     ConfigurationError,
     LatticeOverflowError,
-    SearchConfig,
     build_flow_system,
     count_lattice,
     enumerate_lattice,
@@ -19,9 +18,17 @@ from temponet import (
     variation_of_information,
     vi_partitions,
 )
-from temponet.transition import best_of_pool
+from temponet.pipeline import plan_transition
+from temponet.sequences import CommunitySpec
+from temponet.transition import best_of_pool, max_chunk_greedy
 
-from oracles import brute_force_flow_count, random_feasible, vi_reference
+from oracles import (
+    brute_force_flow_count,
+    random_feasible,
+    reference_max_chunk_greedy,
+    reference_taboo_search,
+    vi_reference,
+)
 
 
 def test_vi_identical_clusterings_is_zero():
@@ -175,17 +182,14 @@ def test_best_of_pool_beats_random_feasible():
 def test_taboo_returns_seed_when_already_optimal():
     system = build_flow_system((16, 16, 16), (16, 16, 16))
     seed = mi_greedy(system)
-    found = taboo_search(system, seed, kernel_basis(system), SearchConfig(10, 3))
+    found = taboo_search(system, seed, kernel_basis(system))
     assert np.array_equal(found, seed)
 
 
 def test_taboo_matches_enumerated_optimum_small_space():
     system = build_flow_system((10, 8, 6), (12, 10, 2))
     best = min(variation_of_information(u) for u in iter_lattice(system))
-    found = taboo_search(
-        system, best_of_pool(system), kernel_basis(system), SearchConfig(50, 10),
-        check_feasible=True,
-    )
+    found = taboo_search(system, best_of_pool(system), kernel_basis(system))
     assert variation_of_information(found) == pytest.approx(best, abs=1e-12)
 
 
@@ -198,12 +202,76 @@ def test_taboo_never_worse_than_seed():
         b = 1 + rng.multinomial(n - l, np.ones(l) / l)
         system = build_flow_system(tuple(int(x) for x in a), tuple(int(x) for x in b))
         seed = best_of_pool(system)
-        found = taboo_search(system, seed, kernel_basis(system), SearchConfig(20, 5))
+        found = taboo_search(system, seed, kernel_basis(system))
         assert system.is_feasible(found)
         assert (
             variation_of_information(found)
             <= variation_of_information(seed) + 1e-12
         )
+
+
+def _transition_systems(rng, count):
+    """Pipeline-style transitions with k, l <= 10: odd ones free, even ones
+    with a death column pinned to a kill set, as the pipeline builds them."""
+    for idx in range(count):
+        k, l = int(rng.integers(2, 11)), int(rng.integers(2, 11))
+        if idx % 2:
+            n = int(rng.integers(max(k, l) + 1, 30 * k + 1))
+            a = 1 + rng.multinomial(n - k, np.ones(k) / k)
+            b = 1 + rng.multinomial(n - l, np.ones(l) / l)
+            yield build_flow_system(tuple(int(x) for x in a), tuple(int(x) for x in b))
+            continue
+        sizes_t = CommunitySpec(tuple(int(x) for x in rng.integers(4, 31, k)))
+        sizes_t1 = CommunitySpec(tuple(int(x) for x in rng.integers(4, 31, l)))
+        n = sizes_t.node_count  # node ids 0..n-1, laid out community by community
+        kills = rng.choice(n, size=int(rng.integers(1, n // 5 + 2)), replace=False)
+        plan = plan_transition(sizes_t, sizes_t1, kills.tolist(), rng, alive_ids=range(n))
+        lower = np.zeros((len(plan.sizes_from_augmented), len(plan.sizes_to_augmented)), np.int64)
+        if plan.death_col is not None:
+            bounds = np.cumsum(sizes_t.sizes)
+            for nid in plan.kill_ids:
+                lower[int(np.searchsorted(bounds, nid, side="right")), plan.death_col] += 1
+        yield build_flow_system(plan.sizes_from_augmented, plan.sizes_to_augmented, lower=lower)
+
+
+def test_descent_matches_the_taboo_reference():
+    # the visited set and the try thresholds of the taboo search never change
+    # its flow: the descent returns the same flow after the same moves
+    rng = np.random.default_rng(4)
+    cases = [(system, best_of_pool(system)) for system in _transition_systems(rng, 800)]
+    for _ in range(200):
+        # equal sizes on each side make jumps tie in VI, which the
+        # lexicographic rule breaks; random vertices as seeds move more often
+        k, l, s = (int(x) for x in rng.integers(2, [5, 5, 7]))
+        system = build_flow_system((s * l,) * k, (s * k,) * l)
+        cases.append((system, random_feasible(system, rng)))
+    moved = 0
+    for system, seed in cases:
+        basis = kernel_basis(system)
+        trace = []
+        found = taboo_search(system, seed, basis, trace=trace)
+        for thresholds in ((1, 1), (50, 10)):
+            want, moves = reference_taboo_search(system, seed, basis, *thresholds)
+            assert np.array_equal(found, want), (system.sizes_from, system.sizes_to, thresholds)
+            assert trace[-1][0] == moves
+        moved += trace[-1][0] > 0
+    assert moved >= 1
+
+
+def test_max_chunk_matches_the_cell_scan_reference():
+    rng = np.random.default_rng(8)
+    systems = list(_transition_systems(rng, 400))
+    for _ in range(10):  # churn-sized: 60 communities plus a birth row or death column
+        a = [int(x) for x in rng.integers(8, 41, 60)]
+        b = [int(x) for x in rng.integers(8, 41, 60)]
+        gap = sum(a) - sum(b)
+        if gap > 0:
+            b.append(gap)
+        elif gap < 0:
+            a.append(-gap)
+        systems.append(build_flow_system(a, b))
+    for system in systems:
+        assert np.array_equal(max_chunk_greedy(system), reference_max_chunk_greedy(system))
 
 
 def test_lower_bounds_pin_cells():
@@ -216,7 +284,7 @@ def test_lower_bounds_pin_cells():
     sols = enumerate_lattice(system, 10_000)
     for u in sols:
         assert (u[:, 2] == np.array([2, 1])).all()
-    found = taboo_search(system, cfg=SearchConfig(10, 3), check_feasible=True)
+    found = taboo_search(system)
     assert (found[:, 2] == np.array([2, 1])).all()
 
 
