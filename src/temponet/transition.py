@@ -310,6 +310,14 @@ def mi_greedy(system: FlowSystem) -> np.ndarray:
     Each step commits ``min(row residual, column residual)`` at the open cell
     whose final contribution to the VI sum is smallest, until all residuals
     are zero.  Ties break on the lowest row-major cell index.
+
+    A ``(k, l)`` matrix holds every open cell's VI increment and ``+inf`` on
+    closed cells, so ``np.argmin`` picks the cell with that tie-break.  A
+    commit at ``(i, j)`` changes only ``rr[i]`` and ``cr[j]`` and closes at
+    least one of them: the closed line is set to ``inf`` and only the open
+    cells of the line that stays open are rescored.  That is O(k·l) scoring
+    once and O(k + l) per commit, with the same ``math.log`` arithmetic, so
+    the flow is the one a full rescan per commit returns.
     """
     rr = system.row_slack.astype(np.int64).copy()
     cr = system.col_slack.astype(np.int64).copy()
@@ -319,28 +327,38 @@ def mi_greedy(system: FlowSystem) -> np.ndarray:
     cols_full = [float(s) for s in system.sizes_to]
     lower = system.lower
     u = lower.copy()
-    open_rows = [i for i in range(k) if rr[i] > 0]
-    open_cols = [j for j in range(l) if cr[j] > 0]
+    open_rows = {i for i in range(k) if rr[i] > 0}
+    open_cols = {j for j in range(l) if cr[j] > 0}
+
+    def score(i: int, j: int) -> float:
+        m = min(int(rr[i]), int(cr[j]))
+        low = int(lower[i, j])
+        return _cell_contrib(low + m, rows_full[i], cols_full[j], n) - _cell_contrib(
+            low, rows_full[i], cols_full[j], n
+        )
+
+    delta = np.full((k, l), np.inf)
+    for i in open_rows:
+        for j in open_cols:
+            delta[i, j] = score(i, j)
     while open_rows and open_cols:
-        best = None
-        for i in open_rows:
-            for j in open_cols:
-                m = min(int(rr[i]), int(cr[j]))
-                low = int(lower[i, j])
-                delta = _cell_contrib(low + m, rows_full[i], cols_full[j], n) - _cell_contrib(
-                    low, rows_full[i], cols_full[j], n
-                )
-                key = (delta, i * l + j)
-                if best is None or key < best[0]:
-                    best = (key, i, j, m)
-        _, i, j, m = best
+        i, j = divmod(int(np.argmin(delta)), l)
+        m = min(int(rr[i]), int(cr[j]))
         u[i, j] += m
         rr[i] -= m
         cr[j] -= m
         if rr[i] == 0:
             open_rows.remove(i)
+            delta[i, :] = np.inf
         if cr[j] == 0:
             open_cols.remove(j)
+            delta[:, j] = np.inf
+        if rr[i] > 0:
+            for jj in open_cols:
+                delta[i, jj] = score(i, jj)
+        if cr[j] > 0:
+            for ii in open_rows:
+                delta[ii, j] = score(ii, j)
     return u
 
 
@@ -414,12 +432,10 @@ def proportional_fill(system: FlowSystem) -> np.ndarray:
     rem_r = system.row_slack - base.sum(axis=1)
     rem_c = system.col_slack - base.sum(axis=0)
     frac = target - base
-    # distribute the deficits cell by cell, largest fractional part first
-    order = sorted(
-        ((i, j) for i in range(system.k) for j in range(system.l)),
-        key=lambda ij: (-frac[ij[0], ij[1]], ij[0] * system.l + ij[1]),
-    )
-    for i, j in order:
+    # distribute the deficits cell by cell, largest fractional part first; a
+    # stable sort keeps ties in row-major order
+    order = np.argsort(-frac, axis=None, kind="stable")
+    for i, j in zip(*(a.tolist() for a in np.unravel_index(order, frac.shape))):
         if rem_r[i] > 0 and rem_c[j] > 0:
             base[i, j] += 1
             rem_r[i] -= 1

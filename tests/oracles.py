@@ -5,9 +5,10 @@ library: realizability by exhaustive backtracking over adjacency structures,
 VI through entropies, modularity straight from the definition, connectivity
 through the Laplacian spectrum, tiny flow counts by filtering the full cell
 product, and stub pairing through a full cumulative sum per draw.  The flow
-search and the max-chunk heuristic have their earlier forms here: the taboo
-search with its hashed visited set and try thresholds, and a scan of every
-open cell per commit.
+search and three seed heuristics have their earlier forms here: the taboo
+search with its hashed visited set and try thresholds, max-chunk and
+min-VI greedy scanning every open cell per commit, and the proportional fill
+ordering its cells with a Python ``sorted``.
 """
 
 from __future__ import annotations
@@ -363,6 +364,83 @@ def reference_max_chunk_greedy(system) -> np.ndarray:
         rr[i] -= m
         cr[j] -= m
     return u
+
+
+def reference_mi_greedy(system) -> np.ndarray:
+    """``transition.mi_greedy`` as a rescan of every open cell per commit.
+
+    Each step commits ``min(row residual, column residual)`` at the open cell
+    whose final contribution to the VI sum is smallest, until all residuals
+    are zero.  Ties break on the lowest row-major cell index.
+    """
+    rr = system.row_slack.astype(np.int64).copy()
+    cr = system.col_slack.astype(np.int64).copy()
+    k, l = system.k, system.l
+    n = float(system.node_count)
+    rows_full = [float(s) for s in system.sizes_from]
+    cols_full = [float(s) for s in system.sizes_to]
+    lower = system.lower
+    u = lower.copy()
+    open_rows = [i for i in range(k) if rr[i] > 0]
+    open_cols = [j for j in range(l) if cr[j] > 0]
+    while open_rows and open_cols:
+        best = None
+        for i in open_rows:
+            for j in open_cols:
+                m = min(int(rr[i]), int(cr[j]))
+                low = int(lower[i, j])
+                delta = _cell_contrib(low + m, rows_full[i], cols_full[j], n) - _cell_contrib(
+                    low, rows_full[i], cols_full[j], n
+                )
+                key = (delta, i * l + j)
+                if best is None or key < best[0]:
+                    best = (key, i, j, m)
+        _, i, j, m = best
+        u[i, j] += m
+        rr[i] -= m
+        cr[j] -= m
+        if rr[i] == 0:
+            open_rows.remove(i)
+        if cr[j] == 0:
+            open_cols.remove(j)
+    return u
+
+
+def reference_proportional_fill(system) -> np.ndarray:
+    """``transition.proportional_fill`` with the cell order from a Python ``sorted``.
+
+    Rounded independence product ``s_i * s'_j / n`` with integer repair.
+    """
+    rr = system.row_slack.astype(np.float64)
+    cr = system.col_slack.astype(np.float64)
+    total = rr.sum()
+    u = system.lower.copy()
+    if total <= 0:
+        return u
+    target = np.outer(rr, cr) / total
+    base = np.floor(target).astype(np.int64)
+    rem_r = system.row_slack - base.sum(axis=1)
+    rem_c = system.col_slack - base.sum(axis=0)
+    frac = target - base
+    # distribute the deficits cell by cell, largest fractional part first
+    order = sorted(
+        ((i, j) for i in range(system.k) for j in range(system.l)),
+        key=lambda ij: (-frac[ij[0], ij[1]], ij[0] * system.l + ij[1]),
+    )
+    for i, j in order:
+        if rem_r[i] > 0 and rem_c[j] > 0:
+            base[i, j] += 1
+            rem_r[i] -= 1
+            rem_c[j] -= 1
+    # the fractional pass can strand deficits; finish northwest style
+    for i in range(system.k):
+        while rem_r[i] > 0:
+            j = int(np.argmax(rem_c))
+            m = min(int(rem_r[i]), int(rem_c[j]))
+            base[i, j] += m
+            rem_r[i] -= m
+            rem_c[j] -= m
+    return u + base
 
 
 _MIX = 0x9E3779B97F4A7C15

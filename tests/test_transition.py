@@ -20,12 +20,14 @@ from temponet import (
 )
 from temponet.pipeline import plan_transition
 from temponet.sequences import CommunitySpec
-from temponet.transition import best_of_pool, max_chunk_greedy
+from temponet.transition import best_of_pool, max_chunk_greedy, proportional_fill
 
 from oracles import (
     brute_force_flow_count,
     random_feasible,
     reference_max_chunk_greedy,
+    reference_mi_greedy,
+    reference_proportional_fill,
     reference_taboo_search,
     vi_reference,
 )
@@ -258,10 +260,9 @@ def test_descent_matches_the_taboo_reference():
     assert moved >= 1
 
 
-def test_max_chunk_matches_the_cell_scan_reference():
-    rng = np.random.default_rng(8)
-    systems = list(_transition_systems(rng, 400))
-    for _ in range(10):  # churn-sized: 60 communities plus a birth row or death column
+def _churn_systems(rng, count):
+    """Churn-sized transitions: 60 communities plus a birth row or death column."""
+    for _ in range(count):
         a = [int(x) for x in rng.integers(8, 41, 60)]
         b = [int(x) for x in rng.integers(8, 41, 60)]
         gap = sum(a) - sum(b)
@@ -269,9 +270,42 @@ def test_max_chunk_matches_the_cell_scan_reference():
             b.append(gap)
         elif gap < 0:
             a.append(-gap)
-        systems.append(build_flow_system(a, b))
+        yield build_flow_system(a, b)
+
+
+def test_max_chunk_matches_the_cell_scan_reference():
+    rng = np.random.default_rng(8)
+    systems = list(_transition_systems(rng, 400))
+    systems += _churn_systems(rng, 10)
     for system in systems:
         assert np.array_equal(max_chunk_greedy(system), reference_max_chunk_greedy(system))
+
+
+@pytest.mark.parametrize(
+    "heuristic, reference",
+    [(mi_greedy, reference_mi_greedy), (proportional_fill, reference_proportional_fill)],
+    ids=["mi_greedy", "proportional_fill"],
+)
+def test_seed_heuristic_matches_its_reference(heuristic, reference):
+    rng = np.random.default_rng(9)
+    systems = list(_transition_systems(rng, 800))
+    for _ in range(200):
+        # equal sizes on each side make many cells tie in VI increment and in
+        # fractional part, which the row-major order breaks
+        k, l, s = (int(x) for x in rng.integers(1, [8, 8, 7]))
+        systems.append(build_flow_system((s * l,) * k, (s * k,) * l))
+    systems += _churn_systems(rng, 10)
+    full = build_flow_system((4, 7, 3), (6, 2, 6))
+    systems.append(build_flow_system((4, 7, 3), (6, 2, 6), lower=random_feasible(full, rng)))
+    systems += [
+        build_flow_system((9,), (2, 3, 4)),
+        build_flow_system((2, 3, 4), (9,)),
+        build_flow_system((5,), (5,)),
+    ]
+    for system in systems:
+        found = heuristic(system)
+        assert np.array_equal(found, reference(system)), (system.sizes_from, system.sizes_to)
+        assert system.is_feasible(found)
 
 
 def test_lower_bounds_pin_cells():
