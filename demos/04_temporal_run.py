@@ -14,17 +14,19 @@ from temponet import RunConfig, SamplerConfig, ShapeParams, run
 from temponet.lifecycle import END_OF_T
 from temponet.output import render_report
 
-cfg = RunConfig(
-    timesteps=5,
-    seed=23,
-    community_cfg=SamplerConfig("uniform", 15, 30),
-    degree_cfg=SamplerConfig("uniform", 3, 9, mix_ratio=0.7),
-    community_count=5,
-    kills=3,
-    temporal_shape=ShapeParams(5, 1),  # nodes tend to keep their degree rank
-    output_dir=os.path.join(tempfile.mkdtemp(prefix="temponet_demo_"), "run"),
-)
-result = run(cfg)
+with tempfile.TemporaryDirectory(prefix="temponet_demo_") as workdir:
+    cfg = RunConfig(
+        timesteps=5,
+        seed=23,
+        community_cfg=SamplerConfig("uniform", 15, 30),
+        degree_cfg=SamplerConfig("uniform", 3, 9, mix_ratio=0.7),
+        community_count=5,
+        kills=3,
+        temporal_shape=ShapeParams(5, 1),  # nodes tend to keep their degree rank
+        output_dir=os.path.join(workdir, "run"),
+    )
+    result = run(cfg)
+    written = sorted(os.listdir(result.output_dir))
 
 for sm in result.report.snapshots:
     print(
@@ -39,6 +41,6 @@ for b in result.report.boundaries:
         f" degree-corr={b.temporal_degree_correlation:+.3f} events={len(b.events)}"
     )
 
-print("\nfiles written to", result.output_dir, "->", sorted(os.listdir(result.output_dir)))
+print("\nfiles written to a temporary directory, removed on exit ->", written)
 print("\nreport extract:")
 print("\n".join(render_report(result.report).splitlines()[:40]))

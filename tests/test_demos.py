@@ -17,7 +17,7 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    env["TMPDIR"] = str(tmp_path)  # demo 04 writes its run under tempfile.mkdtemp()
+    env["TMPDIR"] = str(tmp_path)  # demo 04 writes its run under a temporary directory
     done = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -27,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.iterdir()), "demo left files behind"
