@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigurationError
 from .lifecycle import EventRecord, render_event_table
 
@@ -226,7 +227,10 @@ def render_report(report: RunReport) -> str:
 
 
 def write_report(report: RunReport, outdir) -> tuple[str, str]:
-    """Write ``report.txt`` (human readable) and ``report.json`` (structured)."""
+    """Write ``report.txt`` (human readable) and ``report.json`` (structured).
+
+    ``report.json`` also carries the package ``version`` that wrote it.
+    """
     os.makedirs(outdir, exist_ok=True)
     txt_path = os.path.join(outdir, "report.txt")
     with open(txt_path, "w", encoding="utf-8") as fh:
@@ -234,6 +238,7 @@ def write_report(report: RunReport, outdir) -> tuple[str, str]:
     json_path = os.path.join(outdir, "report.json")
     payload = asdict(report)
     payload["temporal_correlation_series"] = report.temporal_correlation_series
+    payload["version"] = __version__
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -28,12 +28,12 @@ FILES = ("nodes.csv", "edges.csv", "report.json")
 SAMPLER_DIGESTS = {
     "nodes.csv": "9ee4b7410c103181bf2499b8c6ba255b4761a62e4cac870a38a87b884b27bd25",
     "edges.csv": "a80303fadeaf73731434ada4d2399e1758dd30dbd5afeaffe2aae46dbd5fd6e9",
-    "report.json": "5ed1ae72b7047c21ed3c56158c746ef230aa9d54382336315db44a2db6bff00c",
+    "report.json": "ad72722ea32db3a4e39f1b34915be120cba023164ba6848a7da5ac622d536164",
 }
 SEQUENCE_FILE_DIGESTS = {
     "nodes.csv": "38e35636556f9c358f72c9e0c2fd039371bfd6a738bfaefe31c11f711a9de351",
     "edges.csv": "7887694c19c8cf32e1a8d85d236e17b536a789f23f544a1ec61abba70c8bc790",
-    "report.json": "2a3dec1c8f85cd6544fb8d40b44cfe8b677323563754d4ca25d2497f2988e66f",
+    "report.json": "7c633ed5f4fcd0d3bf0e96c53176f19993bd57c10c0e0a790be87060895cd7b1",
 }
 
 

@@ -12,6 +12,7 @@ from temponet import (
     SamplerConfig,
     ShapeParams,
     Snapshot,
+    __version__,
     assemble_snapshot,
     assortativity_coefficient,
     export_temporal_csv,
@@ -202,6 +203,7 @@ def test_report_files(tmp_path):
     assert payload["seed"] == 5
     assert payload["snapshots"][0]["nodes"] == 4
     assert payload["temporal_correlation_series"] == []
+    assert payload["version"] == __version__
 
 
 def test_large_uniform_network_assortativity_near_zero():
