@@ -434,8 +434,8 @@ def proportional_fill(system: FlowSystem) -> np.ndarray:
     frac = target - base
     # distribute the deficits cell by cell, largest fractional part first; a
     # stable sort keeps ties in row-major order
-    order = np.argsort(-frac, axis=None, kind="stable")
-    for i, j in zip(*(a.tolist() for a in np.unravel_index(order, frac.shape))):
+    for cell in np.argsort(-frac, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, system.l)
         if rem_r[i] > 0 and rem_c[j] > 0:
             base[i, j] += 1
             rem_r[i] -= 1
