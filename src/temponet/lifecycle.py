@@ -62,14 +62,6 @@ def jaccard(a, b) -> float:
     return len(a & b) / union
 
 
-def _continuation_kind(size_before: int, size_after: int, band: float) -> str:
-    if size_after > size_before * (1.0 + band):
-        return CONTINUES_GROWING
-    if size_after < size_before * (1.0 - band):
-        return CONTINUES_SHRINKING
-    return CONTINUES
-
-
 def flow_jaccard(flow, birth_row: int | None = None, death_col: int | None = None) -> np.ndarray:
     """Jaccard index of every real (source, target) community pair, read off the flow.
 
@@ -113,6 +105,31 @@ def inherit_labels(jac: np.ndarray, labels_t, threshold: float, counter: int):
     return labels1, counter
 
 
+# per side: the event of a community the adjustment flow takes, then its split
+# and merge events.  A split or merge is one record at its hub (the source that
+# splits, the target that merges) listing every counterpart, and one record
+# per hub on the other side.
+_RULES = {
+    END_OF_T: (DEAD, (SPLIT_INTO, True), (MERGED_INTO, False)),
+    START_OF_T1: (BORN, (SPLIT_FROM, False), (MERGED_FROM, True)),
+}
+
+_TEXT = {
+    (END_OF_T, CONTINUES): "Continues in {}",
+    (END_OF_T, CONTINUES_GROWING): "Continues growing in {}",
+    (END_OF_T, CONTINUES_SHRINKING): "Continues shrinking in {}",
+    (END_OF_T, SPLIT_INTO): "Split into [{}]",
+    (END_OF_T, MERGED_INTO): "Merged into {}",
+    (END_OF_T, DEAD): "Dead",
+    (START_OF_T1, CONTINUES): "Continued from {}",
+    (START_OF_T1, CONTINUES_GROWING): "Continued growing from {}",
+    (START_OF_T1, CONTINUES_SHRINKING): "Continued shrinking from {}",
+    (START_OF_T1, SPLIT_FROM): "From split {}",
+    (START_OF_T1, MERGED_FROM): "Merged from [{}]",
+    (START_OF_T1, BORN): "Born",
+}
+
+
 def classify_events(
     flow,
     thresholds: LifecycleThresholds | None = None,
@@ -126,83 +143,64 @@ def classify_events(
     communities, whose sizes are the flow's marginals.  Adjustment flows
     decide only the born/dead labels and are excluded from the other events.
 
-    Rules, per real source community i (side ``end_of_t``):
+    A source qualifies for a target when at least ``share`` of the source
+    flows there; a source with two or more qualifying targets splits, and a
+    target with two or more qualifying sources merges.  Each community of
+    either side then gets, in this order:
 
-    * dead when at least ``1 - share`` of its nodes flow to the death column;
-    * continues (growing/shrinking by the size dead band) in the
-      highest-Jaccard target when that Jaccard reaches ``continuation``;
-    * split into the real targets that each receive at least ``share`` of the
-      source, when there are two or more of them;
-    * merged into every target that receives qualifying shares (>= ``share``
-      of the respective source) from two or more sources;
-    * a community with no event gets a best-effort continuation record toward
-      its highest-Jaccard target so that every community is accounted for.
-
-    The start-of-t+1 side mirrors the rules, with ``born`` when at least
-    ``1 - share`` of a target's nodes come from the birth row.
+    * dead (source) or born (target) when at least ``1 - share`` of it is
+      the death column or the birth row;
+    * continues (growing/shrinking by the size dead band) with its
+      highest-Jaccard counterpart when that Jaccard reaches ``continuation``;
+    * its split and merge events (see ``_RULES``);
+    * when none of these apply, the continuation toward its highest-Jaccard
+      counterpart anyway, so that every community is accounted for.
     """
     th = thresholds or LifecycleThresholds()
     u = np.asarray(flow, dtype=np.int64)
-    real_rows = [i for i in range(u.shape[0]) if i != birth_row]
-    real_cols = [j for j in range(u.shape[1]) if j != death_col]
-    k_real, l_real = len(real_rows), len(real_cols)
-    sizes_t = u[real_rows].sum(axis=1).tolist()
-    sizes_t1 = u[:, real_cols].sum(axis=0).tolist()
+    rows = [i for i in range(u.shape[0]) if i != birth_row]
+    cols = [j for j in range(u.shape[1]) if j != death_col]
+    sizes_t = u[rows].sum(axis=1)
+    sizes_t1 = u[:, cols].sum(axis=0)
+    died = u[rows, death_col] if death_col is not None else np.zeros_like(sizes_t)
+    born = u[birth_row, cols] if birth_row is not None else np.zeros_like(sizes_t1)
     jac = flow_jaccard(u, birth_row, death_col)
 
-    share = np.zeros((k_real, l_real))
-    for a, i in enumerate(real_rows):
-        if sizes_t[a] > 0:
-            share[a] = u[i, real_cols] / sizes_t[a]
-    qualifying = share >= th.share
-    merge_targets = [b for b in range(l_real) if int(qualifying[:, b].sum()) >= 2]
+    qualifying = u[np.ix_(rows, cols)] / np.maximum(sizes_t, 1)[:, None] >= th.share
+    splits = qualifying & (qualifying.sum(axis=1) >= 2)[:, None]
+    merges = qualifying & (qualifying.sum(axis=0) >= 2)[None, :]
+    before, after = sizes_t[:, None], sizes_t1[None, :]
+    kinds = np.where(
+        after > before * (1.0 + th.size_dead_band),
+        CONTINUES_GROWING,
+        np.where(after < before * (1.0 - th.size_dead_band), CONTINUES_SHRINKING, CONTINUES),
+    )
+    return _side_events(END_OF_T, sizes_t, died, jac, kinds, splits, merges, th) + _side_events(
+        START_OF_T1, sizes_t1, born, jac.T, kinds.T, splits.T, merges.T, th
+    )
 
+
+def _side_events(side, sizes, adjusted, jac, kinds, splits, merges, th) -> list[EventRecord]:
+    """The records of one side; row ``x`` of each matrix is its community ``x``."""
+    ended, *hub_events = _RULES[side]
+    ends = (sizes > 0) & (adjusted >= (1.0 - th.share) * sizes)
     records: list[EventRecord] = []
-    for a, i in enumerate(real_rows):
-        events_for_a: list[EventRecord] = []
-        died = int(u[i, death_col]) if death_col is not None else 0
-        if sizes_t[a] > 0 and died >= (1.0 - th.share) * sizes_t[a]:
-            events_for_a.append(EventRecord(END_OF_T, a, DEAD))
-        if l_real:
-            best = int(np.argmax(jac[a]))
-            if jac[a, best] >= th.continuation:
-                kind = _continuation_kind(sizes_t[a], sizes_t1[best], th.size_dead_band)
-                events_for_a.append(EventRecord(END_OF_T, a, kind, (best,)))
-        targets = tuple(b for b in range(l_real) if qualifying[a, b])
-        if len(targets) >= 2:
-            events_for_a.append(EventRecord(END_OF_T, a, SPLIT_INTO, targets))
-        for b in merge_targets:
-            if qualifying[a, b]:
-                events_for_a.append(EventRecord(END_OF_T, a, MERGED_INTO, (b,)))
-        if not events_for_a and l_real:
-            best = int(np.argmax(jac[a]))
-            kind = _continuation_kind(sizes_t[a], sizes_t1[best], th.size_dead_band)
-            events_for_a.append(EventRecord(END_OF_T, a, kind, (best,)))
-        records.extend(events_for_a)
-
-    for b, j in enumerate(real_cols):
-        events_for_b: list[EventRecord] = []
-        born = int(u[birth_row, j]) if birth_row is not None else 0
-        if sizes_t1[b] > 0 and born >= (1.0 - th.share) * sizes_t1[b]:
-            events_for_b.append(EventRecord(START_OF_T1, b, BORN))
-        if k_real:
-            best = int(np.argmax(jac[:, b]))
-            if jac[best, b] >= th.continuation:
-                kind = _continuation_kind(sizes_t[best], sizes_t1[b], th.size_dead_band)
-                events_for_b.append(EventRecord(START_OF_T1, b, kind, (best,)))
-        sources = tuple(a for a in range(k_real) if qualifying[a, b] and len(
-            tuple(x for x in range(l_real) if qualifying[a, x])
-        ) >= 2)
-        for a in sources:
-            events_for_b.append(EventRecord(START_OF_T1, b, SPLIT_FROM, (a,)))
-        if b in merge_targets:
-            srcs = tuple(a for a in range(k_real) if qualifying[a, b])
-            events_for_b.append(EventRecord(START_OF_T1, b, MERGED_FROM, srcs))
-        if not events_for_b and k_real:
-            best = int(np.argmax(jac[:, b]))
-            kind = _continuation_kind(sizes_t[best], sizes_t1[b], th.size_dead_band)
-            events_for_b.append(EventRecord(START_OF_T1, b, kind, (best,)))
-        records.extend(events_for_b)
+    for x in range(len(sizes)):
+        events = [EventRecord(side, x, ended)] if ends[x] else []
+        if jac.shape[1]:
+            best = int(np.argmax(jac[x]))
+            continued = EventRecord(side, x, str(kinds[x, best]), (best,))
+            if jac[x, best] >= th.continuation:
+                events.append(continued)
+        for (event, at_hub), pairs in zip(hub_events, (splits, merges)):
+            others = tuple(int(y) for y in np.flatnonzero(pairs[x]))
+            if at_hub and others:
+                events.append(EventRecord(side, x, event, others))
+            elif not at_hub:
+                events.extend(EventRecord(side, x, event, (y,)) for y in others)
+        if not events and jac.shape[1]:
+            events.append(continued)
+        records.extend(events)
     return records
 
 
@@ -213,46 +211,22 @@ def render_event_table(
     labels_t1=None,
 ) -> str:
     """Two-section text table of the boundary events, one line per record."""
+    labels = {END_OF_T: labels_t, START_OF_T1: labels_t1}
 
     def name(side: str, idx: int) -> str:
-        labels = labels_t if side == END_OF_T else labels_t1
-        return str(labels[idx]) if labels is not None else str(idx)
+        return str(labels[side][idx]) if labels[side] is not None else str(idx)
 
-    def other(side: str) -> str:
-        return START_OF_T1 if side == END_OF_T else END_OF_T
-
-    def describe(rec: EventRecord) -> str:
-        cps = ", ".join(name(other(rec.side), c) for c in rec.counterparts)
-        if rec.event in (CONTINUES, CONTINUES_GROWING, CONTINUES_SHRINKING):
-            word = {
-                CONTINUES: "Continues",
-                CONTINUES_GROWING: "Continues growing",
-                CONTINUES_SHRINKING: "Continues shrinking",
-            }[rec.event]
-            if rec.side == START_OF_T1:
-                word = word.replace("Continues", "Continued")
-                return f"{word} from {cps}"
-            return f"{word} in {cps}"
-        if rec.event == SPLIT_INTO:
-            return f"Split into [{cps}]"
-        if rec.event == SPLIT_FROM:
-            return f"From split {cps}"
-        if rec.event == MERGED_INTO:
-            return f"Merged into {cps}"
-        if rec.event == MERGED_FROM:
-            return f"Merged from [{cps}]"
-        if rec.event == BORN:
-            return "Born"
-        return "Dead"
-
-    lines = [f"Community | Event @ end of time T{t}", "-" * 40]
-    for rec in records:
-        if rec.side == END_OF_T:
-            lines.append(f"{name(END_OF_T, rec.community):>9} | {describe(rec)}")
-    lines.append("")
-    lines.append(f"Community | Event @ beginning of time T{t + 1}")
-    lines.append("-" * 40)
-    for rec in records:
-        if rec.side == START_OF_T1:
-            lines.append(f"{name(START_OF_T1, rec.community):>9} | {describe(rec)}")
-    return "\n".join(lines)
+    sections = []
+    for side, other, when in (
+        (END_OF_T, START_OF_T1, f"end of time T{t}"),
+        (START_OF_T1, END_OF_T, f"beginning of time T{t + 1}"),
+    ):
+        lines = [f"Community | Event @ {when}", "-" * 40]
+        for rec in records:
+            if rec.side == side:
+                text = _TEXT[side, rec.event].format(
+                    ", ".join(name(other, c) for c in rec.counterparts)
+                )
+                lines.append(f"{name(side, rec.community):>9} | {text}")
+        sections.append("\n".join(lines))
+    return "\n\n".join(sections)

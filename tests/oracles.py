@@ -8,7 +8,9 @@ product, and stub pairing through a full cumulative sum per draw.  The flow
 search and three seed heuristics have their earlier forms here: the taboo
 search with its hashed visited set and try thresholds, max-chunk and
 min-VI greedy scanning every open cell per commit, and the proportional fill
-ordering its cells with a Python ``sorted``.
+ordering its cells with a Python ``sorted``.  The lifecycle classifier and
+its event table keep their earlier forms as well, with every rule written out
+once per side.
 """
 
 from __future__ import annotations
@@ -21,6 +23,22 @@ from collections import defaultdict
 import numpy as np
 
 from temponet import WiringError, variation_of_information
+from temponet.lifecycle import (
+    BORN,
+    CONTINUES,
+    CONTINUES_GROWING,
+    CONTINUES_SHRINKING,
+    DEAD,
+    END_OF_T,
+    MERGED_FROM,
+    MERGED_INTO,
+    SPLIT_FROM,
+    SPLIT_INTO,
+    START_OF_T1,
+    EventRecord,
+    LifecycleThresholds,
+    flow_jaccard,
+)
 
 
 def realizable_with_parts(degrees, parts) -> bool:
@@ -582,3 +600,160 @@ def reference_taboo_search(system, seed, basis, local_tries_threshold, global_tr
         if dead_end:
             break
     return u, moves
+
+
+# lifecycle events with every rule written out for each side, and the event
+# table with one text branch per event
+
+
+def _continuation_kind(size_before: int, size_after: int, band: float) -> str:
+    if size_after > size_before * (1.0 + band):
+        return CONTINUES_GROWING
+    if size_after < size_before * (1.0 - band):
+        return CONTINUES_SHRINKING
+    return CONTINUES
+
+
+def reference_classify_events(
+    flow,
+    thresholds: LifecycleThresholds | None = None,
+    death_col: int | None = None,
+    birth_row: int | None = None,
+) -> list[EventRecord]:
+    """Classify lifecycle events from a node-resolved contingency matrix.
+
+    ``flow`` is the full contingency including the optional death column and
+    birth row at the given indices; the other rows and columns are the real
+    communities, whose sizes are the flow's marginals.  Adjustment flows
+    decide only the born/dead labels and are excluded from the other events.
+
+    Rules, per real source community i (side ``end_of_t``):
+
+    * dead when at least ``1 - share`` of its nodes flow to the death column;
+    * continues (growing/shrinking by the size dead band) in the
+      highest-Jaccard target when that Jaccard reaches ``continuation``;
+    * split into the real targets that each receive at least ``share`` of the
+      source, when there are two or more of them;
+    * merged into every target that receives qualifying shares (>= ``share``
+      of the respective source) from two or more sources;
+    * a community with no event gets a best-effort continuation record toward
+      its highest-Jaccard target so that every community is accounted for.
+
+    The start-of-t+1 side mirrors the rules, with ``born`` when at least
+    ``1 - share`` of a target's nodes come from the birth row.
+    """
+    th = thresholds or LifecycleThresholds()
+    u = np.asarray(flow, dtype=np.int64)
+    real_rows = [i for i in range(u.shape[0]) if i != birth_row]
+    real_cols = [j for j in range(u.shape[1]) if j != death_col]
+    k_real, l_real = len(real_rows), len(real_cols)
+    sizes_t = u[real_rows].sum(axis=1).tolist()
+    sizes_t1 = u[:, real_cols].sum(axis=0).tolist()
+    jac = flow_jaccard(u, birth_row, death_col)
+
+    share = np.zeros((k_real, l_real))
+    for a, i in enumerate(real_rows):
+        if sizes_t[a] > 0:
+            share[a] = u[i, real_cols] / sizes_t[a]
+    qualifying = share >= th.share
+    merge_targets = [b for b in range(l_real) if int(qualifying[:, b].sum()) >= 2]
+
+    records: list[EventRecord] = []
+    for a, i in enumerate(real_rows):
+        events_for_a: list[EventRecord] = []
+        died = int(u[i, death_col]) if death_col is not None else 0
+        if sizes_t[a] > 0 and died >= (1.0 - th.share) * sizes_t[a]:
+            events_for_a.append(EventRecord(END_OF_T, a, DEAD))
+        if l_real:
+            best = int(np.argmax(jac[a]))
+            if jac[a, best] >= th.continuation:
+                kind = _continuation_kind(sizes_t[a], sizes_t1[best], th.size_dead_band)
+                events_for_a.append(EventRecord(END_OF_T, a, kind, (best,)))
+        targets = tuple(b for b in range(l_real) if qualifying[a, b])
+        if len(targets) >= 2:
+            events_for_a.append(EventRecord(END_OF_T, a, SPLIT_INTO, targets))
+        for b in merge_targets:
+            if qualifying[a, b]:
+                events_for_a.append(EventRecord(END_OF_T, a, MERGED_INTO, (b,)))
+        if not events_for_a and l_real:
+            best = int(np.argmax(jac[a]))
+            kind = _continuation_kind(sizes_t[a], sizes_t1[best], th.size_dead_band)
+            events_for_a.append(EventRecord(END_OF_T, a, kind, (best,)))
+        records.extend(events_for_a)
+
+    for b, j in enumerate(real_cols):
+        events_for_b: list[EventRecord] = []
+        born = int(u[birth_row, j]) if birth_row is not None else 0
+        if sizes_t1[b] > 0 and born >= (1.0 - th.share) * sizes_t1[b]:
+            events_for_b.append(EventRecord(START_OF_T1, b, BORN))
+        if k_real:
+            best = int(np.argmax(jac[:, b]))
+            if jac[best, b] >= th.continuation:
+                kind = _continuation_kind(sizes_t[best], sizes_t1[b], th.size_dead_band)
+                events_for_b.append(EventRecord(START_OF_T1, b, kind, (best,)))
+        sources = tuple(a for a in range(k_real) if qualifying[a, b] and len(
+            tuple(x for x in range(l_real) if qualifying[a, x])
+        ) >= 2)
+        for a in sources:
+            events_for_b.append(EventRecord(START_OF_T1, b, SPLIT_FROM, (a,)))
+        if b in merge_targets:
+            srcs = tuple(a for a in range(k_real) if qualifying[a, b])
+            events_for_b.append(EventRecord(START_OF_T1, b, MERGED_FROM, srcs))
+        if not events_for_b and k_real:
+            best = int(np.argmax(jac[:, b]))
+            kind = _continuation_kind(sizes_t[best], sizes_t1[b], th.size_dead_band)
+            events_for_b.append(EventRecord(START_OF_T1, b, kind, (best,)))
+        records.extend(events_for_b)
+    return records
+
+
+def reference_render_event_table(
+    records,
+    t: int,
+    labels_t=None,
+    labels_t1=None,
+) -> str:
+    """Two-section text table of the boundary events, one line per record."""
+
+    def name(side: str, idx: int) -> str:
+        labels = labels_t if side == END_OF_T else labels_t1
+        return str(labels[idx]) if labels is not None else str(idx)
+
+    def other(side: str) -> str:
+        return START_OF_T1 if side == END_OF_T else END_OF_T
+
+    def describe(rec: EventRecord) -> str:
+        cps = ", ".join(name(other(rec.side), c) for c in rec.counterparts)
+        if rec.event in (CONTINUES, CONTINUES_GROWING, CONTINUES_SHRINKING):
+            word = {
+                CONTINUES: "Continues",
+                CONTINUES_GROWING: "Continues growing",
+                CONTINUES_SHRINKING: "Continues shrinking",
+            }[rec.event]
+            if rec.side == START_OF_T1:
+                word = word.replace("Continues", "Continued")
+                return f"{word} from {cps}"
+            return f"{word} in {cps}"
+        if rec.event == SPLIT_INTO:
+            return f"Split into [{cps}]"
+        if rec.event == SPLIT_FROM:
+            return f"From split {cps}"
+        if rec.event == MERGED_INTO:
+            return f"Merged into {cps}"
+        if rec.event == MERGED_FROM:
+            return f"Merged from [{cps}]"
+        if rec.event == BORN:
+            return "Born"
+        return "Dead"
+
+    lines = [f"Community | Event @ end of time T{t}", "-" * 40]
+    for rec in records:
+        if rec.side == END_OF_T:
+            lines.append(f"{name(END_OF_T, rec.community):>9} | {describe(rec)}")
+    lines.append("")
+    lines.append(f"Community | Event @ beginning of time T{t + 1}")
+    lines.append("-" * 40)
+    for rec in records:
+        if rec.side == START_OF_T1:
+            lines.append(f"{name(START_OF_T1, rec.community):>9} | {describe(rec)}")
+    return "\n".join(lines)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import reference_classify_events, reference_render_event_table
 
 from temponet import (
     ConfigurationError,
@@ -203,3 +204,62 @@ def test_render_event_table_two_sections():
     assert "Event @ beginning of time T3" in text
     assert "Merged into 11" in text
     assert "Merged from [7, 8]" in text
+
+
+def _random_boundary(rng):
+    """A random flow over k, l in 1..6 real communities, with or without a
+    birth row and a death column anywhere in the matrix."""
+    k, l = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    birth_row = int(rng.integers(k + 1)) if rng.random() < 0.5 else None
+    death_col = int(rng.integers(l + 1)) if rng.random() < 0.5 else None
+    shape = (k + (birth_row is not None), l + (death_col is not None))
+    if rng.random() < 0.5:  # dense: small counts, so Jaccard ties are common
+        u = rng.integers(0, 5, size=shape)
+    else:  # sparse: a few large cells, empty communities included
+        u = rng.integers(1, 30, size=shape) * (rng.random(shape) < 0.3)
+    if birth_row is not None and death_col is not None:
+        u[birth_row, death_col] = 0
+    return u, birth_row, death_col
+
+
+def test_classification_and_table_match_the_per_side_reference():
+    # 10,000 flows over a grid of thresholds (a zero size dead band included):
+    # equal records, with plain str/int fields, and equal table text
+    rng = np.random.default_rng(2010)
+    grid = [
+        LifecycleThresholds(continuation, share, band)
+        for continuation in (0.1, 0.3, 0.5, 0.9)
+        for share in (0.05, 0.1, 0.25, 0.34, 0.5, 0.9)
+        for band in (0.0, 0.02, 0.3)
+    ]
+    seen = set()
+    for trial in range(10_000):
+        u, birth_row, death_col = _random_boundary(rng)
+        th = grid[trial % len(grid)]
+        got = classify_events(u, th, death_col=death_col, birth_row=birth_row)
+        want = reference_classify_events(u, th, death_col=death_col, birth_row=birth_row)
+        assert [(r.side, r.community, r.event, r.counterparts) for r in got] == [
+            (r.side, r.community, r.event, r.counterparts) for r in want
+        ], (u, birth_row, death_col, th)
+        for r in got:
+            assert type(r.side) is str and type(r.event) is str
+            assert type(r.community) is int
+            assert all(type(c) is int for c in r.counterparts)
+        seen.update(r.event for r in got)
+        rows = [f"r{i}" for i in range(u.shape[0])]
+        cols = [f"c{j}" for j in range(u.shape[1])]
+        for labels in ({}, {"labels_t": rows, "labels_t1": cols}):
+            assert render_event_table(got, trial, **labels) == reference_render_event_table(
+                want, trial, **labels
+            )
+    assert seen == {
+        CONTINUES,
+        CONTINUES_GROWING,
+        CONTINUES_SHRINKING,
+        SPLIT_INTO,
+        SPLIT_FROM,
+        MERGED_INTO,
+        MERGED_FROM,
+        BORN,
+        DEAD,
+    }
