@@ -63,8 +63,6 @@ class Node:
     degree: int
     intra_degree: int
     community: int
-    born_at: int = 0
-    died_at: int | None = None
 
     @property
     def inter_degree(self) -> int:
@@ -584,7 +582,6 @@ def assemble_snapshot(
     temporal_shape: ShapeParams | None = None,
     surviving: dict[int, int] | None = None,
     prev_degrees: dict[int, int] | None = None,
-    born_at: dict[int, int] | None = None,
     repair_budget_factor: int = DEFAULT_REPAIR_BUDGET_FACTOR,
 ) -> Snapshot:
     """Build one snapshot: assign, repair parity, gate, wire, and validate.
@@ -631,14 +628,12 @@ def assemble_snapshot(
     else:
         raise GraphabilityError.exhausted(t, "assignment attempt", failures)
 
-    born_at = born_at or {}
     nodes = {
         nid: Node(
             id=nid,
             degree=assignment[nid][1],
             intra_degree=assignment[nid][2],
             community=assignment[nid][0],
-            born_at=born_at.get(nid, t),
         )
         for nid in ids
     }

@@ -69,7 +69,6 @@ from .transition import (
 class TransitionPlan:
     """Death/birth bookkeeping that balances populations across a boundary."""
 
-    survivors: int
     deaths: int
     births: int
     kill_ids: tuple[int, ...]
@@ -103,9 +102,6 @@ def plan_transition(
     births = max(0, gap)
     extra = max(0, -gap)
     deaths = len(kill_ids) + extra
-    survivors = n_t - deaths
-    if survivors < 0:
-        raise ConfigurationError("more deaths than nodes at the boundary")
     if alive_ids is not None:
         pool = sorted(set(alive_ids) - set(kill_ids))
         if len(kill_ids) + len(pool) < deaths:
@@ -116,7 +112,6 @@ def plan_transition(
     sizes_from = sizes_t.sizes + ((births,) if births else ())
     sizes_to = sizes_t1.sizes + ((deaths,) if deaths else ())
     return TransitionPlan(
-        survivors=survivors,
         deaths=deaths,
         births=births,
         kill_ids=kill_ids,
@@ -237,7 +232,6 @@ class _Moves:
     flow: np.ndarray
     pool_vi: list[float]
     surviving: dict[int, int]  # node id -> community at the new timestep
-    born_at: dict[int, int]
 
 
 def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: int) -> _Moves:
@@ -258,13 +252,10 @@ def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: i
     plan = plan_transition(prev.sizes, sizes_t1, sorted(kill_ids), rng, alive_ids=alive)
 
     k_real, l_real = len(prev.sizes), len(sizes_t1)
+    victims = set(plan.kill_ids)
     lower = np.zeros((len(plan.sizes_from_augmented), len(plan.sizes_to_augmented)), np.int64)
-    kills_per_comm = [0] * k_real
-    for nid in plan.kill_ids:
-        kills_per_comm[snap.nodes[nid].community] += 1
     if plan.death_col is not None:
-        for i in range(k_real):
-            lower[i, plan.death_col] = kills_per_comm[i]
+        lower[:k_real, plan.death_col] = [len(g & victims) for g in snap.clustering]
     system = build_flow_system(plan.sizes_from_augmented, plan.sizes_to_augmented, lower=lower)
     pool_flows = seed_pool(system)
     pool_vi = [variation_of_information(u) for u in pool_flows]
@@ -273,37 +264,29 @@ def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: i
         flow = taboo_search(system, flow, kernel_basis(system))
 
     # concrete node moves: survivors only; the pinned death column is the kill set
-    victims = set(plan.kill_ids)
-    groups = [
-        [nid for nid in alive if snap.nodes[nid].community == i and nid not in victims]
-        for i in range(k_real)
-    ]
+    groups = [sorted(g - victims) for g in snap.clustering]
     moved = materialize_flow(flow[:k_real, :l_real], groups, rng)
     surviving: dict[int, int] = {}
     for i in range(k_real):
         for j in range(l_real):
             for nid in moved[i][j]:
                 surviving[nid] = j
-    born_at: dict[int, int] = {}
     if plan.birth_row is not None:
         nid = prev.next_id
         for j in range(l_real):
             for _ in range(int(flow[plan.birth_row, j])):
                 surviving[nid] = j
-                born_at[nid] = t
                 nid += 1
-    return _Moves(plan, flow, pool_vi, surviving, born_at)
+    return _Moves(plan, flow, pool_vi, surviving)
 
 
 def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot, report) -> int:
-    """Mark the kills, check the realized contingency, label and report the boundary.
+    """Check the realized contingency, label and report the boundary.
 
     Returns the next unused community label.
     """
     old, plan, flow = prev.snap, moves.plan, moves.flow
     t = old.t
-    for nid in plan.kill_ids:
-        old.nodes[nid].died_at = t
     k_real, l_real = len(prev.sizes), snap.community_count
 
     # realized contingency must reproduce the flow exactly
@@ -367,7 +350,6 @@ def _step(cfg: RunConfig, rng, prev: _State | None, sizes, spec, t: int, report)
                 for nid in moves.surviving
                 if nid in prev.snap.nodes
             },
-            born_at=moves.born_at,
         )
     snap = assemble_snapshot(
         t,
@@ -387,7 +369,7 @@ def _step(cfg: RunConfig, rng, prev: _State | None, sizes, spec, t: int, report)
         state = _State(snap, sizes, snap.node_count, snap.community_count)
     else:
         next_label = _record_boundary(cfg, prev, moves, snap, report)
-        state = _State(snap, sizes, prev.next_id + len(moves.born_at), next_label)
+        state = _State(snap, sizes, prev.next_id + moves.plan.births, next_label)
     report.snapshots.append(_snapshot_metrics(snap))
     return state
 

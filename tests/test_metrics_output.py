@@ -43,7 +43,7 @@ def _snapshot(t, memberships, links, degrees=None):
             intra[v] += 1
     for nid, c in memberships.items():
         d = realized[nid] if degrees is None else degrees[nid]
-        nodes[nid] = Node(id=nid, degree=d, intra_degree=intra[nid], community=c, born_at=t)
+        nodes[nid] = Node(id=nid, degree=d, intra_degree=intra[nid], community=c)
         clustering[c].add(nid)
     return Snapshot(t=t, nodes=nodes, links=set(links), clustering=clustering)
 
