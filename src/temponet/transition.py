@@ -509,7 +509,7 @@ def taboo_search(
     u = np.asarray(seed, dtype=np.int64).copy()
     if not system.is_feasible(u):
         raise ConfigurationError("taboo_search seed is not a feasible flow")
-    n = float(system.node_count)
+    k, l, n = system.k, system.l, float(system.node_count)
     rows_full = [float(s) for s in system.sizes_from]
     cols_full = [float(s) for s in system.sizes_to]
     lower = system.lower
@@ -522,8 +522,8 @@ def taboo_search(
     if trace is not None:
         trace.append((moves, cur_vi))
     while True:
-        best = None  # (vi, cells, deltas)
-        best_mat = None
+        best = None  # (vi, vector, signed step)
+        best_flat = None
         for v in basis:
             cells = ((v.i, v.j), (v.i, v.ref_col), (v.ref_row, v.j), (v.ref_row, v.ref_col))
             for sign in (1, -1):
@@ -546,41 +546,25 @@ def taboo_search(
                     dvi += contrib(old + dd, ci, cj) - contrib(old, ci, cj)
                 cand_vi = cur_vi + dvi
                 if best is None or cand_vi < best[0] - 1e-12:
-                    best = (cand_vi, cells, deltas)
-                    best_mat = None
+                    best = (cand_vi, v, sign * step)
+                    best_flat = None
                 elif abs(cand_vi - best[0]) <= 1e-12:
                     # tie: lowest flattened lexicographic endpoint wins
-                    if best_mat is None:
-                        best_mat = _apply(u, best[1], best[2])
-                    cand_mat = _apply(u, cells, deltas)
-                    if _lex_less(cand_mat, best_mat):
-                        best = (cand_vi, cells, deltas)
-                        best_mat = cand_mat
+                    if best_flat is None:
+                        best_flat = (u + best[2] * best[1].dense(k, l)).ravel().tolist()
+                    cand_flat = (u + sign * step * v.dense(k, l)).ravel().tolist()
+                    if cand_flat < best_flat:
+                        best = (cand_vi, v, sign * step)
+                        best_flat = cand_flat
         if best is None or best[0] >= cur_vi - 1e-12:
             return u
-        for (ci, cj), dd in zip(best[1], best[2]):
-            u[ci, cj] += dd
+        u += best[2] * best[1].dense(k, l)
         cur_vi = variation_of_information(u)
         moves += 1
         if not system.is_feasible(u):
             raise AssertionError("taboo move left the solution space")
         if trace is not None:
             trace.append((moves, cur_vi))
-
-
-def _apply(u: np.ndarray, cells, deltas) -> np.ndarray:
-    out = u.copy()
-    for (ci, cj), dd in zip(cells, deltas):
-        out[ci, cj] += dd
-    return out
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    fa, fb = a.ravel(), b.ravel()
-    for x, y in zip(fa, fb):
-        if x != y:
-            return bool(x < y)
-    return False
 
 
 def materialize_flow(flow, groups, rng) -> list[list[list[int]]]:
