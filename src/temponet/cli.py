@@ -17,13 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigurationError,
-    GraphabilityError,
-    LatticeOverflowError,
-    TemponetError,
-    WiringError,
-)
+from .errors import GraphabilityError, LatticeOverflowError, TemponetError
 from .graphability import check_graphable
 from .pipeline import load_run_config, run
 from .sequences import load_sequences
@@ -165,18 +159,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args) or 0
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ConfigurationError.exit_code
-    except GraphabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return GraphabilityError.exit_code
-    except WiringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return WiringError.exit_code
     except TemponetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return TemponetError.exit_code
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return IO_EXIT_CODE

@@ -13,6 +13,8 @@ from temponet import (
     GraphabilityError,
     RunConfig,
     SamplerConfig,
+    TemponetError,
+    WiringError,
     dump_sequences,
     load_run_config,
     plan_transition,
@@ -403,3 +405,18 @@ mix_ratio = 0.7
     broken = tmp_path / "broken.ini"
     broken.write_text("[run]\ntimesteps = 0\n")
     assert cli_main(["generate", "--config", str(broken)]) == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ConfigurationError, 2), (GraphabilityError, 3), (WiringError, 4), (TemponetError, 1)],
+)
+def test_cli_exit_code_of_each_error_class(tmp_path, monkeypatch, capsys, error, code):
+    def failing_run(cfg):
+        raise error("boom")
+
+    monkeypatch.setattr("temponet.cli.run", failing_run)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\ntimesteps = 1\nsequence_file = steps.txt\n")
+    assert cli_main(["generate", "--config", str(ini), "--output", str(tmp_path)]) == code
+    assert capsys.readouterr().err == "error: boom\n"
