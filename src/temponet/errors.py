@@ -42,7 +42,8 @@ class WiringError(TemponetError):
 class LatticeOverflowError(TemponetError):
     """Solution space larger than the enumeration cap.
 
-    Callers catching this signal should fall back to heuristic-only mode.
+    ``temponet flow`` catches it and prints the solution count as "not
+    enumerated"; acceptance test 3 skips an instance that raises it.
     """
 
     def __init__(self, cap, partial_count):
