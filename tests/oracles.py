@@ -10,19 +10,23 @@ search with its hashed visited set and try thresholds, max-chunk and
 min-VI greedy scanning every open cell per commit, and the proportional fill
 ordering its cells with a Python ``sorted``.  The lifecycle classifier and
 its event table keep their earlier forms as well, with every rule written out
-once per side.
+once per side.  So do the parity repair with its separate fallback loop,
+snapshot validation with its separate degree passes, and the CSV export with
+one run merger per field.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
 import math
+import os
 from collections import defaultdict
 
 import numpy as np
 
-from temponet import WiringError, variation_of_information
+from temponet import ConfigurationError, GraphabilityError, WiringError, variation_of_information
 from temponet.lifecycle import (
     BORN,
     CONTINUES,
@@ -757,3 +761,198 @@ def reference_render_event_table(
         if rec.side == START_OF_T1:
             lines.append(f"{name(START_OF_T1, rec.community):>9} | {describe(rec)}")
     return "\n".join(lines)
+
+
+# node assignment parity repair with the unequal-degree fallback as a second loop
+
+
+def reference_repair_intra_parity(assignment, sizes):
+    out = dict(assignment)
+    parity = defaultdict(int)
+    for c, d, e in out.values():
+        parity[c] ^= e & 1
+    odd = sorted(c for c in range(len(sizes)) if parity[c])
+    if not odd:
+        return out
+    if len(odd) % 2 == 1:
+        raise GraphabilityError("odd number of odd-parity communities; global parity broken")
+
+    by_comm: dict[int, list[int]] = defaultdict(list)
+    for nid, (c, _, _) in out.items():
+        by_comm[c].append(nid)
+
+    def find_swap(c1: int, c2: int):
+        s1, s2 = sizes.sizes[c1], sizes.sizes[c2]
+        by_degree: dict[int, list[int]] = defaultdict(list)
+        for nid in by_comm[c1]:
+            by_degree[out[nid][1]].append(nid)
+        fallback = None
+        for nid2 in sorted(by_comm[c2]):
+            _, d2, e2 = out[nid2]
+            for nid1 in by_degree.get(d2, ()):
+                e1 = out[nid1][2]
+                if (e1 ^ e2) & 1 and e1 <= s2 - 1 and e2 <= s1 - 1:
+                    return nid1, nid2
+        for nid2 in sorted(by_comm[c2]):
+            _, _, e2 = out[nid2]
+            for nid1 in sorted(by_comm[c1]):
+                e1 = out[nid1][2]
+                if (e1 ^ e2) & 1 and e1 <= s2 - 1 and e2 <= s1 - 1:
+                    fallback = (nid1, nid2)
+                    break
+            if fallback:
+                break
+        return fallback
+
+    while odd:
+        c1 = odd.pop(0)
+        for pos, c2 in enumerate(odd):
+            pair = find_swap(c1, c2)
+            if pair:
+                nid1, nid2 = pair
+                _, d1, e1 = out[nid1]
+                _, d2, e2 = out[nid2]
+                out[nid1] = (c1, d2, e2)
+                out[nid2] = (c2, d1, e1)
+                by_comm[c1].remove(nid1)
+                by_comm[c1].append(nid2)
+                by_comm[c2].remove(nid2)
+                by_comm[c2].append(nid1)
+                odd.pop(pos)
+                break
+        else:
+            raise GraphabilityError(
+                f"community {c1}: no parity-fixing tuple swap with any other odd community"
+            )
+    return out
+
+
+# snapshot validation with realized degrees and intra degrees counted in
+# passes of their own
+
+
+def _reference_degrees(snapshot) -> dict[int, int]:
+    d = dict.fromkeys(snapshot.nodes, 0)
+    for u, v in snapshot.links:
+        d[u] += 1
+        d[v] += 1
+    return d
+
+
+def _reference_intra_degrees(snapshot) -> dict[int, int]:
+    comm = {nid: node.community for nid, node in snapshot.nodes.items()}
+    d = dict.fromkeys(snapshot.nodes, 0)
+    for u, v in snapshot.links:
+        if comm[u] == comm[v]:
+            d[u] += 1
+            d[v] += 1
+    return d
+
+
+def reference_validate(snapshot) -> None:
+    seen = set()
+    for u, v in snapshot.links:
+        if u == v:
+            raise AssertionError(f"self-loop at node {u}")
+        if u not in snapshot.nodes or v not in snapshot.nodes:
+            raise AssertionError(f"link ({u}, {v}) references unknown nodes")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise AssertionError(f"duplicate link {key}")
+        seen.add(key)
+    covered = set()
+    for c, group in enumerate(snapshot.clustering):
+        if covered & group:
+            raise AssertionError(f"community {c} overlaps another community")
+        covered |= group
+    if covered != set(snapshot.nodes):
+        raise AssertionError("clustering does not cover the node set")
+    for nid, node in snapshot.nodes.items():
+        if nid not in snapshot.clustering[node.community]:
+            raise AssertionError(f"node {nid} missing from its community")
+    realized = _reference_degrees(snapshot)
+    realized_intra = _reference_intra_degrees(snapshot)
+    for nid, node in snapshot.nodes.items():
+        if realized[nid] != node.degree:
+            raise AssertionError(
+                f"node {nid}: realized degree {realized[nid]} != spec {node.degree}"
+            )
+        if realized_intra[nid] != node.intra_degree:
+            raise AssertionError(
+                f"node {nid}: realized intra degree {realized_intra[nid]}"
+                f" != spec {node.intra_degree}"
+            )
+
+
+# the temporal CSV export with one run merger for lifetimes and one for labels
+
+
+def _reference_merge_runs(timesteps) -> list[tuple[int, int]]:
+    runs = []
+    for t in sorted(timesteps):
+        if runs and runs[-1][1] == t:
+            runs[-1][1] = t + 1
+        else:
+            runs.append([t, t + 1])
+    return [(a, b) for a, b in runs]
+
+
+def _reference_interval_text(runs) -> str:
+    return "<" + "; ".join(f"[{a},{b})" for a, b in runs) + ">"
+
+
+def _reference_community_text(segments) -> str:
+    return "<" + "; ".join(f"[{a},{b},{label})" for a, b, label in segments) + ">"
+
+
+def reference_export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
+    if not snapshots:
+        raise ConfigurationError("nothing to export: no snapshots")
+    os.makedirs(outdir, exist_ok=True)
+    node_presence: dict[int, list[int]] = {}
+    node_community: dict[int, dict[int, int]] = {}
+    edge_presence: dict[tuple[int, int], list[int]] = {}
+    for snap in snapshots:
+        for nid, node in snap.nodes.items():
+            node_presence.setdefault(nid, []).append(snap.t)
+            label = snap.community_labels[node.community]
+            node_community.setdefault(nid, {})[snap.t] = label
+        for edge in snap.links:
+            edge_presence.setdefault(edge, []).append(snap.t)
+
+    nodes_path = os.path.join(outdir, "nodes.csv")
+    with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["Id", "Label", "Communities", "Interval"])
+        for nid in sorted(node_presence):
+            times = sorted(node_presence[nid])
+            segments = []
+            for t in times:
+                label = node_community[nid][t]
+                if segments and segments[-1][1] == t and segments[-1][2] == label:
+                    segments[-1][1] = t + 1
+                else:
+                    segments.append([t, t + 1, label])
+            writer.writerow(
+                [
+                    nid,
+                    f"n{nid}",
+                    _reference_community_text([tuple(s) for s in segments]),
+                    _reference_interval_text(_reference_merge_runs(times)),
+                ]
+            )
+
+    edges_path = os.path.join(outdir, "edges.csv")
+    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["Source", "Target", "Type", "Interval"])
+        for u, v in sorted(edge_presence):
+            writer.writerow(
+                [
+                    u,
+                    v,
+                    "Undirected",
+                    _reference_interval_text(_reference_merge_runs(edge_presence[(u, v)])),
+                ]
+            )
+    return nodes_path, edges_path

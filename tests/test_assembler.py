@@ -1,5 +1,7 @@
 """Node assignment, the modified configuration model and its repairs."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,18 @@ from temponet import (
     wire_intra,
 )
 from temponet import assembler
-from temponet.assembler import ASSIGNMENT_ATTEMPTS, MISFIT_PASSES, repair_intra_parity
+from temponet.assembler import (
+    ASSIGNMENT_ATTEMPTS,
+    MISFIT_PASSES,
+    Node,
+    Snapshot,
+    repair_intra_parity,
+)
 
 from oracles import (
     degree_joint_distribution_baseline,
+    reference_repair_intra_parity,
+    reference_validate,
     reference_wire_phase,
     spectral_component_count,
 )
@@ -205,6 +215,109 @@ def test_repair_intra_parity_unequal_degree_fallback():
     assert sorted((d, e) for _, d, e in fixed.values()) == sorted(
         (d, e) for _, d, e in assignment.values()
     )
+
+
+def _outcome(fn, *args):
+    """``("ok", result)`` or the text of the expected exception."""
+    try:
+        result = fn(*args)
+    except (GraphabilityError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", result
+
+
+def test_parity_repair_matches_the_two_loop_reference():
+    # assignments from both assign_nodes orders (bootstrap: by intra degree;
+    # temporal: survivors by previous degree, then newborns) over deterministic
+    # ("nearest": e is a function of d) and stochastic intra splits
+    rng = np.random.default_rng(2024)
+    tally = {"even": 0, "swapped": 0, "raised": 0}
+    cases = 0
+    while cases < 2400:
+        k = int(rng.integers(2, 7))
+        sizes = CommunitySpec(tuple(int(x) for x in rng.integers(2, 9, k)))
+        n = sizes.node_count
+        total = sample_degrees(SamplerConfig("uniform", 1, 8), n, rng)
+        rounding = ("nearest", "stochastic")[cases % 2]
+        spec = split_degrees(total, float(rng.uniform(0.0, 0.7)), "fixed", rounding, rng)
+        placement = {}
+        if cases % 4 >= 2:
+            ids = [int(x) for x in rng.permutation(3 * n)[:n]]
+            membership = rng.permutation(np.repeat(np.arange(k), sizes.sizes))
+            placement["surviving"] = {nid: int(c) for nid, c in zip(ids, membership)}
+            placement["prev_degrees"] = {nid: int(rng.integers(1, 9)) for nid in ids[: n // 2]}
+        try:
+            assignment = assign_nodes(sizes, spec, rng, **placement)
+        except GraphabilityError:
+            continue
+        cases += 1
+        want = _outcome(reference_repair_intra_parity, assignment, sizes)
+        got = _outcome(repair_intra_parity, assignment, sizes)
+        if want[0] == "ok":
+            # equal content and equal insertion order
+            assert got[0] == "ok" and list(got[1].items()) == list(want[1].items())
+            tally["even" if want[1] == assignment else "swapped"] += 1
+        else:
+            assert got == want
+            tally["raised"] += 1
+    assert min(tally.values()) >= 200, tally
+
+
+def _mutate(snap: Snapshot, kind: str, rng) -> None:
+    """Break one postcondition of a valid snapshot in place."""
+    ids = sorted(snap.nodes)
+    nid = ids[int(rng.integers(len(ids)))]
+    node = snap.nodes[nid]
+    links = sorted(snap.links)
+    if kind == "self_loop":
+        snap.links.add((nid, nid))
+    elif kind == "unknown_node":
+        snap.links.add((nid, ids[-1] + 1 + int(rng.integers(3))))
+    elif kind == "duplicate":
+        u, v = links[int(rng.integers(len(links)))]
+        snap.links.add((v, u))
+    elif kind == "overlap":
+        other = (node.community + 1) % len(snap.clustering)
+        snap.clustering[other].add(nid)
+    elif kind == "uncovered":
+        snap.clustering[node.community].discard(nid)
+    elif kind == "misplaced":
+        other = (node.community + 1) % len(snap.clustering)
+        snap.clustering[node.community].discard(nid)
+        snap.clustering[other].add(nid)
+    elif kind == "degree":
+        snap.nodes[nid] = Node(nid, node.degree + 1, node.intra_degree, node.community)
+    elif kind == "intra_degree":
+        delta = -1 if node.intra_degree else 1
+        snap.nodes[nid] = Node(nid, node.degree, node.intra_degree + delta, node.community)
+    else:
+        raise ValueError(kind)
+
+
+def test_validate_matches_the_two_pass_reference():
+    # one to three mutations per trial, so the first failing check decides
+    kinds = [
+        "self_loop", "unknown_node", "duplicate", "overlap",
+        "uncovered", "misplaced", "degree", "intra_degree",
+    ]
+    checks = (
+        "self-loop", "unknown nodes", "duplicate link", "overlaps", "does not cover",
+        "missing from its community", "realized degree", "realized intra degree",
+    )
+    rng = np.random.default_rng(31)
+    bases = [assembled_graphable_spec(rng, n_max=40)[2] for _ in range(6)]
+    seen = set()
+    for trial in range(800):
+        snap = copy.deepcopy(bases[trial % len(bases)])
+        assert _outcome(Snapshot.validate, snap) == ("ok", None)
+        count = 1 if trial < 400 else int(rng.integers(2, 4))
+        for kind in (kinds[trial % len(kinds)], *rng.choice(kinds, count - 1)):
+            _mutate(snap, str(kind), rng)
+        want = _outcome(reference_validate, snap)
+        assert want[0] == "AssertionError"
+        assert _outcome(Snapshot.validate, snap) == want
+        seen.update(check for check in checks if check in want[1])
+    assert seen == set(checks)
 
 
 def test_wire_intra_forced_k4():

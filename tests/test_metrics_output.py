@@ -1,6 +1,7 @@
 """Reported metrics, CSV export round-trips and report files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from temponet import (
 from temponet.metrics import assortativity_details, temporal_degree_correlation_details
 from temponet.output import RunReport, SnapshotMetrics, write_report
 
-from oracles import modularity_reference, pearson_reference
+from oracles import modularity_reference, pearson_reference, reference_export_temporal_csv
 
 
 def _snapshot(t, memberships, links, degrees=None):
@@ -170,6 +171,39 @@ def test_csv_golden_layout(tmp_path):
         '0,1,Undirected,"<[0,1)>"\n'
         '1,2,Undirected,"<[0,1)>"\n'
     )
+
+
+def _random_snapshot(t, rng) -> Snapshot:
+    """A small snapshot over node ids 0..11 with random labels; degrees are not checked."""
+    ids = sorted(int(x) for x in rng.choice(12, size=int(rng.integers(0, 10)), replace=False))
+    k = int(rng.integers(1, 4))
+    clustering = [set() for _ in range(k)]
+    nodes = {}
+    for nid in ids:
+        c = int(rng.integers(k))
+        clustering[c].add(nid)
+        nodes[nid] = Node(id=nid, degree=1, intra_degree=0, community=c)
+    links = set()
+    for _ in range(int(rng.integers(0, 2 * len(ids) + 1))):
+        u, v = rng.choice(ids, size=2, replace=False) if len(ids) > 1 else (0, 0)
+        if u != v:
+            links.add((int(min(u, v)), int(max(u, v))))
+    labels = [int(x) for x in rng.integers(0, 4, k)]
+    return Snapshot(t=t, nodes=nodes, links=links, clustering=clustering, community_labels=labels)
+
+
+def test_export_matches_the_per_field_reference(tmp_path):
+    # gaps between timesteps, label changes, empty snapshots and shuffled input
+    rng = np.random.default_rng(303)
+    for case in range(240):
+        steps = rng.choice(10, size=int(rng.integers(1, 8)), replace=False)
+        if case % 2:
+            steps = np.sort(steps)
+        snaps = [_random_snapshot(int(t), rng) for t in steps]
+        want = reference_export_temporal_csv(snaps, tmp_path / f"ref{case}")
+        got = export_temporal_csv(snaps, tmp_path / f"new{case}")
+        for a, b in zip(want, got):
+            assert Path(a).read_bytes() == Path(b).read_bytes(), case
 
 
 def test_export_requires_snapshots(tmp_path):
