@@ -59,7 +59,6 @@ from .sequences import (
     sample_degrees,
     sample_sizes,
     split_degrees,
-    stochastic_round,
 )
 from .transition import (
     FlowSystem,
@@ -134,7 +133,6 @@ __all__ = [
     "sample_sizes",
     "seed_pool",
     "split_degrees",
-    "stochastic_round",
     "taboo_search",
     "temporal_degree_correlation",
     "variation_of_information",

@@ -21,6 +21,7 @@ position that a cumulative sum and ``searchsorted`` would pick.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -97,47 +98,37 @@ class Snapshot:
     def community_count(self) -> int:
         return len(self.clustering)
 
-    def degrees(self) -> dict[int, int]:
-        d = dict.fromkeys(self.nodes, 0)
-        for u, v in self.links:
-            d[u] += 1
-            d[v] += 1
-        return d
-
-    def intra_degrees(self) -> dict[int, int]:
-        comm = {nid: node.community for nid, node in self.nodes.items()}
-        d = dict.fromkeys(self.nodes, 0)
-        for u, v in self.links:
-            if comm[u] == comm[v]:
-                d[u] += 1
-                d[v] += 1
-        return d
-
     def validate(self) -> None:
         """Hard postconditions: simplicity, partition validity, exact degrees."""
+        nodes = self.nodes
+        realized = dict.fromkeys(nodes, 0)
+        realized_intra = dict.fromkeys(nodes, 0)
         seen = set()
         for u, v in self.links:
             if u == v:
                 raise AssertionError(f"self-loop at node {u}")
-            if u not in self.nodes or v not in self.nodes:
+            if u not in nodes or v not in nodes:
                 raise AssertionError(f"link ({u}, {v}) references unknown nodes")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise AssertionError(f"duplicate link {key}")
             seen.add(key)
+            realized[u] += 1
+            realized[v] += 1
+            if nodes[u].community == nodes[v].community:
+                realized_intra[u] += 1
+                realized_intra[v] += 1
         covered = set()
         for c, group in enumerate(self.clustering):
             if covered & group:
                 raise AssertionError(f"community {c} overlaps another community")
             covered |= group
-        if covered != set(self.nodes):
+        if covered != set(nodes):
             raise AssertionError("clustering does not cover the node set")
-        for nid, node in self.nodes.items():
+        for nid, node in nodes.items():
             if nid not in self.clustering[node.community]:
                 raise AssertionError(f"node {nid} missing from its community")
-        realized = self.degrees()
-        realized_intra = self.intra_degrees()
-        for nid, node in self.nodes.items():
+        for nid, node in nodes.items():
             if realized[nid] != node.degree:
                 raise AssertionError(
                     f"node {nid}: realized degree {realized[nid]} != spec {node.degree}"
@@ -236,13 +227,13 @@ def repair_intra_parity(
     """Make every community's intra degree sum even by swapping degree tuples.
 
     Swaps exchange the (d, e) tuples of two nodes in different odd-parity
-    communities with different intra parity, preferring pairs with equal
-    total degree (which also preserves per-community degree sums).  For
-    deterministic splits the intra degree is a function of the total degree,
-    so equal-degree pairs cannot differ in parity and the unequal-degree
-    fallback is required.  Community sizes and the global tuple multiset stay
-    intact either way; raises ``GraphabilityError`` when no swap sequence
-    exists.
+    communities with different intra parity.  One scan takes the first
+    fitting pair: equal total degree pairs first (they also preserve
+    per-community degree sums), then any pair.  For deterministic splits the
+    intra degree is a function of the total degree, so equal-degree pairs
+    cannot differ in parity and only the second half of the scan can fit.
+    Community sizes and the global tuple multiset stay intact either way;
+    raises ``GraphabilityError`` when no swap sequence exists.
     """
     out = dict(assignment)
     parity = defaultdict(int)
@@ -263,23 +254,16 @@ def repair_intra_parity(
         by_degree: dict[int, list[int]] = defaultdict(list)
         for nid in by_comm[c1]:
             by_degree[out[nid][1]].append(nid)
-        fallback = None
-        for nid2 in sorted(by_comm[c2]):
-            _, d2, e2 = out[nid2]
-            for nid1 in by_degree.get(d2, ()):
-                e1 = out[nid1][2]
-                if (e1 ^ e2) & 1 and e1 <= s2 - 1 and e2 <= s1 - 1:
-                    return nid1, nid2
-        for nid2 in sorted(by_comm[c2]):
-            _, _, e2 = out[nid2]
-            for nid1 in sorted(by_comm[c1]):
-                e1 = out[nid1][2]
-                if (e1 ^ e2) & 1 and e1 <= s2 - 1 and e2 <= s1 - 1:
-                    fallback = (nid1, nid2)
-                    break
-            if fallback:
-                break
-        return fallback
+        ids1, ids2 = sorted(by_comm[c1]), sorted(by_comm[c2])
+        pairs = itertools.chain(
+            ((nid1, nid2) for nid2 in ids2 for nid1 in by_degree.get(out[nid2][1], ())),
+            ((nid1, nid2) for nid2 in ids2 for nid1 in ids1),
+        )
+        for nid1, nid2 in pairs:
+            e1, e2 = out[nid1][2], out[nid2][2]
+            if (e1 ^ e2) & 1 and e1 <= s2 - 1 and e2 <= s1 - 1:
+                return nid1, nid2
+        return None
 
     while odd:
         c1 = odd.pop(0)
@@ -527,8 +511,7 @@ def wire_intra(
     members = list(members)
     if budget is None:
         budget = DEFAULT_REPAIR_BUDGET_FACTOR * max(1, len(members))
-    entries = [(nid, d, e) for nid, d, e in members]
-    return _wire_phase(entries, pairing_shape, rng, budget)
+    return _wire_phase(members, pairing_shape, rng, budget)
 
 
 def wire_inter(

@@ -196,12 +196,11 @@ def check_graphable(
             )
 
     aggregates = [sum(inter[i] for i in group) for group in members]
-    total = sum(aggregates)
-    if total % 2 == 1:
+    if sum(aggregates) % 2 == 1:
         return GraphabilityReport(
             False, None, FailedCondition.INTER_PARITY, "total inter degree sum is odd"
         )
-    if aggregates and 2 * max(aggregates) > total:
+    if not inter_graphable(aggregates):
         worst = max(range(k), key=lambda c: aggregates[c])
         return GraphabilityReport(
             False,

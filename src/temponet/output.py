@@ -65,23 +65,19 @@ class RunReport:
         return [b.temporal_degree_correlation for b in self.boundaries]
 
 
-def _merge_runs(timesteps) -> list[tuple[int, int]]:
-    """Merge sorted integer timesteps into maximal half-open [t, t+1) runs."""
+def _runs(points) -> str:
+    """Interval text of ``(t, key)`` points: one ``[start,end,key)`` segment per
+    maximal run of consecutive timesteps with one key, ``[start,end)`` when the
+    key is None."""
     runs = []
-    for t in sorted(timesteps):
-        if runs and runs[-1][1] == t:
+    for t, key in sorted(points):
+        if runs and runs[-1][1] == t and runs[-1][2] == key:
             runs[-1][1] = t + 1
         else:
-            runs.append([t, t + 1])
-    return [(a, b) for a, b in runs]
-
-
-def _interval_text(runs) -> str:
-    return "<" + "; ".join(f"[{a},{b})" for a, b in runs) + ">"
-
-
-def _community_text(segments) -> str:
-    return "<" + "; ".join(f"[{a},{b},{label})" for a, b, label in segments) + ">"
+            runs.append([t, t + 1, key])
+    return "<" + "; ".join(
+        f"[{a},{b})" if key is None else f"[{a},{b},{key})" for a, b, key in runs
+    ) + ">"
 
 
 def export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
@@ -89,47 +85,31 @@ def export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
     if not snapshots:
         raise ConfigurationError("nothing to export: no snapshots")
     os.makedirs(outdir, exist_ok=True)
-    node_presence: dict[int, list[int]] = {}
-    node_community: dict[int, dict[int, int]] = {}
-    edge_presence: dict[tuple[int, int], list[int]] = {}
+    node_labels: dict[int, list[tuple[int, int]]] = {}
+    edge_times: dict[tuple[int, int], list[int]] = {}
     for snap in snapshots:
         for nid, node in snap.nodes.items():
-            node_presence.setdefault(nid, []).append(snap.t)
             label = snap.community_labels[node.community]
-            node_community.setdefault(nid, {})[snap.t] = label
+            node_labels.setdefault(nid, []).append((snap.t, label))
         for edge in snap.links:
-            edge_presence.setdefault(edge, []).append(snap.t)
+            edge_times.setdefault(edge, []).append(snap.t)
 
     nodes_path = os.path.join(outdir, "nodes.csv")
     with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["Id", "Label", "Communities", "Interval"])
-        for nid in sorted(node_presence):
-            times = sorted(node_presence[nid])
-            segments = []
-            for t in times:
-                label = node_community[nid][t]
-                if segments and segments[-1][1] == t and segments[-1][2] == label:
-                    segments[-1][1] = t + 1
-                else:
-                    segments.append([t, t + 1, label])
+        for nid in sorted(node_labels):
+            points = node_labels[nid]
             writer.writerow(
-                [
-                    nid,
-                    f"n{nid}",
-                    _community_text([tuple(s) for s in segments]),
-                    _interval_text(_merge_runs(times)),
-                ]
+                [nid, f"n{nid}", _runs(points), _runs((t, None) for t, _ in points)]
             )
 
     edges_path = os.path.join(outdir, "edges.csv")
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["Source", "Target", "Type", "Interval"])
-        for u, v in sorted(edge_presence):
-            writer.writerow(
-                [u, v, "Undirected", _interval_text(_merge_runs(edge_presence[(u, v)]))]
-            )
+        for u, v in sorted(edge_times):
+            writer.writerow([u, v, "Undirected", _runs((t, None) for t in edge_times[(u, v)])])
     return nodes_path, edges_path
 
 

@@ -83,16 +83,16 @@ def plan_transition(
     sizes_t1: CommunitySpec,
     kill_ids,
     rng: np.random.Generator,
-    alive_ids=None,
+    alive_ids,
 ) -> TransitionPlan:
     """Balance node counts across a boundary.
 
     Deaths are the explicit kill set plus, depending on the sign of
-    ``sum(S_t) - sum(S_t+1) - |O|``, additional uniformly drawn kills; the
-    opposite sign births new nodes instead.  The death-adjustment community
-    is appended to the t+1 side and the birth-adjustment community to the t
-    side (only when non-empty).  When ``alive_ids`` is given the extra
-    victims are drawn from it, completing ``kill_ids``.
+    ``sum(S_t) - sum(S_t+1) - |O|``, additional kills drawn uniformly from
+    ``alive_ids`` outside the kill set; the opposite sign births new nodes
+    instead.  The plan's ``kill_ids`` therefore name all ``deaths``.  The
+    death-adjustment community is appended to the t+1 side and the
+    birth-adjustment community to the t side (only when non-empty).
     """
     kill_ids = tuple(sorted(set(int(x) for x in kill_ids)))
     n_t, n_t1 = sizes_t.node_count, sizes_t1.node_count
@@ -102,13 +102,12 @@ def plan_transition(
     births = max(0, gap)
     extra = max(0, -gap)
     deaths = len(kill_ids) + extra
-    if alive_ids is not None:
-        pool = sorted(set(alive_ids) - set(kill_ids))
-        if len(kill_ids) + len(pool) < deaths:
-            raise ConfigurationError("not enough alive nodes to draw the extra kills from")
-        if extra:
-            picks = rng.choice(len(pool), size=extra, replace=False)
-            kill_ids = tuple(sorted(kill_ids + tuple(pool[int(p)] for p in picks)))
+    pool = sorted(set(alive_ids) - set(kill_ids))
+    if len(kill_ids) + len(pool) < deaths:
+        raise ConfigurationError("not enough alive nodes to draw the extra kills from")
+    if extra:
+        picks = rng.choice(len(pool), size=extra, replace=False)
+        kill_ids = tuple(sorted(kill_ids + tuple(pool[int(p)] for p in picks)))
     sizes_from = sizes_t.sizes + ((births,) if births else ())
     sizes_to = sizes_t1.sizes + ((deaths,) if deaths else ())
     return TransitionPlan(
@@ -155,6 +154,13 @@ class RunConfig:
                 raise ConfigurationError("community_count must be >= 1")
         if self.on_disconnected not in ("warn", "abort"):
             raise ConfigurationError("on_disconnected must be 'warn' or 'abort'")
+        counts = self.kills if isinstance(self.kills, (list, tuple)) else [self.kills]
+        if any(isinstance(x, int) and x < 0 for x in counts):
+            raise ConfigurationError("random kill counts must be >= 0")
+        if self.repair_budget_factor < 0:
+            raise ConfigurationError("repair_budget_factor must be >= 0")
+        if self.max_sequence_retries < 1:
+            raise ConfigurationError("max_sequence_retries must be >= 1")
 
     def echo(self) -> dict:
         """Every field of the config, nested configs included, for report.json.
@@ -289,12 +295,17 @@ def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot
     t = old.t
     k_real, l_real = len(prev.sizes), snap.community_count
 
-    # realized contingency must reproduce the flow exactly
-    recount = np.zeros((k_real, l_real), dtype=np.int64)
-    for nid, j in moves.surviving.items():
-        if nid in old.nodes:
-            recount[old.nodes[nid].community, j] += 1
-    if not np.array_equal(recount, flow[:k_real, :l_real]):
+    # the realized contingency, births (row k_real) and deaths (column l_real)
+    # included, must reproduce the flow exactly
+    recount = np.zeros((k_real + 1, l_real + 1), dtype=np.int64)
+    for nid, node in old.nodes.items():
+        after = snap.nodes.get(nid)
+        recount[node.community, l_real if after is None else after.community] += 1
+    for nid, node in snap.nodes.items():
+        if nid not in old.nodes:
+            recount[k_real, node.community] += 1
+    padded = np.pad(flow, ((0, k_real + 1 - flow.shape[0]), (0, l_real + 1 - flow.shape[1])))
+    if not np.array_equal(recount, padded):
         raise AssertionError("realized contingency deviates from the searched flow")
 
     events = classify_events(
@@ -386,7 +397,7 @@ def run(cfg: RunConfig) -> RunResult:
             )
     # interactive sampling draws a timestep again when its sequences fail the
     # gate or cannot be assembled; batch mode and sequence files stop at once
-    draws = max(1, cfg.max_sequence_retries) if cfg.interactive and steps is None else 1
+    draws = cfg.max_sequence_retries if cfg.interactive and steps is None else 1
     report = RunReport(seed=cfg.seed, config=cfg.echo())
     snapshots: list[Snapshot] = []
     state = None
@@ -450,9 +461,12 @@ def load_run_config(path, overrides=None) -> RunConfig:
                 raise ConfigurationError(f"[{name}] section: {exc}") from None
     shapes = section("shapes")
     life = section("lifecycle")
+    timesteps = overrides.get("timesteps", run_sec.get("timesteps"))
+    if timesteps is None:
+        raise ConfigurationError(f"{path}: [run] timesteps is required")
     try:
         cfg = RunConfig(
-            timesteps=int(overrides.get("timesteps", run_sec.get("timesteps", 1))),
+            timesteps=int(timesteps),
             seed=int(overrides.get("seed", run_sec.get("seed", 0))),
             community_cfg=sampler_cfgs.get("communities"),
             degree_cfg=sampler_cfgs.get("degrees"),

@@ -121,17 +121,6 @@ class SamplerConfig:
             raise ConfigurationError("binomial success probability must lie in [0, 1]")
 
 
-def stochastic_round(x: float, rng: np.random.Generator) -> int:
-    """Round ``x >= 0`` to an adjacent integer, upward with probability frac(x)."""
-    if x < 0:
-        raise ConfigurationError("stochastic_round requires x >= 0")
-    base = math.floor(x)
-    frac = x - base
-    if frac > 0.0 and rng.random() < frac:
-        return base + 1
-    return base
-
-
 def _round_array(values: np.ndarray, mode: str, rng: np.random.Generator) -> np.ndarray:
     if mode == "nearest":
         # half-way cases always round up, independent of the RNG
@@ -280,12 +269,13 @@ def load_sequences(path) -> list[tuple[CommunitySpec, DegreeSpec]]:
             raise ConfigurationError(f"{path}: block {b}: bad size line: {exc}") from None
         pairs = []
         for ln in lines[1:]:
-            toks = ln.split()
-            if len(toks) != 2:
+            try:
+                d, e = (int(tok) for tok in ln.split())
+            except ValueError:
                 raise ConfigurationError(
                     f"{path}: block {b}: expected 'total intra' pair, got {ln!r}"
-                )
-            pairs.append((int(toks[0]), int(toks[1])))
+                ) from None
+            pairs.append((d, e))
         if len(pairs) != sizes.node_count:
             raise ConfigurationError(
                 f"{path}: block {b}: {len(pairs)} degree pairs for {sizes.node_count} nodes"

@@ -10,8 +10,10 @@ from temponet import (
     ConfigurationError,
     DegreeSpec,
     GraphabilityError,
+    Node,
     SamplerConfig,
     ShapeParams,
+    Snapshot,
     WiringError,
     assemble_snapshot,
     assign_nodes,
@@ -23,13 +25,7 @@ from temponet import (
     wire_intra,
 )
 from temponet import assembler
-from temponet.assembler import (
-    ASSIGNMENT_ATTEMPTS,
-    MISFIT_PASSES,
-    Node,
-    Snapshot,
-    repair_intra_parity,
-)
+from temponet.assembler import ASSIGNMENT_ATTEMPTS, MISFIT_PASSES, repair_intra_parity
 
 from oracles import (
     degree_joint_distribution_baseline,

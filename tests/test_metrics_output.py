@@ -74,7 +74,7 @@ def test_assortativity_matches_corrcoef():
         if not links:
             continue
         snap = _snapshot(0, {i: 0 for i in range(n)}, links)
-        deg = snap.degrees()
+        deg = {nid: node.degree for nid, node in snap.nodes.items()}
         xs, ys = [], []
         for u, v in links:
             xs += [deg[u], deg[v]]
@@ -152,7 +152,7 @@ def test_csv_export_round_trip_and_intervals(tmp_path):
         want = {nid: snap.community_labels[n.community] for nid, n in snap.nodes.items()}
         assert communities[snap.t] == want
         assert edges[snap.t] == snap.links
-    text = nodes_path.read_text() if hasattr(nodes_path, "read_text") else open(nodes_path).read()
+    text = Path(nodes_path).read_text()
     assert "<[0,2)>" in text  # persistent nodes got one merged interval
 
 
@@ -160,13 +160,13 @@ def test_csv_golden_layout(tmp_path):
     snap = _snapshot(0, {0: 0, 1: 0, 2: 1}, {(0, 1), (1, 2)})
     snap.community_labels = [5, 9]
     nodes_path, edges_path = export_temporal_csv([snap], tmp_path)
-    assert open(nodes_path).read() == (
+    assert Path(nodes_path).read_text() == (
         "Id,Label,Communities,Interval\n"
         '0,n0,"<[0,1,5)>","<[0,1)>"\n'
         '1,n1,"<[0,1,5)>","<[0,1)>"\n'
         '2,n2,"<[0,1,9)>","<[0,1)>"\n'
     )
-    assert open(edges_path).read() == (
+    assert Path(edges_path).read_text() == (
         "Source,Target,Type,Interval\n"
         '0,1,Undirected,"<[0,1)>"\n'
         '1,2,Undirected,"<[0,1)>"\n'
@@ -214,8 +214,8 @@ def test_export_requires_snapshots(tmp_path):
 def test_export_empty_network_writes_header_only_files(tmp_path):
     empty = Snapshot(t=0, nodes={}, links=set(), clustering=[])
     nodes_path, edges_path = export_temporal_csv([empty], tmp_path)
-    assert open(nodes_path).read() == "Id,Label,Communities,Interval\n"
-    assert open(edges_path).read() == "Source,Target,Type,Interval\n"
+    assert Path(nodes_path).read_text() == "Id,Label,Communities,Interval\n"
+    assert Path(edges_path).read_text() == "Source,Target,Type,Interval\n"
 
 
 def test_report_files(tmp_path):
@@ -231,9 +231,9 @@ def test_report_files(tmp_path):
         boundaries=[],
     )
     txt, js = write_report(report, tmp_path)
-    text = open(txt).read()
+    text = Path(txt).read_text()
     assert "seed 5" in text and "T0:" in text
-    payload = json.load(open(js))
+    payload = json.loads(Path(js).read_text())
     assert payload["seed"] == 5
     assert payload["snapshots"][0]["nodes"] == 4
     assert payload["temporal_correlation_series"] == []

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from temponet import (
     read_temporal_csv,
     run,
 )
+from temponet import assembler, pipeline
 from temponet.cli import main as cli_main
 
 
@@ -39,21 +41,23 @@ def small_cfg(**kw):
 
 def test_plan_transition_arithmetic():
     rng = np.random.default_rng(0)
-    equal = plan_transition(CommunitySpec((50, 50)), CommunitySpec((60, 40)), (), rng)
+    alive = range(100)
+    equal = plan_transition(CommunitySpec((50, 50)), CommunitySpec((60, 40)), (), rng, alive)
     assert (equal.deaths, equal.births) == (0, 0)
     assert equal.sizes_from_augmented == (50, 50)
     assert equal.sizes_to_augmented == (60, 40)
 
     shrink = plan_transition(
-        CommunitySpec((50, 50)), CommunitySpec((50, 40)), (1, 2, 3, 4), rng
+        CommunitySpec((50, 50)), CommunitySpec((50, 40)), (1, 2, 3, 4), rng, alive
     )
     assert shrink.deaths == 10  # 4 explicit + 6 additional random kills
+    assert len(shrink.kill_ids) == 10
     assert shrink.births == 0
     assert shrink.sizes_to_augmented == (50, 40, 10)
     assert shrink.death_col == 2 and shrink.birth_row is None
 
     grow = plan_transition(
-        CommunitySpec((50, 50)), CommunitySpec((60, 50)), (1, 2, 3, 4), rng
+        CommunitySpec((50, 50)), CommunitySpec((60, 50)), (1, 2, 3, 4), rng, alive
     )
     assert grow.deaths == 4 and grow.births == 14
     assert grow.sizes_from_augmented == (50, 50, 14)
@@ -73,8 +77,53 @@ def test_plan_transition_draws_extra_victims_from_alive():
 def test_plan_transition_validation():
     with pytest.raises(ConfigurationError):
         plan_transition(
-            CommunitySpec((2,)), CommunitySpec((2,)), (1, 2, 3), np.random.default_rng(0)
+            CommunitySpec((2,)), CommunitySpec((2,)), (1, 2, 3), np.random.default_rng(0), (1, 2)
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("kills", -2, "random kill counts"),
+        ("kills", [1, -1], "random kill counts"),
+        ("repair_budget_factor", -1, "repair_budget_factor"),
+        ("max_sequence_retries", 0, "max_sequence_retries"),
+    ],
+    ids=["kills", "kills_per_boundary", "repair_budget_factor", "max_sequence_retries"],
+)
+def test_run_config_rejects_values_that_fail_later(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        small_cfg(**{field: value})
+
+
+def test_boundary_recount_reads_the_realized_snapshots(monkeypatch):
+    # an assembly that swaps the targets of two survivors from different
+    # source communities into different target communities must not pass
+    built = []
+    real_assemble, real_assign = pipeline.assemble_snapshot, assembler.assign_nodes
+
+    def assemble(*args, **kwargs):
+        built.append(real_assemble(*args, **kwargs))
+        return built[-1]
+
+    def assign(*args, surviving=None, **kwargs):
+        out = real_assign(*args, surviving=surviving, **kwargs)
+        if surviving is not None:
+            old = built[-1].nodes
+            ids = sorted(nid for nid in out if nid in old)
+            a, b = next(
+                (a, b)
+                for a in ids
+                for b in ids
+                if old[a].community != old[b].community and out[a][0] != out[b][0]
+            )
+            out[a], out[b] = out[b], out[a]
+        return out
+
+    monkeypatch.setattr(pipeline, "assemble_snapshot", assemble)
+    monkeypatch.setattr(assembler, "assign_nodes", assign)
+    with pytest.raises(AssertionError, match="realized contingency deviates"):
+        run(small_cfg(timesteps=2))
 
 
 def test_run_single_timestep_has_no_boundaries():
@@ -176,7 +225,7 @@ def test_run_output_files(tmp_path):
     communities, edges = read_temporal_csv(out / "nodes.csv", out / "edges.csv")
     for snap in result.snapshots:
         assert edges[snap.t] == snap.links
-    payload = json.load(open(out / "report.json"))
+    payload = json.loads((out / "report.json").read_text())
     assert len(payload["boundaries"]) == 2
     assert payload["seed"] == 11
 
@@ -188,7 +237,7 @@ def test_report_echoes_the_complete_config(tmp_path):
 
     cfg = small_cfg(output_dir=str(tmp_path), max_sequence_retries=7, repair_budget_factor=9)
     run(cfg)
-    echo = json.load(open(tmp_path / "report.json"))["config"]
+    echo = json.loads((tmp_path / "report.json").read_text())["config"]
     assert set(echo) == {f.name for f in fields(RunConfig)} - {"output_dir"}
     assert echo["max_sequence_retries"] == 7 and echo["repair_budget_factor"] == 9
     assert echo["thresholds"]["size_dead_band"] == cfg.thresholds.size_dead_band
@@ -343,7 +392,7 @@ size_dead_band = 0.05
 
 
 def test_readme_config_example_loads_verbatim(tmp_path):
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.ini"
     path.write_text(block)
@@ -405,6 +454,19 @@ mix_ratio = 0.7
     broken = tmp_path / "broken.ini"
     broken.write_text("[run]\ntimesteps = 0\n")
     assert cli_main(["generate", "--config", str(broken)]) == 2
+    # a negative random-kill count is a validation error, not a crash in the draw
+    negative = tmp_path / "negative.ini"
+    negative.write_text(ini.read_text().replace("kills = 1", "kills = -2"))
+    assert cli_main(["generate", "--config", str(negative), "--output", str(out)]) == 2
+    assert "random kill counts must be >= 0" in capsys.readouterr().err
+
+
+def test_config_file_requires_timesteps(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nseed = 3\nsequence_file = steps.txt\n")
+    with pytest.raises(ConfigurationError, match="timesteps is required"):
+        load_run_config(path)
+    assert load_run_config(path, overrides={"timesteps": 4}).timesteps == 4
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,8 @@ from temponet import (
     sample_degrees,
     sample_sizes,
     split_degrees,
-    stochastic_round,
 )
+from temponet.cli import main as cli_main
 
 from oracles import binomial_shifted_pmf, rounded_uniform_pmf, truncated_pmf_moments
 
@@ -99,25 +99,19 @@ def test_exponential_family_matches_quadrature_pmf():
     assert tv < 0.02, f"total variation {tv}"
 
 
-def test_stochastic_round_integer_and_limit_cases():
-    rng = np.random.default_rng(0)
-    assert all(stochastic_round(4.0, rng) == 4 for _ in range(100))
-    ups = sum(stochastic_round(0.999, rng) for _ in range(2000))
-    assert ups > 1900
-
-
-def test_stochastic_round_expectation():
+def test_split_fixed_stochastic_rounding():
     rng = np.random.default_rng(5)
+    # integer products never move
+    assert split_degrees((4,) * 100, 1.0, "fixed", "stochastic", rng).intra == (4,) * 100
+    # 0.999 rounds up almost always
+    ups = sum(split_degrees((1,) * 2000, 0.999, "fixed", "stochastic", rng).intra)
+    assert ups > 1900
+    # 9 * 0.25 = 2.25 rounds to 2 or 3 with mean 2.25
     n = 100_000
-    draws = np.array([stochastic_round(2.25, rng) for _ in range(n)], dtype=float)
+    draws = np.array(split_degrees((9,) * n, 0.25, "fixed", "stochastic", rng).intra, dtype=float)
     assert set(np.unique(draws)) <= {2.0, 3.0}
     sigma = math.sqrt(0.25 * 0.75 / n)  # Bernoulli(0.25) variance
     assert abs(draws.mean() - 2.25) < 3 * sigma
-
-
-def test_stochastic_round_rejects_negative():
-    with pytest.raises(ConfigurationError):
-        stochastic_round(-0.5, np.random.default_rng(0))
 
 
 def test_split_fixed_boundaries():
@@ -228,3 +222,8 @@ def test_sequence_file_validation(tmp_path):
     bad.write_text("3 2\n2 1\n2 1\n")  # 5 nodes declared, 2 pairs given
     with pytest.raises(ConfigurationError):
         load_sequences(bad)
+    token = tmp_path / "token.txt"
+    token.write_text("2\n1 1\n1 1\n\n2\nx 1\n1 1\n")  # a non-integer degree in block 1
+    with pytest.raises(ConfigurationError, match=r"token.txt: block 1: .*got 'x 1'"):
+        load_sequences(token)
+    assert cli_main(["check", "--file", str(token)]) == 2
