@@ -99,13 +99,17 @@ def test_exponential_family_matches_quadrature_pmf():
     assert tv < 0.02, f"total variation {tv}"
 
 
-def test_split_fixed_stochastic_rounding():
+def test_stochastic_round_integer_and_limit_cases():
     rng = np.random.default_rng(5)
     # integer products never move
     assert split_degrees((4,) * 100, 1.0, "fixed", "stochastic", rng).intra == (4,) * 100
     # 0.999 rounds up almost always
     ups = sum(split_degrees((1,) * 2000, 0.999, "fixed", "stochastic", rng).intra)
     assert ups > 1900
+
+
+def test_stochastic_round_expectation():
+    rng = np.random.default_rng(6)
     # 9 * 0.25 = 2.25 rounds to 2 or 3 with mean 2.25
     n = 100_000
     draws = np.array(split_degrees((9,) * n, 0.25, "fixed", "stochastic", rng).intra, dtype=float)
