@@ -126,6 +126,11 @@ class Snapshot:
         if covered != set(nodes):
             raise AssertionError("clustering does not cover the node set")
         for nid, node in nodes.items():
+            if not 0 <= node.community < len(self.clustering):
+                raise AssertionError(
+                    f"node {nid}: community index {node.community} outside the"
+                    f" {len(self.clustering)} communities"
+                )
             if nid not in self.clustering[node.community]:
                 raise AssertionError(f"node {nid} missing from its community")
         for nid, node in nodes.items():

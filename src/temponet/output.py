@@ -8,11 +8,16 @@ into maximal runs; ``Communities`` lists one ``[start,end,label)`` segment
 per maximal run of constant community label.  ``edges.csv`` has the header
 ``Source,Target,Type,Interval`` with ``Type`` always ``Undirected`` and the
 same interval syntax.  Snapshot ``t`` covers ``[t, t+1)``.
+
+Both files come from one sort of per-step id arrays: node ids with their
+labels sorted by (id, t), link endpoints sorted by (u, v, t), with a run
+starting wherever the key changes, ``t`` skips a step or the label changes.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -65,51 +70,130 @@ class RunReport:
         return [b.temporal_degree_correlation for b in self.boundaries]
 
 
-def _runs(points) -> str:
-    """Interval text of ``(t, key)`` points: one ``[start,end,key)`` segment per
-    maximal run of consecutive timesteps with one key, ``[start,end)`` when the
-    key is None."""
-    runs = []
-    for t, key in sorted(points):
-        if runs and runs[-1][1] == t and runs[-1][2] == key:
-            runs[-1][1] = t + 1
+# keys (node ids or edges) formatted per write: small blocks keep few strings
+# alive at once (4,096-key blocks raised the churn benchmark's peak RSS by
+# about 0.6 MB), and the per-block numpy calls cost nothing measurable
+_BLOCK = 256
+
+
+def _changed(*columns) -> np.ndarray:
+    """Mask of the rows where any column differs from the row before; row 0 is set."""
+    mark = np.zeros(len(columns[0]), dtype=bool)
+    mark[:1] = True
+    for col in columns:
+        mark[1:] |= col[1:] != col[:-1]
+    return mark
+
+
+def _after_gap(t, mark) -> np.ndarray:
+    """``mark`` plus every row whose ``t`` does not follow the row before by one."""
+    out = mark.copy()
+    out[1:] |= t[1:] != t[:-1] + 1
+    return out
+
+
+def _interval_blocks(t, key_start, run_start, label=None):
+    """Yield ``(rows, texts)`` per block of up to ``_BLOCK`` keys.
+
+    Rows are sorted by key, then by ``t``.  ``key_start`` marks the first row
+    of each key and ``run_start`` the first row of each run; every key start
+    starts a run.  A run is the segment ``[t0,t1)``, or ``[t0,t1,label)`` when
+    ``label`` is given, from its first row's ``t`` to one past its last row's.
+    ``rows`` holds the first row of each key in the block, ``texts`` its
+    segments joined by ``"; "``.  Apart from ``keys``, every temporary is
+    made per block, so none spans the whole file.
+    """
+    keys = np.append(np.flatnonzero(key_start), t.size)
+    for k in range(0, keys.size - 1, _BLOCK):
+        lo, hi = keys[k], keys[min(k + _BLOCK, keys.size - 1)]
+        runs = np.flatnonzero(run_start[lo:hi])
+        tb = t[lo:hi]
+        first = tb[runs].tolist()
+        end = (tb[np.append(runs, hi - lo)[1:] - 1] + 1).tolist()
+        if label is None:
+            segs = [f"[{x},{y})" for x, y in zip(first, end)]
         else:
-            runs.append([t, t + 1, key])
-    return "<" + "; ".join(
-        f"[{a},{b})" if key is None else f"[{a},{b},{key})" for a, b, key in runs
-    ) + ">"
+            lab = label[lo:hi][runs].tolist()
+            segs = [f"[{x},{y},{c})" for x, y, c in zip(first, end, lab)]
+        cut = np.append(np.flatnonzero(key_start[lo:hi][runs]), runs.size).tolist()
+        texts = [segs[i] if j - i == 1 else "; ".join(segs[i:j]) for i, j in zip(cut, cut[1:])]
+        yield keys[k : k + len(texts)], texts
+
+
+def _write_nodes(snaps, path) -> None:
+    """``nodes.csv`` from the (id, t)-sorted node ids and labels of ``snaps``,
+    which is sorted by ``t``."""
+    count = [len(s.nodes) for s in snaps]
+    nid = np.empty(sum(count), dtype=np.int64)
+    label = np.empty_like(nid)
+    at = 0
+    for snap, n in zip(snaps, count):
+        comm = np.fromiter((node.community for node in snap.nodes.values()), np.int64, n)
+        nid[at : at + n] = np.fromiter(snap.nodes, np.int64, n)
+        label[at : at + n] = np.asarray(snap.community_labels, dtype=np.int64)[comm]
+        at += n
+    t = np.repeat(np.array([s.t for s in snaps], dtype=np.int64), count)
+    order = np.argsort(nid, kind="stable")
+    nid, t, label = nid[order], t[order], label[order]
+    key = _changed(nid)
+    life = _after_gap(t, key)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("Id,Label,Communities,Interval\n")
+        blocks = zip(
+            _interval_blocks(t, key, life | _changed(label), label),
+            _interval_blocks(t, key, life),
+        )
+        for (rows, comms), (_, lives) in blocks:
+            fh.writelines(
+                f'{i},n{i},"<{c}>","<{iv}>"\n'
+                for i, c, iv in zip(nid[rows].tolist(), comms, lives)
+            )
+
+
+def _write_edges(snaps, path) -> None:
+    """``edges.csv`` from the (u, v, t)-sorted link endpoints of ``snaps``,
+    which is sorted by ``t``."""
+    count = [len(s.links) for s in snaps]
+    u = np.empty(sum(count), dtype=np.int64)
+    v = np.empty_like(u)
+    at = 0
+    for snap, m in zip(snaps, count):
+        uv = np.fromiter(itertools.chain.from_iterable(snap.links), np.int64, 2 * m)
+        u[at : at + m] = uv[0::2]
+        v[at : at + m] = uv[1::2]
+        at += m
+    t = np.repeat(np.array([s.t for s in snaps], dtype=np.int64), count)
+    order = np.lexsort((v, u))
+    # one column at a time, so at most one unsorted copy is alive beside the rest
+    u = u[order]
+    v = v[order]
+    t = t[order]
+    del order
+    key = _changed(u, v)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("Source,Target,Type,Interval\n")
+        for rows, lives in _interval_blocks(t, key, _after_gap(t, key)):
+            fh.writelines(
+                f'{a},{b},Undirected,"<{iv}>"\n'
+                for a, b, iv in zip(u[rows].tolist(), v[rows].tolist(), lives)
+            )
 
 
 def export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
-    """Write ``nodes.csv`` and ``edges.csv`` for the snapshot sequence."""
+    """Write ``nodes.csv`` and ``edges.csv`` for the snapshot sequence.
+
+    Every interval field holds a comma and no field holds a quote or a
+    newline, so exactly the interval fields are quoted, as ``csv.writer``
+    would quote them.
+    """
     if not snapshots:
         raise ConfigurationError("nothing to export: no snapshots")
     os.makedirs(outdir, exist_ok=True)
-    node_labels: dict[int, list[tuple[int, int]]] = {}
-    edge_times: dict[tuple[int, int], list[int]] = {}
-    for snap in snapshots:
-        for nid, node in snap.nodes.items():
-            label = snap.community_labels[node.community]
-            node_labels.setdefault(nid, []).append((snap.t, label))
-        for edge in snap.links:
-            edge_times.setdefault(edge, []).append(snap.t)
-
+    snaps = sorted(snapshots, key=lambda s: s.t)
     nodes_path = os.path.join(outdir, "nodes.csv")
-    with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["Id", "Label", "Communities", "Interval"])
-        for nid in sorted(node_labels):
-            points = node_labels[nid]
-            writer.writerow(
-                [nid, f"n{nid}", _runs(points), _runs((t, None) for t, _ in points)]
-            )
-
+    _write_nodes(snaps, nodes_path)
     edges_path = os.path.join(outdir, "edges.csv")
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["Source", "Target", "Type", "Interval"])
-        for u, v in sorted(edge_times):
-            writer.writerow([u, v, "Undirected", _runs((t, None) for t in edge_times[(u, v)])])
+    _write_edges(snaps, edges_path)
     return nodes_path, edges_path
 
 

@@ -121,6 +121,15 @@ def plan_transition(
     )
 
 
+def _per_boundary(kills) -> bool:
+    """Whether a kill spec lists one entry (a count or an id list) per boundary."""
+    return (
+        isinstance(kills, (list, tuple))
+        and bool(kills)
+        and isinstance(kills[0], (list, tuple, int))
+    )
+
+
 @dataclass
 class RunConfig:
     """Everything a reproducible run needs."""
@@ -157,6 +166,8 @@ class RunConfig:
         counts = self.kills if isinstance(self.kills, (list, tuple)) else [self.kills]
         if any(isinstance(x, int) and x < 0 for x in counts):
             raise ConfigurationError("random kill counts must be >= 0")
+        if _per_boundary(self.kills) and len(self.kills) < self.timesteps - 1:
+            raise ConfigurationError("kill list shorter than the number of boundaries")
         if self.repair_budget_factor < 0:
             raise ConfigurationError("repair_budget_factor must be >= 0")
         if self.max_sequence_retries < 1:
@@ -187,9 +198,7 @@ class RunResult:
 def _kills_for_boundary(cfg: RunConfig, boundary: int):
     """Resolve the kill spec for boundary t -> t+1 into (explicit ids, random count)."""
     spec = cfg.kills
-    if isinstance(spec, (list, tuple)) and spec and isinstance(spec[0], (list, tuple, int)):
-        if len(spec) <= boundary:
-            raise ConfigurationError("kill list shorter than the number of boundaries")
+    if _per_boundary(spec):
         spec = spec[boundary]
     if isinstance(spec, int):
         return (), spec

@@ -316,6 +316,19 @@ def test_validate_matches_the_two_pass_reference():
     assert seen == set(checks)
 
 
+@pytest.mark.parametrize("community", [-1, 2], ids=["negative", "past_the_end"])
+def test_validate_rejects_a_community_index_outside_the_clustering(community):
+    # clustering[-1] holds node 0, so only a range check catches the negative index
+    snap = Snapshot(
+        t=0,
+        nodes={0: Node(0, 0, 0, community), 1: Node(1, 0, 0, 0)},
+        links=set(),
+        clustering=[{1}, {0}],
+    )
+    with pytest.raises(AssertionError, match=f"node 0: community index {community} outside"):
+        snap.validate()
+
+
 def test_wire_intra_forced_k4():
     links, repairs = wire_intra(
         [(0, 3, 3), (1, 3, 3), (2, 3, 3), (3, 3, 3)], ShapeParams(), np.random.default_rng(0)

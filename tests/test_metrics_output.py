@@ -25,6 +25,7 @@ from temponet import (
     temporal_degree_correlation,
 )
 from temponet.metrics import assortativity_details, temporal_degree_correlation_details
+from temponet import output
 from temponet.output import RunReport, SnapshotMetrics, write_report
 
 from oracles import modularity_reference, pearson_reference, reference_export_temporal_csv
@@ -204,6 +205,58 @@ def test_export_matches_the_per_field_reference(tmp_path):
         got = export_temporal_csv(snaps, tmp_path / f"new{case}")
         for a, b in zip(want, got):
             assert Path(a).read_bytes() == Path(b).read_bytes(), case
+
+
+def _sticky_snapshots(rng, steps, n) -> list[Snapshot]:
+    """``steps`` snapshots in shuffled order over ``n`` ids above 2**32 and a
+    few small ones, with labels above 2**31.  Presence, labels and links follow
+    sticky chains: runs are long, and gaps and label changes fall inside
+    lifetimes.  The last third of the ids never get a link."""
+    ids = np.unique(np.concatenate([rng.integers(0, 50, 5), 2**32 + rng.integers(0, 2**40, n)]))
+    values = [2**31, 2**31 + 7, 2**45 + 1]
+    linkable = 2 * len(ids) // 3
+    ends = rng.integers(0, linkable, (2, 2 * len(ids)))
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in ends.T.tolist() if a != b})
+    alive = rng.random(len(ids)) < 0.7
+    label = rng.integers(0, len(values), len(ids))
+    linked = rng.random(len(pairs)) < 0.5
+    snaps = []
+    for t in range(steps):
+        alive ^= rng.random(len(ids)) < 0.15
+        moved = rng.random(len(ids)) < 0.1
+        label[moved] = rng.integers(0, len(values), int(moved.sum()))
+        linked ^= rng.random(len(pairs)) < 0.2
+        order = rng.permutation(len(values))
+        community = np.argsort(order)  # label index -> community index
+        clustering = [set() for _ in values]
+        nodes = {}
+        for i in np.flatnonzero(alive).tolist():
+            nid, c = int(ids[i]), int(community[label[i]])
+            nodes[nid] = Node(id=nid, degree=0, intra_degree=0, community=c)
+            clustering[c].add(nid)
+        links = {
+            (int(ids[a]), int(ids[b]))
+            for (a, b), on in zip(pairs, linked.tolist())
+            if on and alive[a] and alive[b]
+        }
+        labels = [values[k] for k in order.tolist()]
+        snaps.append(Snapshot(t, nodes, links, clustering, community_labels=labels))
+    return [snaps[i] for i in rng.permutation(steps)]
+
+
+def test_export_matches_the_reference_on_wide_ids_and_long_runs(tmp_path):
+    # ids and labels past 32 bits, 30+ timesteps, linkless nodes, shuffled
+    # input, and one network whose node and edge keys span several blocks
+    rng = np.random.default_rng(808)
+    cases = [(int(rng.integers(30, 46)), 40) for _ in range(12)] + [(3, 2000)]
+    for case, (steps, n) in enumerate(cases):
+        snaps = _sticky_snapshots(rng, steps, n)
+        want = reference_export_temporal_csv(snaps, tmp_path / f"ref{case}")
+        got = export_temporal_csv(snaps, tmp_path / f"new{case}")
+        for a, b in zip(want, got):
+            assert Path(a).read_bytes() == Path(b).read_bytes(), case
+    for path in got:
+        assert len(Path(path).read_text().splitlines()) > 2 * output._BLOCK + 1
 
 
 def test_export_requires_snapshots(tmp_path):

@@ -96,6 +96,33 @@ def test_run_config_rejects_values_that_fail_later(field, value, message):
         small_cfg(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "kills, accepted",
+    [
+        ([1, 2, 0, 4, 5], True),
+        ([1, 2], False),
+        ([[3], [], [4, 5], [6], [7]], True),
+        ([[3], [4, 5]], False),
+        ([1, 2, 0, 4, 5, 6], True),
+        (4, True),
+        ([], True),
+    ],
+    ids=[
+        "counts", "counts_short", "id_lists", "id_lists_short", "counts_long",
+        "one_count", "no_ids",
+    ],
+)
+def test_run_config_checks_a_per_boundary_kill_list_up_front(kills, accepted):
+    # six timesteps have five boundaries; a short list fails before any wiring
+    if not accepted:
+        with pytest.raises(ConfigurationError, match="kill list shorter"):
+            small_cfg(timesteps=6, kills=kills)
+        return
+    cfg = small_cfg(timesteps=6, kills=kills)
+    for boundary in range(5):
+        pipeline._kills_for_boundary(cfg, boundary)
+
+
 def test_boundary_recount_reads_the_realized_snapshots(monkeypatch):
     # an assembly that swaps the targets of two survivors from different
     # source communities into different target communities must not pass
