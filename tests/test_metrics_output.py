@@ -24,8 +24,8 @@ from temponet import (
     split_degrees,
     temporal_degree_correlation,
 )
-from temponet.metrics import assortativity_details, temporal_degree_correlation_details
 from temponet import output
+from temponet.metrics import assortativity_details, temporal_degree_correlation_details
 from temponet.output import RunReport, SnapshotMetrics, write_report
 
 from oracles import modularity_reference, pearson_reference, reference_export_temporal_csv
