@@ -16,6 +16,14 @@ and its neighbours carry weight 0 in the tree.  Inter mode adds one tree per
 community over the same positions, k * n cells in all, and descends the
 global tree minus the node's own-community tree.  A draw picks exactly the
 position that a cumulative sum and ``searchsorted`` would pick.
+
+A node takes the Beta variates for its partners in batches of
+``min(open stubs, eligible positions with positive weight)``.  Each draw
+bans the one position it picks, so no draw of a batch finds the eligible
+weight empty, and a batch is empty exactly when it is, which is when a
+repair runs.  ``Generator.beta(a, b, size=k)`` yields the variates of k
+single calls, so the links, repairs and generator state are those of one
+draw per stub.
 """
 
 from __future__ import annotations
@@ -308,113 +316,6 @@ def _fenwick(weights: np.ndarray) -> list[int]:
     return cum.tolist()
 
 
-class _StubSampler:
-    """Open stubs of one wiring phase, drawn by degree-ordered position in O(log n).
-
-    Positions sort the phase's nodes by (total degree, id); ``rem[p]`` counts
-    the open stubs at position p.  ``tree`` is a Fenwick tree over each
-    position's effective weight: ``rem[p]``, or 0 while p is banned for the
-    node being filled.  In inter mode (``community_of`` given) ``own[c]``
-    mirrors those effective weights for the members of community c only, so
-    the weight eligible for a node of community c is ``tree - own[c]``.
-    ``saturated`` holds the positions whose stubs were all taken by links.
-    """
-
-    def __init__(self, entries, community_of=None):
-        # entries: iterable of (node_id, total_degree, stubs)
-        entries = sorted(entries, key=lambda t: (t[1], t[0]))
-        self.ids = [nid for nid, _, _ in entries]
-        self.pos = {nid: p for p, nid in enumerate(self.ids)}
-        rem = np.array([s for _, _, s in entries], dtype=np.int64)
-        self.rem: list[int] = rem.tolist()
-        self.banned = [False] * len(self.ids)
-        self.saturated: set[int] = set()
-        self.tree = _fenwick(rem)
-        self.total = sum(self.rem)
-        self.comm: list[int] | None = None
-        if community_of is not None:
-            index: dict[object, int] = {}
-            self.comm = [index.setdefault(community_of[nid], len(index)) for nid in self.ids]
-            comm = np.array(self.comm, dtype=np.int64)
-            self.own: list[list[int]] = []
-            self.own_total: list[int] = []
-            for c in range(len(index)):
-                weights = np.where(comm == c, rem, 0)
-                self.own.append(_fenwick(weights))
-                self.own_total.append(int(weights.sum()))
-
-    def _add(self, p: int, delta: int) -> None:
-        """Add ``delta`` to position p's effective weight."""
-        tree, m = self.tree, len(self.rem)
-        i = p + 1
-        self.total += delta
-        if self.comm is None:
-            while i <= m:
-                tree[i] += delta
-                i += i & -i
-            return
-        c = self.comm[p]
-        own = self.own[c]
-        self.own_total[c] += delta
-        while i <= m:
-            tree[i] += delta
-            own[i] += delta
-            i += i & -i
-
-    def ban(self, p: int) -> None:
-        self.banned[p] = True
-        if self.rem[p]:
-            self._add(p, -self.rem[p])
-
-    def unban(self, p: int) -> None:
-        self.banned[p] = False
-        if self.rem[p]:
-            self._add(p, self.rem[p])
-
-    def take(self, p: int) -> None:
-        """Close one of position p's stubs."""
-        self.rem[p] -= 1
-        if not self.rem[p]:
-            self.saturated.add(p)
-        if not self.banned[p]:
-            self._add(p, -1)
-
-    def give(self, p: int) -> None:
-        """Reopen one of position p's stubs."""
-        self.rem[p] += 1
-        self.saturated.discard(p)
-        if not self.banned[p]:
-            self._add(p, 1)
-
-    def draw(self, rng, shape: ShapeParams, p: int) -> int | None:
-        """Position of a partner for position p's node, or None when none is eligible.
-
-        The Beta variate picks a rank among the eligible stubs; the descent
-        returns the first position whose eligible prefix weight exceeds it.
-        """
-        tree = self.tree
-        if self.comm is None:
-            own, total = None, self.total
-        else:
-            c = self.comm[p]
-            own, total = self.own[c], self.total - self.own_total[c]
-        if total <= 0:
-            return None
-        rank = min(int(rng.beta(shape.alpha, shape.beta) * total), total - 1)
-        m = len(self.rem)
-        pos = 0
-        step = 1 << (m.bit_length() - 1)
-        while step:
-            nxt = pos + step
-            if nxt <= m:
-                w = tree[nxt] if own is None else tree[nxt] - own[nxt]
-                if w <= rank:
-                    pos = nxt
-                    rank -= w
-            step >>= 1
-        return pos
-
-
 def _wire_phase(
     entries,
     shape: ShapeParams,
@@ -427,78 +328,183 @@ def _wire_phase(
     ``community_of`` switches inter mode: partners must then live in a
     different community.  Raises ``WiringError`` when the repair budget is
     exhausted.
+
+    Positions sort the phase's nodes by (total degree, id); ``rem[q]`` counts
+    the open stubs at position q, and nodes fill largest degree first.
+    ``tree`` is a Fenwick tree over each position's effective weight:
+    ``rem[q]``, or 0 while q is banned for the node p being filled (p and its
+    neighbours).  Zero weights pad it to ``size``, a power of two, so
+    ``tree[size]`` is the whole weight and the descent needs no bounds check.
+    In inter mode ``owns[c]`` mirrors those weights for the members of
+    community c only, and p's eligible weight is ``tree - owns[comm[p]]``.
+
+    Prefetch rule: p draws ``k = min(rem[p], eligible)`` Beta variates at
+    once, where ``eligible`` counts the eligible positions with positive
+    weight.  Every draw takes the positive position it lands on and bans it,
+    so ``eligible`` falls by exactly one per draw and none of the k draws
+    finds the weight empty.  ``k`` is 0 exactly when the eligible weight is,
+    and only then does ``repair`` run, with its ``rng.integers`` calls.  One
+    draw per stub would make the same draws and repairs in the same order.
     """
-    pool = _StubSampler(entries, community_of)
-    ids, pos, rem = pool.ids, pool.pos, pool.rem
-    if pool.total % 2 == 1:
+    entries = sorted(entries, key=lambda t: (t[1], t[0]))
+    ids = [nid for nid, _, _ in entries]
+    m = len(ids)
+    size = 1 << max(m - 1, 0).bit_length()
+    weights = np.zeros(size, dtype=np.int64)
+    weights[:m] = [s for _, _, s in entries]
+    if int(weights.sum()) % 2 == 1:
         raise WiringError("odd number of stubs in a wiring phase")
-    adjacency: dict[int, set[int]] = defaultdict(set)
-    links: set[tuple[int, int]] = set()
+    rem: list[int] = weights[:m].tolist()
+    tree = _fenwick(weights)
+    inter = community_of is not None
+    if inter:
+        index: dict[object, int] = {}
+        comm = [index.setdefault(community_of[nid], len(index)) for nid in ids]
+        labels = np.full(size, -1, dtype=np.int64)
+        labels[:m] = comm
+        owns = [_fenwick(np.where(labels == c, weights, 0)) for c in range(len(index))]
+    else:
+        comm = [0] * m
+        owns = [None]
+    # open (rem > 0) positions, in all and per community
+    open_in = [0] * len(owns)
+    for q in np.flatnonzero(weights).tolist():
+        open_in[comm[q]] += 1
+    open_count = sum(open_in)
+    saturated: set[int] = set()  # positions whose stubs were all taken by links
+    adj: list[set[int]] = [set() for _ in range(m)]  # neighbour positions
     repairs = 0
-
-    heap = [(-d, nid) for nid, d, s in entries if s > 0]
+    alpha, beta = shape.alpha, shape.beta
+    heap = [(-d, p) for p, (_, d, s) in enumerate(entries) if s > 0]
     heapq.heapify(heap)
-    degree_of = {nid: d for nid, d, _ in entries}
 
-    def add_link(u: int, b: int) -> None:
-        # u is being filled: b joins its banned neighbours
-        links.add((u, b) if u < b else (b, u))
-        adjacency[u].add(b)
-        adjacency[b].add(u)
-        pool.ban(pos[b])
-        pool.take(pos[u])
-        pool.take(pos[b])
+    def add(q: int, delta: int) -> None:
+        """Add ``delta`` to position q's effective weight."""
+        own = owns[comm[q]]
+        i = q + 1
+        if own is None:
+            while i <= size:
+                tree[i] += delta
+                i += i & -i
+        else:
+            while i <= size:
+                tree[i] += delta
+                own[i] += delta
+                i += i & -i
 
-    def repair(u: int) -> None:
-        nonlocal repairs
+    def repair(p: int) -> int:
+        """Break a link (w, v) of a saturated eligible node w and link p to w;
+        returns 1 when v is now an eligible position with positive weight."""
+        nonlocal repairs, open_count
         # candidates, in position order: eligible partners with all stubs
-        # taken, so >= 1 link to break (u itself still has open stubs)
-        cands = []
-        for p in sorted(pool.saturated):
-            w = ids[p]
-            if w in adjacency[u]:
-                continue
-            if community_of is not None and community_of[w] == community_of[u]:
-                continue
-            cands.append(w)
+        # taken, so >= 1 link to break (p itself still has open stubs)
+        cands = [
+            q for q in sorted(saturated) if q not in adj[p] and not (inter and comm[q] == comm[p])
+        ]
         if not cands:
             raise WiringError(
-                f"node {u}: no candidate links to rewire ({rem[pos[u]]} stubs left)"
+                f"node {ids[p]}: no candidate links to rewire ({rem[p]} stubs left)"
             )
         w = cands[int(rng.integers(len(cands)))]
-        neighbors = sorted(adjacency[w])
+        neighbors = sorted(adj[w], key=ids.__getitem__)
         v = neighbors[int(rng.integers(len(neighbors)))]
-        key = (w, v) if w < v else (v, w)
-        links.discard(key)
-        adjacency[w].discard(v)
-        adjacency[v].discard(w)
-        pool.give(pos[w])
-        pool.give(pos[v])
-        add_link(u, w)
-        heapq.heappush(heap, (-degree_of[v], v))
+        adj[w].discard(v)
+        adj[v].discard(w)
+        # w gets a stub back and spends it on p at once, so it stays saturated
+        adj[p].add(w)
+        adj[w].add(p)
+        rem[p] -= 1
+        rem[v] += 1
+        if rem[v] == 1:
+            saturated.discard(v)
+            open_count += 1
+            open_in[comm[v]] += 1
+        heapq.heappush(heap, (-entries[v][1], v))
         repairs += 1
         if repairs > budget:
             raise WiringError(f"wiring repair budget ({budget}) exhausted")
+        if v in adj[p]:  # banned while p fills
+            return 0
+        add(v, 1)
+        return int(rem[v] == 1 and not (inter and comm[v] == comm[p]))
 
     while heap:
-        _, u = heapq.heappop(heap)
-        p = pos[u]
+        p = heapq.heappop(heap)[1]
         if not rem[p]:
             continue
-        pool.ban(p)
-        for v in adjacency[u]:
-            pool.ban(pos[v])
-        while rem[p] > 0:
-            q = pool.draw(rng, shape, p)
-            if q is None:
-                repair(u)
-            else:
-                add_link(u, ids[q])
-        pool.unban(p)
-        for v in adjacency[u]:
-            pool.unban(pos[v])
+        c = comm[p]
+        own_c = owns[c]
+        adj_p = adj[p]
+        # ban p and its neighbours (in inter mode all outside c); the
+        # eligible positive positions are the open ones outside the bans
+        # and, in inter mode, outside c
+        eligible = open_count - (open_in[c] - 1 if inter else 0)
+        for q in [p, *adj_p]:
+            if rem[q]:
+                eligible -= 1
+                add(q, -rem[q])
+        while rem[p]:
+            k = min(rem[p], eligible)
+            if not k:
+                eligible += repair(p)
+                continue
+            total = tree[size] if own_c is None else tree[size] - own_c[size]
+            for x in rng.beta(alpha, beta, size=k).tolist():
+                rank = int(x * total)
+                if rank == total:
+                    rank -= 1
+                q = 0
+                step = size >> 1
+                if own_c is None:
+                    while step:
+                        w = tree[q + step]
+                        if w <= rank:
+                            q += step
+                            rank -= w
+                        step >>= 1
+                else:
+                    while step:
+                        w = tree[q + step] - own_c[q + step]
+                        if w <= rank:
+                            q += step
+                            rank -= w
+                        step >>= 1
+                # ban the partner at q and close one of its stubs
+                w = rem[q]
+                rem[q] = w - 1
+                total -= w
+                if w == 1:
+                    saturated.add(q)
+                    open_count -= 1
+                    open_in[comm[q]] -= 1
+                i = q + 1
+                own = owns[comm[q]]
+                if own is None:
+                    while i <= size:
+                        tree[i] -= w
+                        i += i & -i
+                else:
+                    while i <= size:
+                        tree[i] -= w
+                        own[i] -= w
+                        i += i & -i
+                adj_p.add(q)
+                adj[q].add(p)
+            rem[p] -= k
+            eligible -= k
+        saturated.add(p)
+        open_count -= 1
+        open_in[c] -= 1
+        # unban: partners and neighbours get their open stubs back
+        for q in adj_p:
+            if rem[q]:
+                add(q, rem[q])
     if any(rem):
         raise WiringError("stubs left unpaired after the wiring loop")
+    links = set()
+    for p, nbrs in enumerate(adj):
+        u = ids[p]
+        links.update((u, ids[q]) for q in nbrs if u < ids[q])
     return links, repairs
 
 

@@ -482,31 +482,46 @@ def test_star_forcing_spec_always_stars():
 
 
 def test_uniform_pairing_approximates_cm_baseline():
-    # a 10-node, 15-link sequence.  With the simplicity
-    # exclusions lifted (plain uniform stub matching driven through the same
-    # position-draw machinery), expected pair multiplicities equal
+    # a 10-node, 15-link sequence.  With the simplicity exclusions lifted
+    # (plain uniform stub matching through the wiring's degree-ordered
+    # Fenwick tree and Beta-rank descent), expected pair multiplicities equal
     # k_i * k_j / (S - 1); checked for pairs with small k_i * k_j
-    from temponet.assembler import _StubSampler
-
     degrees = (4, 4, 3, 3, 4, 3, 3, 2, 2, 2)
     baseline = degree_joint_distribution_baseline(degrees)
-    shape = ShapeParams(1, 1)
+    ids = sorted(range(10), key=lambda i: (degrees[i], i))  # position -> node
+    size = 16
+    weights = np.zeros(size, dtype=np.int64)
+    weights[:10] = [degrees[i] for i in ids]
+    fresh = assembler._fenwick(weights)
+    fill_order = sorted(range(10), key=lambda p: -degrees[ids[p]])
     rng = np.random.default_rng(31)
     runs = 100_000
     counts = np.zeros((10, 10))
+
+    def take(tree, q):
+        i = q + 1
+        while i <= size:
+            tree[i] -= 1
+            i += i & -i
+
     for _ in range(runs):
-        pool = _StubSampler([(i, d, d) for i, d in enumerate(degrees)])
-        open_nodes = sorted(range(10), key=lambda i: -degrees[i])
-        while True:
-            u = next((i for i in open_nodes if pool.rem[pool.pos[i]] > 0), None)
-            if u is None:
-                break
-            pool.take(pool.pos[u])  # the stub being matched
-            v = pool.ids[pool.draw(rng, shape, pool.pos[u])]
-            pool.take(pool.pos[v])
-            if u != v:
-                counts[u, v] += 1
-                counts[v, u] += 1
+        tree, rem = fresh.copy(), weights.tolist()
+        for x in rng.beta(1, 1, size=15).tolist():
+            p = next(p for p in fill_order if rem[p])
+            rem[p] -= 1  # the stub being matched
+            take(tree, p)
+            total = tree[size]
+            rank, q, step = min(int(x * total), total - 1), 0, size >> 1
+            while step:
+                if tree[q + step] <= rank:
+                    rank -= tree[q + step]
+                    q += step
+                step >>= 1
+            rem[q] -= 1
+            take(tree, q)
+            if p != q:
+                counts[ids[p], ids[q]] += 1
+                counts[ids[q], ids[p]] += 1
     mean_mult = counts / runs
     small = [
         (u, v)
@@ -519,22 +534,36 @@ def test_uniform_pairing_approximates_cm_baseline():
         assert mean_mult[u, v] == pytest.approx(baseline[u, v], rel=0.05), (u, v)
 
 
-@pytest.mark.parametrize("pairing", [(1, 1), (5, 1), (1, 5)])
+@pytest.mark.parametrize("a, b", [(1, 1), (0.5, 0.5), (5, 1), (2, 0.5)])
+def test_batched_beta_draws_equal_single_draws(a, b):
+    # numpy draws Beta(a, b) with Johnk's algorithm for a, b <= 1 and as a
+    # gamma ratio otherwise; both must give one size=k call the variates and
+    # generator state of k single calls
+    why = "the wiring prefetches a node's Beta variates in one call and relies on this"
+    for k in (1, 2, 7, 64):
+        batch, single = np.random.default_rng(k), np.random.default_rng(k)
+        assert batch.beta(a, b, size=k).tolist() == [single.beta(a, b) for _ in range(k)], why
+        assert batch.bit_generator.state == single.bit_generator.state, why
+
+
+@pytest.mark.parametrize("pairing", [(1, 1), (5, 1), (1, 5), (0.5, 0.5)])
 def test_tree_sampler_wires_like_the_cumsum_reference(pairing):
     # the Fenwick descent must pick exactly the partner the per-draw cumsum
-    # and searchsorted picked: same links, repairs, errors and generator state
+    # and searchsorted picked: same links, repairs, errors and generator state.
+    # Trials 120-131 are mid-size (n up to 120) with realistic stub counts.
     shape = ShapeParams(*pairing)
     gen = np.random.default_rng(53)
     repaired = {"intra": 0, "inter": 0}
-    for trial in range(120):
-        n = int(gen.integers(2, 40))
+    for trial in range(132):
+        n = int(gen.integers(2, 40)) if trial < 120 else int(gen.integers(40, 121))
         if trial % 2:
             mode, k = "inter", int(gen.integers(2, 6))
             community_of = {i: int(gen.integers(k)) for i in range(n)}
             stubs = [int(gen.integers(0, 7)) for _ in range(n)]
         else:
             mode, community_of = "intra", None
-            stubs = [int(gen.integers(0, n)) for _ in range(n)]
+            top = n if trial < 120 else 10
+            stubs = [int(gen.integers(0, top)) for _ in range(n)]
         if sum(stubs) % 2:
             stubs[int(gen.integers(n))] += 1
         entries = [(i, int(gen.integers(1, 30)), stubs[i]) for i in range(n)]
