@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import numbers
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -121,13 +123,27 @@ def plan_transition(
     )
 
 
-def _per_boundary(kills) -> bool:
-    """Whether a kill spec lists one entry (a count or an id list) per boundary."""
-    return (
-        isinstance(kills, (list, tuple))
-        and bool(kills)
-        and isinstance(kills[0], (list, tuple, int))
-    )
+def _normalize_kills(kills):
+    """A kill spec as an ``int`` count for every boundary, or as a tuple with
+    one entry per boundary, each an ``int`` count or a tuple of ids; ``()``
+    kills nobody.  Any integral type counts as an integer."""
+    if isinstance(kills, numbers.Integral):
+        return operator.index(kills)
+    if not isinstance(kills, (list, tuple)):
+        raise ConfigurationError(f"kills must be a count or a list, not {kills!r}")
+    out = []
+    for entry in kills:
+        if isinstance(entry, numbers.Integral):
+            out.append(operator.index(entry))
+        elif isinstance(entry, (list, tuple)) and all(
+            isinstance(x, numbers.Integral) for x in entry
+        ):
+            out.append(tuple(operator.index(x) for x in entry))
+        else:
+            raise ConfigurationError(
+                f"kill list entry {entry!r} is neither a count nor a list of ids"
+            )
+    return tuple(out)
 
 
 @dataclass
@@ -140,7 +156,7 @@ class RunConfig:
     degree_cfg: SamplerConfig | None = None
     community_count: int = 4
     sequence_file: str | None = None
-    kills: object = 0  # int per boundary, or a per-boundary list of int / id lists
+    kills: object = 0  # count per boundary, or a per-boundary list of counts / id lists
     pairing_shape: ShapeParams = field(default_factory=ShapeParams)
     temporal_shape: ShapeParams = field(default_factory=ShapeParams)
     thresholds: LifecycleThresholds = field(default_factory=LifecycleThresholds)
@@ -163,10 +179,12 @@ class RunConfig:
                 raise ConfigurationError("community_count must be >= 1")
         if self.on_disconnected not in ("warn", "abort"):
             raise ConfigurationError("on_disconnected must be 'warn' or 'abort'")
-        counts = self.kills if isinstance(self.kills, (list, tuple)) else [self.kills]
+        self.kills = _normalize_kills(self.kills)
+        per_boundary = isinstance(self.kills, tuple)
+        counts = self.kills if per_boundary else (self.kills,)
         if any(isinstance(x, int) and x < 0 for x in counts):
             raise ConfigurationError("random kill counts must be >= 0")
-        if _per_boundary(self.kills) and len(self.kills) < self.timesteps - 1:
+        if per_boundary and self.kills and len(self.kills) < self.timesteps - 1:
             raise ConfigurationError("kill list shorter than the number of boundaries")
         if self.repair_budget_factor < 0:
             raise ConfigurationError("repair_budget_factor must be >= 0")
@@ -198,11 +216,12 @@ class RunResult:
 def _kills_for_boundary(cfg: RunConfig, boundary: int):
     """Resolve the kill spec for boundary t -> t+1 into (explicit ids, random count)."""
     spec = cfg.kills
-    if _per_boundary(spec):
-        spec = spec[boundary]
     if isinstance(spec, int):
         return (), spec
-    return tuple(int(x) for x in spec), 0
+    if not spec:
+        return (), 0
+    entry = spec[boundary]
+    return ((), entry) if isinstance(entry, int) else (entry, 0)
 
 
 def _draw_sequences(cfg: RunConfig, rng: np.random.Generator) -> tuple[CommunitySpec, DegreeSpec]:

@@ -96,31 +96,40 @@ def test_run_config_rejects_values_that_fail_later(field, value, message):
         small_cfg(**{field: value})
 
 
+def counts(*n):
+    return [((), x) for x in n]
+
+
 @pytest.mark.parametrize(
-    "kills, accepted",
+    "kills, resolved",
     [
-        ([1, 2, 0, 4, 5], True),
-        ([1, 2], False),
-        ([[3], [], [4, 5], [6], [7]], True),
-        ([[3], [4, 5]], False),
-        ([1, 2, 0, 4, 5, 6], True),
-        (4, True),
-        ([], True),
+        ([1, 2, 0, 4, 5], counts(1, 2, 0, 4, 5)),
+        ([1, 2], "kill list shorter"),
+        ([[3], [], [4, 5], [6], [7]], [((3,), 0), ((), 0), ((4, 5), 0), ((6,), 0), ((7,), 0)]),
+        ([[3], [4, 5]], "kill list shorter"),
+        ([1, 2, 0, 4, 5, 6], counts(1, 2, 0, 4, 5)),
+        (4, counts(4, 4, 4, 4, 4)),
+        ([], counts(0, 0, 0, 0, 0)),
+        ([np.int64(2), np.int64(3), 0, 4, 5], counts(2, 3, 0, 4, 5)),
+        ([np.int64(-1), 3, 0, 4, 5], "random kill counts"),
+        (np.int64(3), counts(3, 3, 3, 3, 3)),
     ],
     ids=[
         "counts", "counts_short", "id_lists", "id_lists_short", "counts_long",
-        "one_count", "no_ids",
+        "one_count", "no_ids", "numpy_counts", "numpy_negative_count", "numpy_one_count",
     ],
 )
-def test_run_config_checks_a_per_boundary_kill_list_up_front(kills, accepted):
-    # six timesteps have five boundaries; a short list fails before any wiring
-    if not accepted:
-        with pytest.raises(ConfigurationError, match="kill list shorter"):
+def test_run_config_checks_a_per_boundary_kill_list_up_front(kills, resolved):
+    # six timesteps have five boundaries; a short list or a negative count
+    # fails before any wiring, and numpy integers are counts like ints
+    if isinstance(resolved, str):
+        with pytest.raises(ConfigurationError, match=resolved):
             small_cfg(timesteps=6, kills=kills)
         return
     cfg = small_cfg(timesteps=6, kills=kills)
-    for boundary in range(5):
-        pipeline._kills_for_boundary(cfg, boundary)
+    got = [pipeline._kills_for_boundary(cfg, boundary) for boundary in range(5)]
+    assert got == resolved
+    assert all(type(x) is int for ids, count in got for x in (*ids, count))
 
 
 def test_boundary_recount_reads_the_realized_snapshots(monkeypatch):
