@@ -450,9 +450,7 @@ def _wire_phase(
                 continue
             total = tree[size] if own_c is None else tree[size] - own_c[size]
             for x in rng.beta(alpha, beta, size=k).tolist():
-                rank = int(x * total)
-                if rank == total:
-                    rank -= 1
+                rank = min(int(x * total), total - 1)
                 q = 0
                 step = size >> 1
                 if own_c is None:

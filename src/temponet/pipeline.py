@@ -125,25 +125,22 @@ def plan_transition(
 
 def _normalize_kills(kills):
     """A kill spec as an ``int`` count for every boundary, or as a tuple with
-    one entry per boundary, each an ``int`` count or a tuple of ids; ``()``
-    kills nobody.  Any integral type counts as an integer."""
-    if isinstance(kills, numbers.Integral):
-        return operator.index(kills)
+    one entry per boundary, each an ``int`` count or a tuple of ids.  Any
+    integral type counts as an integer; an empty list kills nobody."""
+
+    def integer(x):
+        if isinstance(x, numbers.Integral):
+            return operator.index(x)
+        raise ConfigurationError(f"kills: {x!r} is not an integer")
+
     if not isinstance(kills, (list, tuple)):
-        raise ConfigurationError(f"kills must be a count or a list, not {kills!r}")
-    out = []
-    for entry in kills:
-        if isinstance(entry, numbers.Integral):
-            out.append(operator.index(entry))
-        elif isinstance(entry, (list, tuple)) and all(
-            isinstance(x, numbers.Integral) for x in entry
-        ):
-            out.append(tuple(operator.index(x) for x in entry))
-        else:
-            raise ConfigurationError(
-                f"kill list entry {entry!r} is neither a count nor a list of ids"
-            )
-    return tuple(out)
+        return integer(kills)
+    if not kills:
+        return 0
+    return tuple(
+        tuple(map(integer, entry)) if isinstance(entry, (list, tuple)) else integer(entry)
+        for entry in kills
+    )
 
 
 @dataclass
@@ -184,7 +181,7 @@ class RunConfig:
         counts = self.kills if per_boundary else (self.kills,)
         if any(isinstance(x, int) and x < 0 for x in counts):
             raise ConfigurationError("random kill counts must be >= 0")
-        if per_boundary and self.kills and len(self.kills) < self.timesteps - 1:
+        if per_boundary and len(self.kills) < self.timesteps - 1:
             raise ConfigurationError("kill list shorter than the number of boundaries")
         if self.repair_budget_factor < 0:
             raise ConfigurationError("repair_budget_factor must be >= 0")
@@ -216,12 +213,9 @@ class RunResult:
 def _kills_for_boundary(cfg: RunConfig, boundary: int):
     """Resolve the kill spec for boundary t -> t+1 into (explicit ids, random count)."""
     spec = cfg.kills
-    if isinstance(spec, int):
-        return (), spec
-    if not spec:
-        return (), 0
-    entry = spec[boundary]
-    return ((), entry) if isinstance(entry, int) else (entry, 0)
+    if isinstance(spec, tuple):
+        spec = spec[boundary]
+    return ((), spec) if isinstance(spec, int) else (spec, 0)
 
 
 def _draw_sequences(cfg: RunConfig, rng: np.random.Generator) -> tuple[CommunitySpec, DegreeSpec]:

@@ -86,10 +86,14 @@ def test_plan_transition_validation():
     [
         ("kills", -2, "random kill counts"),
         ("kills", [1, -1], "random kill counts"),
+        ("kills", [1, "2"], "not an integer"),
         ("repair_budget_factor", -1, "repair_budget_factor"),
         ("max_sequence_retries", 0, "max_sequence_retries"),
     ],
-    ids=["kills", "kills_per_boundary", "repair_budget_factor", "max_sequence_retries"],
+    ids=[
+        "kills", "kills_per_boundary", "kills_not_integer", "repair_budget_factor",
+        "max_sequence_retries",
+    ],
 )
 def test_run_config_rejects_values_that_fail_later(field, value, message):
     with pytest.raises(ConfigurationError, match=message):
