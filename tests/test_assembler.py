@@ -483,9 +483,10 @@ def test_star_forcing_spec_always_stars():
 
 def test_uniform_pairing_approximates_cm_baseline():
     # a 10-node, 15-link sequence.  With the simplicity exclusions lifted
-    # (plain uniform stub matching through the wiring's degree-ordered
-    # Fenwick tree and Beta-rank descent), expected pair multiplicities equal
-    # k_i * k_j / (S - 1); checked for pairs with small k_i * k_j
+    # (plain uniform stub matching on the wiring's ``_fenwick`` tree over
+    # degree-ordered positions, descended by Beta rank as the fill loop
+    # does), expected pair multiplicities equal k_i * k_j / (S - 1); checked
+    # for pairs with small k_i * k_j
     degrees = (4, 4, 3, 3, 4, 3, 3, 2, 2, 2)
     baseline = degree_joint_distribution_baseline(degrees)
     ids = sorted(range(10), key=lambda i: (degrees[i], i))  # position -> node
