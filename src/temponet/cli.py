@@ -44,18 +44,11 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
 
 
 def _cmd_generate(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.output is not None:
-        overrides["output"] = args.output
-    if args.timesteps is not None:
-        overrides["timesteps"] = args.timesteps
+    flags = ("seed", "output", "timesteps", "no_search")  # each replaces its [run] key
+    overrides = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
     cfg = load_run_config(args.config, overrides)
     if cfg.output_dir is None:
         cfg.output_dir = f"run_seed{cfg.seed}_{time.strftime('%Y%m%d-%H%M%S')}"
-    if args.no_search:
-        cfg.no_search = True
     result = run(cfg)
     last = result.snapshots[-1]
     print(
@@ -130,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", default=None, help="override the output directory")
     gen.add_argument("--timesteps", type=int, default=None, help="override the step count")
     gen.add_argument(
-        "--no-search",
-        action="store_true",
-        help="keep the best seed-pool flow and skip the taboo search",
+        "--no-search", action="store_const", const=True, help="keep the best pool flow, no search"
     )
     gen.set_defaults(func=_cmd_generate)
 

@@ -5,9 +5,9 @@ the kill set, balances populations with birth/death adjustment communities,
 searches the flow polytope for the minimum-VI node flow (kept flows pinned
 to the user kills) and materializes the flow into concrete node moves.  Then
 it assigns degree tuples (with the temporal-correlation draw after T0),
-wires the snapshot and reports metrics plus lifecycle events.  Interactive
-sampling draws a timestep's sequences again when they fail the gate or the
-assembly, up to ``max_sequence_retries`` draws per timestep.
+wires the snapshot and reports metrics plus lifecycle events.  In sampler
+mode a timestep's sequences are drawn again when they fail the gate or the
+assembly, up to ``max_sequence_retries`` draws per timestep in all.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .sequences import (
 )
 from .transition import (
     build_flow_system,
+    contingency,
     kernel_basis,
     materialize_flow,
     seed_pool,
@@ -148,7 +149,7 @@ class RunConfig:
     """Everything a reproducible run needs."""
 
     timesteps: int
-    seed: int
+    seed: int = 0
     community_cfg: SamplerConfig | None = None
     degree_cfg: SamplerConfig | None = None
     community_count: int = 4
@@ -158,8 +159,7 @@ class RunConfig:
     temporal_shape: ShapeParams = field(default_factory=ShapeParams)
     thresholds: LifecycleThresholds = field(default_factory=LifecycleThresholds)
     no_search: bool = False
-    interactive: bool = False
-    max_sequence_retries: int = 10
+    max_sequence_retries: int = 1  # draws per sampled timestep in all; 1 stops at a failure
     on_disconnected: str = "warn"  # or "abort"
     repair_budget_factor: int = DEFAULT_REPAIR_BUDGET_FACTOR
     output_dir: str | None = None
@@ -167,6 +167,8 @@ class RunConfig:
     def __post_init__(self):
         if self.timesteps < 1:
             raise ConfigurationError("timesteps must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.sequence_file is None:
             if self.community_cfg is None or self.degree_cfg is None:
                 raise ConfigurationError(
@@ -315,18 +317,13 @@ def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot
     """
     old, plan, flow = prev.snap, moves.plan, moves.flow
     t = old.t
-    k_real, l_real = len(prev.sizes), snap.community_count
 
-    # the realized contingency, births (row k_real) and deaths (column l_real)
+    # the realized contingency, births (last row) and deaths (last column)
     # included, must reproduce the flow exactly
-    recount = np.zeros((k_real + 1, l_real + 1), dtype=np.int64)
-    for nid, node in old.nodes.items():
-        after = snap.nodes.get(nid)
-        recount[node.community, l_real if after is None else after.community] += 1
-    for nid, node in snap.nodes.items():
-        if nid not in old.nodes:
-            recount[k_real, node.community] += 1
-    padded = np.pad(flow, ((0, k_real + 1 - flow.shape[0]), (0, l_real + 1 - flow.shape[1])))
+    born = snap.nodes.keys() - old.nodes.keys()
+    dead = old.nodes.keys() - snap.nodes.keys()
+    recount = contingency(old.clustering + [born], snap.clustering + [dead])
+    padded = np.pad(flow, [(0, have - got) for have, got in zip(recount.shape, flow.shape)])
     if not np.array_equal(recount, padded):
         raise AssertionError("realized contingency deviates from the searched flow")
 
@@ -417,9 +414,9 @@ def run(cfg: RunConfig) -> RunResult:
             raise ConfigurationError(
                 f"sequence file provides {len(steps)} timesteps, the run needs {cfg.timesteps}"
             )
-    # interactive sampling draws a timestep again when its sequences fail the
-    # gate or cannot be assembled; batch mode and sequence files stop at once
-    draws = cfg.max_sequence_retries if cfg.interactive and steps is None else 1
+    # the samplers draw a timestep again when its sequences fail the gate or
+    # cannot be assembled; a sequence file has one draw to give
+    draws = cfg.max_sequence_retries if steps is None else 1
     report = RunReport(seed=cfg.seed, config=cfg.echo())
     snapshots: list[Snapshot] = []
     state = None
@@ -440,12 +437,10 @@ def run(cfg: RunConfig) -> RunResult:
             raise GraphabilityError.exhausted(t, "sequence draw", failures)
         snapshots.append(state.snap)
 
-    output_dir = None
     if cfg.output_dir is not None:
-        output_dir = cfg.output_dir
-        export_temporal_csv(snapshots, output_dir)
-        write_report(report, output_dir)
-    return RunResult(snapshots=snapshots, report=report, output_dir=output_dir)
+        export_temporal_csv(snapshots, cfg.output_dir)
+        write_report(report, cfg.output_dir)
+    return RunResult(snapshots=snapshots, report=report, output_dir=cfg.output_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -453,73 +448,86 @@ def run(cfg: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
+def _sampler_keys(target: str) -> dict:
+    attrs = {"min": "minimum", "max": "maximum"}
+    parsers = {"family": str, "min": int, "max": int, "param": float, "rounding": str}
+    return {key: (f"{target}.{attrs.get(key, key)}", parse) for key, parse in parsers.items()}
+
+
+# INI section -> key -> the RunConfig field the key sets ("field.attribute"
+# inside a nested config) and the parser of its text; ``bool`` stands for
+# configparser's boolean states (1/0, yes/no, true/false, on/off)
+_KEYS = {
+    "run": {
+        "timesteps": ("timesteps", int),
+        "seed": ("seed", int),
+        "kills": ("kills", int),
+        "sequence_file": ("sequence_file", str),
+        "no_search": ("no_search", bool),
+        "max_sequence_retries": ("max_sequence_retries", int),
+        "repair_budget_factor": ("repair_budget_factor", int),
+        "on_disconnected": ("on_disconnected", str),
+        "output": ("output_dir", str),
+    },
+    "communities": {**_sampler_keys("community_cfg"), "count": ("community_count", int)},
+    "degrees": {
+        **_sampler_keys("degree_cfg"),
+        "mix_ratio": ("degree_cfg.mix_ratio", float),
+        "mix_mode": ("degree_cfg.mix_mode", str),
+    },
+    "shapes": {
+        f"{shape}_{attr}": (f"{shape}_shape.{attr}", float)
+        for shape in ("pairing", "temporal")
+        for attr in ("alpha", "beta")
+    },
+    "lifecycle": {
+        key: (f"thresholds.{key}", float) for key in ("continuation", "share", "size_dead_band")
+    },
+}
+_NESTED = {
+    "community_cfg": SamplerConfig,
+    "degree_cfg": SamplerConfig,
+    "pairing_shape": ShapeParams,
+    "temporal_shape": ShapeParams,
+    "thresholds": LifecycleThresholds,
+}
+
+
 def load_run_config(path, overrides=None) -> RunConfig:
-    """Read a RunConfig from an INI-style key/value file (see README)."""
+    """Read a RunConfig from an INI-style key/value file (see README).
+
+    Only the keys the file sets are passed on, so every default lives on its
+    dataclass.  ``overrides`` maps ``[run]`` keys to values that win over the file's."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read config file {path}")
-    overrides = overrides or {}
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
-
-    run_sec = section("run")
-    sampler_cfgs = {}
-    for name in ("communities", "degrees"):
-        sec = section(name)
-        if sec:
-            try:
-                sampler_cfgs[name] = SamplerConfig(
-                    family=sec.get("family", "uniform"),
-                    minimum=int(sec.get("min", 1)),
-                    maximum=int(sec.get("max", 1)),
-                    param=float(sec.get("param", 1.0)),
-                    mix_ratio=float(sec.get("mix_ratio", 0.5)),
-                    mix_mode=sec.get("mix_mode", "fixed"),
-                    rounding=sec.get("rounding", "stochastic"),
-                )
-            except ValueError as exc:
-                raise ConfigurationError(f"[{name}] section: {exc}") from None
-    shapes = section("shapes")
-    life = section("lifecycle")
-    timesteps = overrides.get("timesteps", run_sec.get("timesteps"))
-    if timesteps is None:
-        raise ConfigurationError(f"{path}: [run] timesteps is required")
     try:
-        cfg = RunConfig(
-            timesteps=int(timesteps),
-            seed=int(overrides.get("seed", run_sec.get("seed", 0))),
-            community_cfg=sampler_cfgs.get("communities"),
-            degree_cfg=sampler_cfgs.get("degrees"),
-            community_count=int(section("communities").get("count", 4))
-            if section("communities")
-            else 4,
-            sequence_file=run_sec.get("sequence_file") or None,
-            kills=int(run_sec.get("kills", 0)),
-            pairing_shape=ShapeParams(
-                float(shapes.get("pairing_alpha", 1.0)), float(shapes.get("pairing_beta", 1.0))
-            ),
-            temporal_shape=ShapeParams(
-                float(shapes.get("temporal_alpha", 1.0)),
-                float(shapes.get("temporal_beta", 1.0)),
-            ),
-            thresholds=LifecycleThresholds(
-                continuation=float(life.get("continuation", 0.3)),
-                share=float(life.get("share", 0.1)),
-                size_dead_band=float(life.get("size_dead_band", 0.02)),
-            ),
-            no_search=run_sec.get("no_search", "false").strip().lower()
-            in ("1", "true", "yes"),
-            interactive=run_sec.get("interactive", "false").strip().lower()
-            in ("1", "true", "yes"),
-            max_sequence_retries=int(run_sec.get("max_sequence_retries", 10)),
-            repair_budget_factor=int(
-                run_sec.get("repair_budget_factor", DEFAULT_REPAIR_BUDGET_FACTOR)
-            ),
-            on_disconnected=run_sec.get("on_disconnected", "warn"),
-            output_dir=overrides.get("output", run_sec.get("output")) or None,
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from None
-    return cfg
+        if not parser.read(path):
+            raise ConfigurationError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    values: dict[str, dict] = {}  # RunConfig's own fields under ""
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigurationError(f"{path}: unknown section [{name}]")
+        for key in ("family", "min", "max") if name in ("communities", "degrees") else ():
+            if not parser[name].get(key):
+                raise ConfigurationError(f"{path}: [{name}] {key} is required")
+        for key, text in parser[name].items():
+            if key not in _KEYS[name]:
+                raise ConfigurationError(f"{path}: unknown key {key!r} in section [{name}]")
+            if not text:
+                continue  # an empty value keeps the default
+            dest, parse = _KEYS[name][key]
+            try:
+                value = parser[name].getboolean(key) if parse is bool else parse(text)
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: [{name}] {key}: {exc}") from None
+            outer, _, attr = dest.rpartition(".")
+            values.setdefault(outer, {})[attr] = value
+    fields = values.pop("", {})
+    for key, value in (overrides or {}).items():
+        fields[_KEYS["run"][key][0]] = value
+    if "timesteps" not in fields:
+        raise ConfigurationError(f"{path}: [run] timesteps is required")
+    for outer, kwargs in values.items():
+        fields[outer] = _NESTED[outer](**kwargs)
+    return RunConfig(**fields)

@@ -28,13 +28,13 @@ FILES = ("nodes.csv", "edges.csv", "report.json", "report.txt")
 SAMPLER_DIGESTS = {
     "nodes.csv": "9ee4b7410c103181bf2499b8c6ba255b4761a62e4cac870a38a87b884b27bd25",
     "edges.csv": "a80303fadeaf73731434ada4d2399e1758dd30dbd5afeaffe2aae46dbd5fd6e9",
-    "report.json": "ad72722ea32db3a4e39f1b34915be120cba023164ba6848a7da5ac622d536164",
+    "report.json": "5128caf165955430b15f62e53cf14a36df6cf5670b5c61993c25d9853c002263",
     "report.txt": "19cc32b0bf913e49666210fe06c49a78d48a871fabca51c9a58eae1059b508b5",
 }
 SEQUENCE_FILE_DIGESTS = {
     "nodes.csv": "38e35636556f9c358f72c9e0c2fd039371bfd6a738bfaefe31c11f711a9de351",
     "edges.csv": "7887694c19c8cf32e1a8d85d236e17b536a789f23f544a1ec61abba70c8bc790",
-    "report.json": "7c633ed5f4fcd0d3bf0e96c53176f19993bd57c10c0e0a790be87060895cd7b1",
+    "report.json": "51fb8e706b75b1be471770e2bd20552fee1abd6490312d52ef70baf19194d522",
     "report.txt": "77b849f6bb8a49f7c0102d0ba7940a70fde31746d473695c0249c4474fb7cbe9",
 }
 
@@ -51,7 +51,7 @@ def sampler_cfg(outdir):
         degree_cfg=SamplerConfig("uniform", 3, 10, mix_ratio=0.8),
         community_count=10,
         kills=8,
-        interactive=True,
+        max_sequence_retries=10,
         output_dir=str(outdir),
     )
 

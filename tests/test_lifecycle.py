@@ -47,7 +47,7 @@ def test_flow_jaccard_matches_set_jaccard_on_every_boundary():
         degree_cfg=SamplerConfig("uniform", 3, 10, mix_ratio=0.8),
         community_count=30,
         kills=40,
-        interactive=True,
+        max_sequence_retries=10,
     )
     result = run(cfg)
     cells = 0

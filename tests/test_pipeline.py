@@ -89,10 +89,11 @@ def test_plan_transition_validation():
         ("kills", [1, "2"], "not an integer"),
         ("repair_budget_factor", -1, "repair_budget_factor"),
         ("max_sequence_retries", 0, "max_sequence_retries"),
+        ("seed", -1, "seed must be >= 0"),
     ],
     ids=[
         "kills", "kills_per_boundary", "kills_not_integer", "repair_budget_factor",
-        "max_sequence_retries",
+        "max_sequence_retries", "seed",
     ],
 )
 def test_run_config_rejects_values_that_fail_later(field, value, message):
@@ -285,7 +286,8 @@ def test_report_echoes_the_complete_config(tmp_path):
 
 
 def test_run_interactive_resamples(monkeypatch):
-    # batch mode stops on the first ungraphable draw; interactive retries.
+    # one draw per timestep (the default) stops on the first ungraphable
+    # draw; more draws retry.
     # A tiny odd-sized community with high degrees is frequently ungraphable,
     # so compare behaviours over the same seed.
     cfg = dict(
@@ -306,16 +308,16 @@ def test_run_interactive_resamples(monkeypatch):
         except GraphabilityError:
             failures += 1
     assert failures > 0 and successes > 0
-    # interactive mode succeeds on every one of those seeds
+    # 40 draws per timestep succeed on every one of those seeds
     for seed in range(40):
         cfg["seed"] = seed
-        run(RunConfig(**cfg, interactive=True, max_sequence_retries=40))
+        run(RunConfig(**cfg, max_sequence_retries=40))
 
 
 def test_abort_on_disconnected_redraws_at_t0_in_interactive_mode():
     # sparse intra degrees often wire a community in several pieces; this
-    # seed's first T0 draw does, so batch mode stops and interactive mode
-    # draws again, as it does at every later timestep
+    # seed's first T0 draw does, so a single draw stops the run and more
+    # draws try again, as they do at every later timestep
     cfg = dict(
         timesteps=1,
         seed=1,
@@ -326,7 +328,7 @@ def test_abort_on_disconnected_redraws_at_t0_in_interactive_mode():
     )
     with pytest.raises(GraphabilityError, match="internally disconnected"):
         run(RunConfig(**cfg))
-    result = run(RunConfig(**cfg, interactive=True))
+    result = run(RunConfig(**cfg, max_sequence_retries=10))
     assert result.snapshots[0].disconnected_communities == []
 
 
@@ -339,7 +341,6 @@ def test_exhausted_sequence_draws_name_timestep_attempts_and_conditions():
         community_cfg=SamplerConfig("uniform", 4, 4),
         degree_cfg=SamplerConfig("uniform", 4, 4, mix_ratio=1.0, rounding="nearest"),
         community_count=1,
-        interactive=True,
         max_sequence_retries=3,
     )
     with pytest.raises(GraphabilityError) as info:
@@ -438,7 +439,7 @@ def test_readme_config_example_loads_verbatim(tmp_path):
     path.write_text(block)
     cfg = load_run_config(path)
     assert cfg.timesteps == 11 and cfg.seed == 42 and cfg.kills == 3
-    assert cfg.interactive is True and cfg.no_search is False
+    assert cfg.no_search is False
     assert cfg.sequence_file is None and cfg.output_dir is None
     assert cfg.community_count == 5 and cfg.degree_cfg.rounding == "stochastic"
     assert cfg.max_sequence_retries == 10 and cfg.repair_budget_factor == 50
@@ -465,10 +466,7 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert cli_main(["check", "--file", str(tmp_path / "missing.txt")]) == 5
 
 
-def test_cli_generate(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
-    ini.write_text(
-        """
+SMALL_INI = """
 [run]
 timesteps = 2
 seed = 4
@@ -486,7 +484,64 @@ min = 2
 max = 5
 mix_ratio = 0.7
 """
-    )
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[run]", "[run]\ninteractive = true", r"unknown key 'interactive' in section \[run\]"),
+        ("count", "mix_ratio = 0.5\ncount", r"unknown key 'mix_ratio' in section \[communities\]"),
+        ("count", "mix_mode = fixed\ncount", r"unknown key 'mix_mode' in section \[communities\]"),
+        ("seed", "sed", r"unknown key 'sed' in section \[run\]"),
+        ("[run]", "[search]\ntries = 3\n\n[run]", r"unknown section \[search\]"),
+        ("min = 8\n", "", r"\[communities\] min is required"),
+        ("max = 5\n", "max =\n", r"\[degrees\] max is required"),
+        ("family = uniform\nmin = 2", "min = 2", r"\[degrees\] family is required"),
+        ("kills = 1", "no_search = ture", r"\[run\] no_search: .*ture"),
+        ("kills = 1", "no_search = yes please", r"\[run\] no_search: .*yes please"),
+        ("kills = 1", "kills = one", r"\[run\] kills: .*'one'"),
+    ],
+    ids=[
+        "interactive", "communities_mix_ratio", "communities_mix_mode", "misspelt_key",
+        "unknown_section", "missing_min", "empty_max", "missing_family", "boolean_typo",
+        "boolean_with_words", "not_an_integer",
+    ],
+)
+def test_config_file_names_the_section_and_key_it_rejects(tmp_path, old, new, message):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_INI.replace(old, new, 1))
+    with pytest.raises(ConfigurationError, match=message):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize("text, value", [("on", True), ("Yes", True), ("1", True), ("off", False)])
+def test_config_file_reads_configparser_booleans(tmp_path, text, value):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_INI.replace("kills = 1", f"no_search = {text}"))
+    assert load_run_config(path).no_search is value
+
+
+def test_cli_no_search_keeps_the_best_seed_pool_flow(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(SMALL_INI)
+    reports = {}
+    for name, flags in (("searched", []), ("pool", ["--no-search"])):
+        out = tmp_path / name
+        args = ["generate", "--config", str(ini), "--output", str(out), "--timesteps", "4"]
+        assert cli_main(args + flags) == 0
+        reports[name] = json.loads((out / "report.json").read_text())
+    assert reports["pool"]["config"]["no_search"] is True
+    assert reports["searched"]["config"]["no_search"] is False
+    for boundary in reports["pool"]["boundaries"]:
+        assert boundary["vi"] == min(boundary["seed_pool_vi"])
+    for boundary in reports["searched"]["boundaries"]:
+        assert boundary["vi"] <= min(boundary["seed_pool_vi"])
+    assert len(reports["pool"]["boundaries"]) == 3
+
+
+def test_cli_generate(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(SMALL_INI)
     out = tmp_path / "result"
     assert cli_main(["generate", "--config", str(ini), "--output", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["edges.csv", "nodes.csv", "report.json", "report.txt"]
@@ -499,6 +554,19 @@ mix_ratio = 0.7
     negative.write_text(ini.read_text().replace("kills = 1", "kills = -2"))
     assert cli_main(["generate", "--config", str(negative), "--output", str(out)]) == 2
     assert "random kill counts must be >= 0" in capsys.readouterr().err
+    # malformed files and negative seeds are validation errors, not tracebacks
+    malformed = {
+        "duplicate.ini": SMALL_INI.replace("seed = 4", "seed = 4\nseed = 5"),
+        "headless.ini": SMALL_INI.replace("[run]\n", ""),
+        "negative_seed.ini": SMALL_INI.replace("seed = 4", "seed = -1"),
+    }
+    for name, text in malformed.items():
+        (tmp_path / name).write_text(text)
+        assert cli_main(["generate", "--config", str(tmp_path / name), "--output", str(out)]) == 2
+    assert cli_main(["generate", "--config", str(ini), "--seed", "-3", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "option 'seed' in section 'run' already exists" in err
+    assert "no section headers" in err and err.count("seed must be >= 0") == 2
 
 
 def test_config_file_requires_timesteps(tmp_path):
