@@ -12,7 +12,8 @@ ordering its cells with a Python ``sorted``.  The lifecycle classifier and
 its event table keep their earlier forms as well, with every rule written out
 once per side.  So do the parity repair with its separate fallback loop,
 snapshot validation with its separate degree passes, and the CSV export with
-one run merger per field.
+one run merger per field.  Assortativity, modularity and the connectivity
+check keep their per-link Python loops.
 """
 
 from __future__ import annotations
@@ -882,6 +883,64 @@ def reference_validate(snapshot) -> None:
                 f"node {nid}: realized intra degree {realized_intra[nid]}"
                 f" != spec {node.intra_degree}"
             )
+
+
+# snapshot metrics and the connectivity check as per-link Python loops
+
+
+def reference_assortativity_details(snapshot) -> tuple[float, bool]:
+    """Newman degree assortativity and a flag for the degenerate (zero variance) case."""
+    if not snapshot.links:
+        raise ConfigurationError("assortativity needs at least one link")
+    deg = {nid: node.degree for nid, node in snapshot.nodes.items()}
+    x = np.empty(2 * len(snapshot.links), dtype=np.float64)
+    y = np.empty_like(x)
+    for idx, (u, v) in enumerate(sorted(snapshot.links)):
+        x[2 * idx], y[2 * idx] = deg[u], deg[v]
+        x[2 * idx + 1], y[2 * idx + 1] = deg[v], deg[u]
+    mean = x.mean()
+    var = ((x - mean) ** 2).mean()
+    if var <= 1e-12:
+        return 0.0, True
+    cov = ((x - mean) * (y - mean)).mean()
+    return float(cov / var), False
+
+
+def reference_modularity(snapshot) -> float:
+    """Newman-Girvan modularity of the ground-truth clustering (resolution 1)."""
+    m = len(snapshot.links)
+    if m < 1:
+        raise ConfigurationError("modularity needs at least one link")
+    comm = {nid: node.community for nid, node in snapshot.nodes.items()}
+    intra = [0] * snapshot.community_count
+    deg_sum = [0] * snapshot.community_count
+    for u, v in snapshot.links:
+        if comm[u] == comm[v]:
+            intra[comm[u]] += 1
+        deg_sum[comm[u]] += 1
+        deg_sum[comm[v]] += 1
+    q = 0.0
+    for c in range(snapshot.community_count):
+        q += intra[c] / m - (deg_sum[c] / (2.0 * m)) ** 2
+    return q
+
+
+def reference_check_connectivity(member_ids, links) -> int:
+    """Number of connected components of a community subgraph (union-find)."""
+    parent = {nid: nid for nid in member_ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in links:
+        if u in parent and v in parent:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+    return len({find(x) for x in parent})
 
 
 # the temporal CSV export with one run merger for lifetimes and one for labels

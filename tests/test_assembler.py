@@ -29,6 +29,7 @@ from temponet.assembler import ASSIGNMENT_ATTEMPTS, MISFIT_PASSES, repair_intra_
 
 from oracles import (
     degree_joint_distribution_baseline,
+    reference_check_connectivity,
     reference_repair_intra_parity,
     reference_validate,
     reference_wire_phase,
@@ -316,6 +317,43 @@ def test_validate_matches_the_two_pass_reference():
     assert seen == set(checks)
 
 
+def _relabelled(snap: Snapshot, relabel) -> Snapshot:
+    """``snap`` with every node id ``nid`` renamed to ``relabel(nid)``."""
+    return Snapshot(
+        t=snap.t,
+        nodes={
+            relabel(nid): Node(relabel(nid), node.degree, node.intra_degree, node.community)
+            for nid, node in snap.nodes.items()
+        },
+        links={(relabel(u), relabel(v)) for u, v in snap.links},
+        clustering=[{relabel(nid) for nid in group} for group in snap.clustering],
+    )
+
+
+@pytest.mark.parametrize("case", ["below", "between", "above", "reversed_first"])
+def test_validate_matches_the_reference_at_the_edges_of_the_id_lookup(case):
+    # ids 2**32 + 3i leave room below the smallest id, between ids and above
+    # the largest; an unknown id there, or a reversed copy of the link that
+    # set iteration yields first, must fail as in the two-pass reference
+    rng = np.random.default_rng(37)
+    for trial in range(12):
+        snap = _relabelled(
+            assembled_graphable_spec(rng, n_max=40)[2], lambda nid: 2**32 + 3 * nid
+        )
+        assert _outcome(Snapshot.validate, snap) == ("ok", None)
+        ids = sorted(snap.nodes)
+        known = ids[int(rng.integers(len(ids)))]
+        if case == "reversed_first":
+            u, v = next(iter(snap.links))
+            snap.links.add((v, u))
+        else:
+            unknown = {"below": ids[0] - 1, "between": ids[1] - 1, "above": ids[-1] + 1}[case]
+            snap.links.add((known, unknown) if trial % 2 else (unknown, known))
+        want = _outcome(reference_validate, snap)
+        assert want[0] == "AssertionError"
+        assert _outcome(Snapshot.validate, snap) == want
+
+
 @pytest.mark.parametrize("community", [-1, 2], ids=["negative", "past_the_end"])
 def test_validate_rejects_a_community_index_outside_the_clustering(community):
     # clustering[-1] holds node 0, so only a range check catches the negative index
@@ -463,6 +501,29 @@ def test_check_connectivity_matches_spectral_oracle():
             if u != v:
                 links.add((min(int(u), int(v)), max(int(u), int(v))))
         assert check_connectivity(ids, links) == spectral_component_count(ids, links)
+
+
+def test_check_connectivity_equals_the_union_find_reference():
+    # scattered ids (some >= 2**32), isolated members, links that leave the
+    # member set or touch ids nobody holds, and empty member sets
+    rng = np.random.default_rng(43)
+    for trial in range(300):
+        pool = np.concatenate([
+            rng.integers(0, 60, 30),
+            rng.integers(2**32 - 8, 2**32 + 8, 16),
+            rng.integers(2**40, 2**41, 30),
+        ])
+        ids = [int(x) for x in rng.permutation(sorted(set(pool.tolist())))]
+        members = set(ids[: int(rng.integers(0, min(len(ids), 40)))])
+        links = set()
+        for _ in range(int(rng.integers(0, 2 * len(members) + 2))):
+            u, v = rng.choice(ids, 2)
+            if u != v:
+                links.add((int(u), int(v)))
+        if trial % 3 == 0:
+            links.add((ids[-1] + 1, ids[0]))
+        assert check_connectivity(members, links) == reference_check_connectivity(members, links)
+    assert check_connectivity(set(), {(0, 1)}) == reference_check_connectivity(set(), {(0, 1)}) == 0
 
 
 def test_joint_distribution_baseline_trivial_cases():

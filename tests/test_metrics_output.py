@@ -28,7 +28,13 @@ from temponet import output
 from temponet.metrics import assortativity_details, temporal_degree_correlation_details
 from temponet.output import RunReport, SnapshotMetrics, write_report
 
-from oracles import modularity_reference, pearson_reference, reference_export_temporal_csv
+from oracles import (
+    modularity_reference,
+    pearson_reference,
+    reference_assortativity_details,
+    reference_export_temporal_csv,
+    reference_modularity,
+)
 
 
 def _snapshot(t, memberships, links, degrees=None):
@@ -122,6 +128,66 @@ def test_modularity_matches_reference_on_random_snapshots():
         snap = _snapshot(0, memberships, links)
         assert modularity(snap) == pytest.approx(modularity_reference(snap), abs=1e-10)
         done += 1
+
+
+def _scattered_snapshot(rng, ring: bool) -> Snapshot:
+    """A snapshot over scattered ids (some >= 2**32) in shuffled dict order,
+    with isolated nodes, empty communities and both link orientations.  With
+    ``ring`` the links form one cycle, so every endpoint has degree 2."""
+    pool = np.concatenate([
+        rng.integers(0, 50, 20),
+        rng.integers(2**32 - 5, 2**32 + 5, 10),
+        rng.integers(2**40, 2**41, 20),
+    ])
+    ids = [int(x) for x in rng.permutation(sorted(set(pool.tolist())))]
+    ids = ids[: int(rng.integers(3, len(ids) + 1))]
+    k = int(rng.integers(1, 6))
+    memberships = {nid: int(rng.integers(k)) for nid in ids}
+    if ring:
+        cycle = ids[: int(rng.integers(3, len(ids) + 1))]
+        links = {(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+    else:
+        links = set()
+        for _ in range(int(rng.integers(1, 2 * len(ids)))):
+            u, v = rng.choice(ids, 2)
+            if u != v:
+                links.add((int(u), int(v)))
+        if not links:
+            links.add((ids[0], ids[1]))
+    snap = _snapshot(0, memberships, links)
+    snap.clustering.append(set())
+    return snap
+
+
+def test_snapshot_metrics_equal_the_loop_references():
+    # floats and flags compared with ==, so a changed summation order shows
+    rng = np.random.default_rng(41)
+    flags = set()
+    for trial in range(300):
+        snap = _scattered_snapshot(rng, ring=trial % 4 == 0)
+        got = assortativity_details(snap)
+        assert got == reference_assortativity_details(snap)
+        assert modularity(snap) == reference_modularity(snap)
+        flags.add(got[1])
+    assert flags == {False, True}
+
+
+@pytest.mark.parametrize(
+    "unknown", [-1, 3, 2**31, 2**40], ids=["below", "between", "wide_gap", "above"]
+)
+def test_snapshot_metrics_raise_on_a_link_to_an_unknown_id(unknown):
+    metrics = (
+        reference_assortativity_details, assortativity_details, reference_modularity, modularity
+    )
+    snap = _snapshot(0, {0: 0, 2: 0, 5: 1, 2**32: 1}, {(0, 2), (2, 5), (5, 2**32)})
+    snap.links.add((2, unknown))
+    for fn in metrics:
+        with pytest.raises(KeyError):
+            fn(snap)
+    snap.links.clear()
+    for fn in metrics:
+        with pytest.raises(ConfigurationError):
+            fn(snap)
 
 
 def test_temporal_correlation_identical_degrees_is_one():
