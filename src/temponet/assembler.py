@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -107,25 +108,40 @@ class Snapshot:
         return len(self.clustering)
 
     def validate(self) -> None:
-        """Hard postconditions: simplicity, partition validity, exact degrees."""
+        """Hard postconditions: simplicity, partition validity, exact degrees.
+
+        The checks are numpy passes over the int64 link endpoints.  They raise
+        for the first failing link in set-iteration order (self-loop, unknown
+        id, then duplicate), then for the partition, then for the first
+        failing node in dict order, as one loop over the links and one over
+        the nodes would.
+        """
         nodes = self.nodes
-        realized = dict.fromkeys(nodes, 0)
-        realized_intra = dict.fromkeys(nodes, 0)
-        seen = set()
-        for u, v in self.links:
-            if u == v:
+        n = len(nodes)
+        uv = _endpoints(self.links)
+        ids = np.fromiter(nodes, np.int64, n)
+        at, known = _lookup(ids, uv)
+        loop = uv[:, 0] == uv[:, 1]
+        unknown = ~(known[:, 0] & known[:, 1])
+        # one key per unordered pair of known ids, a key of its own per link
+        # to an unknown id; every link after the first of its key is a duplicate
+        pair = np.minimum(at[:, 0], at[:, 1]) * n + np.maximum(at[:, 0], at[:, 1])
+        key = np.where(unknown, -1 - np.arange(len(uv)), pair)
+        order = np.argsort(key)
+        sorted_key = key[order]
+        run_start = np.ones(len(uv), dtype=bool)
+        run_start[1:] = sorted_key[1:] != sorted_key[:-1]
+        duplicate = np.ones(len(uv), dtype=bool)
+        duplicate[np.minimum.reduceat(order, np.flatnonzero(run_start))] = False
+        failed = loop | unknown | duplicate
+        if failed.any():
+            i = int(failed.argmax())
+            u, v = uv[i].tolist()
+            if loop[i]:
                 raise AssertionError(f"self-loop at node {u}")
-            if u not in nodes or v not in nodes:
+            if unknown[i]:
                 raise AssertionError(f"link ({u}, {v}) references unknown nodes")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise AssertionError(f"duplicate link {key}")
-            seen.add(key)
-            realized[u] += 1
-            realized[v] += 1
-            if nodes[u].community == nodes[v].community:
-                realized_intra[u] += 1
-                realized_intra[v] += 1
+            raise AssertionError(f"duplicate link {(min(u, v), max(u, v))}")
         covered = set()
         for c, group in enumerate(self.clustering):
             if covered & group:
@@ -133,29 +149,93 @@ class Snapshot:
             covered |= group
         if covered != set(nodes):
             raise AssertionError("clustering does not cover the node set")
-        for nid, node in nodes.items():
-            if not 0 <= node.community < len(self.clustering):
+        k = len(self.clustering)
+        comm = _node_column(nodes, "community")
+        # the clustering partitions the node set, so each id sits in one group
+        label = np.empty(n, dtype=np.int64)
+        members = np.fromiter(itertools.chain.from_iterable(self.clustering), np.int64, n)
+        label[_lookup(ids, members)[0]] = np.repeat(
+            np.arange(k), [len(group) for group in self.clustering]
+        )
+        outside = (comm < 0) | (comm >= k)
+        misplaced = outside | (label != comm)
+        if misplaced.any():
+            i = int(misplaced.argmax())
+            nid = int(ids[i])
+            if outside[i]:
                 raise AssertionError(
-                    f"node {nid}: community index {node.community} outside the"
-                    f" {len(self.clustering)} communities"
+                    f"node {nid}: community index {int(comm[i])} outside the {k} communities"
                 )
-            if nid not in self.clustering[node.community]:
-                raise AssertionError(f"node {nid} missing from its community")
-        for nid, node in nodes.items():
-            if realized[nid] != node.degree:
+            raise AssertionError(f"node {nid} missing from its community")
+        degree = _node_column(nodes, "degree")
+        intra_degree = _node_column(nodes, "intra_degree")
+        realized = np.bincount(at.ravel(), minlength=n)
+        realized_intra = np.bincount(at[comm[at[:, 0]] == comm[at[:, 1]]].ravel(), minlength=n)
+        wrong = (realized != degree) | (realized_intra != intra_degree)
+        if wrong.any():
+            i = int(wrong.argmax())
+            nid = int(ids[i])
+            if realized[i] != degree[i]:
                 raise AssertionError(
-                    f"node {nid}: realized degree {realized[nid]} != spec {node.degree}"
+                    f"node {nid}: realized degree {realized[i]} != spec {degree[i]}"
                 )
-            if realized_intra[nid] != node.intra_degree:
-                raise AssertionError(
-                    f"node {nid}: realized intra degree {realized_intra[nid]}"
-                    f" != spec {node.intra_degree}"
-                )
+            raise AssertionError(
+                f"node {nid}: realized intra degree {realized_intra[i]}"
+                f" != spec {intra_degree[i]}"
+            )
+
+
+def _endpoints(links) -> np.ndarray:
+    """The (m, 2) int64 endpoints of ``links``, one row per link in set-iteration order."""
+    m = len(links)
+    return np.fromiter(itertools.chain.from_iterable(links), np.int64, 2 * m).reshape(m, 2)
+
+
+def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index in ``ids`` (distinct) of each of ``values``, and whether ``ids`` holds it.
+
+    A value that ``ids`` lacks gets an arbitrary valid index and ``False``.
+    Ids that span no more slots than there are ids and values go through a
+    table indexed by id; sparse ids, which such a table could not hold, go
+    through a binary search.
+    """
+    if not ids.size:
+        return np.zeros(values.shape, dtype=np.intp), np.zeros(values.shape, dtype=bool)
+    low = ids.min()
+    span = int(ids.max()) - int(low) + 1
+    if span <= ids.size + values.size:
+        table = np.full(span, -1, dtype=np.intp)
+        table[ids - low] = np.arange(ids.size)
+        slot = values - low
+        inside = (slot >= 0) & (slot < span)
+        at = table[np.where(inside, slot, 0)]
+        return at, inside & (at >= 0)
+    order = np.argsort(ids)
+    at = np.searchsorted(ids, values, sorter=order)
+    np.minimum(at, ids.size - 1, out=at)
+    at = order[at]
+    return at, ids[at] == values
+
+
+def _node_column(nodes: dict[int, Node], name: str) -> np.ndarray:
+    """One int64 ``Node`` attribute per node, in dict order."""
+    return np.fromiter(map(operator.attrgetter(name), nodes.values()), np.int64, len(nodes))
 
 
 # ---------------------------------------------------------------------------
 # node assignment
 # ---------------------------------------------------------------------------
+
+
+def _weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability proportional to ``weights``.
+
+    This is the pick of ``rng.choice(len(weights), p=weights / weights.sum())``,
+    with the same one ``rng.random()`` draw, minus that call's argument checks.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def assign_nodes(
@@ -193,8 +273,7 @@ def assign_nodes(
             eligible = np.flatnonzero((caps > 0) & (room >= e))
             if eligible.size == 0:
                 raise GraphabilityError("node assignment ran out of community capacity")
-            weights = caps[eligible].astype(np.float64)
-            c = int(rng.choice(eligible, p=weights / weights.sum()))
+            c = int(eligible[_weighted_index(caps[eligible].astype(np.float64), rng)])
             caps[c] -= 1
             out[slot] = (c, spec.total[slot], spec.intra[slot])
         return out
@@ -543,21 +622,32 @@ def wire_inter(
 
 
 def check_connectivity(member_ids, links) -> int:
-    """Number of connected components of a community subgraph (union-find)."""
-    parent = {nid: nid for nid in member_ids}
+    """Number of connected components of a community subgraph.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in links:
-        if u in parent and v in parent:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    return len({find(x) for x in parent})
+    ``member_ids`` is a set of node ids; links with an endpoint outside it
+    are ignored.  Each member starts as its own root.  A round lowers both
+    endpoint roots of every link to the smaller of the two, and pointer
+    jumping then points every member at its root; the components are the
+    roots left once no link joins two roots.
+    """
+    n = len(member_ids)
+    at, known = _lookup(np.fromiter(member_ids, np.int64, n), _endpoints(links))
+    u, v = at[known[:, 0] & known[:, 1]].T
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        across = lu != lv
+        if not across.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        lu, lv = lu[across], lv[across]
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,42 @@ import math
 
 import numpy as np
 
-from .assembler import Snapshot
+from .assembler import Snapshot, _endpoints, _lookup, _node_column
 from .errors import ConfigurationError
 
 
+def _endpoint_index(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """The dict-order node index of each link endpoint, shape (m, 2), and the node ids.
+
+    Raises ``KeyError`` on a link to an id that no node holds.
+    """
+    uv = _endpoints(snapshot.links)
+    ids = np.fromiter(snapshot.nodes, np.int64, len(snapshot.nodes))
+    at, known = _lookup(ids, uv)
+    if not known.all():
+        raise KeyError(int(uv[~known][0]))
+    return at, ids
+
+
 def assortativity_details(snapshot: Snapshot) -> tuple[float, bool]:
-    """Newman degree assortativity and a flag for the degenerate (zero variance) case."""
+    """Newman degree assortativity and a flag for the degenerate (zero variance) case.
+
+    The link (u, v) adds the pairs (d_u, d_v) and (d_v, d_u), link after link
+    in sorted order, so the sums run in the order of a loop over
+    ``sorted(links)``.
+    """
     if not snapshot.links:
         raise ConfigurationError("assortativity needs at least one link")
-    deg = {nid: node.degree for nid, node in snapshot.nodes.items()}
-    x = np.empty(2 * len(snapshot.links), dtype=np.float64)
-    y = np.empty_like(x)
-    for idx, (u, v) in enumerate(sorted(snapshot.links)):
-        x[2 * idx], y[2 * idx] = deg[u], deg[v]
-        x[2 * idx + 1], y[2 * idx + 1] = deg[v], deg[u]
+    at, ids = _endpoint_index(snapshot)
+    n = len(ids)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(ids)] = np.arange(n)
+    # the links are distinct pairs of ids, so their rank keys are distinct
+    key = rank[at[:, 0]] * n + rank[at[:, 1]]
+    deg = _node_column(snapshot.nodes, "degree").astype(np.float64)
+    ends = deg[at[np.argsort(key)]]
+    x = ends.ravel()
+    y = ends[:, ::-1].ravel()
     mean = x.mean()
     var = ((x - mean) ** 2).mean()
     if var <= 1e-12:
@@ -57,19 +79,19 @@ def temporal_degree_correlation(snap_t: Snapshot, snap_t1: Snapshot) -> float:
 
 
 def modularity(snapshot: Snapshot) -> float:
-    """Newman-Girvan modularity of the ground-truth clustering (resolution 1)."""
+    """Newman-Girvan modularity of the ground-truth clustering (resolution 1).
+
+    Per-community intra-link counts and degree sums come from ``bincount``
+    over the link endpoints; the sum over communities runs in Python.
+    """
     m = len(snapshot.links)
     if m < 1:
         raise ConfigurationError("modularity needs at least one link")
-    comm = {nid: node.community for nid, node in snapshot.nodes.items()}
-    intra = [0] * snapshot.community_count
-    deg_sum = [0] * snapshot.community_count
-    for u, v in snapshot.links:
-        if comm[u] == comm[v]:
-            intra[comm[u]] += 1
-        deg_sum[comm[u]] += 1
-        deg_sum[comm[v]] += 1
+    k = snapshot.community_count
+    comm = _node_column(snapshot.nodes, "community")[_endpoint_index(snapshot)[0]]
+    intra = np.bincount(comm[comm[:, 0] == comm[:, 1], 0], minlength=k).tolist()
+    deg_sum = np.bincount(comm.ravel(), minlength=k).tolist()
     q = 0.0
-    for c in range(snapshot.community_count):
+    for c in range(k):
         q += intra[c] / m - (deg_sum[c] / (2.0 * m)) ** 2
     return q

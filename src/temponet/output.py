@@ -17,7 +17,6 @@ starting wherever the key changes, ``t`` skips a step or the label changes.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -25,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
+from .assembler import _endpoints
 from .errors import ConfigurationError
 from .lifecycle import EventRecord, render_event_table
 
@@ -158,9 +158,9 @@ def _write_edges(snaps, path) -> None:
     v = np.empty_like(u)
     at = 0
     for snap, m in zip(snaps, count):
-        uv = np.fromiter(itertools.chain.from_iterable(snap.links), np.int64, 2 * m)
-        u[at : at + m] = uv[0::2]
-        v[at : at + m] = uv[1::2]
+        uv = _endpoints(snap.links)
+        u[at : at + m] = uv[:, 0]
+        v[at : at + m] = uv[:, 1]
         at += m
     t = np.repeat(np.array([s.t for s in snaps], dtype=np.int64), count)
     order = np.lexsort((v, u))

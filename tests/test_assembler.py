@@ -608,6 +608,24 @@ def test_batched_beta_draws_equal_single_draws(a, b):
         assert batch.bit_generator.state == single.bit_generator.state, why
 
 
+def test_weighted_index_draws_what_generator_choice_draws():
+    # integer capacities as bootstrap placement weighs communities, then
+    # arbitrary positive weights
+    why = "bootstrap assign_nodes places nodes with this draw in place of Generator.choice"
+    gen = np.random.default_rng(59)
+    for trial in range(1000):
+        size = int(gen.integers(1, 60))
+        if trial % 2:
+            weights = gen.random(size) + 1e-9
+        else:
+            weights = gen.integers(1, 400, size).astype(np.float64)
+        fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
+        for _ in range(4):
+            pick = int(slow.choice(size, p=weights / weights.sum()))
+            assert assembler._weighted_index(weights, fast) == pick, why
+        assert fast.bit_generator.state == slow.bit_generator.state, why
+
+
 @pytest.mark.parametrize("pairing", [(1, 1), (5, 1), (1, 5), (0.5, 0.5)])
 def test_tree_sampler_wires_like_the_cumsum_reference(pairing):
     # the Fenwick descent must pick exactly the partner the per-draw cumsum

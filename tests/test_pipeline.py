@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from temponet import (
     read_temporal_csv,
     run,
 )
+import temponet
 from temponet import assembler, pipeline
 from temponet.cli import main as cli_main
 
@@ -37,6 +40,43 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+# modules the interpreter loaded at start-up (site hooks) are not the run's
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from temponet import RunConfig, SamplerConfig, run
+run(RunConfig(
+    timesteps=2,
+    seed=3,
+    community_cfg=SamplerConfig("uniform", 10, 20),
+    degree_cfg=SamplerConfig("uniform", 3, 8, mix_ratio=0.7),
+    community_count=4,
+    kills=2,
+    output_dir=sys.argv[1],
+))
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+# numpy.random's Cython extensions register cython_runtime and _cython_<version>
+print(*sorted(
+    name for name in loaded - set(sys.stdlib_module_names) - {"numpy", "temponet"}
+    if name != "cython_runtime" and not name.startswith("_cython_")
+))
+"""
+
+
+def test_a_run_imports_only_the_standard_library_and_numpy(tmp_path):
+    # pyproject.toml declares numpy alone; scipy and networkx serve the tests
+    src = str(Path(temponet.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+    assert (tmp_path / "edges.csv").exists()
 
 
 def test_plan_transition_arithmetic():
