@@ -195,15 +195,15 @@ def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """The index in ``ids`` (distinct) of each of ``values``, and whether ``ids`` holds it.
 
     A value that ``ids`` lacks gets an arbitrary valid index and ``False``.
-    Ids that span no more slots than there are ids and values go through a
-    table indexed by id; sparse ids, which such a table could not hold, go
-    through a binary search.
+    Ids that span at most 8 slots per id and value go through a table
+    indexed by id, a constant-time gather; sparser ids, which such a table
+    could not hold, go through a binary search.
     """
     if not ids.size:
         return np.zeros(values.shape, dtype=np.intp), np.zeros(values.shape, dtype=bool)
     low = ids.min()
     span = int(ids.max()) - int(low) + 1
-    if span <= ids.size + values.size:
+    if span <= 8 * (ids.size + values.size):
         table = np.full(span, -1, dtype=np.intp)
         table[ids - low] = np.arange(ids.size)
         slot = values - low

@@ -330,15 +330,17 @@ def _relabelled(snap: Snapshot, relabel) -> Snapshot:
     )
 
 
+@pytest.mark.parametrize("gap", [3, 2**20], ids=["table", "binary_search"])
 @pytest.mark.parametrize("case", ["below", "between", "above", "reversed_first"])
-def test_validate_matches_the_reference_at_the_edges_of_the_id_lookup(case):
-    # ids 2**32 + 3i leave room below the smallest id, between ids and above
-    # the largest; an unknown id there, or a reversed copy of the link that
-    # set iteration yields first, must fail as in the two-pass reference
+def test_validate_matches_the_reference_at_the_edges_of_the_id_lookup(case, gap):
+    # ids 2**32 + gap * i leave room below the smallest id, between ids and
+    # above the largest, and a gap of 2**20 is too sparse for the id table;
+    # an unknown id there, or a reversed copy of the link that set iteration
+    # yields first, must fail as in the two-pass reference
     rng = np.random.default_rng(37)
     for trial in range(12):
         snap = _relabelled(
-            assembled_graphable_spec(rng, n_max=40)[2], lambda nid: 2**32 + 3 * nid
+            assembled_graphable_spec(rng, n_max=40)[2], lambda nid: 2**32 + gap * nid
         )
         assert _outcome(Snapshot.validate, snap) == ("ok", None)
         ids = sorted(snap.nodes)
