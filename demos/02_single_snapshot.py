@@ -7,8 +7,6 @@ degrees exactly, has no self-loops or duplicate links, and its 5 inter links
 equal (sum(D) - sum(E)) / 2.
 """
 
-from collections import Counter
-
 import numpy as np
 
 from temponet import (
@@ -28,19 +26,19 @@ rng = np.random.default_rng(11)
 snap = assemble_snapshot(0, sizes, spec, rng, pairing_shape=ShapeParams(1, 1))
 
 print(f"{snap.node_count} nodes, {snap.link_count} links, {snap.community_count} communities")
+# one (u, v) row per link; the node ids here are 0..9, so ids index comm
+comm = np.array([snap.nodes[nid].community for nid in range(snap.node_count)])
+u, v = snap.endpoints.T
 for c, group in enumerate(snap.clustering):
     members = sorted(group)
-    links = {(u, v) for u, v in snap.links
-             if snap.nodes[u].community == c and snap.nodes[v].community == c}
-    print(f"  community {c}: nodes {members}, {len(links)} intra links,"
-          f" {check_connectivity(group, links)} component(s)")
+    rows = snap.endpoints[(comm[u] == c) & (comm[v] == c)]
+    print(f"  community {c}: nodes {members}, {len(rows)} intra links,"
+          f" {check_connectivity(group, rows)} component(s)")
 
-inter = sorted(
-    (u, v) for u, v in snap.links if snap.nodes[u].community != snap.nodes[v].community
-)
+inter = sorted(map(tuple, snap.endpoints[comm[u] != comm[v]].tolist()))
 print("inter links:", inter)
 
-realized = Counter(nid for link in snap.links for nid in link)
+realized = np.bincount(snap.endpoints.ravel(), minlength=snap.node_count)
 print("\nrealized == requested degrees:", all(
     realized[nid] == node.degree for nid, node in snap.nodes.items()
 ))

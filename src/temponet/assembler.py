@@ -16,14 +16,6 @@ and its neighbours carry weight 0 in the tree.  Inter mode adds one tree per
 community over the same positions, k * n cells in all, and descends the
 global tree minus the node's own-community tree.  A draw picks exactly the
 position that a cumulative sum and ``searchsorted`` would pick.
-
-A node takes the Beta variates for its partners in batches of
-``min(open stubs, eligible positions with positive weight)``.  Each draw
-bans the one position it picks, so no draw of a batch finds the eligible
-weight empty, and a batch is empty exactly when it is, which is when a
-repair runs.  ``Generator.beta(a, b, size=k)`` yields the variates of k
-single calls, so the links, repairs and generator state are those of one
-draw per stub.
 """
 
 from __future__ import annotations
@@ -81,19 +73,32 @@ class Node:
 
 @dataclass
 class Snapshot:
-    """A realized simple graph with its ground-truth clustering."""
+    """A realized simple graph with its ground-truth clustering.
+
+    ``endpoints`` is a read-only (m, 2) int64 array, one row (u, v) per link;
+    any iterable of pairs is coerced to one, in its iteration order.
+    """
 
     t: int
     nodes: dict[int, Node]
-    links: set[tuple[int, int]]  # (u, v) with u < v
+    endpoints: np.ndarray
     clustering: list[set[int]]
     community_labels: list[int] = field(default_factory=list)
     wiring_repairs: int = 0
     disconnected_communities: list[int] = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.endpoints, np.ndarray):
+            self.endpoints = np.fromiter(itertools.chain.from_iterable(self.endpoints), np.int64)
+        self.endpoints = self.endpoints.astype(np.int64, copy=False).reshape(-1, 2)
+        self.endpoints.flags.writeable = False
         if not self.community_labels:
             self.community_labels = list(range(len(self.clustering)))
+
+    @property
+    def links(self) -> frozenset[tuple[int, int]]:
+        """The links as a set of (u, v) tuples, built anew on every access."""
+        return frozenset(map(tuple, self.endpoints.tolist()))
 
     @property
     def node_count(self) -> int:
@@ -101,7 +106,7 @@ class Snapshot:
 
     @property
     def link_count(self) -> int:
-        return len(self.links)
+        return len(self.endpoints)
 
     @property
     def community_count(self) -> int:
@@ -110,15 +115,15 @@ class Snapshot:
     def validate(self) -> None:
         """Hard postconditions: simplicity, partition validity, exact degrees.
 
-        The checks are numpy passes over the int64 link endpoints.  They raise
-        for the first failing link in set-iteration order (self-loop, unknown
-        id, then duplicate), then for the partition, then for the first
-        failing node in dict order, as one loop over the links and one over
+        The checks are numpy passes over ``endpoints``.  They raise for the
+        first failing row (self-loop, unknown id, or a duplicate of an earlier
+        row in either orientation), then for the partition, then for the first
+        failing node in dict order, as one loop over the rows and one over
         the nodes would.
         """
         nodes = self.nodes
         n = len(nodes)
-        uv = _endpoints(self.links)
+        uv = self.endpoints
         ids = np.fromiter(nodes, np.int64, n)
         at, known = _lookup(ids, uv)
         loop = uv[:, 0] == uv[:, 1]
@@ -183,12 +188,6 @@ class Snapshot:
                 f"node {nid}: realized intra degree {realized_intra[i]}"
                 f" != spec {intra_degree[i]}"
             )
-
-
-def _endpoints(links) -> np.ndarray:
-    """The (m, 2) int64 endpoints of ``links``, one row per link in set-iteration order."""
-    m = len(links)
-    return np.fromiter(itertools.chain.from_iterable(links), np.int64, 2 * m).reshape(m, 2)
 
 
 def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,9 +400,10 @@ def _wire_phase(
     rng: np.random.Generator,
     budget: int,
     community_of: dict[int, int] | None = None,
-) -> tuple[set[tuple[int, int]], int]:
-    """Pair all stubs into simple links; returns (links, repairs used).
+) -> tuple[np.ndarray, int]:
+    """Pair all stubs into simple links; returns (endpoints, repairs used).
 
+    ``endpoints`` holds one int64 row (u, v), u < v, per link.
     ``community_of`` switches inter mode: partners must then live in a
     different community.  Raises ``WiringError`` when the repair budget is
     exhausted.
@@ -422,8 +422,9 @@ def _wire_phase(
     weight.  Every draw takes the positive position it lands on and bans it,
     so ``eligible`` falls by exactly one per draw and none of the k draws
     finds the weight empty.  ``k`` is 0 exactly when the eligible weight is,
-    and only then does ``repair`` run, with its ``rng.integers`` calls.  One
-    draw per stub would make the same draws and repairs in the same order.
+    and only then does ``repair`` run, with its ``rng.integers`` calls.  As
+    ``Generator.beta(a, b, size=k)`` yields the variates of k single calls,
+    one draw per stub would make the same draws and repairs in the same order.
     """
     entries = sorted(entries, key=lambda t: (t[1], t[0]))
     ids = [nid for nid, _, _ in entries]
@@ -578,11 +579,11 @@ def _wire_phase(
                 add(q, rem[q])
     if any(rem):
         raise WiringError("stubs left unpaired after the wiring loop")
-    links = set()
-    for p, nbrs in enumerate(adj):
-        u = ids[p]
-        links.update((u, ids[q]) for q in nbrs if u < ids[q])
-    return links, repairs
+    node = np.array(ids, dtype=np.int64)
+    count = [len(nbrs) for nbrs in adj]
+    partner = np.fromiter(itertools.chain.from_iterable(adj), np.int64, sum(count))
+    uv = np.stack((np.repeat(node, count), node[partner]), axis=1)
+    return uv[uv[:, 0] < uv[:, 1]], repairs
 
 
 def wire_intra(
@@ -590,9 +591,10 @@ def wire_intra(
     pairing_shape: ShapeParams,
     rng: np.random.Generator,
     budget: int | None = None,
-) -> tuple[set[tuple[int, int]], int]:
+) -> tuple[np.ndarray, int]:
     """Wire one community's intra links; ``members`` is (id, total d, intra e) triples.
 
+    Returns the (m, 2) int64 link rows (u, v), u < v, and the repairs used.
     Every member's realized intra degree equals its ``e`` exactly; the intra
     sequence must pass the Erdos-Gallai test beforehand.
     """
@@ -607,9 +609,10 @@ def wire_inter(
     pairing_shape: ShapeParams,
     rng: np.random.Generator,
     budget: int | None = None,
-) -> tuple[set[tuple[int, int]], int]:
+) -> tuple[np.ndarray, int]:
     """Wire all inter-community links; ``nodes`` is (id, total d, inter f, community).
 
+    Returns the (m, 2) int64 link rows (u, v), u < v, and the repairs used.
     Partners always live in different communities, so no inter link can
     duplicate an intra link.
     """
@@ -621,17 +624,18 @@ def wire_inter(
     return _wire_phase(entries, pairing_shape, rng, budget, community_of=community_of)
 
 
-def check_connectivity(member_ids, links) -> int:
+def check_connectivity(member_ids, endpoints: np.ndarray) -> int:
     """Number of connected components of a community subgraph.
 
-    ``member_ids`` is a set of node ids; links with an endpoint outside it
-    are ignored.  Each member starts as its own root.  A round lowers both
+    ``member_ids`` is a set of node ids and ``endpoints`` (m, 2) int64 link
+    rows; rows with an endpoint outside it are ignored.  Each member starts
+    as its own root.  A round lowers both
     endpoint roots of every link to the smaller of the two, and pointer
     jumping then points every member at its root; the components are the
     roots left once no link joins two roots.
     """
     n = len(member_ids)
-    at, known = _lookup(np.fromiter(member_ids, np.int64, n), _endpoints(links))
+    at, known = _lookup(np.fromiter(member_ids, np.int64, n), endpoints)
     u, v = at[known[:, 0] & known[:, 1]].T
     label = np.arange(n)
     while True:
@@ -723,14 +727,14 @@ def assemble_snapshot(
     for nid, node in nodes.items():
         clustering[node.community].add(nid)
 
-    links: set[tuple[int, int]] = set()
+    parts: list[np.ndarray] = []
     repairs = 0
     disconnected = []
     for c, group in enumerate(clustering):
         members = [(nid, nodes[nid].degree, nodes[nid].intra_degree) for nid in sorted(group)]
         budget = repair_budget_factor * max(1, len(members))
         community_links, used = wire_intra(members, pairing_shape, rng, budget)
-        links |= community_links
+        parts.append(community_links)
         repairs += used
         if check_connectivity(group, community_links) > 1:
             disconnected.append(c)
@@ -746,13 +750,13 @@ def assemble_snapshot(
     inter_links, used = wire_inter(
         inter_entries, pairing_shape, rng, repair_budget_factor * max(1, len(ids))
     )
-    links |= inter_links
+    parts.append(inter_links)
     repairs += used
 
     snap = Snapshot(
         t=t,
         nodes=nodes,
-        links=links,
+        endpoints=np.concatenate(parts),
         clustering=clustering,
         wiring_repairs=repairs,
         disconnected_communities=disconnected,

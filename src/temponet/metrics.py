@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .assembler import Snapshot, _endpoints, _lookup, _node_column
+from .assembler import Snapshot, _lookup, _node_column
 from .errors import ConfigurationError
 
 
@@ -15,11 +15,10 @@ def _endpoint_index(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ``KeyError`` on a link to an id that no node holds.
     """
-    uv = _endpoints(snapshot.links)
     ids = np.fromiter(snapshot.nodes, np.int64, len(snapshot.nodes))
-    at, known = _lookup(ids, uv)
+    at, known = _lookup(ids, snapshot.endpoints)
     if not known.all():
-        raise KeyError(int(uv[~known][0]))
+        raise KeyError(int(snapshot.endpoints[~known][0]))
     return at, ids
 
 
@@ -27,10 +26,10 @@ def assortativity_details(snapshot: Snapshot) -> tuple[float, bool]:
     """Newman degree assortativity and a flag for the degenerate (zero variance) case.
 
     The link (u, v) adds the pairs (d_u, d_v) and (d_v, d_u), link after link
-    in sorted order, so the sums run in the order of a loop over
-    ``sorted(links)``.
+    in sorted order, so the sums run in the order of a loop over the rows
+    of ``endpoints`` in sorted order.
     """
-    if not snapshot.links:
+    if not snapshot.link_count:
         raise ConfigurationError("assortativity needs at least one link")
     at, ids = _endpoint_index(snapshot)
     n = len(ids)
@@ -84,7 +83,7 @@ def modularity(snapshot: Snapshot) -> float:
     Per-community intra-link counts and degree sums come from ``bincount``
     over the link endpoints; the sum over communities runs in Python.
     """
-    m = len(snapshot.links)
+    m = snapshot.link_count
     if m < 1:
         raise ConfigurationError("modularity needs at least one link")
     k = snapshot.community_count

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .assembler import _endpoints
 from .errors import ConfigurationError
 from .lifecycle import EventRecord, render_event_table
 
@@ -153,16 +152,9 @@ def _write_nodes(snaps, path) -> None:
 def _write_edges(snaps, path) -> None:
     """``edges.csv`` from the (u, v, t)-sorted link endpoints of ``snaps``,
     which is sorted by ``t``."""
-    count = [len(s.links) for s in snaps]
-    u = np.empty(sum(count), dtype=np.int64)
-    v = np.empty_like(u)
-    at = 0
-    for snap, m in zip(snaps, count):
-        uv = _endpoints(snap.links)
-        u[at : at + m] = uv[:, 0]
-        v[at : at + m] = uv[:, 1]
-        at += m
-    t = np.repeat(np.array([s.t for s in snaps], dtype=np.int64), count)
+    u = np.concatenate([s.endpoints[:, 0] for s in snaps])
+    v = np.concatenate([s.endpoints[:, 1] for s in snaps])
+    t = np.repeat(np.array([s.t for s in snaps], dtype=np.int64), [s.link_count for s in snaps])
     order = np.lexsort((v, u))
     # one column at a time, so at most one unsorted copy is alive beside the rest
     u = u[order]

@@ -16,7 +16,7 @@ import configparser
 import hashlib
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -176,6 +176,10 @@ class RunConfig:
                 )
             if self.community_count < 1:
                 raise ConfigurationError("community_count must be >= 1")
+        cc = self.community_cfg
+        for f in fields(SamplerConfig):  # the community sampler reads no mix setting
+            if cc is not None and f.name.startswith("mix_") and getattr(cc, f.name) != f.default:
+                raise ConfigurationError(f"community_cfg.{f.name} is not read; use degree_cfg")
         if self.on_disconnected not in ("warn", "abort"):
             raise ConfigurationError("on_disconnected must be 'warn' or 'abort'")
         self.kills = _normalize_kills(self.kills)

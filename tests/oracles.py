@@ -176,7 +176,7 @@ def modularity_reference(snapshot) -> float:
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
     a = np.zeros((n, n))
-    for u, v in snapshot.links:
+    for u, v in snapshot.endpoints.tolist():
         a[index[u], index[v]] = 1
         a[index[v], index[u]] = 1
     deg = a.sum(axis=1)
@@ -834,7 +834,7 @@ def reference_repair_intra_parity(assignment, sizes):
 
 def _reference_degrees(snapshot) -> dict[int, int]:
     d = dict.fromkeys(snapshot.nodes, 0)
-    for u, v in snapshot.links:
+    for u, v in snapshot.endpoints.tolist():
         d[u] += 1
         d[v] += 1
     return d
@@ -843,7 +843,7 @@ def _reference_degrees(snapshot) -> dict[int, int]:
 def _reference_intra_degrees(snapshot) -> dict[int, int]:
     comm = {nid: node.community for nid, node in snapshot.nodes.items()}
     d = dict.fromkeys(snapshot.nodes, 0)
-    for u, v in snapshot.links:
+    for u, v in snapshot.endpoints.tolist():
         if comm[u] == comm[v]:
             d[u] += 1
             d[v] += 1
@@ -852,7 +852,7 @@ def _reference_intra_degrees(snapshot) -> dict[int, int]:
 
 def reference_validate(snapshot) -> None:
     seen = set()
-    for u, v in snapshot.links:
+    for u, v in snapshot.endpoints.tolist():
         if u == v:
             raise AssertionError(f"self-loop at node {u}")
         if u not in snapshot.nodes or v not in snapshot.nodes:
@@ -890,12 +890,13 @@ def reference_validate(snapshot) -> None:
 
 def reference_assortativity_details(snapshot) -> tuple[float, bool]:
     """Newman degree assortativity and a flag for the degenerate (zero variance) case."""
-    if not snapshot.links:
+    links = snapshot.endpoints.tolist()
+    if not links:
         raise ConfigurationError("assortativity needs at least one link")
     deg = {nid: node.degree for nid, node in snapshot.nodes.items()}
-    x = np.empty(2 * len(snapshot.links), dtype=np.float64)
+    x = np.empty(2 * len(links), dtype=np.float64)
     y = np.empty_like(x)
-    for idx, (u, v) in enumerate(sorted(snapshot.links)):
+    for idx, (u, v) in enumerate(sorted(links)):
         x[2 * idx], y[2 * idx] = deg[u], deg[v]
         x[2 * idx + 1], y[2 * idx + 1] = deg[v], deg[u]
     mean = x.mean()
@@ -908,13 +909,14 @@ def reference_assortativity_details(snapshot) -> tuple[float, bool]:
 
 def reference_modularity(snapshot) -> float:
     """Newman-Girvan modularity of the ground-truth clustering (resolution 1)."""
-    m = len(snapshot.links)
+    links = snapshot.endpoints.tolist()
+    m = len(links)
     if m < 1:
         raise ConfigurationError("modularity needs at least one link")
     comm = {nid: node.community for nid, node in snapshot.nodes.items()}
     intra = [0] * snapshot.community_count
     deg_sum = [0] * snapshot.community_count
-    for u, v in snapshot.links:
+    for u, v in links:
         if comm[u] == comm[v]:
             intra[comm[u]] += 1
         deg_sum[comm[u]] += 1

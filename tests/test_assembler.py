@@ -1,6 +1,7 @@
 """Node assignment, the modified configuration model and its repairs."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -260,20 +261,31 @@ def test_parity_repair_matches_the_two_loop_reference():
     assert min(tally.values()) >= 200, tally
 
 
-def _mutate(snap: Snapshot, kind: str, rng) -> None:
-    """Break one postcondition of a valid snapshot in place."""
+def _with_row(snap: Snapshot, row, at: int) -> Snapshot:
+    """``snap`` with the link row ``row`` inserted before row ``at``."""
+    return dataclasses.replace(snap, endpoints=np.insert(snap.endpoints, at, row, axis=0))
+
+
+def _mutate(snap: Snapshot, kind: str, rng) -> Snapshot:
+    """Break one postcondition of a valid snapshot.
+
+    A link fault inserts its row at a random place among the rows of a new
+    snapshot; the other faults edit ``snap``'s nodes or clustering in place.
+    """
     ids = sorted(snap.nodes)
     nid = ids[int(rng.integers(len(ids)))]
     node = snap.nodes[nid]
     links = sorted(snap.links)
-    if kind == "self_loop":
-        snap.links.add((nid, nid))
-    elif kind == "unknown_node":
-        snap.links.add((nid, ids[-1] + 1 + int(rng.integers(3))))
-    elif kind == "duplicate":
-        u, v = links[int(rng.integers(len(links)))]
-        snap.links.add((v, u))
-    elif kind == "overlap":
+    if kind in ("self_loop", "unknown_node", "duplicate"):
+        if kind == "self_loop":
+            row = (nid, nid)
+        elif kind == "unknown_node":
+            row = (nid, ids[-1] + 1 + int(rng.integers(3)))
+        else:
+            u, v = links[int(rng.integers(len(links)))]
+            row = (v, u)
+        return _with_row(snap, row, int(rng.integers(snap.link_count + 1)))
+    if kind == "overlap":
         other = (node.community + 1) % len(snap.clustering)
         snap.clustering[other].add(nid)
     elif kind == "uncovered":
@@ -289,6 +301,7 @@ def _mutate(snap: Snapshot, kind: str, rng) -> None:
         snap.nodes[nid] = Node(nid, node.degree, node.intra_degree + delta, node.community)
     else:
         raise ValueError(kind)
+    return snap
 
 
 def test_validate_matches_the_two_pass_reference():
@@ -309,7 +322,7 @@ def test_validate_matches_the_two_pass_reference():
         assert _outcome(Snapshot.validate, snap) == ("ok", None)
         count = 1 if trial < 400 else int(rng.integers(2, 4))
         for kind in (kinds[trial % len(kinds)], *rng.choice(kinds, count - 1)):
-            _mutate(snap, str(kind), rng)
+            snap = _mutate(snap, str(kind), rng)
         want = _outcome(reference_validate, snap)
         assert want[0] == "AssertionError"
         assert _outcome(Snapshot.validate, snap) == want
@@ -325,7 +338,7 @@ def _relabelled(snap: Snapshot, relabel) -> Snapshot:
             relabel(nid): Node(relabel(nid), node.degree, node.intra_degree, node.community)
             for nid, node in snap.nodes.items()
         },
-        links={(relabel(u), relabel(v)) for u, v in snap.links},
+        endpoints=[(relabel(u), relabel(v)) for u, v in snap.endpoints.tolist()],
         clustering=[{relabel(nid) for nid in group} for group in snap.clustering],
     )
 
@@ -335,8 +348,8 @@ def _relabelled(snap: Snapshot, relabel) -> Snapshot:
 def test_validate_matches_the_reference_at_the_edges_of_the_id_lookup(case, gap):
     # ids 2**32 + gap * i leave room below the smallest id, between ids and
     # above the largest, and a gap of 2**20 is too sparse for the id table;
-    # an unknown id there, or a reversed copy of the link that set iteration
-    # yields first, must fail as in the two-pass reference
+    # an unknown id there, or a reversed copy of the first link placed before
+    # it, must fail as in the two-pass reference
     rng = np.random.default_rng(37)
     for trial in range(12):
         snap = _relabelled(
@@ -346,11 +359,12 @@ def test_validate_matches_the_reference_at_the_edges_of_the_id_lookup(case, gap)
         ids = sorted(snap.nodes)
         known = ids[int(rng.integers(len(ids)))]
         if case == "reversed_first":
-            u, v = next(iter(snap.links))
-            snap.links.add((v, u))
+            u, v = snap.endpoints[0].tolist()
+            snap = _with_row(snap, (v, u), 0)
         else:
             unknown = {"below": ids[0] - 1, "between": ids[1] - 1, "above": ids[-1] + 1}[case]
-            snap.links.add((known, unknown) if trial % 2 else (unknown, known))
+            row = (known, unknown) if trial % 2 else (unknown, known)
+            snap = _with_row(snap, row, int(rng.integers(snap.link_count + 1)))
         want = _outcome(reference_validate, snap)
         assert want[0] == "AssertionError"
         assert _outcome(Snapshot.validate, snap) == want
@@ -362,18 +376,33 @@ def test_validate_rejects_a_community_index_outside_the_clustering(community):
     snap = Snapshot(
         t=0,
         nodes={0: Node(0, 0, 0, community), 1: Node(1, 0, 0, 0)},
-        links=set(),
+        endpoints=[],
         clustering=[{1}, {0}],
     )
     with pytest.raises(AssertionError, match=f"node 0: community index {community} outside"):
         snap.validate()
 
 
+def _link_set(endpoints: np.ndarray) -> set[tuple[int, int]]:
+    """The rows of a wiring result as a set, after checking that they are
+    (m, 2) int64 rows (u, v) with u < v and no row twice, which a set hides."""
+    assert endpoints.dtype == np.int64 and endpoints.ndim == 2 and endpoints.shape[1] == 2
+    assert (endpoints[:, 0] < endpoints[:, 1]).all()
+    links = set(map(tuple, endpoints.tolist()))
+    assert len(links) == len(endpoints)
+    return links
+
+
+def _rows(links) -> np.ndarray:
+    """A set of (u, v) tuples as (m, 2) int64 link rows."""
+    return np.array(sorted(links), dtype=np.int64).reshape(-1, 2)
+
+
 def test_wire_intra_forced_k4():
     links, repairs = wire_intra(
         [(0, 3, 3), (1, 3, 3), (2, 3, 3), (3, 3, 3)], ShapeParams(), np.random.default_rng(0)
     )
-    assert links == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+    assert _link_set(links) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
 
 def test_wire_intra_exactness_on_random_graphable_communities():
@@ -391,7 +420,7 @@ def test_wire_intra_exactness_on_random_graphable_communities():
         links, repairs = wire_intra(members, ShapeParams(), rng)
         repaired_runs += repairs > 0
         deg = {i: 0 for i in range(n)}
-        for u, v in links:
+        for u, v in _link_set(links):
             assert u != v
             deg[u] += 1
             deg[v] += 1
@@ -408,7 +437,7 @@ def test_wire_inter_single_bridge():
     links, _ = wire_inter(
         [(0, 1, 1, 0), (1, 1, 1, 1)], ShapeParams(), np.random.default_rng(0)
     )
-    assert links == {(0, 1)}
+    assert _link_set(links) == {(0, 1)}
 
 
 def test_gate_accepted_memberships_always_wire():
@@ -444,12 +473,13 @@ def test_gate_accepted_memberships_always_wire():
         for c in range(k):
             idx = [i for i in range(n) if membership[i] == c]
             links, _ = wire_intra([(i, total[i], intra[i]) for i in idx], ShapeParams(), rng)
-            all_links |= links
-        inter_links, _ = wire_inter(
+            all_links |= _link_set(links)
+        inter_rows, _ = wire_inter(
             [(i, total[i], spec.inter[i], membership[i]) for i in range(n)],
             ShapeParams(),
             rng,
         )
+        inter_links = _link_set(inter_rows)
         assert not (all_links & inter_links)
         all_links |= inter_links
         deg = {i: 0 for i in range(n)}
@@ -491,8 +521,9 @@ def test_assembled_specs_wire_exactly():
 
 
 def test_check_connectivity_matches_spectral_oracle():
-    assert check_connectivity({0, 1, 2, 3}, {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}) == 1
-    assert check_connectivity({0, 1, 2, 3}, {(0, 1), (2, 3)}) == 2
+    k4 = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+    assert check_connectivity({0, 1, 2, 3}, _rows(k4)) == 1
+    assert check_connectivity({0, 1, 2, 3}, _rows({(0, 1), (2, 3)})) == 2
     rng = np.random.default_rng(23)
     for _ in range(60):
         n = int(rng.integers(2, 50))
@@ -502,7 +533,7 @@ def test_check_connectivity_matches_spectral_oracle():
             u, v = rng.integers(0, n, 2)
             if u != v:
                 links.add((min(int(u), int(v)), max(int(u), int(v))))
-        assert check_connectivity(ids, links) == spectral_component_count(ids, links)
+        assert check_connectivity(ids, _rows(links)) == spectral_component_count(ids, links)
 
 
 def test_check_connectivity_equals_the_union_find_reference():
@@ -524,8 +555,10 @@ def test_check_connectivity_equals_the_union_find_reference():
                 links.add((int(u), int(v)))
         if trial % 3 == 0:
             links.add((ids[-1] + 1, ids[0]))
-        assert check_connectivity(members, links) == reference_check_connectivity(members, links)
-    assert check_connectivity(set(), {(0, 1)}) == reference_check_connectivity(set(), {(0, 1)}) == 0
+        got = check_connectivity(members, _rows(links))
+        assert got == reference_check_connectivity(members, links)
+    empty = reference_check_connectivity(set(), {(0, 1)})
+    assert check_connectivity(set(), _rows({(0, 1)})) == empty == 0
 
 
 def test_joint_distribution_baseline_trivial_cases():
@@ -541,7 +574,7 @@ def test_star_forcing_spec_always_stars():
         links, _ = wire_intra(
             [(0, 3, 3), (1, 1, 1), (2, 1, 1), (3, 1, 1)], ShapeParams(), rng
         )
-        assert links == {(0, 1), (0, 2), (0, 3)}
+        assert _link_set(links) == {(0, 1), (0, 2), (0, 3)}
 
 
 def test_uniform_pairing_approximates_cm_baseline():
@@ -631,7 +664,8 @@ def test_weighted_index_draws_what_generator_choice_draws():
 @pytest.mark.parametrize("pairing", [(1, 1), (5, 1), (1, 5), (0.5, 0.5)])
 def test_tree_sampler_wires_like_the_cumsum_reference(pairing):
     # the Fenwick descent must pick exactly the partner the per-draw cumsum
-    # and searchsorted picked: same links, repairs, errors and generator state.
+    # and searchsorted picked: same links, repairs, errors and generator state,
+    # with the links as (m, 2) int64 rows u < v and no row twice.
     # Trials 120-131 are mid-size (n up to 120) with realistic stub counts.
     shape = ShapeParams(*pairing)
     gen = np.random.default_rng(53)
@@ -653,9 +687,13 @@ def test_tree_sampler_wires_like_the_cumsum_reference(pairing):
         for wire in (reference_wire_phase, assembler._wire_phase):
             rng = np.random.default_rng(1000 + trial)
             try:
-                result = wire(entries, shape, rng, 50 * n, community_of)
+                links, repairs = wire(entries, shape, rng, 50 * n, community_of)
             except WiringError:
                 result = "WiringError"
+            else:
+                if wire is assembler._wire_phase:
+                    links = _link_set(links)
+                result = (links, repairs)
             outcomes.append((result, rng.bit_generator.state))
         assert outcomes[0] == outcomes[1], (trial, mode)
         result = outcomes[0][0]
@@ -668,7 +706,7 @@ def test_assemble_deterministic_given_seed():
     sizes, spec, _ = assembled_graphable_spec(np.random.default_rng(37))
     snap_a = assemble_snapshot(0, sizes, spec, np.random.default_rng(41))
     snap_b = assemble_snapshot(0, sizes, spec, np.random.default_rng(41))
-    assert snap_a.links == snap_b.links
+    assert np.array_equal(snap_a.endpoints, snap_b.endpoints)
     assert all(
         snap_a.nodes[i].community == snap_b.nodes[i].community for i in snap_a.nodes
     )

@@ -141,6 +141,14 @@ def test_run_config_rejects_values_that_fail_later(field, value, message):
         small_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("name, value", [("mix_ratio", 0.9), ("mix_mode", "bernoulli")])
+def test_run_config_rejects_mix_settings_on_the_community_sampler(name, value):
+    # the mix settings split degrees: the community sampler reads neither
+    with pytest.raises(ConfigurationError, match=f"community_cfg.{name}"):
+        small_cfg(community_cfg=SamplerConfig("uniform", 10, 20, **{name: value}))
+    small_cfg(degree_cfg=SamplerConfig("uniform", 3, 8, **{name: value}))
+
+
 def counts(*n):
     return [((), x) for x in n]
 
@@ -309,6 +317,22 @@ def test_run_output_files(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert len(payload["boundaries"]) == 2
     assert payload["seed"] == 11
+
+
+def test_a_run_reads_links_as_endpoint_rows_only(tmp_path, monkeypatch):
+    # no runtime path may build the tuple set that Snapshot.links makes
+    want, got = tmp_path / "want", tmp_path / "got"
+    result = run(small_cfg(timesteps=2, output_dir=str(want)))
+    with pytest.raises(ValueError):
+        result.snapshots[0].endpoints[0, 0] = 0
+
+    def refuse(snap):
+        raise AssertionError("Snapshot.links read during a run")
+
+    monkeypatch.setattr(assembler.Snapshot, "links", property(refuse))
+    run(small_cfg(timesteps=2, output_dir=str(got)))
+    for name in ("nodes.csv", "edges.csv", "report.json", "report.txt"):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_report_echoes_the_complete_config(tmp_path):
