@@ -28,11 +28,13 @@ print(f"{len(solutions)} feasible flows; VI range [{vis.min():.4f}, {vis.max():.
 
 names = ["mi_greedy", "sorted_residual", "max_chunk", "northwest", "proportional"]
 pool = seed_pool(system)
-for name, flow in zip(names, pool):
-    print(f"  seed {name:>16}: VI = {variation_of_information(flow):.4f}")
+pool_vi = [variation_of_information(flow) for flow in pool]
+for name, vi in zip(names, pool_vi):
+    print(f"  seed {name:>16}: VI = {vi:.4f}")
 
 trace = []
-best = taboo_search(system, trace=trace)
+seed = pool[int(np.argmin(pool_vi))]
+best = taboo_search(system, seed, kernel_basis(system), trace=trace)
 print("taboo search found VI =", round(variation_of_information(best), 6))
 print("global optimum        =", round(float(vis.min()), 6))
 print("best flow:")

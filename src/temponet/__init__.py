@@ -74,7 +74,6 @@ from .transition import (
     seed_pool,
     taboo_search,
     variation_of_information,
-    vi_partitions,
 )
 
 __all__ = [
@@ -136,7 +135,6 @@ __all__ = [
     "taboo_search",
     "temporal_degree_correlation",
     "variation_of_information",
-    "vi_partitions",
     "wire_inter",
     "wire_intra",
     "write_report",

@@ -20,12 +20,12 @@ position that a cumulative sum and ``searchsorted`` would pick.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import logging
-import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,23 +66,30 @@ class Node:
     intra_degree: int
     community: int
 
-    @property
-    def inter_degree(self) -> int:
-        return self.degree - self.intra_degree
+
+_NODE_COLUMNS = ("ids", "degree", "intra_degree", "community")
 
 
-@dataclass
+@dataclass(eq=False)
 class Snapshot:
     """A realized simple graph with its ground-truth clustering.
 
-    ``endpoints`` is a read-only (m, 2) int64 array, one row (u, v) per link;
-    any iterable of pairs is coerced to one, in its iteration order.
+    The nodes are four read-only int64 columns with one entry per node:
+    ``ids`` in strictly ascending order, ``degree``, ``intra_degree`` and
+    ``community``, an index into ``range(community_count)``.  Each node thus
+    has exactly one community, and a community may be empty.  ``endpoints``
+    is a read-only (m, 2) int64 array, one row (u, v) per link; any iterable
+    of pairs is coerced to one, in its iteration order.  Snapshots compare
+    by identity.
     """
 
     t: int
-    nodes: dict[int, Node]
+    ids: np.ndarray
+    degree: np.ndarray
+    intra_degree: np.ndarray
+    community: np.ndarray
+    community_count: int
     endpoints: np.ndarray
-    clustering: list[set[int]]
     community_labels: list[int] = field(default_factory=list)
     wiring_repairs: int = 0
     disconnected_communities: list[int] = field(default_factory=list)
@@ -91,9 +98,34 @@ class Snapshot:
         if not isinstance(self.endpoints, np.ndarray):
             self.endpoints = np.fromiter(itertools.chain.from_iterable(self.endpoints), np.int64)
         self.endpoints = self.endpoints.astype(np.int64, copy=False).reshape(-1, 2)
-        self.endpoints.flags.writeable = False
+        for name in _NODE_COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        n = self.ids.size
+        if any(getattr(self, name).shape != (n,) for name in _NODE_COLUMNS):
+            raise ConfigurationError("the node columns differ in length")
+        if (self.ids[1:] <= self.ids[:-1]).any():
+            raise ConfigurationError("node ids do not strictly ascend")
+        for name in (*_NODE_COLUMNS, "endpoints"):
+            getattr(self, name).flags.writeable = False
         if not self.community_labels:
-            self.community_labels = list(range(len(self.clustering)))
+            self.community_labels = list(range(self.community_count))
+
+    def __deepcopy__(self, memo):
+        """A copy built through the constructor, so its columns are read-only too."""
+        return Snapshot(
+            **{f.name: copy.deepcopy(getattr(self, f.name), memo) for f in fields(self)}
+        )
+
+    @property
+    def nodes(self) -> dict[int, Node]:
+        """The nodes by id, in id order, built anew on every access."""
+        columns = (getattr(self, name).tolist() for name in _NODE_COLUMNS)
+        return {nid: Node(nid, d, e, c) for nid, d, e, c in zip(*columns)}
+
+    @property
+    def clustering(self) -> list[set[int]]:
+        """Each community's set of ids, built anew on every access."""
+        return [set(self.ids[self.community == c].tolist()) for c in range(self.community_count)]
 
     @property
     def links(self) -> frozenset[tuple[int, int]]:
@@ -102,29 +134,27 @@ class Snapshot:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return self.ids.size
 
     @property
     def link_count(self) -> int:
         return len(self.endpoints)
 
-    @property
-    def community_count(self) -> int:
-        return len(self.clustering)
-
     def validate(self) -> None:
-        """Hard postconditions: simplicity, partition validity, exact degrees.
+        """Hard postconditions: simplicity, community indices in range, exact degrees.
 
-        The checks are numpy passes over ``endpoints``.  They raise for the
-        first failing row (self-loop, unknown id, or a duplicate of an earlier
-        row in either orientation), then for the partition, then for the first
-        failing node in dict order, as one loop over the rows and one over
-        the nodes would.
+        The checks are numpy passes over the columns.  They raise for the
+        first failing row of ``endpoints`` (self-loop, unknown id, or a
+        duplicate of an earlier row in either orientation), then for the
+        first node in id order whose community index lies outside
+        ``range(community_count)``, then for the first node whose realized
+        degree or intra degree differs from its column, as one loop over the
+        rows and one over the nodes would.  The columns give each node one
+        community, so no partition check is needed.
         """
-        nodes = self.nodes
-        n = len(nodes)
+        ids = self.ids
+        n = len(ids)
         uv = self.endpoints
-        ids = np.fromiter(nodes, np.int64, n)
         at, known = _lookup(ids, uv)
         loop = uv[:, 0] == uv[:, 1]
         unknown = ~(known[:, 0] & known[:, 1])
@@ -147,35 +177,17 @@ class Snapshot:
             if unknown[i]:
                 raise AssertionError(f"link ({u}, {v}) references unknown nodes")
             raise AssertionError(f"duplicate link {(min(u, v), max(u, v))}")
-        covered = set()
-        for c, group in enumerate(self.clustering):
-            if covered & group:
-                raise AssertionError(f"community {c} overlaps another community")
-            covered |= group
-        if covered != set(nodes):
-            raise AssertionError("clustering does not cover the node set")
-        k = len(self.clustering)
-        comm = _node_column(nodes, "community")
-        # the clustering partitions the node set, so each id sits in one group
-        label = np.empty(n, dtype=np.int64)
-        members = np.fromiter(itertools.chain.from_iterable(self.clustering), np.int64, n)
-        label[_lookup(ids, members)[0]] = np.repeat(
-            np.arange(k), [len(group) for group in self.clustering]
-        )
+        k = self.community_count
+        comm = self.community
         outside = (comm < 0) | (comm >= k)
-        misplaced = outside | (label != comm)
-        if misplaced.any():
-            i = int(misplaced.argmax())
-            nid = int(ids[i])
-            if outside[i]:
-                raise AssertionError(
-                    f"node {nid}: community index {int(comm[i])} outside the {k} communities"
-                )
-            raise AssertionError(f"node {nid} missing from its community")
-        degree = _node_column(nodes, "degree")
-        intra_degree = _node_column(nodes, "intra_degree")
+        if outside.any():
+            i = int(outside.argmax())
+            raise AssertionError(
+                f"node {int(ids[i])}: community index {int(comm[i])} outside the {k} communities"
+            )
         realized = np.bincount(at.ravel(), minlength=n)
         realized_intra = np.bincount(at[comm[at[:, 0]] == comm[at[:, 1]]].ravel(), minlength=n)
+        degree, intra_degree = self.degree, self.intra_degree
         wrong = (realized != degree) | (realized_intra != intra_degree)
         if wrong.any():
             i = int(wrong.argmax())
@@ -191,7 +203,7 @@ class Snapshot:
 
 
 def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index in ``ids`` (distinct) of each of ``values``, and whether ``ids`` holds it.
+    """The index in the strictly ascending ``ids`` of each of ``values``, and whether it is there.
 
     A value that ``ids`` lacks gets an arbitrary valid index and ``False``.
     Ids that span at most 8 slots per id and value go through a table
@@ -200,8 +212,8 @@ def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     if not ids.size:
         return np.zeros(values.shape, dtype=np.intp), np.zeros(values.shape, dtype=bool)
-    low = ids.min()
-    span = int(ids.max()) - int(low) + 1
+    low = ids[0]
+    span = int(ids[-1]) - int(low) + 1
     if span <= 8 * (ids.size + values.size):
         table = np.full(span, -1, dtype=np.intp)
         table[ids - low] = np.arange(ids.size)
@@ -209,16 +221,9 @@ def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
         inside = (slot >= 0) & (slot < span)
         at = table[np.where(inside, slot, 0)]
         return at, inside & (at >= 0)
-    order = np.argsort(ids)
-    at = np.searchsorted(ids, values, sorter=order)
+    at = np.searchsorted(ids, values)
     np.minimum(at, ids.size - 1, out=at)
-    at = order[at]
     return at, ids[at] == values
-
-
-def _node_column(nodes: dict[int, Node], name: str) -> np.ndarray:
-    """One int64 ``Node`` attribute per node, in dict order."""
-    return np.fromiter(map(operator.attrgetter(name), nodes.values()), np.int64, len(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +632,16 @@ def wire_inter(
 def check_connectivity(member_ids, endpoints: np.ndarray) -> int:
     """Number of connected components of a community subgraph.
 
-    ``member_ids`` is a set of node ids and ``endpoints`` (m, 2) int64 link
-    rows; rows with an endpoint outside it are ignored.  Each member starts
-    as its own root.  A round lowers both
+    ``member_ids`` is an array (or list) of distinct node ids in any order
+    and ``endpoints`` (m, 2) int64 link rows; rows with an endpoint outside
+    it are ignored.  Each member starts as its own root.  A round lowers both
     endpoint roots of every link to the smaller of the two, and pointer
     jumping then points every member at its root; the components are the
     roots left once no link joins two roots.
     """
-    n = len(member_ids)
-    at, known = _lookup(np.fromiter(member_ids, np.int64, n), endpoints)
+    ids = np.sort(np.asarray(member_ids, dtype=np.int64))
+    n = ids.size
+    at, known = _lookup(ids, endpoints)
     u, v = at[known[:, 0] & known[:, 1]].T
     label = np.arange(n)
     while True:
@@ -714,39 +720,30 @@ def assemble_snapshot(
     else:
         raise GraphabilityError.exhausted(t, "assignment attempt", failures)
 
-    nodes = {
-        nid: Node(
-            id=nid,
-            degree=assignment[nid][1],
-            intra_degree=assignment[nid][2],
-            community=assignment[nid][0],
-        )
-        for nid in ids
-    }
-    clustering: list[set[int]] = [set() for _ in range(len(sizes))]
-    for nid, node in nodes.items():
-        clustering[node.community].add(nid)
+    node_ids = np.array(ids, dtype=np.int64)
+    community = np.array(membership, dtype=np.int64)
+    degree = np.array(aligned.total, dtype=np.int64)
+    intra_degree = np.array(aligned.intra, dtype=np.int64)
 
     parts: list[np.ndarray] = []
     repairs = 0
     disconnected = []
-    for c, group in enumerate(clustering):
-        members = [(nid, nodes[nid].degree, nodes[nid].intra_degree) for nid in sorted(group)]
-        budget = repair_budget_factor * max(1, len(members))
-        community_links, used = wire_intra(members, pairing_shape, rng, budget)
+    for c in range(len(sizes)):
+        mine = community == c
+        members = node_ids[mine]
+        triples = zip(members.tolist(), degree[mine].tolist(), intra_degree[mine].tolist())
+        budget = repair_budget_factor * max(1, members.size)
+        community_links, used = wire_intra(triples, pairing_shape, rng, budget)
         parts.append(community_links)
         repairs += used
-        if check_connectivity(group, community_links) > 1:
+        if check_connectivity(members, community_links) > 1:
             disconnected.append(c)
     if disconnected:
         log.warning(
             "timestep %d: communities %s wired with multiple components", t, disconnected
         )
 
-    inter_entries = [
-        (nid, nodes[nid].degree, nodes[nid].inter_degree, nodes[nid].community)
-        for nid in ids
-    ]
+    inter_entries = zip(ids, aligned.total, aligned.inter, membership)
     inter_links, used = wire_inter(
         inter_entries, pairing_shape, rng, repair_budget_factor * max(1, len(ids))
     )
@@ -755,9 +752,12 @@ def assemble_snapshot(
 
     snap = Snapshot(
         t=t,
-        nodes=nodes,
+        ids=node_ids,
+        degree=degree,
+        intra_degree=intra_degree,
+        community=community,
+        community_count=len(sizes),
         endpoints=np.concatenate(parts),
-        clustering=clustering,
         wiring_repairs=repairs,
         disconnected_communities=disconnected,
     )

@@ -6,20 +6,19 @@ import math
 
 import numpy as np
 
-from .assembler import Snapshot, _lookup, _node_column
+from .assembler import Snapshot, _lookup
 from .errors import ConfigurationError
 
 
-def _endpoint_index(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """The dict-order node index of each link endpoint, shape (m, 2), and the node ids.
+def _endpoint_index(snapshot: Snapshot) -> np.ndarray:
+    """The node index of each link endpoint, shape (m, 2).
 
     Raises ``KeyError`` on a link to an id that no node holds.
     """
-    ids = np.fromiter(snapshot.nodes, np.int64, len(snapshot.nodes))
-    at, known = _lookup(ids, snapshot.endpoints)
+    at, known = _lookup(snapshot.ids, snapshot.endpoints)
     if not known.all():
         raise KeyError(int(snapshot.endpoints[~known][0]))
-    return at, ids
+    return at
 
 
 def assortativity_details(snapshot: Snapshot) -> tuple[float, bool]:
@@ -31,14 +30,11 @@ def assortativity_details(snapshot: Snapshot) -> tuple[float, bool]:
     """
     if not snapshot.link_count:
         raise ConfigurationError("assortativity needs at least one link")
-    at, ids = _endpoint_index(snapshot)
-    n = len(ids)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(ids)] = np.arange(n)
-    # the links are distinct pairs of ids, so their rank keys are distinct
-    key = rank[at[:, 0]] * n + rank[at[:, 1]]
-    deg = _node_column(snapshot.nodes, "degree").astype(np.float64)
-    ends = deg[at[np.argsort(key)]]
+    at = _endpoint_index(snapshot)
+    # the ids ascend, so node indices sort links as their ids do; the links
+    # are distinct pairs of ids, so their keys are distinct
+    key = at[:, 0] * snapshot.node_count + at[:, 1]
+    ends = snapshot.degree.astype(np.float64)[at[np.argsort(key)]]
     x = ends.ravel()
     y = ends[:, ::-1].ravel()
     mean = x.mean()
@@ -59,11 +55,13 @@ def temporal_degree_correlation_details(
     snap_t: Snapshot, snap_t1: Snapshot
 ) -> tuple[float, bool]:
     """Pearson correlation of degrees over nodes alive in both snapshots, plus flag."""
-    common = sorted(set(snap_t.nodes) & set(snap_t1.nodes))
+    common, at_t, at_t1 = np.intersect1d(
+        snap_t.ids, snap_t1.ids, assume_unique=True, return_indices=True
+    )
     if len(common) < 2:
         return 0.0, True
-    a = np.array([snap_t.nodes[nid].degree for nid in common], dtype=np.float64)
-    b = np.array([snap_t1.nodes[nid].degree for nid in common], dtype=np.float64)
+    a = snap_t.degree[at_t].astype(np.float64)
+    b = snap_t1.degree[at_t1].astype(np.float64)
     va = ((a - a.mean()) ** 2).sum()
     vb = ((b - b.mean()) ** 2).sum()
     if va <= 1e-12 or vb <= 1e-12:
@@ -87,7 +85,7 @@ def modularity(snapshot: Snapshot) -> float:
     if m < 1:
         raise ConfigurationError("modularity needs at least one link")
     k = snapshot.community_count
-    comm = _node_column(snapshot.nodes, "community")[_endpoint_index(snapshot)[0]]
+    comm = snapshot.community[_endpoint_index(snapshot)]
     intra = np.bincount(comm[comm[:, 0] == comm[:, 1], 0], minlength=k).tolist()
     deg_sum = np.bincount(comm.ravel(), minlength=k).tolist()
     q = 0.0

@@ -122,16 +122,11 @@ def _interval_blocks(t, key_start, run_start, label=None):
 def _write_nodes(snaps, path) -> None:
     """``nodes.csv`` from the (id, t)-sorted node ids and labels of ``snaps``,
     which is sorted by ``t``."""
-    count = [len(s.nodes) for s in snaps]
-    nid = np.empty(sum(count), dtype=np.int64)
-    label = np.empty_like(nid)
-    at = 0
-    for snap, n in zip(snaps, count):
-        comm = np.fromiter((node.community for node in snap.nodes.values()), np.int64, n)
-        nid[at : at + n] = np.fromiter(snap.nodes, np.int64, n)
-        label[at : at + n] = np.asarray(snap.community_labels, dtype=np.int64)[comm]
-        at += n
-    t = np.repeat(np.array([s.t for s in snaps], dtype=np.int64), count)
+    nid = np.concatenate([s.ids for s in snaps])
+    label = np.concatenate(
+        [np.asarray(s.community_labels, dtype=np.int64)[s.community] for s in snaps]
+    )
+    t = np.repeat(np.array([s.t for s in snaps], dtype=np.int64), [s.node_count for s in snaps])
     order = np.argsort(nid, kind="stable")
     nid, t, label = nid[order], t[order], label[order]
     key = _changed(nid)

@@ -24,6 +24,7 @@ from .assembler import (
     DEFAULT_REPAIR_BUDGET_FACTOR,
     ShapeParams,
     Snapshot,
+    _lookup,
     assemble_snapshot,
 )
 from .errors import ConfigurationError, GraphabilityError
@@ -59,7 +60,6 @@ from .sequences import (
 )
 from .transition import (
     build_flow_system,
-    contingency,
     kernel_basis,
     materialize_flow,
     seed_pool,
@@ -272,8 +272,9 @@ def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: i
     """Plan the kills into timestep ``t``, search the flow and materialize it into node moves."""
     snap = prev.snap
     explicit_ids, random_count = _kills_for_boundary(cfg, t - 1)
-    alive = sorted(snap.nodes)
-    bad = [nid for nid in explicit_ids if nid not in snap.nodes]
+    alive = snap.ids.tolist()
+    alive_set = set(alive)
+    bad = [nid for nid in explicit_ids if nid not in alive_set]
     if bad:
         raise ConfigurationError(f"boundary {t - 1}: kill ids {bad} are not alive at T{t - 1}")
     kill_ids = set(explicit_ids)
@@ -286,10 +287,10 @@ def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: i
     plan = plan_transition(prev.sizes, sizes_t1, sorted(kill_ids), rng, alive_ids=alive)
 
     k_real, l_real = len(prev.sizes), len(sizes_t1)
-    victims = set(plan.kill_ids)
+    dies = np.isin(snap.ids, plan.kill_ids)
     lower = np.zeros((len(plan.sizes_from_augmented), len(plan.sizes_to_augmented)), np.int64)
     if plan.death_col is not None:
-        lower[:k_real, plan.death_col] = [len(g & victims) for g in snap.clustering]
+        lower[:k_real, plan.death_col] = np.bincount(snap.community[dies], minlength=k_real)
     system = build_flow_system(plan.sizes_from_augmented, plan.sizes_to_augmented, lower=lower)
     pool_flows = seed_pool(system)
     pool_vi = [variation_of_information(u) for u in pool_flows]
@@ -298,7 +299,7 @@ def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: i
         flow = taboo_search(system, flow, kernel_basis(system))
 
     # concrete node moves: survivors only; the pinned death column is the kill set
-    groups = [sorted(g - victims) for g in snap.clustering]
+    groups = [snap.ids[(snap.community == i) & ~dies].tolist() for i in range(k_real)]
     moved = materialize_flow(flow[:k_real, :l_real], groups, rng)
     surviving: dict[int, int] = {}
     for i in range(k_real):
@@ -324,9 +325,14 @@ def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot
 
     # the realized contingency, births (last row) and deaths (last column)
     # included, must reproduce the flow exactly
-    born = snap.nodes.keys() - old.nodes.keys()
-    dead = old.nodes.keys() - snap.nodes.keys()
-    recount = contingency(old.clustering + [born], snap.clustering + [dead])
+    k, l = old.community_count, snap.community_count
+    at, kept = _lookup(snap.ids, old.ids)
+    target = np.full(old.node_count, l)
+    target[kept] = snap.community[at[kept]]
+    born = ~_lookup(old.ids, snap.ids)[1]
+    recount = np.zeros((k + 1, l + 1), dtype=np.int64)
+    np.add.at(recount, (old.community, target), 1)
+    np.add.at(recount, (k, snap.community[born]), 1)
     padded = np.pad(flow, [(0, have - got) for have, got in zip(recount.shape, flow.shape)])
     if not np.array_equal(recount, padded):
         raise AssertionError("realized contingency deviates from the searched flow")
@@ -379,11 +385,7 @@ def _step(cfg: RunConfig, rng, prev: _State | None, sizes, spec, t: int, report)
         moves = _plan_moves(cfg, rng, prev, sizes, t)
         placement = dict(
             surviving=moves.surviving,
-            prev_degrees={
-                nid: prev.snap.nodes[nid].degree
-                for nid in moves.surviving
-                if nid in prev.snap.nodes
-            },
+            prev_degrees=dict(zip(prev.snap.ids.tolist(), prev.snap.degree.tolist())),
         )
     snap = assemble_snapshot(
         t,

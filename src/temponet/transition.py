@@ -155,32 +155,6 @@ def variation_of_information(flow) -> float:
     return float(-terms.sum()) + 0.0  # normalize -0.0
 
 
-def contingency(partition_x, partition_y) -> np.ndarray:
-    """Counts matrix ``|x_i & y_j|`` for two partitions given as iterables of id sets."""
-    xs = [frozenset(g) for g in partition_x]
-    ys = [frozenset(g) for g in partition_y]
-    all_x = set().union(*xs) if xs else set()
-    all_y = set().union(*ys) if ys else set()
-    if sum(len(g) for g in xs) != len(all_x) or sum(len(g) for g in ys) != len(all_y):
-        raise ConfigurationError("partitions must consist of disjoint groups")
-    if all_x != all_y:
-        raise ConfigurationError("partitions cover different node sets")
-    u = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    where_y = {}
-    for j, g in enumerate(ys):
-        for node in g:
-            where_y[node] = j
-    for i, g in enumerate(xs):
-        for node in g:
-            u[i, where_y[node]] += 1
-    return u
-
-
-def vi_partitions(partition_x, partition_y) -> float:
-    """VI between two partitions of the same node set."""
-    return variation_of_information(contingency(partition_x, partition_y))
-
-
 # ---------------------------------------------------------------------------
 # exact lattice enumeration
 # ---------------------------------------------------------------------------
@@ -462,13 +436,6 @@ def seed_pool(system: FlowSystem) -> list[np.ndarray]:
     ]
 
 
-def best_of_pool(system: FlowSystem) -> np.ndarray:
-    """Pool member with the lowest VI (ties: earliest heuristic)."""
-    pool = seed_pool(system)
-    scores = [variation_of_information(u) for u in pool]
-    return pool[int(np.argmin(scores))]
-
-
 # ---------------------------------------------------------------------------
 # taboo search
 # ---------------------------------------------------------------------------
@@ -484,8 +451,8 @@ class SearchConfig:
 
 def taboo_search(
     system: FlowSystem,
-    seed: np.ndarray | None = None,
-    basis: list[KernelVector] | None = None,
+    seed: np.ndarray,
+    basis: list[KernelVector],
     cfg: SearchConfig | None = None,
     trace: list | None = None,
 ) -> np.ndarray:
@@ -502,10 +469,6 @@ def taboo_search(
     receives ``(moves, VI)`` at the start and after each move.  Always
     returns a feasible flow no worse than the seed.
     """
-    if basis is None:
-        basis = kernel_basis(system)
-    if seed is None:
-        seed = best_of_pool(system)
     u = np.asarray(seed, dtype=np.int64).copy()
     if not system.is_feasible(u):
         raise ConfigurationError("taboo_search seed is not a feasible flow")

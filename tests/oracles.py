@@ -13,7 +13,9 @@ its event table keep their earlier forms as well, with every rule written out
 once per side.  So do the parity repair with its separate fallback loop,
 snapshot validation with its separate degree passes, and the CSV export with
 one run merger per field.  Assortativity, modularity and the connectivity
-check keep their per-link Python loops.
+check keep their per-link Python loops.  The partition contingency, the VI
+of two partitions and the best-of-pool pick live only here, since only tests
+use them, as does the building of a snapshot from a ``Node`` dict.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from collections import defaultdict
 
 import numpy as np
 
-from temponet import ConfigurationError, GraphabilityError, WiringError, variation_of_information
+from temponet import (
+    ConfigurationError,
+    GraphabilityError,
+    Snapshot,
+    WiringError,
+    seed_pool,
+    variation_of_information,
+)
 from temponet.lifecycle import (
     BORN,
     CONTINUES,
@@ -149,6 +158,55 @@ def spectral_component_count(node_ids, links) -> int:
     return int((np.abs(eig) < 1e-8).sum())
 
 
+def snapshot_from_nodes(t, nodes, endpoints, community_count, **kwargs) -> Snapshot:
+    """A ``Snapshot`` from an id -> ``Node`` dict in any order, its columns sorted by id."""
+    rows = sorted((nid, n.degree, n.intra_degree, n.community) for nid, n in nodes.items())
+    ids, degree, intra_degree, community = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return Snapshot(
+        t=t,
+        ids=ids,
+        degree=degree,
+        intra_degree=intra_degree,
+        community=community,
+        community_count=community_count,
+        endpoints=endpoints,
+        **kwargs,
+    )
+
+
+def contingency(partition_x, partition_y) -> np.ndarray:
+    """Counts matrix ``|x_i & y_j|`` for two partitions given as iterables of id sets."""
+    xs = [frozenset(g) for g in partition_x]
+    ys = [frozenset(g) for g in partition_y]
+    all_x = set().union(*xs) if xs else set()
+    all_y = set().union(*ys) if ys else set()
+    if sum(len(g) for g in xs) != len(all_x) or sum(len(g) for g in ys) != len(all_y):
+        raise ConfigurationError("partitions must consist of disjoint groups")
+    if all_x != all_y:
+        raise ConfigurationError("partitions cover different node sets")
+    u = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    where_y = {}
+    for j, g in enumerate(ys):
+        for node in g:
+            where_y[node] = j
+    for i, g in enumerate(xs):
+        for node in g:
+            u[i, where_y[node]] += 1
+    return u
+
+
+def vi_partitions(partition_x, partition_y) -> float:
+    """VI between two partitions of the same node set, through their contingency."""
+    return variation_of_information(contingency(partition_x, partition_y))
+
+
+def best_of_pool(system) -> np.ndarray:
+    """Pool member with the lowest VI (ties: earliest heuristic), as the pipeline picks it."""
+    pool = seed_pool(system)
+    scores = [variation_of_information(u) for u in pool]
+    return pool[int(np.argmin(scores))]
+
+
 def vi_reference(partition_x, partition_y) -> float:
     """VI via H(X) + H(Y) - 2 I(X;Y), an independent route to the same metric."""
     xs = [frozenset(g) for g in partition_x]
@@ -172,7 +230,8 @@ def vi_reference(partition_x, partition_y) -> float:
 
 def modularity_reference(snapshot) -> float:
     """Modularity straight from (1/2m) sum_ij (A_ij - k_i k_j / 2m) delta(c_i, c_j)."""
-    ids = sorted(snapshot.nodes)
+    nodes = snapshot.nodes
+    ids = sorted(nodes)
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
     a = np.zeros((n, n))
@@ -181,7 +240,7 @@ def modularity_reference(snapshot) -> float:
         a[index[v], index[u]] = 1
     deg = a.sum(axis=1)
     two_m = deg.sum()
-    comm = np.array([snapshot.nodes[nid].community for nid in ids])
+    comm = np.array([nodes[nid].community for nid in ids])
     q = 0.0
     for i in range(n):
         for j in range(n):
@@ -861,16 +920,12 @@ def reference_validate(snapshot) -> None:
         if key in seen:
             raise AssertionError(f"duplicate link {key}")
         seen.add(key)
-    covered = set()
-    for c, group in enumerate(snapshot.clustering):
-        if covered & group:
-            raise AssertionError(f"community {c} overlaps another community")
-        covered |= group
-    if covered != set(snapshot.nodes):
-        raise AssertionError("clustering does not cover the node set")
+    k = snapshot.community_count
     for nid, node in snapshot.nodes.items():
-        if nid not in snapshot.clustering[node.community]:
-            raise AssertionError(f"node {nid} missing from its community")
+        if not 0 <= node.community < k:
+            raise AssertionError(
+                f"node {nid}: community index {node.community} outside the {k} communities"
+            )
     realized = _reference_degrees(snapshot)
     realized_intra = _reference_intra_degrees(snapshot)
     for nid, node in snapshot.nodes.items():

@@ -36,11 +36,9 @@ from temponet import (
     split_degrees,
     taboo_search,
     variation_of_information,
-    vi_partitions,
 )
-from temponet.transition import best_of_pool
 
-from oracles import realizable_clustered, realizable_degree_sequence
+from oracles import best_of_pool, realizable_clustered, realizable_degree_sequence, vi_partitions
 
 
 def _report(number, text):
@@ -98,7 +96,7 @@ def test_slow_taboo_reaches_optimum_of_large_space():
     start = time.time()
     best = min(quick_vi(u.tolist()) for u in iter_lattice(system))
     sweep_time = time.time() - start
-    found = taboo_search(system)
+    found = taboo_search(system, best_of_pool(system), kernel_basis(system))
     got = variation_of_information(found)
     assert got <= best + 1e-9, (got, best)
     _report(
@@ -155,9 +153,10 @@ def test_acceptance_4_degree_exactness():
         except GraphabilityError:
             continue  # membership-dependent condition failed: not a graphable draw
         snap.validate()  # exact (d, e, f) per node, no self-loops, no multi-edges
+        nodes = snap.nodes
         assert sorted(zip(
-            (snap.nodes[i].degree for i in sorted(snap.nodes)),
-            (snap.nodes[i].intra_degree for i in sorted(snap.nodes)),
+            (nodes[i].degree for i in sorted(nodes)),
+            (nodes[i].intra_degree for i in sorted(nodes)),
         )) == sorted(zip(spec.total, spec.intra))
         produced += 1
     _report(4, "1000 random graphable specs wired with exact degrees and simple graphs")

@@ -34,6 +34,7 @@ from oracles import (
     reference_repair_intra_parity,
     reference_validate,
     reference_wire_phase,
+    snapshot_from_nodes,
     spectral_component_count,
 )
 
@@ -266,15 +267,22 @@ def _with_row(snap: Snapshot, row, at: int) -> Snapshot:
     return dataclasses.replace(snap, endpoints=np.insert(snap.endpoints, at, row, axis=0))
 
 
-def _mutate(snap: Snapshot, kind: str, rng) -> Snapshot:
-    """Break one postcondition of a valid snapshot.
+def _with_entry(snap: Snapshot, name: str, i: int, value: int) -> Snapshot:
+    """``snap`` with entry ``i`` of the node column ``name`` set to ``value``."""
+    column = getattr(snap, name).copy()
+    column[i] = value
+    return dataclasses.replace(snap, **{name: column})
 
-    A link fault inserts its row at a random place among the rows of a new
-    snapshot; the other faults edit ``snap``'s nodes or clustering in place.
+
+def _mutate(snap: Snapshot, kind: str, rng) -> Snapshot:
+    """Break one postcondition of a valid snapshot, in a new snapshot.
+
+    A link fault inserts its row at a random place among the rows; the other
+    faults edit one entry of a node column.
     """
-    ids = sorted(snap.nodes)
-    nid = ids[int(rng.integers(len(ids)))]
-    node = snap.nodes[nid]
+    ids = snap.ids.tolist()
+    i = int(rng.integers(len(ids)))
+    nid = ids[i]
     links = sorted(snap.links)
     if kind in ("self_loop", "unknown_node", "duplicate"):
         if kind == "self_loop":
@@ -285,40 +293,28 @@ def _mutate(snap: Snapshot, kind: str, rng) -> Snapshot:
             u, v = links[int(rng.integers(len(links)))]
             row = (v, u)
         return _with_row(snap, row, int(rng.integers(snap.link_count + 1)))
-    if kind == "overlap":
-        other = (node.community + 1) % len(snap.clustering)
-        snap.clustering[other].add(nid)
-    elif kind == "uncovered":
-        snap.clustering[node.community].discard(nid)
-    elif kind == "misplaced":
-        other = (node.community + 1) % len(snap.clustering)
-        snap.clustering[node.community].discard(nid)
-        snap.clustering[other].add(nid)
-    elif kind == "degree":
-        snap.nodes[nid] = Node(nid, node.degree + 1, node.intra_degree, node.community)
-    elif kind == "intra_degree":
-        delta = -1 if node.intra_degree else 1
-        snap.nodes[nid] = Node(nid, node.degree, node.intra_degree + delta, node.community)
-    else:
-        raise ValueError(kind)
-    return snap
+    if kind == "community_range":
+        return _with_entry(snap, "community", i, (-1, snap.community_count)[i % 2])
+    if kind == "degree":
+        return _with_entry(snap, "degree", i, snap.degree[i] + 1)
+    if kind == "intra_degree":
+        delta = -1 if snap.intra_degree[i] else 1
+        return _with_entry(snap, "intra_degree", i, snap.intra_degree[i] + delta)
+    raise ValueError(kind)
 
 
 def test_validate_matches_the_two_pass_reference():
     # one to three mutations per trial, so the first failing check decides
-    kinds = [
-        "self_loop", "unknown_node", "duplicate", "overlap",
-        "uncovered", "misplaced", "degree", "intra_degree",
-    ]
+    kinds = ["self_loop", "unknown_node", "duplicate", "community_range", "degree", "intra_degree"]
     checks = (
-        "self-loop", "unknown nodes", "duplicate link", "overlaps", "does not cover",
-        "missing from its community", "realized degree", "realized intra degree",
+        "self-loop", "unknown nodes", "duplicate link", "outside the", "realized degree",
+        "realized intra degree",
     )
     rng = np.random.default_rng(31)
     bases = [assembled_graphable_spec(rng, n_max=40)[2] for _ in range(6)]
     seen = set()
     for trial in range(800):
-        snap = copy.deepcopy(bases[trial % len(bases)])
+        snap = bases[trial % len(bases)]
         assert _outcome(Snapshot.validate, snap) == ("ok", None)
         count = 1 if trial < 400 else int(rng.integers(2, 4))
         for kind in (kinds[trial % len(kinds)], *rng.choice(kinds, count - 1)):
@@ -332,14 +328,14 @@ def test_validate_matches_the_two_pass_reference():
 
 def _relabelled(snap: Snapshot, relabel) -> Snapshot:
     """``snap`` with every node id ``nid`` renamed to ``relabel(nid)``."""
-    return Snapshot(
-        t=snap.t,
-        nodes={
+    return snapshot_from_nodes(
+        snap.t,
+        {
             relabel(nid): Node(relabel(nid), node.degree, node.intra_degree, node.community)
             for nid, node in snap.nodes.items()
         },
-        endpoints=[(relabel(u), relabel(v)) for u, v in snap.endpoints.tolist()],
-        clustering=[{relabel(nid) for nid in group} for group in snap.clustering],
+        [(relabel(u), relabel(v)) for u, v in snap.endpoints.tolist()],
+        snap.community_count,
     )
 
 
@@ -356,7 +352,7 @@ def test_validate_matches_the_reference_at_the_edges_of_the_id_lookup(case, gap)
             assembled_graphable_spec(rng, n_max=40)[2], lambda nid: 2**32 + gap * nid
         )
         assert _outcome(Snapshot.validate, snap) == ("ok", None)
-        ids = sorted(snap.nodes)
+        ids = snap.ids.tolist()
         known = ids[int(rng.integers(len(ids)))]
         if case == "reversed_first":
             u, v = snap.endpoints[0].tolist()
@@ -372,15 +368,83 @@ def test_validate_matches_the_reference_at_the_edges_of_the_id_lookup(case, gap)
 
 @pytest.mark.parametrize("community", [-1, 2], ids=["negative", "past_the_end"])
 def test_validate_rejects_a_community_index_outside_the_clustering(community):
-    # clustering[-1] holds node 0, so only a range check catches the negative index
-    snap = Snapshot(
-        t=0,
-        nodes={0: Node(0, 0, 0, community), 1: Node(1, 0, 0, 0)},
-        endpoints=[],
-        clustering=[{1}, {0}],
-    )
+    # -1 would pick the last community when used as a list index, so only a
+    # range check catches it
+    snap = snapshot_from_nodes(0, {0: Node(0, 0, 0, community), 1: Node(1, 0, 0, 0)}, [], 2)
     with pytest.raises(AssertionError, match=f"node 0: community index {community} outside"):
         snap.validate()
+
+
+def _columns(**changes) -> dict:
+    """Keyword arguments of a valid 3-node, 1-link snapshot, with ``changes``."""
+    kwargs = dict(
+        t=0,
+        ids=[2, 5, 9],
+        degree=[1, 1, 0],
+        intra_degree=[1, 1, 0],
+        community=[0, 0, 1],
+        community_count=2,
+        endpoints=[(2, 5)],
+    )
+    return {**kwargs, **changes}
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[2, 9, 5], [2, 5, 5], [5, 5, 9], [9, 5, 2]],
+    ids=["swapped", "duplicate_last", "duplicate_first", "descending"],
+)
+def test_snapshot_rejects_ids_that_do_not_strictly_ascend(ids):
+    Snapshot(**_columns()).validate()
+    with pytest.raises(ConfigurationError, match="do not strictly ascend"):
+        Snapshot(**_columns(ids=ids))
+
+
+@pytest.mark.parametrize("name", ["ids", "degree", "intra_degree", "community"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_snapshot_rejects_node_columns_of_unequal_length(name, length):
+    column = (_columns()[name] + [10, 11])[:length]
+    with pytest.raises(ConfigurationError, match="differ in length"):
+        Snapshot(**_columns(**{name: column}))
+
+
+_ARRAYS = ("ids", "degree", "intra_degree", "community", "endpoints")
+
+
+def _assert_read_only(snap: Snapshot) -> None:
+    for name in _ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(snap, name)[0] = 7
+
+
+def test_snapshot_columns_are_read_only():
+    # given as lists, as writeable int64 arrays and as int32 arrays
+    for dtype in (None, np.int64, np.int32):
+        given = {
+            name: _columns()[name] if dtype is None else np.array(_columns()[name], dtype)
+            for name in _ARRAYS
+        }
+        snap = Snapshot(**_columns(**given))
+        assert all(getattr(snap, name).dtype == np.int64 for name in _ARRAYS)
+        _assert_read_only(snap)
+    _assert_read_only(assembled_graphable_spec(np.random.default_rng(61), n_max=40)[2])
+
+
+def test_a_deep_copy_keeps_every_column_read_only():
+    snap = assembled_graphable_spec(np.random.default_rng(67), n_max=40)[2]
+    twin = copy.deepcopy(snap)
+    _assert_read_only(twin)
+    for f in dataclasses.fields(Snapshot):
+        a, b = getattr(snap, f.name), getattr(twin, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+    assert twin.ids is not snap.ids and twin.community_labels is not snap.community_labels
+
+
+def test_snapshots_compare_by_identity():
+    snap = Snapshot(**_columns())
+    assert snap == snap
+    assert (snap == copy.copy(snap)) is False
+    assert snap != Snapshot(**_columns())
 
 
 def _link_set(endpoints: np.ndarray) -> set[tuple[int, int]]:
@@ -502,9 +566,8 @@ def test_worked_example_snapshot_counts_and_exactness():
     snap = assemble_snapshot(0, WORKED_SIZES, WORKED_SPEC, rng)
     assert snap.node_count == 10
     assert snap.link_count == 15  # sum(D) / 2
-    inter = sum(
-        1 for u, v in snap.links if snap.nodes[u].community != snap.nodes[v].community
-    )
+    nodes = snap.nodes
+    inter = sum(1 for u, v in snap.links if nodes[u].community != nodes[v].community)
     assert inter == 5  # (sum(D) - sum(E)) / 2
     snap.validate()
 
@@ -513,17 +576,18 @@ def test_assembled_specs_wire_exactly():
     rng = np.random.default_rng(17)
     for _ in range(100):
         sizes, spec, snap = assembled_graphable_spec(rng)
-        snap.validate()  # exact degrees, simplicity, valid partition
+        snap.validate()  # exact degrees, simplicity, community indices in range
+        nodes = snap.nodes
         assert sorted(zip(
-            (snap.nodes[i].degree for i in sorted(snap.nodes)),
-            (snap.nodes[i].intra_degree for i in sorted(snap.nodes)),
+            (nodes[i].degree for i in sorted(nodes)),
+            (nodes[i].intra_degree for i in sorted(nodes)),
         )) == sorted(zip(spec.total, spec.intra))
 
 
 def test_check_connectivity_matches_spectral_oracle():
     k4 = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-    assert check_connectivity({0, 1, 2, 3}, _rows(k4)) == 1
-    assert check_connectivity({0, 1, 2, 3}, _rows({(0, 1), (2, 3)})) == 2
+    assert check_connectivity([0, 1, 2, 3], _rows(k4)) == 1
+    assert check_connectivity([3, 1, 0, 2], _rows({(0, 1), (2, 3)})) == 2
     rng = np.random.default_rng(23)
     for _ in range(60):
         n = int(rng.integers(2, 50))
@@ -533,7 +597,8 @@ def test_check_connectivity_matches_spectral_oracle():
             u, v = rng.integers(0, n, 2)
             if u != v:
                 links.add((min(int(u), int(v)), max(int(u), int(v))))
-        assert check_connectivity(ids, _rows(links)) == spectral_component_count(ids, links)
+        got = check_connectivity(sorted(ids), _rows(links))
+        assert got == spectral_component_count(ids, links)
 
 
 def test_check_connectivity_equals_the_union_find_reference():
@@ -555,10 +620,10 @@ def test_check_connectivity_equals_the_union_find_reference():
                 links.add((int(u), int(v)))
         if trial % 3 == 0:
             links.add((ids[-1] + 1, ids[0]))
-        got = check_connectivity(members, _rows(links))
+        got = check_connectivity(list(members), _rows(links))
         assert got == reference_check_connectivity(members, links)
     empty = reference_check_connectivity(set(), {(0, 1)})
-    assert check_connectivity(set(), _rows({(0, 1)})) == empty == 0
+    assert check_connectivity([], _rows({(0, 1)})) == empty == 0
 
 
 def test_joint_distribution_baseline_trivial_cases():
@@ -707,6 +772,5 @@ def test_assemble_deterministic_given_seed():
     snap_a = assemble_snapshot(0, sizes, spec, np.random.default_rng(41))
     snap_b = assemble_snapshot(0, sizes, spec, np.random.default_rng(41))
     assert np.array_equal(snap_a.endpoints, snap_b.endpoints)
-    assert all(
-        snap_a.nodes[i].community == snap_b.nodes[i].community for i in snap_a.nodes
-    )
+    nodes_a, nodes_b = snap_a.nodes, snap_b.nodes
+    assert all(nodes_a[i].community == nodes_b[i].community for i in nodes_a)

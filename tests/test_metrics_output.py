@@ -35,13 +35,13 @@ from oracles import (
     reference_assortativity_details,
     reference_export_temporal_csv,
     reference_modularity,
+    snapshot_from_nodes,
 )
 
 
-def _snapshot(t, memberships, links, degrees=None):
+def _snapshot(t, memberships, links, degrees=None, community_count=None):
     nodes = {}
-    k = max(memberships.values()) + 1
-    clustering = [set() for _ in range(k)]
+    k = max(memberships.values()) + 1 if community_count is None else community_count
     realized = {nid: 0 for nid in memberships}
     intra = {nid: 0 for nid in memberships}
     for u, v in links:
@@ -53,8 +53,7 @@ def _snapshot(t, memberships, links, degrees=None):
     for nid, c in memberships.items():
         d = realized[nid] if degrees is None else degrees[nid]
         nodes[nid] = Node(id=nid, degree=d, intra_degree=intra[nid], community=c)
-        clustering[c].add(nid)
-    return Snapshot(t=t, nodes=nodes, endpoints=list(links), clustering=clustering)
+    return snapshot_from_nodes(t, nodes, list(links), k)
 
 
 def test_assortativity_star_is_minus_one():
@@ -132,7 +131,7 @@ def test_modularity_matches_reference_on_random_snapshots():
 
 
 def _scattered_snapshot(rng, ring: bool) -> Snapshot:
-    """A snapshot over scattered ids (some >= 2**32) in shuffled dict order,
+    """A snapshot over scattered ids (some >= 2**32), given in shuffled order,
     with isolated nodes, empty communities and both link orientations.  With
     ``ring`` the links form one cycle, so every endpoint has degree 2."""
     pool = np.concatenate([
@@ -155,9 +154,8 @@ def _scattered_snapshot(rng, ring: bool) -> Snapshot:
                 links.add((int(u), int(v)))
         if not links:
             links.add((ids[0], ids[1]))
-    snap = _snapshot(0, memberships, links)
-    snap.clustering.append(set())
-    return snap
+    # one community past the last one named: it is empty
+    return _snapshot(0, memberships, links, community_count=max(memberships.values()) + 2)
 
 
 def test_snapshot_metrics_equal_the_loop_references():
@@ -245,11 +243,9 @@ def _random_snapshot(t, rng) -> Snapshot:
     """A small snapshot over node ids 0..11 with random labels; degrees are not checked."""
     ids = sorted(int(x) for x in rng.choice(12, size=int(rng.integers(0, 10)), replace=False))
     k = int(rng.integers(1, 4))
-    clustering = [set() for _ in range(k)]
     nodes = {}
     for nid in ids:
         c = int(rng.integers(k))
-        clustering[c].add(nid)
         nodes[nid] = Node(id=nid, degree=1, intra_degree=0, community=c)
     links = set()
     for _ in range(int(rng.integers(0, 2 * len(ids) + 1))):
@@ -257,9 +253,7 @@ def _random_snapshot(t, rng) -> Snapshot:
         if u != v:
             links.add((int(min(u, v)), int(max(u, v))))
     labels = [int(x) for x in rng.integers(0, 4, k)]
-    return Snapshot(
-        t=t, nodes=nodes, endpoints=links, clustering=clustering, community_labels=labels
-    )
+    return snapshot_from_nodes(t, nodes, links, k, community_labels=labels)
 
 
 def test_export_matches_the_per_field_reference(tmp_path):
@@ -297,19 +291,17 @@ def _sticky_snapshots(rng, steps, n) -> list[Snapshot]:
         linked ^= rng.random(len(pairs)) < 0.2
         order = rng.permutation(len(values))
         community = np.argsort(order)  # label index -> community index
-        clustering = [set() for _ in values]
         nodes = {}
         for i in np.flatnonzero(alive).tolist():
             nid, c = int(ids[i]), int(community[label[i]])
             nodes[nid] = Node(id=nid, degree=0, intra_degree=0, community=c)
-            clustering[c].add(nid)
         links = {
             (int(ids[a]), int(ids[b]))
             for (a, b), on in zip(pairs, linked.tolist())
             if on and alive[a] and alive[b]
         }
         labels = [values[k] for k in order.tolist()]
-        snaps.append(Snapshot(t, nodes, links, clustering, community_labels=labels))
+        snaps.append(snapshot_from_nodes(t, nodes, links, len(values), community_labels=labels))
     return [snaps[i] for i in rng.permutation(steps)]
 
 
@@ -334,7 +326,7 @@ def test_export_requires_snapshots(tmp_path):
 
 
 def test_export_empty_network_writes_header_only_files(tmp_path):
-    empty = Snapshot(t=0, nodes={}, endpoints=[], clustering=[])
+    empty = snapshot_from_nodes(0, {}, [], 0)
     nodes_path, edges_path = export_temporal_csv([empty], tmp_path)
     assert Path(nodes_path).read_text() == "Id,Label,Communities,Interval\n"
     assert Path(edges_path).read_text() == "Source,Target,Type,Interval\n"

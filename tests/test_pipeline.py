@@ -262,8 +262,9 @@ def test_run_every_snapshot_validates_and_contingency_matches():
         snap_t, snap_t1 = result.snapshots[t], result.snapshots[t + 1]
         k, l = snap_t.community_count, snap_t1.community_count
         recount = np.zeros((k, l), dtype=int)
-        for nid in set(snap_t.nodes) & set(snap_t1.nodes):
-            recount[snap_t.nodes[nid].community, snap_t1.nodes[nid].community] += 1
+        nodes_t, nodes_t1 = snap_t.nodes, snap_t1.nodes
+        for nid in set(nodes_t) & set(nodes_t1):
+            recount[nodes_t[nid].community, nodes_t1[nid].community] += 1
         assert np.array_equal(u[:k, :l], recount)
         assert u.sum() == snap_t.node_count + boundary.births
         # row sums of the real block reproduce the sizes at t
@@ -320,16 +321,19 @@ def test_run_output_files(tmp_path):
 
 
 def test_a_run_reads_links_as_endpoint_rows_only(tmp_path, monkeypatch):
-    # no runtime path may build the tuple set that Snapshot.links makes
+    # no runtime path may build the tuple set that Snapshot.links makes, nor
+    # the Node dict or id sets that Snapshot.nodes and Snapshot.clustering make
     want, got = tmp_path / "want", tmp_path / "got"
     result = run(small_cfg(timesteps=2, output_dir=str(want)))
     with pytest.raises(ValueError):
         result.snapshots[0].endpoints[0, 0] = 0
 
-    def refuse(snap):
-        raise AssertionError("Snapshot.links read during a run")
+    for name in ("links", "nodes", "clustering"):
 
-    monkeypatch.setattr(assembler.Snapshot, "links", property(refuse))
+        def refuse(snap, name=name):
+            raise AssertionError(f"Snapshot.{name} read during a run")
+
+        monkeypatch.setattr(assembler.Snapshot, name, property(refuse))
     run(small_cfg(timesteps=2, output_dir=str(got)))
     for name in ("nodes.csv", "edges.csv", "report.json", "report.txt"):
         assert (got / name).read_bytes() == (want / name).read_bytes(), name

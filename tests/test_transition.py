@@ -16,19 +16,20 @@ from temponet import (
     seed_pool,
     taboo_search,
     variation_of_information,
-    vi_partitions,
 )
 from temponet.pipeline import plan_transition
 from temponet.sequences import CommunitySpec
-from temponet.transition import best_of_pool, max_chunk_greedy, proportional_fill
+from temponet.transition import max_chunk_greedy, proportional_fill
 
 from oracles import (
+    best_of_pool,
     brute_force_flow_count,
     random_feasible,
     reference_max_chunk_greedy,
     reference_mi_greedy,
     reference_proportional_fill,
     reference_taboo_search,
+    vi_partitions,
     vi_reference,
 )
 
@@ -318,7 +319,7 @@ def test_lower_bounds_pin_cells():
     sols = enumerate_lattice(system, 10_000)
     for u in sols:
         assert (u[:, 2] == np.array([2, 1])).all()
-    found = taboo_search(system)
+    found = taboo_search(system, best_of_pool(system), kernel_basis(system))
     assert (found[:, 2] == np.array([2, 1])).all()
 
 
