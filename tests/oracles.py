@@ -13,9 +13,12 @@ its event table keep their earlier forms as well, with every rule written out
 once per side.  So do the parity repair with its separate fallback loop,
 snapshot validation with its separate degree passes, and the CSV export with
 one run merger per field.  Assortativity, modularity and the connectivity
-check keep their per-link Python loops.  The partition contingency, the VI
+check keep their per-link Python loops.  Node assignment keeps its numpy
+scan over every tuple per node and its draw of one variate per node, and the
+Erdos-Gallai test its loop over k.  The partition contingency, the VI
 of two partitions and the best-of-pool pick live only here, since only tests
-use them, as does the building of a snapshot from a ``Node`` dict.
+use them, as does the building of a snapshot from a ``Node`` dict, and the
+capacity-weighted pick that only the assignment reference still makes.
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ from collections import defaultdict
 import numpy as np
 
 from temponet import (
+    CommunitySpec,
     ConfigurationError,
+    DegreeSpec,
     GraphabilityError,
+    ShapeParams,
     Snapshot,
     WiringError,
     seed_pool,
@@ -1072,3 +1078,126 @@ def reference_export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
                 ]
             )
     return nodes_path, edges_path
+
+
+# node assignment with one numpy scan over the tuples per node, and the
+# Erdos-Gallai test with one searchsorted per k
+
+
+def weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability proportional to ``weights``.
+
+    This is the pick of ``rng.choice(len(weights), p=weights / weights.sum())``,
+    with the same one ``rng.random()`` draw, minus that call's argument checks.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def reference_assign_nodes(
+    sizes: CommunitySpec,
+    spec: DegreeSpec,
+    rng: np.random.Generator,
+    surviving: dict[int, int] | None = None,
+    temporal_shape: ShapeParams | None = None,
+    prev_degrees: dict[int, int] | None = None,
+) -> dict[int, tuple[int, int, int]]:
+    """Assign communities and degree tuples to nodes; returns id -> (community, d, e).
+
+    Bootstrap mode (``surviving`` is None): node id ``slot`` takes the slot's
+    degree tuple and is placed into a random community drawn with probability
+    proportional to remaining capacity, never where ``e`` reaches the
+    community size.
+
+    Temporal mode: every id in ``surviving`` keeps its flow-dictated
+    community; nodes with a previous degree draw their new tuple by sampling
+    a Beta(``temporal_shape``) position in the remaining degree-ordered tuple
+    list (restricted to tuples that fit the community), largest previous
+    degrees drawing first.  Ids without history (newborns) draw uniformly.
+
+    One pass; raises ``GraphabilityError`` when a node finds no fitting
+    community or tuple.  ``assemble_snapshot`` retries with fresh draws.
+    """
+    n = len(spec)
+    if surviving is None:
+        order = sorted(range(n), key=lambda i: (-spec.intra[i], -spec.total[i], i))
+        caps = np.array(sizes.sizes, dtype=np.int64)
+        room = np.array(sizes.sizes) - 1
+        out: dict[int, tuple[int, int, int]] = {}
+        for slot in order:
+            e = spec.intra[slot]
+            eligible = np.flatnonzero((caps > 0) & (room >= e))
+            if eligible.size == 0:
+                raise GraphabilityError("node assignment ran out of community capacity")
+            c = int(eligible[weighted_index(caps[eligible].astype(np.float64), rng)])
+            caps[c] -= 1
+            out[slot] = (c, spec.total[slot], spec.intra[slot])
+        return out
+
+    if len(surviving) != n:
+        raise ConfigurationError(
+            f"{len(surviving)} surviving memberships for {n} degree slots"
+        )
+    shape = temporal_shape or ShapeParams()
+    prev_degrees = prev_degrees or {}
+    survivors = sorted(
+        (nid for nid in surviving if nid in prev_degrees),
+        key=lambda nid: (-prev_degrees[nid], nid),
+    )
+    newborns = sorted(nid for nid in surviving if nid not in prev_degrees)
+    tuples = sorted(zip(spec.total, spec.intra), key=lambda de: (de[0], de[1]))
+    d_arr = np.array([d for d, _ in tuples], dtype=np.int64)
+    e_arr = np.array([e for _, e in tuples], dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    out = {}
+    for nid in survivors + newborns:
+        cap = sizes.sizes[surviving[nid]] - 1
+        eligible = np.flatnonzero(alive & (e_arr <= cap))
+        if eligible.size == 0:
+            raise GraphabilityError(
+                "degree tuples could not be matched to the flow-dictated communities"
+            )
+        if nid in prev_degrees:
+            pos = float(rng.beta(shape.alpha, shape.beta))
+            idx = min(int(pos * eligible.size), eligible.size - 1)
+        else:
+            idx = int(rng.integers(eligible.size))
+        pick = int(eligible[idx])
+        alive[pick] = False
+        out[nid] = (surviving[nid], int(d_arr[pick]), int(e_arr[pick]))
+    return out
+
+
+def reference_erdos_gallai(degrees) -> bool:
+    """True iff the degree sequence is realizable as a simple graph.
+
+    Checks the even-sum condition and, for every k,
+    ``sum_{i<=k} d_i <= k(k-1) + sum_{i>k} min(d_i, k)`` on the sequence
+    sorted non-increasingly.
+    """
+    d = np.sort(np.asarray(list(degrees), dtype=np.int64))[::-1]
+    n = int(d.size)
+    if n == 0:
+        return True
+    if int(d[-1]) < 0:
+        raise ConfigurationError("degrees must be non-negative")
+    if int(d.sum()) % 2 == 1:
+        return False
+    if int(d[0]) >= n:
+        return False
+    asc = d[::-1]
+    prefix_desc = np.cumsum(d)
+    prefix_asc = np.concatenate(([0], np.cumsum(asc)))
+    for k in range(1, n + 1):
+        tail = n - k  # tail elements are asc[0:tail]
+        if tail == 0:
+            cnt_le = 0
+        else:
+            cnt_le = min(int(np.searchsorted(asc, k, side="right")), tail)
+        small_sum = int(prefix_asc[cnt_le])
+        large_cnt = tail - cnt_le
+        rhs = k * (k - 1) + small_sum + k * large_cnt
+        if int(prefix_desc[k - 1]) > rhs:
+            return False
+    return True

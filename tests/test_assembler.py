@@ -36,6 +36,7 @@ from oracles import (
     reference_wire_phase,
     snapshot_from_nodes,
     spectral_component_count,
+    weighted_index,
 )
 
 WORKED_SIZES = CommunitySpec((4, 4, 2))
@@ -722,7 +723,7 @@ def test_weighted_index_draws_what_generator_choice_draws():
         fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
         for _ in range(4):
             pick = int(slow.choice(size, p=weights / weights.sum()))
-            assert assembler._weighted_index(weights, fast) == pick, why
+            assert weighted_index(weights, fast) == pick, why
         assert fast.bit_generator.state == slow.bit_generator.state, why
 
 
