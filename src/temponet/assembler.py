@@ -20,6 +20,7 @@ position that a cumulative sum and ``searchsorted`` would pick.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import heapq
 import itertools
@@ -227,19 +228,54 @@ def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# node assignment
+# Fenwick trees
 # ---------------------------------------------------------------------------
 
 
-def _weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """An index drawn with probability proportional to ``weights``.
+def _fenwick(weights: np.ndarray) -> list[int]:
+    """Fenwick tree over ``weights``: cell i sums the ``i & -i`` weights
+    ending at position i - 1; cell 0 is unused."""
+    cum = np.zeros(weights.size + 1, dtype=np.int64)
+    np.cumsum(weights, out=cum[1:])
+    idx = np.arange(1, cum.size)
+    cum[1:] -= cum[idx - (idx & -idx)]
+    return cum.tolist()
 
-    This is the pick of ``rng.choice(len(weights), p=weights / weights.sum())``,
-    with the same one ``rng.random()`` draw, minus that call's argument checks.
-    """
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+
+def _select(tree: list[int], size: int, rank: int) -> int:
+    """The position at which the prefix sums of a Fenwick tree over ``size``
+    positions (a power of two) first exceed ``rank``."""
+    q = 0
+    step = size >> 1
+    while step:
+        w = tree[q + step]
+        if w <= rank:
+            q += step
+            rank -= w
+        step >>= 1
+    return q
+
+
+def _prefix(tree: list[int], i: int) -> int:
+    """The sum of a Fenwick tree's first ``i`` positions."""
+    s = 0
+    while i:
+        s += tree[i]
+        i &= i - 1
+    return s
+
+
+def _add(tree: list[int], size: int, q: int, delta: int) -> None:
+    """Add ``delta`` at position q of a Fenwick tree over ``size`` positions."""
+    i = q + 1
+    while i <= size:
+        tree[i] += delta
+        i += i & -i
+
+
+# ---------------------------------------------------------------------------
+# node assignment
+# ---------------------------------------------------------------------------
 
 
 def assign_nodes(
@@ -255,13 +291,32 @@ def assign_nodes(
     Bootstrap mode (``surviving`` is None): node id ``slot`` takes the slot's
     degree tuple and is placed into a random community drawn with probability
     proportional to remaining capacity, never where ``e`` reaches the
-    community size.
+    community size.  Slots place in non-increasing ``e``, so the eligible
+    communities, and their capacities as float64 weights, are recomputed
+    only when a community fills or ``e`` falls to the room of a community
+    not yet eligible.  A pick is ``Generator.choice``'s: the cumulative sum
+    of ``weights / total`` (``total`` the exact capacity sum), divided by its
+    last entry and searched for the node's uniform on the right.
 
     Temporal mode: every id in ``surviving`` keeps its flow-dictated
     community; nodes with a previous degree draw their new tuple by sampling
     a Beta(``temporal_shape``) position in the remaining degree-ordered tuple
     list (restricted to tuples that fit the community), largest previous
     degrees drawing first.  Ids without history (newborns) draw uniformly.
+    A Fenwick tree counts the alive tuples in (d, e) order, and a descent
+    selects the alive tuple of a given rank.  A community whose room
+    ``size - 1`` lies below the largest ``e`` excludes the alive tuples with
+    ``e`` above its room.  For each such room, one small tree counts those
+    excluded tuples over the positions of the tuples above the smallest room
+    in use.  The idx-th eligible tuple is then the alive tuple of rank r at
+    the fixed point r = idx + (excluded alive tuples at or before it),
+    reached from r = idx.
+
+    The uniforms (bootstrap) and the survivors' Beta variates (temporal) are
+    drawn in one call at the start; a node that fits nowhere rewinds the
+    generator and redraws the variates of the nodes before it, so the
+    generator is left as one draw per node leaves it.  Newborns draw one
+    ``rng.integers`` each.
 
     One pass; raises ``GraphabilityError`` when a node finds no fitting
     community or tuple.  ``assemble_snapshot`` retries with fresh draws.
@@ -269,17 +324,34 @@ def assign_nodes(
     n = len(spec)
     if surviving is None:
         order = sorted(range(n), key=lambda i: (-spec.intra[i], -spec.total[i], i))
-        caps = np.array(sizes.sizes, dtype=np.int64)
-        room = np.array(sizes.sizes) - 1
+        caps = list(sizes.sizes)
+        rooms = [s - 1 for s in caps]
+        saved = rng.bit_generator.state
+        uniforms = rng.random(n).tolist()
         out: dict[int, tuple[int, int, int]] = {}
-        for slot in order:
+        stale = True
+        for j, slot in enumerate(order):
             e = spec.intra[slot]
-            eligible = np.flatnonzero((caps > 0) & (room >= e))
-            if eligible.size == 0:
+            if stale or e <= below:
+                eligible = [c for c, cap in enumerate(caps) if cap and rooms[c] >= e]
+                below = max((room for room in rooms if room < e), default=-1)
+                weights = np.array([caps[c] for c in eligible], dtype=np.float64)
+                total = sum(caps[c] for c in eligible)
+                stale = False
+            if not eligible:
+                rng.bit_generator.state = saved
+                rng.random(j)
                 raise GraphabilityError("node assignment ran out of community capacity")
-            c = int(eligible[_weighted_index(caps[eligible].astype(np.float64), rng)])
+            cdf = weights / total
+            cdf.cumsum(out=cdf)
+            cdf /= cdf[-1]
+            i = int(cdf.searchsorted(uniforms[j], side="right"))
+            c = eligible[i]
             caps[c] -= 1
-            out[slot] = (c, spec.total[slot], spec.intra[slot])
+            weights[i] -= 1
+            total -= 1
+            stale = not caps[c]
+            out[slot] = (c, spec.total[slot], e)
         return out
 
     if len(surviving) != n:
@@ -293,26 +365,56 @@ def assign_nodes(
         key=lambda nid: (-prev_degrees[nid], nid),
     )
     newborns = sorted(nid for nid in surviving if nid not in prev_degrees)
-    tuples = sorted(zip(spec.total, spec.intra), key=lambda de: (de[0], de[1]))
-    d_arr = np.array([d for d, _ in tuples], dtype=np.int64)
-    e_arr = np.array([e for _, e in tuples], dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
+    tuples = sorted(zip(spec.total, spec.intra))
+    e_of = [e for _, e in tuples]
+    size = 1 << (n - 1).bit_length()
+    flags = np.zeros(size, dtype=np.int64)
+    flags[:n] = 1
+    alive = _fenwick(flags)
+    # the rooms below the largest e, and the positions of the tuples above
+    # the smallest of them: the only tuples any room excludes
+    top = max(e_of)
+    rooms = sorted({r for r in (sizes.sizes[c] - 1 for c in surviving.values()) if r < top})
+    low = rooms[0] if rooms else top
+    high = [q for q, e in enumerate(e_of) if e > low]
+    hsize = 1 << max(len(high) - 1, 0).bit_length()
+    e_high = np.full(hsize, low, dtype=np.int64)
+    e_high[: len(high)] = [e_of[q] for q in high]
+    excluded = {r: _fenwick((e_high > r).astype(np.int64)) for r in rooms}
+    saved = rng.bit_generator.state
+    variates = rng.beta(shape.alpha, shape.beta, size=len(survivors)).tolist() if survivors else []
     out = {}
-    for nid in survivors + newborns:
-        cap = sizes.sizes[surviving[nid]] - 1
-        eligible = np.flatnonzero(alive & (e_arr <= cap))
-        if eligible.size == 0:
+    for j, nid in enumerate(survivors + newborns):
+        ex = excluded.get(sizes.sizes[surviving[nid]] - 1)
+        count = alive[size] - (0 if ex is None else ex[hsize])
+        if not count:
+            if j < len(survivors):
+                rng.bit_generator.state = saved
+                if j:
+                    rng.beta(shape.alpha, shape.beta, size=j)
             raise GraphabilityError(
                 "degree tuples could not be matched to the flow-dictated communities"
             )
-        if nid in prev_degrees:
-            pos = float(rng.beta(shape.alpha, shape.beta))
-            idx = min(int(pos * eligible.size), eligible.size - 1)
+        if j < len(survivors):
+            idx = min(int(variates[j] * count), count - 1)
         else:
-            idx = int(rng.integers(eligible.size))
-        pick = int(eligible[idx])
-        alive[pick] = False
-        out[nid] = (surviving[nid], int(d_arr[pick]), int(e_arr[pick]))
+            idx = int(rng.integers(count))
+        rank = idx
+        while True:
+            pick = _select(alive, size, rank)
+            if ex is None:
+                break
+            fixed = idx + _prefix(ex, bisect.bisect_right(high, pick))
+            if fixed == rank:
+                break
+            rank = fixed
+        _add(alive, size, pick, -1)
+        e = e_of[pick]
+        if e > low:
+            at = bisect.bisect_left(high, pick)
+            for r in rooms[: bisect.bisect_left(rooms, e)]:
+                _add(excluded[r], hsize, at, -1)
+        out[nid] = (surviving[nid], *tuples[pick])
     return out
 
 
@@ -387,16 +489,6 @@ def repair_intra_parity(
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
-
-
-def _fenwick(weights: np.ndarray) -> list[int]:
-    """Fenwick tree over ``weights``: cell i sums the ``i & -i`` weights
-    ending at position i - 1; cell 0 is unused."""
-    cum = np.zeros(weights.size + 1, dtype=np.int64)
-    np.cumsum(weights, out=cum[1:])
-    idx = np.arange(1, cum.size)
-    cum[1:] -= cum[idx - (idx & -idx)]
-    return cum.tolist()
 
 
 def _wire_phase(

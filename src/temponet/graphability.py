@@ -50,7 +50,10 @@ def erdos_gallai(degrees) -> bool:
 
     Checks the even-sum condition and, for every k,
     ``sum_{i<=k} d_i <= k(k-1) + sum_{i>k} min(d_i, k)`` on the sequence
-    sorted non-increasingly.
+    sorted non-increasingly.  All n conditions are one numpy pass: of the
+    n - k entries after the k-th, the ``cnt`` smallest are at most k (one
+    ``searchsorted`` over every k at once) and add their sum from the
+    ascending prefix sums, the others add k each.
     """
     d = np.sort(np.asarray(list(degrees), dtype=np.int64))[::-1]
     n = int(d.size)
@@ -63,20 +66,11 @@ def erdos_gallai(degrees) -> bool:
     if int(d[0]) >= n:
         return False
     asc = d[::-1]
-    prefix_desc = np.cumsum(d)
     prefix_asc = np.concatenate(([0], np.cumsum(asc)))
-    for k in range(1, n + 1):
-        tail = n - k  # tail elements are asc[0:tail]
-        if tail == 0:
-            cnt_le = 0
-        else:
-            cnt_le = min(int(np.searchsorted(asc, k, side="right")), tail)
-        small_sum = int(prefix_asc[cnt_le])
-        large_cnt = tail - cnt_le
-        rhs = k * (k - 1) + small_sum + k * large_cnt
-        if int(prefix_desc[k - 1]) > rhs:
-            return False
-    return True
+    k = np.arange(1, n + 1)
+    cnt = np.minimum(np.searchsorted(asc, k, side="right"), n - k)
+    rhs = k * (k - 1) + prefix_asc[cnt] + k * (n - k - cnt)
+    return not (np.cumsum(d) > rhs).any()
 
 
 def inter_graphable(inter_aggregates) -> bool:

@@ -32,6 +32,7 @@ from oracles import (
     degree_joint_distribution_baseline,
     reference_check_connectivity,
     reference_repair_intra_parity,
+    reference_assign_nodes,
     reference_validate,
     reference_wire_phase,
     snapshot_from_nodes,
@@ -725,6 +726,106 @@ def test_weighted_index_draws_what_generator_choice_draws():
             pick = int(slow.choice(size, p=weights / weights.sum()))
             assert weighted_index(weights, fast) == pick, why
         assert fast.bit_generator.state == slow.bit_generator.state, why
+
+
+def _assign_both(sizes, spec, seed, **placement):
+    """(assignment or error text, generator state) of assign_nodes and of its reference."""
+    outcomes = []
+    for assign in (assign_nodes, reference_assign_nodes):
+        rng = np.random.default_rng(seed)
+        try:
+            result = assign(sizes, spec, rng, **placement)
+        except (GraphabilityError, ConfigurationError) as exc:
+            result = f"{type(exc).__name__}: {exc}"
+        outcomes.append((result, rng.bit_generator.state))
+    return outcomes
+
+
+def _random_assignment_spec(gen, k_max):
+    """Community sizes and a degree spec whose intra degrees straddle the rooms."""
+    k = int(gen.integers(1, k_max + 1))
+    sizes = CommunitySpec(tuple(int(x) for x in gen.integers(1, 16, k)))
+    n = sizes.node_count
+    total = [int(x) for x in gen.integers(1, 14, n)]
+    # intra degrees up to a random bound below, at or above the largest room
+    bound = max(sizes.sizes) - 1 + int(gen.integers(-3, 3))
+    intra = [min(d, int(gen.integers(0, max(bound, 0) + 1))) for d in total]
+    return sizes, DegreeSpec(tuple(total), tuple(intra))
+
+
+def test_bootstrap_assignment_equals_the_reference():
+    # same communities, same misfit errors, same generator state after success
+    # and after failure
+    gen = np.random.default_rng(61)
+    outcomes = {"ok": 0, "misfit": 0}
+    for trial in range(600):
+        sizes, spec = _random_assignment_spec(gen, 6 if trial < 540 else 40)
+        new, reference = _assign_both(sizes, spec, trial)
+        assert new == reference, trial
+        outcomes["misfit" if isinstance(new[0], str) else "ok"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("temporal", [(1, 1), (5, 1), (1, 5), (0.5, 0.5)])
+def test_temporal_assignment_equals_the_reference(temporal):
+    # survivors and newborns in any mix (all newborn, all survivor, both),
+    # rooms below, equal to and above the largest intra degree
+    shape = ShapeParams(*temporal)
+    gen = np.random.default_rng(67)
+    outcomes, relations = set(), set()
+    for trial in range(600):
+        sizes, spec = _random_assignment_spec(gen, 6 if trial < 540 else 40)
+        n = sizes.node_count
+        ids = gen.permutation(3 * n)[:n].tolist()
+        surviving = dict(zip(ids, (c for c, s in enumerate(sizes.sizes) for _ in range(s))))
+        share = (0.0, 1.0, 0.6)[trial % 3]
+        prev = {nid: int(gen.integers(1, 12)) for nid in ids if gen.random() < share}
+        new, reference = _assign_both(
+            sizes, spec, trial, surviving=surviving, temporal_shape=shape, prev_degrees=prev
+        )
+        assert new == reference, trial
+        top = max(spec.intra)
+        rooms = [s - 1 for s in sizes.sizes]
+        kind = "below" if min(rooms) < top else "at or above"
+        outcomes.add((kind, isinstance(new[0], str)))
+        relations.update("below" if r < top else "equal" if r == top else "above" for r in rooms)
+    assert {("below", True), ("below", False), ("at or above", False)} <= outcomes, outcomes
+    assert relations == {"below", "equal", "above"}
+
+
+@pytest.mark.parametrize("failing", ["survivor", "newborn"])
+def test_temporal_assignment_fails_like_the_reference(failing):
+    # two singleton communities (room 0) and one e = 0 tuple: whichever of
+    # ids 10 and 11 comes second fits nowhere.  Both are survivors drawing
+    # after two others, or both are newborns drawing after every survivor.
+    sizes = CommunitySpec((1, 1, 4))
+    spec = DegreeSpec((1, 2, 2, 3, 3, 3), (0, 1, 1, 1, 1, 1))
+    surviving = {10: 0, 11: 1, 12: 2, 13: 2, 14: 2, 15: 2}
+    prev = {12: 9, 13: 8, 10: 7, 11: 6, 14: 5, 15: 4}
+    if failing == "newborn":
+        del prev[10], prev[11]
+    for seed in range(40):
+        new, reference = _assign_both(
+            sizes,
+            spec,
+            seed,
+            surviving=surviving,
+            temporal_shape=ShapeParams(0.5, 0.5),
+            prev_degrees=prev,
+        )
+        assert new == reference, seed
+        assert new[0] == (
+            "GraphabilityError: degree tuples could not be matched"
+            " to the flow-dictated communities"
+        )
+
+
+def test_assignment_length_mismatch_raises_like_the_reference():
+    sizes = CommunitySpec((3,))
+    spec = DegreeSpec((2, 2, 2), (2, 2, 2))
+    new, reference = _assign_both(sizes, spec, 0, surviving={1: 0, 2: 0})
+    assert new == reference
+    assert new[0] == "ConfigurationError: 2 surviving memberships for 3 degree slots"
 
 
 @pytest.mark.parametrize("pairing", [(1, 1), (5, 1), (1, 5), (0.5, 0.5)])

@@ -18,7 +18,7 @@ from temponet import (
     inter_graphable,
 )
 
-from oracles import realizable_clustered, realizable_degree_sequence
+from oracles import realizable_clustered, realizable_degree_sequence, reference_erdos_gallai
 
 
 def test_erdos_gallai_basics():
@@ -47,6 +47,29 @@ def test_erdos_gallai_matches_exhaustive_search_small():
     for n in range(1, 7):
         for seq in itertools.combinations_with_replacement(range(5), n):
             assert erdos_gallai(seq) == realizable_degree_sequence(seq), seq
+
+
+def test_erdos_gallai_equals_the_loop_reference():
+    # random sequences up to n = 2,000, with zeros, tight low-degree tails,
+    # and a largest degree that can reach n
+    gen = np.random.default_rng(71)
+    answers = set()
+    for trial in range(1500):
+        n = int(gen.integers(0, 40)) if trial % 10 else int(gen.integers(40, 2001))
+        seq = gen.integers(0, int(gen.integers(1, n + 2)), n).tolist()
+        if trial % 3 == 0:
+            seq = [min(d, 2) for d in seq]
+        if trial % 5 == 0 and n:
+            seq[0] = n + int(gen.integers(0, 2))
+        answer = erdos_gallai(seq)
+        assert answer is reference_erdos_gallai(seq), seq
+        answers.add(answer)
+    assert answers == {True, False}
+    assert erdos_gallai([0] * 7) is reference_erdos_gallai([0] * 7) is True
+    for seq in ([3, 1, 1, 1], [4, 1, 1, 1], [2, 2]):
+        assert erdos_gallai(seq) is reference_erdos_gallai(seq), seq
+    with pytest.raises(ConfigurationError):
+        erdos_gallai([2, -1, 1])
 
 
 def test_edge_removal_keeps_strictly_graphable_sequences_graphable():
