@@ -378,7 +378,7 @@ def assign_nodes(
     low = rooms[0] if rooms else top
     high = [q for q, e in enumerate(e_of) if e > low]
     hsize = 1 << max(len(high) - 1, 0).bit_length()
-    e_high = np.full(hsize, low, dtype=np.int64)
+    e_high = np.full(hsize, low, dtype=np.int64)  # no room excludes the padding
     e_high[: len(high)] = [e_of[q] for q in high]
     excluded = {r: _fenwick((e_high > r).astype(np.int64)) for r in rooms}
     saved = rng.bit_generator.state
