@@ -30,9 +30,9 @@ from temponet.assembler import ASSIGNMENT_ATTEMPTS, MISFIT_PASSES, repair_intra_
 
 from oracles import (
     degree_joint_distribution_baseline,
+    reference_assign_nodes,
     reference_check_connectivity,
     reference_repair_intra_parity,
-    reference_assign_nodes,
     reference_validate,
     reference_wire_phase,
     snapshot_from_nodes,
