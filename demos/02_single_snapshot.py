@@ -14,10 +14,10 @@ from temponet import (
     DegreeSpec,
     ShapeParams,
     assemble_snapshot,
-    assortativity_coefficient,
     check_connectivity,
     modularity,
 )
+from temponet.metrics import assortativity_details
 
 sizes = CommunitySpec((4, 4, 2))
 spec = DegreeSpec((4, 4, 4, 3, 3, 3, 3, 2, 2, 2), (3, 3, 3, 2, 2, 2, 2, 1, 1, 1))
@@ -41,6 +41,6 @@ print("inter links:", inter)
 
 realized = np.bincount(snap.endpoints.ravel(), minlength=snap.node_count)
 print("\nrealized == requested degrees:", np.array_equal(realized, snap.degree))
-print("assortativity:", round(assortativity_coefficient(snap), 4))
+print("assortativity:", round(assortativity_details(snap)[0], 4))
 print("ground-truth modularity:", round(modularity(snap), 4))
 print("wiring repairs used:", snap.wiring_repairs)

@@ -7,11 +7,12 @@ the global optimum.  It also shows the sparsity/similarity correlation that
 motivates searching the polytope hull.
 """
 
+import itertools
+
 import numpy as np
 
 from temponet import (
     build_flow_system,
-    enumerate_lattice,
     kernel_basis,
     seed_pool,
     taboo_search,
@@ -22,7 +23,17 @@ system = build_flow_system((10, 8, 6), (12, 10, 2))
 print(f"system: {system.k} x {system.l} communities, {system.node_count} nodes")
 print("kernel dimension:", len(kernel_basis(system)))
 
-solutions = enumerate_lattice(system, cap=10_000)
+# a 3 x 3 flow is fixed by its four top-left cells: the row and column
+# sums give the rest, and a flow is feasible when no cell is negative
+rows, cols = np.array(system.sizes_from), np.array(system.sizes_to)
+solutions = []
+for cells in itertools.product(range(max(rows) + 1), repeat=4):
+    u = np.zeros((3, 3), dtype=np.int64)
+    u[:2, :2] = np.reshape(cells, (2, 2))
+    u[:2, 2] = rows[:2] - u[:2, :2].sum(axis=1)
+    u[2] = cols - u[:2].sum(axis=0)
+    if (u >= 0).all():
+        solutions.append(u)
 vis = np.array([variation_of_information(u) for u in solutions])
 print(f"{len(solutions)} feasible flows; VI range [{vis.min():.4f}, {vis.max():.4f}]")
 

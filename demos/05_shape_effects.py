@@ -16,11 +16,11 @@ from temponet import (
     SamplerConfig,
     ShapeParams,
     assemble_snapshot,
-    assortativity_coefficient,
     run,
     sample_degrees,
     split_degrees,
 )
+from temponet.metrics import assortativity_details
 
 def one_community_snapshot(shape, seed, n=1000):
     rng = np.random.default_rng(seed)
@@ -33,7 +33,7 @@ def one_community_snapshot(shape, seed, n=1000):
 print("pairing shape -> mean degree assortativity (5 seeds, n=1000):")
 for alpha, beta in ((21, 1), (5, 1), (1, 1), (1, 5), (1, 21)):
     values = [
-        assortativity_coefficient(one_community_snapshot(ShapeParams(alpha, beta), s))
+        assortativity_details(one_community_snapshot(ShapeParams(alpha, beta), s))[0]
         for s in range(5)
     ]
     print(f"  alpha={alpha:>2} beta={beta:>2}: {np.mean(values):+.3f}")

@@ -35,11 +35,7 @@ from .graphability import (
     inter_graphable,
 )
 from .lifecycle import EventRecord, LifecycleThresholds, classify_events, jaccard
-from .metrics import (
-    assortativity_coefficient,
-    modularity,
-    temporal_degree_correlation,
-)
+from .metrics import modularity
 from .output import (
     BoundaryReport,
     RunReport,
@@ -66,8 +62,6 @@ from .transition import (
     SearchConfig,
     build_flow_system,
     count_lattice,
-    enumerate_lattice,
-    iter_lattice,
     kernel_basis,
     materialize_flow,
     mi_greedy,
@@ -105,19 +99,16 @@ __all__ = [
     "assemble_snapshot",
     "assign_nodes",
     "assignment_feasible",
-    "assortativity_coefficient",
     "build_flow_system",
     "check_connectivity",
     "check_graphable",
     "classify_events",
     "count_lattice",
     "dump_sequences",
-    "enumerate_lattice",
     "erdos_gallai",
     "export_temporal_csv",
     "fix_parity",
     "inter_graphable",
-    "iter_lattice",
     "jaccard",
     "kernel_basis",
     "load_run_config",
@@ -133,7 +124,6 @@ __all__ = [
     "seed_pool",
     "split_degrees",
     "taboo_search",
-    "temporal_degree_correlation",
     "variation_of_information",
     "wire_inter",
     "wire_intra",

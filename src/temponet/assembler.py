@@ -6,8 +6,8 @@ list of open stubs sorted by owner total degree: alpha >> beta biases links
 toward high-degree partners (assortative), the uniform case alpha = beta = 1
 reproduces plain configuration-model pairing conditioned on simplicity.
 Self-loops and duplicate links are excluded by construction; dead ends are
-repaired by breaking an existing link of an otherwise-eligible node, within
-a configurable budget.
+repaired by breaking an existing link of an otherwise-eligible node, at
+most ``REPAIR_BUDGET_FACTOR`` (50) repairs per node of the phase.
 
 The open stubs live in a Fenwick tree (Fenwick, "A new data structure for
 cumulative frequency tables", 1994) over the degree-ordered positions, so a
@@ -36,7 +36,9 @@ from .sequences import CommunitySpec, DegreeSpec
 
 log = logging.getLogger(__name__)
 
-DEFAULT_REPAIR_BUDGET_FACTOR = 50
+# a wiring phase of m nodes raises WiringError after more than 50 * m repairs;
+# random realizable phases (n <= 40) needed at most 5.7 * m
+REPAIR_BUDGET_FACTOR = 50
 # a snapshot gives up after ASSIGNMENT_ATTEMPTS failed attempts; an attempt
 # fails at parity repair, at the gate, or after MISFIT_PASSES passes in a row
 # in which some node fit nowhere (so at most 200 assignment passes)
@@ -495,15 +497,14 @@ def _wire_phase(
     entries,
     shape: ShapeParams,
     rng: np.random.Generator,
-    budget: int,
     community_of: dict[int, int] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Pair all stubs into simple links; returns (endpoints, repairs used).
 
     ``endpoints`` holds one int64 row (u, v), u < v, per link.
     ``community_of`` switches inter mode: partners must then live in a
-    different community.  Raises ``WiringError`` when the repair budget is
-    exhausted.
+    different community.  Raises ``WiringError`` after more than
+    ``REPAIR_BUDGET_FACTOR * m`` repairs for m nodes.
 
     Positions sort the phase's nodes by (total degree, id); ``rem[q]`` counts
     the open stubs at position q, and nodes fill largest degree first.
@@ -526,6 +527,7 @@ def _wire_phase(
     entries = sorted(entries, key=lambda t: (t[1], t[0]))
     ids = [nid for nid, _, _ in entries]
     m = len(ids)
+    budget = REPAIR_BUDGET_FACTOR * max(1, m)
     size = 1 << max(m - 1, 0).bit_length()
     weights = np.zeros(size, dtype=np.int64)
     weights[:m] = [s for _, _, s in entries]
@@ -687,7 +689,6 @@ def wire_intra(
     members,
     pairing_shape: ShapeParams,
     rng: np.random.Generator,
-    budget: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Wire one community's intra links; ``members`` is (id, total d, intra e) triples.
 
@@ -695,17 +696,13 @@ def wire_intra(
     Every member's realized intra degree equals its ``e`` exactly; the intra
     sequence must pass the Erdos-Gallai test beforehand.
     """
-    members = list(members)
-    if budget is None:
-        budget = DEFAULT_REPAIR_BUDGET_FACTOR * max(1, len(members))
-    return _wire_phase(members, pairing_shape, rng, budget)
+    return _wire_phase(members, pairing_shape, rng)
 
 
 def wire_inter(
     nodes,
     pairing_shape: ShapeParams,
     rng: np.random.Generator,
-    budget: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Wire all inter-community links; ``nodes`` is (id, total d, inter f, community).
 
@@ -714,11 +711,9 @@ def wire_inter(
     duplicate an intra link.
     """
     nodes = list(nodes)
-    if budget is None:
-        budget = DEFAULT_REPAIR_BUDGET_FACTOR * max(1, len(nodes))
     entries = [(nid, d, f) for nid, d, f, _ in nodes]
     community_of = {nid: c for nid, _, _, c in nodes}
-    return _wire_phase(entries, pairing_shape, rng, budget, community_of=community_of)
+    return _wire_phase(entries, pairing_shape, rng, community_of=community_of)
 
 
 def check_connectivity(member_ids, endpoints: np.ndarray) -> int:
@@ -766,7 +761,6 @@ def assemble_snapshot(
     temporal_shape: ShapeParams | None = None,
     surviving: dict[int, int] | None = None,
     prev_degrees: dict[int, int] | None = None,
-    repair_budget_factor: int = DEFAULT_REPAIR_BUDGET_FACTOR,
 ) -> Snapshot:
     """Build one snapshot: assign, repair parity, gate, wire, and validate.
 
@@ -824,8 +818,7 @@ def assemble_snapshot(
         mine = community == c
         members = node_ids[mine]
         triples = zip(members.tolist(), degree[mine].tolist(), intra_degree[mine].tolist())
-        budget = repair_budget_factor * max(1, members.size)
-        community_links, used = wire_intra(triples, pairing_shape, rng, budget)
+        community_links, used = wire_intra(triples, pairing_shape, rng)
         parts.append(community_links)
         repairs += used
         if check_connectivity(members, community_links) > 1:
@@ -836,9 +829,7 @@ def assemble_snapshot(
         )
 
     inter_entries = zip(ids, aligned.total, aligned.inter, membership)
-    inter_links, used = wire_inter(
-        inter_entries, pairing_shape, rng, repair_budget_factor * max(1, len(ids))
-    )
+    inter_links, used = wire_inter(inter_entries, pairing_shape, rng)
     parts.append(inter_links)
     repairs += used
 

@@ -34,7 +34,7 @@ class GraphabilityError(TemponetError):
 
 
 class WiringError(TemponetError):
-    """Stub pairing failed after exhausting the repair budget."""
+    """Stub pairing failed: no link was left to rewire, or the repair bound ran out."""
 
     exit_code = 4
 

@@ -45,12 +45,6 @@ def assortativity_details(snapshot: Snapshot) -> tuple[float, bool]:
     return float(cov / var), False
 
 
-def assortativity_coefficient(snapshot: Snapshot) -> float:
-    """Pearson correlation of degrees at link endpoints (0 when degenerate)."""
-    value, _ = assortativity_details(snapshot)
-    return value
-
-
 def temporal_degree_correlation_details(
     snap_t: Snapshot, snap_t1: Snapshot
 ) -> tuple[float, bool]:
@@ -68,11 +62,6 @@ def temporal_degree_correlation_details(
         return 0.0, True
     cov = ((a - a.mean()) * (b - b.mean())).sum()
     return float(cov / math.sqrt(va * vb)), False
-
-
-def temporal_degree_correlation(snap_t: Snapshot, snap_t1: Snapshot) -> float:
-    value, _ = temporal_degree_correlation_details(snap_t, snap_t1)
-    return value
 
 
 def modularity(snapshot: Snapshot) -> float:

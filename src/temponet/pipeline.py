@@ -20,13 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .assembler import (
-    DEFAULT_REPAIR_BUDGET_FACTOR,
-    ShapeParams,
-    Snapshot,
-    _lookup,
-    assemble_snapshot,
-)
+from .assembler import ShapeParams, Snapshot, _lookup, assemble_snapshot
 from .errors import ConfigurationError, GraphabilityError
 from .graphability import check_graphable
 from .lifecycle import (  # noqa: F401 -- perfbench/tracer.py patches pipeline.jaccard by name
@@ -161,7 +155,6 @@ class RunConfig:
     no_search: bool = False
     max_sequence_retries: int = 1  # draws per sampled timestep in all; 1 stops at a failure
     on_disconnected: str = "warn"  # or "abort"
-    repair_budget_factor: int = DEFAULT_REPAIR_BUDGET_FACTOR
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -189,8 +182,6 @@ class RunConfig:
             raise ConfigurationError("random kill counts must be >= 0")
         if per_boundary and len(self.kills) < self.timesteps - 1:
             raise ConfigurationError("kill list shorter than the number of boundaries")
-        if self.repair_budget_factor < 0:
-            raise ConfigurationError("repair_budget_factor must be >= 0")
         if self.max_sequence_retries < 1:
             raise ConfigurationError("max_sequence_retries must be >= 1")
 
@@ -394,7 +385,6 @@ def _step(cfg: RunConfig, rng, prev: _State | None, sizes, spec, t: int, report)
         rng,
         pairing_shape=cfg.pairing_shape,
         temporal_shape=cfg.temporal_shape,
-        repair_budget_factor=cfg.repair_budget_factor,
         **placement,
     )
     if snap.disconnected_communities and cfg.on_disconnected == "abort":
@@ -471,7 +461,6 @@ _KEYS = {
         "sequence_file": ("sequence_file", str),
         "no_search": ("no_search", bool),
         "max_sequence_retries": ("max_sequence_retries", int),
-        "repair_budget_factor": ("repair_budget_factor", int),
         "on_disconnected": ("on_disconnected", str),
         "output": ("output_dir", str),
     },

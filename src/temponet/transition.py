@@ -3,10 +3,10 @@
 The feasible flows form the lattice points of a transportation polytope
 ``Ax = B`` where ``A`` is the incidence matrix of the complete bipartite
 community graph and ``B`` stacks the community sizes of both timesteps.
-This module provides the exact enumerator (verification oracle), a pool of
-one-pass greedy seed heuristics, and the search that walks the polytope hull
-along kernel-basis directions minimizing the variation of information between
-the clusterings.  The paper calls it an anytime taboo search; since it only
+This module provides the exact lattice count, a pool of one-pass greedy
+seed heuristics, and the search that walks the polytope hull along
+kernel-basis directions minimizing the variation of information between the
+clusterings.  The paper calls it an anytime taboo search; since it only
 moves to strictly better flows, it is a steepest descent, and neither a taboo
 list nor try thresholds change where it stops.
 
@@ -70,24 +70,6 @@ class FlowSystem:
     @property
     def node_count(self) -> int:
         return sum(self.sizes_from)
-
-    def equations(self, reduced: bool = True):
-        """Incidence matrix ``A`` and right-hand side ``B`` of the flow system.
-
-        Rows are the k row-sum equations followed by the l column-sum
-        equations; columns index the flows row-major.  ``rank(A) = k + l - 1``
-        so with ``reduced`` the redundant last equation is dropped.
-        """
-        k, l = self.k, self.l
-        a = np.zeros((k + l, k * l), dtype=np.int64)
-        for i in range(k):
-            a[i, i * l : (i + 1) * l] = 1
-        for j in range(l):
-            a[k + j, j::l] = 1
-        b = np.array(self.sizes_from + self.sizes_to, dtype=np.int64)
-        if reduced:
-            return a[:-1], b[:-1]
-        return a, b
 
     def is_feasible(self, flow) -> bool:
         u = np.asarray(flow, dtype=np.int64)
@@ -156,12 +138,8 @@ def variation_of_information(flow) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact lattice enumeration
+# exact lattice count
 # ---------------------------------------------------------------------------
-
-
-def _slack_problem(system: FlowSystem):
-    return list(int(x) for x in system.row_slack), list(int(x) for x in system.col_slack)
 
 
 def count_lattice(system: FlowSystem, cap: int | None = None) -> int:
@@ -171,7 +149,7 @@ def count_lattice(system: FlowSystem, cap: int | None = None) -> int:
     makes counting much faster than materializing every solution.  Raises
     ``LatticeOverflowError`` as soon as the running count exceeds ``cap``.
     """
-    rows, cols = _slack_problem(system)
+    rows, cols = system.row_slack.tolist(), system.col_slack.tolist()
     k, l = len(rows), len(cols)
     if k == 1 or l == 1:
         return 1
@@ -212,58 +190,6 @@ def count_lattice(system: FlowSystem, cap: int | None = None) -> int:
 
     rec(0, 0, rows[0], sum(c[1:]))
     return count
-
-
-def iter_lattice(system: FlowSystem):
-    """Yield every feasible flow matrix exactly once (numpy int64 arrays)."""
-    rows, cols = _slack_problem(system)
-    k, l = len(rows), len(cols)
-    lower = system.lower
-    if k == 1:
-        yield np.array([cols], dtype=np.int64) + lower
-        return
-    if l == 1:
-        yield np.array([[r] for r in rows], dtype=np.int64) + lower
-        return
-    c = cols[:]
-    u = np.zeros((k, l), dtype=np.int64)
-
-    def rec(i: int, j: int, row_rem: int, suffix: int):
-        cj = c[j]
-        hi = row_rem if row_rem < cj else cj
-        lo = row_rem - suffix
-        if lo < 0:
-            lo = 0
-        if lo > hi:
-            return
-        for x in range(lo, hi + 1):
-            u[i, j] = x
-            c[j] -= x
-            if j == l - 2:
-                tail = row_rem - x
-                u[i, l - 1] = tail
-                c[l - 1] -= tail
-                if i == k - 2:
-                    u[k - 1, :] = c
-                    yield u + lower
-                else:
-                    yield from rec(i + 1, 0, rows[i + 1], sum(c[1:]))
-                c[l - 1] += tail
-            else:
-                yield from rec(i, j + 1, row_rem - x, suffix - c[j + 1])
-            c[j] += x
-
-    yield from rec(0, 0, rows[0], sum(c[1:]))
-
-
-def enumerate_lattice(system: FlowSystem, cap: int) -> list[np.ndarray]:
-    """All feasible flows as a list; overflow signal when more than ``cap`` exist."""
-    out = []
-    for u in iter_lattice(system):
-        if len(out) >= cap:
-            raise LatticeOverflowError(cap, len(out) + 1)
-        out.append(u)
-    return out
 
 
 # ---------------------------------------------------------------------------

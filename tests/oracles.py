@@ -19,6 +19,9 @@ Erdos-Gallai test its loop over k.  The partition contingency, the VI
 of two partitions and the best-of-pool pick live only here, since only tests
 use them, as does the building of a snapshot from a ``Node`` dict, and the
 capacity-weighted pick that only the assignment reference still makes.
+The exact lattice enumerator (every feasible flow of a transportation
+system, one free cell at a time) and the system's incidence matrix are the
+enumeration oracle; the library keeps only the count.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from temponet import (
     ConfigurationError,
     DegreeSpec,
     GraphabilityError,
+    LatticeOverflowError,
     ShapeParams,
     Snapshot,
     WiringError,
@@ -268,6 +272,77 @@ def brute_force_flow_count(sizes_from, sizes_to) -> int:
         ).all():
             count += 1
     return count
+
+
+def flow_equations(system, reduced: bool = True):
+    """Incidence matrix ``A`` and right-hand side ``B`` of the flow system.
+
+    Rows are the k row-sum equations followed by the l column-sum
+    equations; columns index the flows row-major.  ``rank(A) = k + l - 1``
+    so with ``reduced`` the redundant last equation is dropped.
+    """
+    k, l = system.k, system.l
+    a = np.zeros((k + l, k * l), dtype=np.int64)
+    for i in range(k):
+        a[i, i * l : (i + 1) * l] = 1
+    for j in range(l):
+        a[k + j, j::l] = 1
+    b = np.array(system.sizes_from + system.sizes_to, dtype=np.int64)
+    if reduced:
+        return a[:-1], b[:-1]
+    return a, b
+
+
+def iter_lattice(system):
+    """Yield every feasible flow matrix exactly once (numpy int64 arrays)."""
+    rows, cols = system.row_slack.tolist(), system.col_slack.tolist()
+    k, l = len(rows), len(cols)
+    lower = system.lower
+    if k == 1:
+        yield np.array([cols], dtype=np.int64) + lower
+        return
+    if l == 1:
+        yield np.array([[r] for r in rows], dtype=np.int64) + lower
+        return
+    c = cols[:]
+    u = np.zeros((k, l), dtype=np.int64)
+
+    def rec(i: int, j: int, row_rem: int, suffix: int):
+        cj = c[j]
+        hi = row_rem if row_rem < cj else cj
+        lo = row_rem - suffix
+        if lo < 0:
+            lo = 0
+        if lo > hi:
+            return
+        for x in range(lo, hi + 1):
+            u[i, j] = x
+            c[j] -= x
+            if j == l - 2:
+                tail = row_rem - x
+                u[i, l - 1] = tail
+                c[l - 1] -= tail
+                if i == k - 2:
+                    u[k - 1, :] = c
+                    yield u + lower
+                else:
+                    yield from rec(i + 1, 0, rows[i + 1], sum(c[1:]))
+                c[l - 1] += tail
+            else:
+                yield from rec(i, j + 1, row_rem - x, suffix - c[j + 1])
+            c[j] += x
+
+    yield from rec(0, 0, rows[0], sum(c[1:]))
+
+
+def enumerate_lattice(system, cap: int) -> list[np.ndarray]:
+    """All feasible flows as a list; overflow signal when more than ``cap`` exist."""
+    out = []
+    for u in iter_lattice(system):
+        if len(out) >= cap:
+            raise LatticeOverflowError(cap, len(out) + 1)
+        out.append(u)
+    return out
 
 
 def truncated_pmf_moments(pmf: dict[int, float]) -> tuple[float, float, float]:

@@ -23,6 +23,7 @@ from temponet import (
     fix_parity,
     sample_degrees,
     split_degrees,
+    wire_inter,
     wire_intra,
 )
 from temponet import assembler
@@ -30,6 +31,7 @@ from temponet.assembler import ASSIGNMENT_ATTEMPTS, MISFIT_PASSES, repair_intra_
 
 from oracles import (
     degree_joint_distribution_baseline,
+    realizable_with_parts,
     reference_assign_nodes,
     reference_check_connectivity,
     reference_repair_intra_parity,
@@ -557,10 +559,26 @@ def test_gate_accepted_memberships_always_wire():
 
 
 def test_wiring_error_on_ungraphable_injection():
-    # star demand 3 with a single possible partner: bypasses the gate, must
-    # exhaust the repair budget and raise
-    with pytest.raises(WiringError):
-        wire_intra([(0, 3, 3), (1, 3, 3)], ShapeParams(), np.random.default_rng(0), budget=10)
+    # demand 3 with a single possible partner bypasses the gate: after the one
+    # link, node 0's only partner is its neighbour and no node is saturated,
+    # so no link can be rewired, whatever the repair bound
+    with pytest.raises(WiringError, match="no candidate links to rewire"):
+        wire_intra([(0, 3, 3), (1, 3, 3)], ShapeParams(), np.random.default_rng(0))
+
+
+def test_wiring_gives_up_after_50_repairs_per_node():
+    # the gate accepts this inter phase, whose inter checks are necessary but
+    # not sufficient, yet no graph realizes it: nodes 0 and 2 each need all 5
+    # nodes outside community 0, so node 7 (f = 1) would need 2 links.
+    # Repairs cycle until the fixed bound of 50 * 8 ends them.
+    sizes, community = CommunitySpec((3, 2, 3)), [0, 0, 0, 1, 1, 2, 2, 2]
+    f = (5, 4, 5, 5, 5, 2, 5, 1)
+    assert check_graphable(sizes, DegreeSpec(f, (0,) * 8), community).ok
+    assert not realizable_with_parts(f, community)
+    nodes = [(i, f[i], f[i], community[i]) for i in range(8)]
+    for seed in range(1, 7):
+        with pytest.raises(WiringError, match=r"wiring repair budget \(400\) exhausted"):
+            wire_inter(nodes, ShapeParams(), np.random.default_rng(seed))
 
 
 def test_worked_example_snapshot_counts_and_exactness():
@@ -853,8 +871,10 @@ def test_tree_sampler_wires_like_the_cumsum_reference(pairing):
         outcomes = []
         for wire in (reference_wire_phase, assembler._wire_phase):
             rng = np.random.default_rng(1000 + trial)
+            # the reference takes the repair bound that the library fixes
+            bound = (50 * n,) if wire is reference_wire_phase else ()
             try:
-                links, repairs = wire(entries, shape, rng, 50 * n, community_of)
+                links, repairs = wire(entries, shape, rng, *bound, community_of)
             except WiringError:
                 result = "WiringError"
             else:

@@ -16,14 +16,12 @@ from temponet import (
     Snapshot,
     __version__,
     assemble_snapshot,
-    assortativity_coefficient,
     export_temporal_csv,
     fix_parity,
     modularity,
     read_temporal_csv,
     sample_degrees,
     split_degrees,
-    temporal_degree_correlation,
 )
 from temponet import output
 from temponet.metrics import assortativity_details, temporal_degree_correlation_details
@@ -59,7 +57,7 @@ def _snapshot(t, memberships, links, degrees=None, community_count=None):
 def test_assortativity_star_is_minus_one():
     members = {i: 0 for i in range(6)}
     star = _snapshot(0, members, {(0, i) for i in range(1, 6)})
-    assert assortativity_coefficient(star) == pytest.approx(-1.0)
+    assert assortativity_details(star)[0] == pytest.approx(-1.0)
 
 
 def test_assortativity_regular_graph_flagged_zero():
@@ -88,7 +86,7 @@ def test_assortativity_matches_corrcoef():
             ys += [deg[v], deg[u]]
         if np.std(xs) < 1e-12:
             continue
-        assert assortativity_coefficient(snap) == pytest.approx(
+        assert assortativity_details(snap)[0] == pytest.approx(
             pearson_reference(xs, ys), abs=1e-10
         )
 
@@ -194,7 +192,7 @@ def test_temporal_correlation_identical_degrees_is_one():
     links = {(0, 1), (1, 2), (2, 3), (3, 4)}  # path: degrees vary
     a = _snapshot(0, members, links)
     b = _snapshot(1, members, links)
-    assert temporal_degree_correlation(a, b) == pytest.approx(1.0)
+    assert temporal_degree_correlation_details(a, b)[0] == pytest.approx(1.0)
 
 
 def test_temporal_correlation_constant_series_flagged():
@@ -362,4 +360,4 @@ def test_large_uniform_network_assortativity_near_zero():
     total = sample_degrees(SamplerConfig("uniform", 5, 30), 10_000, rng)
     spec = fix_parity(split_degrees(total, 1.0, "fixed", "nearest", rng), rng, (5, 30))
     snap = assemble_snapshot(0, sizes, spec, rng, pairing_shape=ShapeParams(1, 1))
-    assert abs(assortativity_coefficient(snap)) < 0.05
+    assert abs(assortativity_details(snap)[0]) < 0.05

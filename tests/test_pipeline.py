@@ -127,13 +127,11 @@ def test_plan_transition_validation():
         ("kills", -2, "random kill counts"),
         ("kills", [1, -1], "random kill counts"),
         ("kills", [1, "2"], "not an integer"),
-        ("repair_budget_factor", -1, "repair_budget_factor"),
         ("max_sequence_retries", 0, "max_sequence_retries"),
         ("seed", -1, "seed must be >= 0"),
     ],
     ids=[
-        "kills", "kills_per_boundary", "kills_not_integer", "repair_budget_factor",
-        "max_sequence_retries", "seed",
+        "kills", "kills_per_boundary", "kills_not_integer", "max_sequence_retries", "seed",
     ],
 )
 def test_run_config_rejects_values_that_fail_later(field, value, message):
@@ -344,11 +342,11 @@ def test_report_echoes_the_complete_config(tmp_path):
     # directory, which does not change the outputs, is left out
     from dataclasses import fields
 
-    cfg = small_cfg(output_dir=str(tmp_path), max_sequence_retries=7, repair_budget_factor=9)
+    cfg = small_cfg(output_dir=str(tmp_path), max_sequence_retries=7)
     run(cfg)
     echo = json.loads((tmp_path / "report.json").read_text())["config"]
     assert set(echo) == {f.name for f in fields(RunConfig)} - {"output_dir"}
-    assert echo["max_sequence_retries"] == 7 and echo["repair_budget_factor"] == 9
+    assert echo["max_sequence_retries"] == 7 and "repair_budget_factor" not in echo
     assert echo["thresholds"]["size_dead_band"] == cfg.thresholds.size_dead_band
     assert echo["degree_cfg"]["mix_ratio"] == 0.7
 
@@ -462,7 +460,6 @@ timesteps = 3
 seed = 9
 kills = 1
 max_sequence_retries = 3
-repair_budget_factor = 7
 
 [communities]
 family = uniform
@@ -493,7 +490,7 @@ size_dead_band = 0.05
     assert cfg.degree_cfg.mix_mode == "bernoulli"
     assert cfg.pairing_shape.alpha == 2.0 and cfg.temporal_shape.alpha == 3.0
     assert cfg.thresholds.continuation == 0.25 and cfg.thresholds.size_dead_band == 0.05
-    assert cfg.max_sequence_retries == 3 and cfg.repair_budget_factor == 7
+    assert cfg.max_sequence_retries == 3
     cfg2 = load_run_config(path, overrides={"seed": 77})
     assert cfg2.seed == 77
     result = run(cfg)
@@ -510,7 +507,7 @@ def test_readme_config_example_loads_verbatim(tmp_path):
     assert cfg.no_search is False
     assert cfg.sequence_file is None and cfg.output_dir is None
     assert cfg.community_count == 5 and cfg.degree_cfg.rounding == "stochastic"
-    assert cfg.max_sequence_retries == 10 and cfg.repair_budget_factor == 50
+    assert cfg.max_sequence_retries == 10
     assert cfg.thresholds.size_dead_band == 0.02
 
 
@@ -558,6 +555,11 @@ mix_ratio = 0.7
     "old, new, message",
     [
         ("[run]", "[run]\ninteractive = true", r"unknown key 'interactive' in section \[run\]"),
+        (
+            "[run]",
+            "[run]\nrepair_budget_factor = 7",
+            r"unknown key 'repair_budget_factor' in section \[run\]",
+        ),
         ("count", "mix_ratio = 0.5\ncount", r"unknown key 'mix_ratio' in section \[communities\]"),
         ("count", "mix_mode = fixed\ncount", r"unknown key 'mix_mode' in section \[communities\]"),
         ("seed", "sed", r"unknown key 'sed' in section \[run\]"),
@@ -570,9 +572,9 @@ mix_ratio = 0.7
         ("kills = 1", "kills = one", r"\[run\] kills: .*'one'"),
     ],
     ids=[
-        "interactive", "communities_mix_ratio", "communities_mix_mode", "misspelt_key",
-        "unknown_section", "missing_min", "empty_max", "missing_family", "boolean_typo",
-        "boolean_with_words", "not_an_integer",
+        "interactive", "repair_budget_factor", "communities_mix_ratio", "communities_mix_mode",
+        "misspelt_key", "unknown_section", "missing_min", "empty_max", "missing_family",
+        "boolean_typo", "boolean_with_words", "not_an_integer",
     ],
 )
 def test_config_file_names_the_section_and_key_it_rejects(tmp_path, old, new, message):
