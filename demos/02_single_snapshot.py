@@ -30,11 +30,13 @@ print(f"{snap.node_count} nodes, {snap.link_count} links, {snap.community_count}
 # per-node columns
 comm = snap.community
 u, v = snap.endpoints.T
+# components of every community at once; links between communities are ignored
+components = check_connectivity(snap.ids, comm, snap.endpoints, snap.community_count)
 for c, group in enumerate(snap.clustering):
     members = sorted(group)
     rows = snap.endpoints[(comm[u] == c) & (comm[v] == c)]
     print(f"  community {c}: nodes {members}, {len(rows)} intra links,"
-          f" {check_connectivity(members, rows)} component(s)")
+          f" {components[c]} component(s)")
 
 inter = sorted(map(tuple, snap.endpoints[comm[u] != comm[v]].tolist()))
 print("inter links:", inter)

@@ -716,26 +716,35 @@ def wire_inter(
     return _wire_phase(entries, pairing_shape, rng, community_of=community_of)
 
 
-def check_connectivity(member_ids, endpoints: np.ndarray) -> int:
-    """Number of connected components of a community subgraph.
+def check_connectivity(
+    ids: np.ndarray, community: np.ndarray, endpoints: np.ndarray, community_count: int
+) -> np.ndarray:
+    """Number of connected components of each community's subgraph.
 
-    ``member_ids`` is an array (or list) of distinct node ids in any order
-    and ``endpoints`` (m, 2) int64 link rows; rows with an endpoint outside
-    it are ignored.  Each member starts as its own root.  A round lowers both
-    endpoint roots of every link to the smaller of the two, and pointer
-    jumping then points every member at its root; the components are the
-    roots left once no link joins two roots.
+    ``ids`` are the snapshot's strictly ascending node ids and ``community``
+    their community indices; ``endpoints`` holds (m, 2) int64 link rows.
+    Only rows that join two nodes of one community count, so the whole link
+    set or just its intra links give the same result.  Each node starts as
+    its own root.  A round lowers both endpoint roots of every link to the
+    smaller of the two, and pointer jumping then points every node at its
+    root; once no link joins two roots, each root is one component of its
+    node's community.  Returns ``community_count`` counts; an empty
+    community has 0 components.
     """
-    ids = np.sort(np.asarray(member_ids, dtype=np.int64))
+    ids = np.asarray(ids, dtype=np.int64)
+    community = np.asarray(community, dtype=np.int64)
     n = ids.size
     at, known = _lookup(ids, endpoints)
     u, v = at[known[:, 0] & known[:, 1]].T
+    same = community[u] == community[v]
+    u, v = u[same], v[same]
     label = np.arange(n)
     while True:
         lu, lv = label[u], label[v]
         across = lu != lv
         if not across.any():
-            return int(np.count_nonzero(label == np.arange(n)))
+            roots = label == np.arange(n)
+            return np.bincount(community[roots], minlength=community_count)
         lu, lv = lu[across], lv[across]
         low = np.minimum(lu, lv)
         np.minimum.at(label, lu, low)
@@ -813,16 +822,14 @@ def assemble_snapshot(
 
     parts: list[np.ndarray] = []
     repairs = 0
-    disconnected = []
     for c in range(len(sizes)):
         mine = community == c
-        members = node_ids[mine]
-        triples = zip(members.tolist(), degree[mine].tolist(), intra_degree[mine].tolist())
+        triples = zip(node_ids[mine].tolist(), degree[mine].tolist(), intra_degree[mine].tolist())
         community_links, used = wire_intra(triples, pairing_shape, rng)
         parts.append(community_links)
         repairs += used
-        if check_connectivity(members, community_links) > 1:
-            disconnected.append(c)
+    components = check_connectivity(node_ids, community, np.concatenate(parts), len(sizes))
+    disconnected = np.flatnonzero(components > 1).tolist()
     if disconnected:
         log.warning(
             "timestep %d: communities %s wired with multiple components", t, disconnected

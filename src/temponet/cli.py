@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 import time
 
@@ -34,13 +35,26 @@ IO_EXIT_CODE = 5
 
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
+    """Sizes separated by commas or whitespace; an empty entry such as ``10,,6`` is an error."""
+    tokens = re.split(r"\s*,\s*|\s+", text.strip())
+    if tokens == [""]:
+        raise argparse.ArgumentTypeError("empty size list")
+    if "" in tokens:
+        raise argparse.ArgumentTypeError(f"empty entry in the size list {text!r}")
     try:
-        sizes = tuple(int(tok) for tok in text.replace(",", " ").split())
+        return tuple(int(tok) for tok in tokens)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a size list: {text!r}")
-    if not sizes:
-        raise argparse.ArgumentTypeError("empty size list")
-    return sizes
+
+
+def _cap_arg(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"the enumeration cap must be non-negative, got {cap}")
+    return cap
 
 
 def _cmd_generate(args) -> int:
@@ -134,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     flw = sub.add_parser("flow", help="explore one transition between size multisets")
     flw.add_argument("--sizes-from", dest="sizes_from", type=_sizes_arg, required=True)
     flw.add_argument("--sizes-to", dest="sizes_to", type=_sizes_arg, required=True)
-    flw.add_argument("--cap", type=int, default=500_000, help="enumeration cap")
+    flw.add_argument("--cap", type=_cap_arg, default=500_000, help="enumeration cap")
     flw.set_defaults(func=_cmd_flow)
 
     ver = sub.add_parser("version", help="print the package version")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -226,14 +226,13 @@ def read_temporal_csv(nodes_path, edges_path):
 
 
 def _contingency_lines(boundary: BoundaryReport) -> list[str]:
-    u = np.asarray(boundary.contingency)
     width = max(
         [len(lbl) for lbl in boundary.row_labels + boundary.col_labels] + [5]
     )
     head = " " * (width + 1) + " ".join(f"{lbl:>{width}}" for lbl in boundary.col_labels)
     lines = [head]
-    for i, lbl in enumerate(boundary.row_labels):
-        cells = " ".join(f"{int(x):>{width}}" for x in u[i])
+    for lbl, row in zip(boundary.row_labels, boundary.contingency):
+        cells = " ".join(f"{x:>{width}}" for x in row)
         lines.append(f"{lbl:>{width}} {cells}")
     return lines
 
@@ -277,6 +276,11 @@ def render_report(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(record) -> dict:
+    """A report dataclass as a dict of its fields, values shared, not copied."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def write_report(report: RunReport, outdir) -> tuple[str, str]:
     """Write ``report.txt`` (human readable) and ``report.json`` (structured).
 
@@ -287,10 +291,10 @@ def write_report(report: RunReport, outdir) -> tuple[str, str]:
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(render_report(report))
     json_path = os.path.join(outdir, "report.json")
-    payload = asdict(report)
+    payload = _fields(report)
     payload["temporal_correlation_series"] = report.temporal_correlation_series
     payload["version"] = __version__
+    text = json.dumps(payload, default=_fields, indent=2, sort_keys=True)
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return txt_path, json_path

@@ -350,7 +350,7 @@ def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot
             t_from=t,
             t_to=t + 1,
             vi=variation_of_information(flow),
-            contingency=[[int(x) for x in row] for row in flow],
+            contingency=flow.tolist(),
             row_labels=row_labels,
             col_labels=col_labels,
             temporal_degree_correlation=corr,

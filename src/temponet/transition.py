@@ -13,10 +13,20 @@ list nor try thresholds change where it stops.
 Optional per-cell lower bounds pin flows (used by the pipeline to force
 user-specified kills into the death-adjustment column); all algorithms
 operate on the shifted slack problem and report full matrices.
+
+``mi_greedy`` and ``taboo_search`` score a cell holding ``v`` of ``n`` nodes
+by its VI contribution ``-(v/n) [log(v/r) + log(v/c)]``, where ``r`` and
+``c`` are its row and column community sizes.  The logs come from one table
+per size, ``math.log(v / size)`` for ``v = 0..size``, built the first time
+a size is scored and kept for later transitions (up to 1,024 sizes).  The
+tables let a whole matrix of contributions be scored with numpy gathers.
+``np.log`` cannot replace them: it differs from ``math.log`` in the last bit
+on some inputs, and those bits decide ties between seeds and between jumps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,11 +207,34 @@ def count_lattice(system: FlowSystem, cap: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cell_contrib(value: float, row_total: float, col_total: float, n: float) -> float:
-    """Additive VI contribution of one contingency cell given fixed marginals."""
-    if value <= 0:
-        return 0.0
-    return -(value / n) * (math.log(value / row_total) + math.log(value / col_total))
+@functools.lru_cache(maxsize=1024)
+def _log_table(size: int) -> np.ndarray:
+    """Read-only ``math.log(v / size)`` for ``v = 0..size``; 0.0 stands in at ``v = 0``."""
+    table = np.array([0.0] + [math.log(v / size) for v in range(1, size + 1)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_tables(system: FlowSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_log_table`` of every row size, then of every column size, in one array.
+
+    Also returns the offset of each row's table and of each column's table
+    in that array, so a cell ``(i, j)`` holding ``v`` nodes reads its logs at
+    ``row_at[i] + v`` and ``col_at[j] + v``.
+    """
+    sizes = system.sizes_from + system.sizes_to
+    at = np.cumsum([0] + [s + 1 for s in sizes[:-1]])
+    logs = np.concatenate([_log_table(s) for s in sizes])
+    return logs, at[: system.k], at[system.k :]
+
+
+def _contrib(v, n, row_log, col_log):
+    """Additive VI contribution of cells holding ``v`` nodes (scalars or arrays).
+
+    ``row_log`` and ``col_log`` are the cells' ``log(v / size)`` table
+    entries; at ``v = 0`` both are 0.0, so an empty cell contributes zero.
+    """
+    return -(v / n) * (row_log + col_log)
 
 
 def mi_greedy(system: FlowSystem) -> np.ndarray:
@@ -212,38 +245,43 @@ def mi_greedy(system: FlowSystem) -> np.ndarray:
     are zero.  Ties break on the lowest row-major cell index.
 
     A ``(k, l)`` matrix holds every open cell's VI increment and ``+inf`` on
-    closed cells, so ``np.argmin`` picks the cell with that tie-break.  A
-    commit at ``(i, j)`` changes only ``rr[i]`` and ``cr[j]`` and closes at
-    least one of them: the closed line is set to ``inf`` and only the open
-    cells of the line that stays open are rescored.  That is O(k·l) scoring
-    once and O(k + l) per commit, with the same ``math.log`` arithmetic, so
-    the flow is the one a full rescan per commit returns.
+    closed cells, so ``np.argmin`` picks the cell with that tie-break.  The
+    matrix is scored once by numpy gathers from the per-size tables of
+    ``math.log(v / size)`` (``_log_table``), never by ``np.log``, which
+    differs from ``math.log`` in the last bit on some inputs and so could
+    break a tie the other way.  A commit at ``(i, j)`` changes only
+    ``rr[i]`` and ``cr[j]`` and closes at least one of them: the closed line
+    is set to ``inf`` and only the open cells of the line that stays open are
+    rescored, in Python from the same tables.  That is O(k·l) scoring once
+    and O(k + l) per commit, with the arithmetic of a full rescan per commit,
+    so the flow is the one that rescan returns.
     """
-    rr = system.row_slack.astype(np.int64).copy()
-    cr = system.col_slack.astype(np.int64).copy()
     k, l = system.k, system.l
     n = float(system.node_count)
-    rows_full = [float(s) for s in system.sizes_from]
-    cols_full = [float(s) for s in system.sizes_to]
+    logs, row_at, col_at = _log_tables(system)
     lower = system.lower
+    ri, cj = row_at[:, None], col_at[None, :]
+    top = lower + np.minimum.outer(system.row_slack, system.col_slack)
+    base = _contrib(lower, n, logs[ri + lower], logs[cj + lower])
+    delta = _contrib(top, n, logs[ri + top], logs[cj + top]) - base
+    delta[system.row_slack == 0, :] = np.inf
+    delta[:, system.col_slack == 0] = np.inf
+
+    rr = system.row_slack.tolist()
+    cr = system.col_slack.tolist()
+    row_at, col_at = row_at.tolist(), col_at.tolist()
+    low, base, logs = lower.tolist(), base.tolist(), logs.tolist()
     u = lower.copy()
-    open_rows = {i for i in range(k) if rr[i] > 0}
-    open_cols = {j for j in range(l) if cr[j] > 0}
+    open_rows = [i for i in range(k) if rr[i] > 0]
+    open_cols = [j for j in range(l) if cr[j] > 0]
 
     def score(i: int, j: int) -> float:
-        m = min(int(rr[i]), int(cr[j]))
-        low = int(lower[i, j])
-        return _cell_contrib(low + m, rows_full[i], cols_full[j], n) - _cell_contrib(
-            low, rows_full[i], cols_full[j], n
-        )
+        v = low[i][j] + min(rr[i], cr[j])
+        return _contrib(v, n, logs[row_at[i] + v], logs[col_at[j] + v]) - base[i][j]
 
-    delta = np.full((k, l), np.inf)
-    for i in open_rows:
-        for j in open_cols:
-            delta[i, j] = score(i, j)
     while open_rows and open_cols:
-        i, j = divmod(int(np.argmin(delta)), l)
-        m = min(int(rr[i]), int(cr[j]))
+        i, j = divmod(int(delta.argmin()), l)
+        m = min(rr[i], cr[j])
         u[i, j] += m
         rr[i] -= m
         cr[j] -= m
@@ -264,13 +302,13 @@ def mi_greedy(system: FlowSystem) -> np.ndarray:
 
 def sorted_residual_greedy(system: FlowSystem) -> np.ndarray:
     """Repeatedly match the largest remaining source with the largest target."""
-    rr = system.row_slack.astype(np.int64).copy()
-    cr = system.col_slack.astype(np.int64).copy()
+    rr = system.row_slack.tolist()
+    cr = system.col_slack.tolist()
     u = system.lower.copy()
-    while rr.max() > 0:
-        i = int(np.argmax(rr))
-        j = int(np.argmax(cr))
-        m = min(int(rr[i]), int(cr[j]))
+    while max(rr) > 0:
+        i = rr.index(max(rr))
+        j = cr.index(max(cr))
+        m = min(rr[i], cr[j])
         u[i, j] += m
         rr[i] -= m
         cr[j] -= m
@@ -284,13 +322,13 @@ def max_chunk_greedy(system: FlowSystem) -> np.ndarray:
     and the lowest row-major cell where it fits is the first row and the
     first column with a residual of at least ``m``.
     """
-    rr = system.row_slack.astype(np.int64).copy()
-    cr = system.col_slack.astype(np.int64).copy()
+    rr = system.row_slack.tolist()
+    cr = system.col_slack.tolist()
     u = system.lower.copy()
-    while rr.max() > 0:
-        m = min(int(rr.max()), int(cr.max()))
-        i = int(np.argmax(rr >= m))
-        j = int(np.argmax(cr >= m))
+    while max(rr) > 0:
+        m = min(max(rr), max(cr))
+        i = next(a for a, r in enumerate(rr) if r >= m)
+        j = next(b for b, c in enumerate(cr) if c >= m)
         u[i, j] += m
         rr[i] -= m
         cr[j] -= m
@@ -375,6 +413,60 @@ class SearchConfig:
     """
 
 
+# each vector's cells (i, ref_col), (i, j), (ref_row, j), (ref_row, ref_col) as
+# one row of ``_jump_scorer``, picked from the vector's (i, j, ref_row, ref_col);
+# a jump by +step adds step * (-1, 1, -1, 1) to them, so the cells it lowers,
+# 0 and 2, bound its step, and cells 1 and 3 bound -step
+_CELL_ROWS = np.array([0, 0, 2, 2])
+_CELL_COLS = np.array([3, 1, 1, 3])
+_JUMP_SIGNS = np.array([[-1, 1, -1, 1], [1, -1, 1, -1]], dtype=np.int64)
+
+
+def _jump_scorer(system: FlowSystem, basis: list[KernelVector]):
+    """Scores every kernel-basis jump of ``taboo_search`` from a flow at once.
+
+    Returns ``score(u, vi)`` for a feasible flow ``u`` of VI ``vi``.  It
+    gives three arrays over the jumps whose step is at least 1, in basis
+    order with the ``+`` sign before the ``-``: the jump as ``2 * vector +
+    (1 for the - sign)``, its step, and the VI it reaches.  That VI is
+    ``vi`` plus the change of each of the vector's cells (i, j),
+    (i, ref_col), (ref_row, j), (ref_row, ref_col), summed in that order;
+    each change is a difference of two contributions read from the log
+    tables (see the module docstring).
+    """
+    l, n = system.l, float(system.node_count)
+    logs, row_at, col_at = _log_tables(system)
+    corner = np.array(
+        [
+            [v.i for v in basis],
+            [v.j for v in basis],
+            [v.ref_row for v in basis],
+            [v.ref_col for v in basis],
+        ],
+        dtype=np.int64,
+    )
+    ci, cj = corner[_CELL_ROWS].T, corner[_CELL_COLS].T
+    cell = ci * l + cj
+    row_base, col_base = row_at[ci], col_at[cj]
+    floor = system.lower.ravel()[cell]
+
+    def score(u: np.ndarray, vi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        flat = u.ravel()
+        held = flat[cell]
+        slack = held - floor
+        steps = np.minimum(slack[:, :2], slack[:, 2:]).ravel()
+        jumps = steps.nonzero()[0]
+        b = jumps >> 1
+        old = held[b]
+        values = np.array((old, old + steps[jumps, None] * _JUMP_SIGNS[jumps & 1]))
+        terms = _contrib(values, n, logs[row_base[b] + values], logs[col_base[b] + values])
+        d = terms[1] - terms[0]
+        # columns 1, 0, 2, 3 are the cells (i, j), (i, ref_col), (ref_row, j), (ref_row, ref_col)
+        return jumps, steps[jumps], vi + (((d[:, 1] + d[:, 0]) + d[:, 2]) + d[:, 3])
+
+    return score
+
+
 def taboo_search(
     system: FlowSystem,
     seed: np.ndarray,
@@ -394,58 +486,44 @@ def taboo_search(
     fails too.  ``cfg`` is ignored (see ``SearchConfig``).  ``trace``
     receives ``(moves, VI)`` at the start and after each move.  Always
     returns a feasible flow no worse than the seed.
+
+    Each iteration scores all jumps at once with numpy gathers from the
+    per-size tables of ``math.log(v / size)`` (see ``_jump_scorer``), never
+    by ``np.log``, which differs from ``math.log`` in the last bit on some
+    inputs.  When no jump beats the current VI the search stops; otherwise
+    the jumps are ranked one by one in basis order, the ``+`` sign before the
+    ``-``, with the tolerance and tie-break above.
     """
     u = np.asarray(seed, dtype=np.int64).copy()
     if not system.is_feasible(u):
         raise ConfigurationError("taboo_search seed is not a feasible flow")
-    k, l, n = system.k, system.l, float(system.node_count)
-    rows_full = [float(s) for s in system.sizes_from]
-    cols_full = [float(s) for s in system.sizes_to]
-    lower = system.lower
-
-    def contrib(val, i, j):
-        return _cell_contrib(float(val), rows_full[i], cols_full[j], n)
-
+    k, l = system.k, system.l
+    score = _jump_scorer(system, basis)
     cur_vi = variation_of_information(u)
     moves = 0
     if trace is not None:
         trace.append((moves, cur_vi))
     while True:
+        jumps, sizes, cand = score(u, cur_vi)
+        if not (cand < cur_vi - 1e-12).any():
+            return u
         best = None  # (vi, vector, signed step)
         best_flat = None
-        for v in basis:
-            cells = ((v.i, v.j), (v.i, v.ref_col), (v.ref_row, v.j), (v.ref_row, v.ref_col))
-            for sign in (1, -1):
-                if sign == 1:
-                    step = min(
-                        int(u[v.i, v.ref_col] - lower[v.i, v.ref_col]),
-                        int(u[v.ref_row, v.j] - lower[v.ref_row, v.j]),
-                    )
-                else:
-                    step = min(
-                        int(u[v.i, v.j] - lower[v.i, v.j]),
-                        int(u[v.ref_row, v.ref_col] - lower[v.ref_row, v.ref_col]),
-                    )
-                if step < 1:
-                    continue
-                deltas = (sign * step, -sign * step, -sign * step, sign * step)
-                dvi = 0.0
-                for (ci, cj), dd in zip(cells, deltas):
-                    old = int(u[ci, cj])
-                    dvi += contrib(old + dd, ci, cj) - contrib(old, ci, cj)
-                cand_vi = cur_vi + dvi
-                if best is None or cand_vi < best[0] - 1e-12:
-                    best = (cand_vi, v, sign * step)
-                    best_flat = None
-                elif abs(cand_vi - best[0]) <= 1e-12:
-                    # tie: lowest flattened lexicographic endpoint wins
-                    if best_flat is None:
-                        best_flat = (u + best[2] * best[1].dense(k, l)).ravel().tolist()
-                    cand_flat = (u + sign * step * v.dense(k, l)).ravel().tolist()
-                    if cand_flat < best_flat:
-                        best = (cand_vi, v, sign * step)
-                        best_flat = cand_flat
-        if best is None or best[0] >= cur_vi - 1e-12:
+        for cand_vi, jump, size in zip(cand.tolist(), jumps.tolist(), sizes.tolist()):
+            v = basis[jump >> 1]
+            step = -size if jump & 1 else size
+            if best is None or cand_vi < best[0] - 1e-12:
+                best = (cand_vi, v, step)
+                best_flat = None
+            elif abs(cand_vi - best[0]) <= 1e-12:
+                # tie: lowest flattened lexicographic endpoint wins
+                if best_flat is None:
+                    best_flat = (u + best[2] * best[1].dense(k, l)).ravel().tolist()
+                cand_flat = (u + step * v.dense(k, l)).ravel().tolist()
+                if cand_flat < best_flat:
+                    best = (cand_vi, v, step)
+                    best_flat = cand_flat
+        if best[0] >= cur_vi - 1e-12:
             return u
         u += best[2] * best[1].dense(k, l)
         cur_vi = variation_of_information(u)

@@ -5,10 +5,12 @@ library: realizability by exhaustive backtracking over adjacency structures,
 VI through entropies, modularity straight from the definition, connectivity
 through the Laplacian spectrum, tiny flow counts by filtering the full cell
 product, and stub pairing through a full cumulative sum per draw.  The flow
-search and three seed heuristics have their earlier forms here: the taboo
-search with its hashed visited set and try thresholds, max-chunk and
-min-VI greedy scanning every open cell per commit, and the proportional fill
-ordering its cells with a Python ``sorted``.  The lifecycle classifier and
+search and four seed heuristics have their earlier forms here: the taboo
+search with its hashed visited set and try thresholds, the steepest descent
+scoring one jump at a time with ``math.log`` per cell, max-chunk and
+min-VI greedy scanning every open cell per commit, the sorted-residual
+greedy on numpy residuals, and the proportional fill ordering its cells with
+a Python ``sorted``.  The lifecycle classifier and
 its event table keep their earlier forms as well, with every rule written out
 once per side.  So do the parity repair with its separate fallback loop,
 snapshot validation with its separate degree passes, and the CSV export with
@@ -529,6 +531,24 @@ def reference_max_chunk_greedy(system) -> np.ndarray:
     return u
 
 
+def reference_sorted_residual_greedy(system) -> np.ndarray:
+    """``transition.sorted_residual_greedy`` on numpy residuals.
+
+    Repeatedly match the largest remaining source with the largest target.
+    """
+    rr = system.row_slack.astype(np.int64).copy()
+    cr = system.col_slack.astype(np.int64).copy()
+    u = system.lower.copy()
+    while rr.max() > 0:
+        i = int(np.argmax(rr))
+        j = int(np.argmax(cr))
+        m = min(int(rr[i]), int(cr[j]))
+        u[i, j] += m
+        rr[i] -= m
+        cr[j] -= m
+    return u
+
+
 def reference_mi_greedy(system) -> np.ndarray:
     """``transition.mi_greedy`` as a rescan of every open cell per commit.
 
@@ -745,6 +765,76 @@ def reference_taboo_search(system, seed, basis, local_tries_threshold, global_tr
         if dead_end:
             break
     return u, moves
+
+
+def reference_descent(system, seed, basis, trace=None):
+    """``transition.taboo_search`` scoring one jump at a time.
+
+    For every kernel-basis vector and both signs, the jump to the boundary of
+    feasibility is scored cell by cell with ``math.log``; the search moves to
+    the jump with the lowest VI (within 1e-12, the lexicographically
+    smallest flow) while it beats the current VI by more than 1e-12.
+    ``trace`` receives ``(moves, VI)`` at the start and after each move.
+    """
+    u = np.asarray(seed, dtype=np.int64).copy()
+    if not system.is_feasible(u):
+        raise ConfigurationError("taboo_search seed is not a feasible flow")
+    k, l, n = system.k, system.l, float(system.node_count)
+    rows_full = [float(s) for s in system.sizes_from]
+    cols_full = [float(s) for s in system.sizes_to]
+    lower = system.lower
+
+    def contrib(val, i, j):
+        return _cell_contrib(float(val), rows_full[i], cols_full[j], n)
+
+    cur_vi = variation_of_information(u)
+    moves = 0
+    if trace is not None:
+        trace.append((moves, cur_vi))
+    while True:
+        best = None  # (vi, vector, signed step)
+        best_flat = None
+        for v in basis:
+            cells = ((v.i, v.j), (v.i, v.ref_col), (v.ref_row, v.j), (v.ref_row, v.ref_col))
+            for sign in (1, -1):
+                if sign == 1:
+                    step = min(
+                        int(u[v.i, v.ref_col] - lower[v.i, v.ref_col]),
+                        int(u[v.ref_row, v.j] - lower[v.ref_row, v.j]),
+                    )
+                else:
+                    step = min(
+                        int(u[v.i, v.j] - lower[v.i, v.j]),
+                        int(u[v.ref_row, v.ref_col] - lower[v.ref_row, v.ref_col]),
+                    )
+                if step < 1:
+                    continue
+                deltas = (sign * step, -sign * step, -sign * step, sign * step)
+                dvi = 0.0
+                for (ci, cj), dd in zip(cells, deltas):
+                    old = int(u[ci, cj])
+                    dvi += contrib(old + dd, ci, cj) - contrib(old, ci, cj)
+                cand_vi = cur_vi + dvi
+                if best is None or cand_vi < best[0] - 1e-12:
+                    best = (cand_vi, v, sign * step)
+                    best_flat = None
+                elif abs(cand_vi - best[0]) <= 1e-12:
+                    # tie: lowest flattened lexicographic endpoint wins
+                    if best_flat is None:
+                        best_flat = (u + best[2] * best[1].dense(k, l)).ravel().tolist()
+                    cand_flat = (u + sign * step * v.dense(k, l)).ravel().tolist()
+                    if cand_flat < best_flat:
+                        best = (cand_vi, v, sign * step)
+                        best_flat = cand_flat
+        if best is None or best[0] >= cur_vi - 1e-12:
+            return u
+        u += best[2] * best[1].dense(k, l)
+        cur_vi = variation_of_information(u)
+        moves += 1
+        if not system.is_feasible(u):
+            raise AssertionError("taboo move left the solution space")
+        if trace is not None:
+            trace.append((moves, cur_vi))
 
 
 # lifecycle events with every rule written out for each side, and the event

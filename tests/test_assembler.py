@@ -604,26 +604,49 @@ def test_assembled_specs_wire_exactly():
         )) == sorted(zip(spec.total, spec.intra))
 
 
+def _communities(rng, ids, count):
+    """A community index per id.  With more than two communities, community
+    0 holds one node and the last one none."""
+    if not len(ids) or count <= 2:
+        return rng.integers(0, count, len(ids))
+    community = rng.integers(1, count - 1, len(ids))
+    community[int(rng.integers(len(ids)))] = 0
+    return community
+
+
+def _members(ids, community, c):
+    return {nid for nid, x in zip(ids, community.tolist()) if x == c}
+
+
 def test_check_connectivity_matches_spectral_oracle():
     k4 = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-    assert check_connectivity([0, 1, 2, 3], _rows(k4)) == 1
-    assert check_connectivity([3, 1, 0, 2], _rows({(0, 1), (2, 3)})) == 2
+    ids = np.arange(6)
+    # K4 in community 0, an isolated pair in 1, nobody in 2; the link (3, 4)
+    # joins two communities and does not count
+    community = np.array([0, 0, 0, 0, 1, 1])
+    got = check_connectivity(ids, community, _rows(k4 | {(3, 4)}), 3)
+    assert got.tolist() == [1, 2, 0]
     rng = np.random.default_rng(23)
     for _ in range(60):
         n = int(rng.integers(2, 50))
-        ids = set(range(n))
+        count = int(rng.integers(1, 6))
+        ids = list(range(n))
+        community = _communities(rng, ids, count)
         links = set()
-        for _ in range(int(rng.integers(0, n))):
+        for _ in range(int(rng.integers(0, 2 * n))):
             u, v = rng.integers(0, n, 2)
             if u != v:
                 links.add((min(int(u), int(v)), max(int(u), int(v))))
-        got = check_connectivity(sorted(ids), _rows(links))
-        assert got == spectral_component_count(ids, links)
+        got = check_connectivity(np.array(ids), community, _rows(links), count)
+        assert got.tolist() == [
+            spectral_component_count(_members(ids, community, c), links) for c in range(count)
+        ]
 
 
 def test_check_connectivity_equals_the_union_find_reference():
-    # scattered ids (some >= 2**32), isolated members, links that leave the
-    # member set or touch ids nobody holds, and empty member sets
+    # scattered ids (some >= 2**32), empty, singleton and disconnected
+    # communities, links between communities, links that touch ids nobody
+    # holds, and snapshots without nodes
     rng = np.random.default_rng(43)
     for trial in range(300):
         pool = np.concatenate([
@@ -631,19 +654,24 @@ def test_check_connectivity_equals_the_union_find_reference():
             rng.integers(2**32 - 8, 2**32 + 8, 16),
             rng.integers(2**40, 2**41, 30),
         ])
-        ids = [int(x) for x in rng.permutation(sorted(set(pool.tolist())))]
-        members = set(ids[: int(rng.integers(0, min(len(ids), 40)))])
+        every = sorted(set(pool.tolist()))
+        ids = sorted(rng.choice(every, int(rng.integers(0, 40)), replace=False).tolist())
+        count = int(rng.integers(1, 8))
+        community = _communities(rng, ids, count)
         links = set()
-        for _ in range(int(rng.integers(0, 2 * len(members) + 2))):
-            u, v = rng.choice(ids, 2)
+        for _ in range(int(rng.integers(0, 2 * len(ids) + 2))):
+            u, v = rng.choice(every, 2)
             if u != v:
                 links.add((int(u), int(v)))
         if trial % 3 == 0:
-            links.add((ids[-1] + 1, ids[0]))
-        got = check_connectivity(list(members), _rows(links))
-        assert got == reference_check_connectivity(members, links)
+            links.add((every[-1] + 1, every[0]))
+        got = check_connectivity(np.array(ids, dtype=np.int64), community, _rows(links), count)
+        assert got.tolist() == [
+            reference_check_connectivity(_members(ids, community, c), links) for c in range(count)
+        ]
     empty = reference_check_connectivity(set(), {(0, 1)})
-    assert check_connectivity([], _rows({(0, 1)})) == empty == 0
+    got = check_connectivity(np.array([], dtype=np.int64), np.array([]), _rows({(0, 1)}), 2)
+    assert got.tolist() == [empty, empty] == [0, 0]
 
 
 def test_joint_distribution_baseline_trivial_cases():

@@ -521,6 +521,23 @@ def test_cli_version_and_flow(capsys):
     assert "mi_greedy" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sizes-from", "10,,6", "--sizes-to", "12,4"], "empty entry in the size list"),
+        (["--sizes-from", "10,6", "--sizes-to", "12,4,"], "empty entry in the size list"),
+        (["--sizes-from", "10,8,6", "--sizes-to", "12,10,2", "--cap", "-5"], "non-negative"),
+    ],
+    ids=["double-comma", "trailing-comma", "negative-cap"],
+)
+def test_cli_flow_rejects_bad_arguments(flags, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["flow", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "solution count" not in captured.out
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("2 2\n1 1\n1 1\n1 1\n1 1\n")

@@ -17,18 +17,28 @@ from temponet import (
 )
 from temponet.pipeline import plan_transition
 from temponet.sequences import CommunitySpec
-from temponet.transition import max_chunk_greedy, proportional_fill
+from temponet.transition import (
+    _contrib,
+    _jump_scorer,
+    _log_table,
+    max_chunk_greedy,
+    proportional_fill,
+    sorted_residual_greedy,
+)
 
 from oracles import (
+    _cell_contrib,
     best_of_pool,
     brute_force_flow_count,
     enumerate_lattice,
     flow_equations,
     iter_lattice,
     random_feasible,
+    reference_descent,
     reference_max_chunk_greedy,
     reference_mi_greedy,
     reference_proportional_fill,
+    reference_sorted_residual_greedy,
     reference_taboo_search,
     vi_partitions,
     vi_reference,
@@ -238,10 +248,9 @@ def _transition_systems(rng, count):
         yield build_flow_system(plan.sizes_from_augmented, plan.sizes_to_augmented, lower=lower)
 
 
-def test_descent_matches_the_taboo_reference():
-    # the visited set and the try thresholds of the taboo search never change
-    # its flow: the descent returns the same flow after the same moves
-    rng = np.random.default_rng(4)
+def _descent_cases(rng):
+    """800 pipeline-style systems from their best pool flow, and 200
+    equal-size systems from random vertices."""
     cases = [(system, best_of_pool(system)) for system in _transition_systems(rng, 800)]
     for _ in range(200):
         # equal sizes on each side make jumps tie in VI, which the
@@ -249,8 +258,14 @@ def test_descent_matches_the_taboo_reference():
         k, l, s = (int(x) for x in rng.integers(2, [5, 5, 7]))
         system = build_flow_system((s * l,) * k, (s * k,) * l)
         cases.append((system, random_feasible(system, rng)))
+    return cases
+
+
+def test_descent_matches_the_taboo_reference():
+    # the visited set and the try thresholds of the taboo search never change
+    # its flow: the descent returns the same flow after the same moves
     moved = 0
-    for system, seed in cases:
+    for system, seed in _descent_cases(np.random.default_rng(4)):
         basis = kernel_basis(system)
         trace = []
         found = taboo_search(system, seed, basis, trace=trace)
@@ -275,6 +290,83 @@ def _churn_systems(rng, count):
         yield build_flow_system(a, b)
 
 
+def test_descent_matches_the_one_jump_reference():
+    # the jumps are scored from the log tables all at once, and must give the
+    # flow, the moves and every VI of the trace that scoring one jump at a
+    # time with math.log gives
+    rng = np.random.default_rng(5)
+    cases = _descent_cases(rng)
+    # churn-wide systems: random vertices and dense proportional fills move
+    cases += [(system, random_feasible(system, rng)) for system in _churn_systems(rng, 30)]
+    cases += [(system, proportional_fill(system)) for system in _churn_systems(rng, 2)]
+    for sizes in (((9,), (2, 3, 4)), ((2, 3, 4), (9,)), ((5,), (5,))):
+        system = build_flow_system(*sizes)
+        cases.append((system, random_feasible(system, rng)))
+    wide_moves = 0
+    for system, seed in cases:
+        basis = kernel_basis(system)
+        trace, want_trace = [], []
+        found = taboo_search(system, seed, basis, trace=trace)
+        want = reference_descent(system, seed, basis, trace=want_trace)
+        assert np.array_equal(found, want), (system.sizes_from, system.sizes_to)
+        assert trace == want_trace
+        wide_moves += trace[-1][0] if system.k > 50 else 0
+    assert wide_moves >= 10
+
+
+def _scalar_jump_scores(system, u, basis, vi):
+    """Each jump with a step of at least 1 as (2 * vector + (1 for -), step,
+    VI reached), scored with ``math.log`` per cell as the one-jump reference
+    scores it."""
+    n = float(system.node_count)
+    out = []
+    for b, v in enumerate(basis):
+        cells = ((v.i, v.j), (v.i, v.ref_col), (v.ref_row, v.j), (v.ref_row, v.ref_col))
+        slack = [int(u[c] - system.lower[c]) for c in cells]
+        jumps = ((1, min(slack[1], slack[2])), (-1, min(slack[0], slack[3])))
+        for minus, (sign, step) in enumerate(jumps):
+            if step < 1:
+                continue
+            dvi = 0.0
+            for (ci, cj), dd in zip(cells, (sign * step, -sign * step, -sign * step, sign * step)):
+                row, col = float(system.sizes_from[ci]), float(system.sizes_to[cj])
+                old = float(u[ci, cj])
+                dvi += _cell_contrib(old + dd, row, col, n) - _cell_contrib(old, row, col, n)
+            out.append((2 * b + minus, step, vi + dvi))
+    return out
+
+
+def test_jump_scores_equal_the_scalar_sums():
+    # every jump's VI, bit for bit, from random vertices and pool flows of
+    # pipeline-style and churn-wide systems
+    rng = np.random.default_rng(6)
+    systems = list(_transition_systems(rng, 200)) + list(_churn_systems(rng, 2))
+    for size in (3, 5):
+        systems.append(build_flow_system((size * 4,) * 3, (size * 3,) * 4))
+    for system in systems:
+        basis = kernel_basis(system)
+        score = _jump_scorer(system, basis)
+        for u in (random_feasible(system, rng), proportional_fill(system), mi_greedy(system)):
+            vi = variation_of_information(u)
+            jumps, sizes, vis = score(u, vi)
+            got = list(zip(jumps.tolist(), sizes.tolist(), vis.tolist()))
+            assert got == _scalar_jump_scores(system, u, basis, vi)
+
+
+def test_table_contributions_equal_the_scalar_formula():
+    # every value of every cell whose row and column sizes are at most 60,
+    # then random sizes up to 1,000, at two node counts each
+    pairs = [(r, c) for r in range(61) for c in range(61)]
+    rng = np.random.default_rng(12)
+    pairs += [tuple(int(x) for x in rng.integers(1, 1001, 2)) for _ in range(300)]
+    for r, c in pairs:
+        v = np.arange(min(r, c) + 1)
+        for n in (float(max(r, c, 1)), float(r + c + 7)):
+            got = _contrib(v, n, _log_table(r)[v], _log_table(c)[v]).tolist()
+            want = [_cell_contrib(float(x), float(r), float(c), n) for x in v.tolist()]
+            assert got == want, (r, c, n)
+
+
 def test_max_chunk_matches_the_cell_scan_reference():
     rng = np.random.default_rng(8)
     systems = list(_transition_systems(rng, 400))
@@ -285,8 +377,12 @@ def test_max_chunk_matches_the_cell_scan_reference():
 
 @pytest.mark.parametrize(
     "heuristic, reference",
-    [(mi_greedy, reference_mi_greedy), (proportional_fill, reference_proportional_fill)],
-    ids=["mi_greedy", "proportional_fill"],
+    [
+        (mi_greedy, reference_mi_greedy),
+        (sorted_residual_greedy, reference_sorted_residual_greedy),
+        (proportional_fill, reference_proportional_fill),
+    ],
+    ids=["mi_greedy", "sorted_residual", "proportional_fill"],
 )
 def test_seed_heuristic_matches_its_reference(heuristic, reference):
     rng = np.random.default_rng(9)
