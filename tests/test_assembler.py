@@ -621,7 +621,7 @@ def _members(ids, community, c):
 def test_check_connectivity_matches_spectral_oracle():
     k4 = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
     ids = np.arange(6)
-    # K4 in community 0, an isolated pair in 1, nobody in 2; the link (3, 4)
+    # K4 in community 0, two unlinked nodes in 1, nobody in 2; the link (3, 4)
     # joins two communities and does not count
     community = np.array([0, 0, 0, 0, 1, 1])
     got = check_connectivity(ids, community, _rows(k4 | {(3, 4)}), 3)
