@@ -17,9 +17,9 @@ snapshot validation with its separate degree passes, and the CSV export with
 one run merger per field.  Assortativity, modularity and the connectivity
 check keep their per-link Python loops.  Node assignment keeps its numpy
 scan over every tuple per node and its draw of one variate per node, and the
-Erdos-Gallai test its loop over k.  The partition contingency, the VI
-of two partitions and the best-of-pool pick live only here, since only tests
-use them, as does the building of a snapshot from a ``Node`` dict, and the
+Erdos-Gallai test its loop over k, and the capacity gate its heap
+placement.  The partition contingency, the VI of two partitions and the
+best-of-pool pick live only here, since only tests use them, as does the building of a snapshot from a ``Node`` dict, and the
 capacity-weighted pick that only the assignment reference still makes.
 The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
@@ -1365,4 +1365,34 @@ def reference_erdos_gallai(degrees) -> bool:
         rhs = k * (k - 1) + small_sum + k * large_cnt
         if int(prefix_desc[k - 1]) > rhs:
             return False
+    return True
+
+
+# the capacity gate as a heap placement: nodes in non-increasing intra degree,
+# each into the eligible community with the largest remaining capacity
+
+
+def reference_assignment_feasible(sizes, intra) -> bool:
+    """True iff intra degrees can be placed into communities with ``e <= size - 1``.
+
+    Greedy proof sketch: placing nodes in non-increasing intra order, any
+    eligible community works because later nodes are never more constrained;
+    the largest-remaining-capacity choice is used for determinism.
+    """
+    order = sorted((int(e) for e in intra), reverse=True)
+    comm = sorted((int(s) for s in sizes), reverse=True)
+    if len(order) != sum(comm):
+        raise ConfigurationError("node count does not match the community sizes")
+    heap: list[tuple[int, int]] = []  # (-remaining, community index)
+    next_comm = 0
+    for e in order:
+        while next_comm < len(comm) and comm[next_comm] - 1 >= e:
+            heapq.heappush(heap, (-comm[next_comm], next_comm))
+            next_comm += 1
+        while heap and -heap[0][0] == 0:
+            heapq.heappop(heap)
+        if not heap:
+            return False
+        cap, idx = heapq.heappop(heap)
+        heapq.heappush(heap, (cap + 1, idx))
     return True
