@@ -32,8 +32,8 @@ comm = snap.community
 u, v = snap.endpoints.T
 # components of every community at once; links between communities are ignored
 components = check_connectivity(snap.ids, comm, snap.endpoints, snap.community_count)
-for c, group in enumerate(snap.clustering):
-    members = sorted(group)
+for c in range(snap.community_count):
+    members = snap.ids[comm == c].tolist()  # ids ascend, so members do too
     rows = snap.endpoints[(comm[u] == c) & (comm[v] == c)]
     print(f"  community {c}: nodes {members}, {len(rows)} intra links,"
           f" {components[c]} component(s)")

@@ -58,7 +58,6 @@ from .sequences import (
 )
 from .transition import (
     FlowSystem,
-    KernelVector,
     SearchConfig,
     build_flow_system,
     count_lattice,
@@ -81,7 +80,6 @@ __all__ = [
     "FlowSystem",
     "GraphabilityError",
     "GraphabilityReport",
-    "KernelVector",
     "LatticeOverflowError",
     "LifecycleThresholds",
     "Node",

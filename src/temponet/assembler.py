@@ -82,8 +82,8 @@ class Snapshot:
     ``community``, an index into ``range(community_count)``.  Each node thus
     has exactly one community, and a community may be empty.  ``endpoints``
     is a read-only (m, 2) int64 array, one row (u, v) per link; any iterable
-    of pairs is coerced to one, in its iteration order.  Snapshots compare
-    by identity.
+    of pairs is coerced to one, in its iteration order, and any other shape
+    but an empty one is refused.  Snapshots compare by identity.
     """
 
     t: int
@@ -98,9 +98,15 @@ class Snapshot:
     disconnected_communities: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if not isinstance(self.endpoints, np.ndarray):
-            self.endpoints = np.fromiter(itertools.chain.from_iterable(self.endpoints), np.int64)
-        self.endpoints = self.endpoints.astype(np.int64, copy=False).reshape(-1, 2)
+        endpoints = self.endpoints
+        if not isinstance(endpoints, np.ndarray):
+            endpoints = np.array(list(endpoints), dtype=np.int64)
+        endpoints = endpoints.astype(np.int64, copy=False)
+        if endpoints.size == 0:
+            endpoints = endpoints.reshape(0, 2)
+        if endpoints.ndim != 2 or endpoints.shape[1] != 2:
+            raise ConfigurationError(f"endpoints of shape {endpoints.shape} are not (m, 2) rows")
+        self.endpoints = endpoints
         for name in _NODE_COLUMNS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         n = self.ids.size
@@ -124,11 +130,6 @@ class Snapshot:
         """The nodes by id, in id order, built anew on every access."""
         columns = (getattr(self, name).tolist() for name in _NODE_COLUMNS)
         return {nid: Node(nid, d, e, c) for nid, d, e, c in zip(*columns)}
-
-    @property
-    def clustering(self) -> list[set[int]]:
-        """Each community's set of ids, built anew on every access."""
-        return [set(self.ids[self.community == c].tolist()) for c in range(self.community_count)]
 
     @property
     def links(self) -> frozenset[tuple[int, int]]:

@@ -6,12 +6,11 @@ degrees are graphable as a loop-free multigraph on the reduced community
 graph, and no node needs more inter partners than live outside its
 community.  Before a membership exists only the necessary conditions can be
 checked: global sum parities plus the capacity matching between intra degrees
-and community sizes.
+and community sizes, which Hall's condition decides by counting.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,27 +89,23 @@ def inter_graphable(inter_aggregates) -> bool:
 def assignment_feasible(sizes, intra) -> bool:
     """True iff intra degrees can be placed into communities with ``e <= size - 1``.
 
-    Greedy proof sketch: placing nodes in non-increasing intra order, any
-    eligible community works because later nodes are never more constrained;
-    the largest-remaining-capacity choice is used for determinism.
+    Hall's condition as a count: with the intra degrees sorted
+    non-increasingly, for every j the j-th largest must fit, with the j - 1
+    before it, into the total size of the communities whose room
+    ``size - 1`` reaches it.  The count is exact, because nodes placed in
+    non-increasing intra order are never more constrained than the ones
+    before them: the communities open to the j-th node hold every earlier
+    node, so one place is left for it whenever the count holds.
     """
-    order = sorted((int(e) for e in intra), reverse=True)
-    comm = sorted((int(s) for s in sizes), reverse=True)
-    if len(order) != sum(comm):
+    e = np.sort(np.asarray(list(intra), dtype=np.int64))[::-1]
+    size = np.sort(np.asarray(list(sizes), dtype=np.int64))
+    if e.size != size.sum():
         raise ConfigurationError("node count does not match the community sizes")
-    heap: list[tuple[int, int]] = []  # (-remaining, community index)
-    next_comm = 0
-    for e in order:
-        while next_comm < len(comm) and comm[next_comm] - 1 >= e:
-            heapq.heappush(heap, (-comm[next_comm], next_comm))
-            next_comm += 1
-        while heap and -heap[0][0] == 0:
-            heapq.heappop(heap)
-        if not heap:
-            return False
-        cap, idx = heapq.heappop(heap)
-        heapq.heappush(heap, (cap + 1, idx))
-    return True
+    # reach[j]: total size of the communities whose room reaches e[j], a
+    # suffix sum of the ascending sizes from the first room at or above e[j]
+    suffix = np.append(np.cumsum(size[::-1])[::-1], 0)
+    reach = suffix[np.searchsorted(size - 1, e, side="left")]
+    return bool((np.arange(1, e.size + 1) <= reach).all())
 
 
 def check_graphable(

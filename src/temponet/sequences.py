@@ -267,6 +267,8 @@ def load_sequences(path) -> list[tuple[CommunitySpec, DegreeSpec]]:
             sizes = CommunitySpec(tuple(int(tok) for tok in lines[0].split()))
         except ValueError as exc:
             raise ConfigurationError(f"{path}: block {b}: bad size line: {exc}") from None
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: block {b}: {exc}") from None
         pairs = []
         for ln in lines[1:]:
             try:
@@ -280,7 +282,10 @@ def load_sequences(path) -> list[tuple[CommunitySpec, DegreeSpec]]:
             raise ConfigurationError(
                 f"{path}: block {b}: {len(pairs)} degree pairs for {sizes.node_count} nodes"
             )
-        spec = DegreeSpec(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        try:
+            spec = DegreeSpec(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: block {b}: {exc}") from None
         steps.append((sizes, spec))
     return steps
 

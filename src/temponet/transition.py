@@ -8,7 +8,11 @@ seed heuristics, and the search that walks the polytope hull along
 kernel-basis directions minimizing the variation of information between the
 clusterings.  The paper calls it an anytime taboo search; since it only
 moves to strictly better flows, it is a steepest descent, and neither a taboo
-list nor try thresholds change where it stops.
+list nor try thresholds change where it stops.  A kernel-basis move is a row
+``(i, j)``: +1 at ``(i, j)`` and at the corner ``(k-1, l-1)``, -1 at
+``(i, l-1)`` and ``(k-1, j)``.  One table, each move's four flat cells
+(``_move_cells``) with their signs (``_MOVE_SIGNS``), serves both the jump
+scores and the flows the search moves to.
 
 Optional per-cell lower bounds pin flows (used by the pipeline to force
 user-specified kills into the death-adjustment column); all algorithms
@@ -98,28 +102,27 @@ def build_flow_system(sizes_t, sizes_t1, lower=None) -> FlowSystem:
     return FlowSystem(sizes_t, sizes_t1, lower)
 
 
-@dataclass
-class KernelVector:
-    """A 4-sparse cycle move: +1 at (i, j) and (ref_row, ref_col), -1 at the mixed cells."""
+def kernel_basis(system: FlowSystem) -> np.ndarray:
+    """The (k-1)(l-1) independent cycle moves spanning ker(A), as int64 rows (i, j).
 
-    i: int
-    j: int
-    ref_row: int
-    ref_col: int
-
-    def dense(self, k: int, l: int) -> np.ndarray:
-        v = np.zeros((k, l), dtype=np.int64)
-        v[self.i, self.j] = 1
-        v[self.i, self.ref_col] = -1
-        v[self.ref_row, self.j] = -1
-        v[self.ref_row, self.ref_col] = 1
-        return v
+    Move (i, j) adds +1 at (i, j) and at the corner (k-1, l-1), and -1 at
+    (i, l-1) and (k-1, j).  The rows run in row-major order of (i, j); the
+    array has shape (0, 2) when k or l is 1.
+    """
+    return np.indices((system.k - 1, system.l - 1), dtype=np.int64).reshape(2, -1).T
 
 
-def kernel_basis(system: FlowSystem) -> list[KernelVector]:
-    """The (k-1)(l-1) independent cycle moves spanning ker(A)."""
-    k, l = system.k, system.l
-    return [KernelVector(i, j, k - 1, l - 1) for i in range(k - 1) for j in range(l - 1)]
+# the cells of move (i, j) in ``_move_cells`` order -- (i, j), (i, l-1),
+# (k-1, j), (k-1, l-1) -- take these signs
+_MOVE_SIGNS = np.array([1, -1, -1, 1], dtype=np.int64)
+
+
+def _move_cells(system: FlowSystem, basis: np.ndarray) -> np.ndarray:
+    """Each move's four cells as flat indices into a ``(k, l)`` flow, one row per move."""
+    l = system.l
+    i, j = basis[:, 0] * l, basis[:, 1]
+    corner = np.full_like(j, (system.k - 1) * l)
+    return np.stack((i + j, i + l - 1, corner + j, corner + l - 1), axis=1)
 
 
 def variation_of_information(flow) -> float:
@@ -413,56 +416,40 @@ class SearchConfig:
     """
 
 
-# each vector's cells (i, ref_col), (i, j), (ref_row, j), (ref_row, ref_col) as
-# one row of ``_jump_scorer``, picked from the vector's (i, j, ref_row, ref_col);
-# a jump by +step adds step * (-1, 1, -1, 1) to them, so the cells it lowers,
-# 0 and 2, bound its step, and cells 1 and 3 bound -step
-_CELL_ROWS = np.array([0, 0, 2, 2])
-_CELL_COLS = np.array([3, 1, 1, 3])
-_JUMP_SIGNS = np.array([[-1, 1, -1, 1], [1, -1, 1, -1]], dtype=np.int64)
-
-
-def _jump_scorer(system: FlowSystem, basis: list[KernelVector]):
+def _jump_scorer(system: FlowSystem, basis: np.ndarray):
     """Scores every kernel-basis jump of ``taboo_search`` from a flow at once.
 
     Returns ``score(u, vi)`` for a feasible flow ``u`` of VI ``vi``.  It
     gives three arrays over the jumps whose step is at least 1, in basis
-    order with the ``+`` sign before the ``-``: the jump as ``2 * vector +
+    order with the ``+`` sign before the ``-``: the jump as ``2 * move +
     (1 for the - sign)``, its step, and the VI it reaches.  That VI is
-    ``vi`` plus the change of each of the vector's cells (i, j),
-    (i, ref_col), (ref_row, j), (ref_row, ref_col), summed in that order;
-    each change is a difference of two contributions read from the log
-    tables (see the module docstring).
+    ``vi`` plus the change of each of the move's cells (i, j), (i, l-1),
+    (k-1, j), (k-1, l-1), summed in that order; each change is a difference
+    of two contributions read from the log tables (see the module
+    docstring).
     """
     l, n = system.l, float(system.node_count)
     logs, row_at, col_at = _log_tables(system)
-    corner = np.array(
-        [
-            [v.i for v in basis],
-            [v.j for v in basis],
-            [v.ref_row for v in basis],
-            [v.ref_col for v in basis],
-        ],
-        dtype=np.int64,
-    )
-    ci, cj = corner[_CELL_ROWS].T, corner[_CELL_COLS].T
-    cell = ci * l + cj
-    row_base, col_base = row_at[ci], col_at[cj]
-    floor = system.lower.ravel()[cell]
+    cells = _move_cells(system, basis)
+    row_base, col_base = row_at[cells // l], col_at[cells % l]
+    floor = system.lower.ravel()[cells]
 
     def score(u: np.ndarray, vi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        flat = u.ravel()
-        held = flat[cell]
+        held = u.ravel()[cells]
         slack = held - floor
-        steps = np.minimum(slack[:, :2], slack[:, 2:]).ravel()
+        # a + jump lowers the cells of sign -1 and a - jump the others, so
+        # their slack bounds its step
+        steps = np.column_stack(
+            (slack[:, _MOVE_SIGNS < 0].min(axis=1), slack[:, _MOVE_SIGNS > 0].min(axis=1))
+        ).ravel()
         jumps = steps.nonzero()[0]
         b = jumps >> 1
         old = held[b]
-        values = np.array((old, old + steps[jumps, None] * _JUMP_SIGNS[jumps & 1]))
+        signed = np.where(jumps & 1, -steps[jumps], steps[jumps])
+        values = np.array((old, old + signed[:, None] * _MOVE_SIGNS))
         terms = _contrib(values, n, logs[row_base[b] + values], logs[col_base[b] + values])
         d = terms[1] - terms[0]
-        # columns 1, 0, 2, 3 are the cells (i, j), (i, ref_col), (ref_row, j), (ref_row, ref_col)
-        return jumps, steps[jumps], vi + (((d[:, 1] + d[:, 0]) + d[:, 2]) + d[:, 3])
+        return jumps, steps[jumps], vi + (((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
 
     return score
 
@@ -470,22 +457,23 @@ def _jump_scorer(system: FlowSystem, basis: list[KernelVector]):
 def taboo_search(
     system: FlowSystem,
     seed: np.ndarray,
-    basis: list[KernelVector],
+    basis: np.ndarray,
     cfg: SearchConfig | None = None,
     trace: list | None = None,
 ) -> np.ndarray:
     """Steepest descent over the kernel-basis jumps; the paper's taboo hull search.
 
-    From the current flow the search jumps, for every kernel-basis vector and
+    From the current flow the search jumps, for every kernel-basis move and
     both signs, to the boundary of feasibility (the largest multiple of the
-    vector that keeps a valid flow).  It moves to the jump with the lowest
+    move that keeps a valid flow).  It moves to the jump with the lowest
     VI (within 1e-12, the lexicographically smallest flow) while that jump
     beats the current VI by more than 1e-12.  A taboo list and try thresholds
     cannot change the result: every visited point is worse than the current
     one, and once the best jump fails, every other jump from the same point
-    fails too.  ``cfg`` is ignored (see ``SearchConfig``).  ``trace``
-    receives ``(moves, VI)`` at the start and after each move.  Always
-    returns a feasible flow no worse than the seed.
+    fails too.  ``basis`` holds the moves as ``kernel_basis`` rows.  ``cfg``
+    is ignored (see ``SearchConfig``).  ``trace`` receives ``(moves, VI)``
+    at the start and after each move.  Always returns a feasible flow no
+    worse than the seed.
 
     Each iteration scores all jumps at once with numpy gathers from the
     per-size tables of ``math.log(v / size)`` (see ``_jump_scorer``), never
@@ -497,8 +485,15 @@ def taboo_search(
     u = np.asarray(seed, dtype=np.int64).copy()
     if not system.is_feasible(u):
         raise ConfigurationError("taboo_search seed is not a feasible flow")
-    k, l = system.k, system.l
+    flat = u.reshape(-1)  # a view: a move written here moves u
+    cells = _move_cells(system, basis)
     score = _jump_scorer(system, basis)
+
+    def endpoint(jump: int, step: int) -> list[int]:
+        out = flat.copy()
+        out[cells[jump >> 1]] += step * _MOVE_SIGNS
+        return out.tolist()
+
     cur_vi = variation_of_information(u)
     moves = 0
     if trace is not None:
@@ -507,25 +502,24 @@ def taboo_search(
         jumps, sizes, cand = score(u, cur_vi)
         if not (cand < cur_vi - 1e-12).any():
             return u
-        best = None  # (vi, vector, signed step)
+        best = None  # (vi, jump, signed step)
         best_flat = None
         for cand_vi, jump, size in zip(cand.tolist(), jumps.tolist(), sizes.tolist()):
-            v = basis[jump >> 1]
             step = -size if jump & 1 else size
             if best is None or cand_vi < best[0] - 1e-12:
-                best = (cand_vi, v, step)
+                best = (cand_vi, jump, step)
                 best_flat = None
             elif abs(cand_vi - best[0]) <= 1e-12:
                 # tie: lowest flattened lexicographic endpoint wins
                 if best_flat is None:
-                    best_flat = (u + best[2] * best[1].dense(k, l)).ravel().tolist()
-                cand_flat = (u + step * v.dense(k, l)).ravel().tolist()
+                    best_flat = endpoint(best[1], best[2])
+                cand_flat = endpoint(jump, step)
                 if cand_flat < best_flat:
-                    best = (cand_vi, v, step)
+                    best = (cand_vi, jump, step)
                     best_flat = cand_flat
         if best[0] >= cur_vi - 1e-12:
             return u
-        u += best[2] * best[1].dense(k, l)
+        flat[cells[best[1] >> 1]] += best[2] * _MOVE_SIGNS
         cur_vi = variation_of_information(u)
         moves += 1
         if not system.is_feasible(u):

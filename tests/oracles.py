@@ -19,8 +19,10 @@ check keep their per-link Python loops.  Node assignment keeps its numpy
 scan over every tuple per node and its draw of one variate per node, and the
 Erdos-Gallai test its loop over k, and the capacity gate its heap
 placement.  The partition contingency, the VI of two partitions and the
-best-of-pool pick live only here, since only tests use them, as does the building of a snapshot from a ``Node`` dict, and the
-capacity-weighted pick that only the assignment reference still makes.
+best-of-pool pick live only here, since only tests use them, as do the
+building of a snapshot from a ``Node`` dict, each community's id set of a
+snapshot, and the capacity-weighted pick that only the assignment reference
+still makes.
 The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
 enumeration oracle; the library keeps only the count.
@@ -184,6 +186,14 @@ def snapshot_from_nodes(t, nodes, endpoints, community_count, **kwargs) -> Snaps
         endpoints=endpoints,
         **kwargs,
     )
+
+
+def clustering(snapshot) -> list[set[int]]:
+    """Each community's set of ids in a snapshot, by community index."""
+    return [
+        set(snapshot.ids[snapshot.community == c].tolist())
+        for c in range(snapshot.community_count)
+    ]
 
 
 def contingency(partition_x, partition_y) -> np.ndarray:
@@ -682,6 +692,7 @@ def reference_taboo_search(system, seed, basis, local_tries_threshold, global_tr
     """
     u = np.asarray(seed, dtype=np.int64).copy()
     k, l = system.k, system.l
+    r, c = k - 1, l - 1  # the corner every move passes through
     n = float(system.node_count)
     rows_full = [float(s) for s in system.sizes_from]
     cols_full = [float(s) for s in system.sizes_to]
@@ -704,24 +715,13 @@ def reference_taboo_search(system, seed, basis, local_tries_threshold, global_tr
             local_tries += 1
             best_cand = None  # (vi, hash, cells) with lexicographic tie break
             best_cells = None
-            for v in basis:
-                cells = (
-                    (v.i, v.j),
-                    (v.i, v.ref_col),
-                    (v.ref_row, v.j),
-                    (v.ref_row, v.ref_col),
-                )
+            for i, j in basis.tolist():
+                cells = ((i, j), (i, c), (r, j), (r, c))
                 for sign in (1, -1):
                     if sign == 1:
-                        step = min(
-                            int(u[v.i, v.ref_col] - lower[v.i, v.ref_col]),
-                            int(u[v.ref_row, v.j] - lower[v.ref_row, v.j]),
-                        )
+                        step = min(int(u[i, c] - lower[i, c]), int(u[r, j] - lower[r, j]))
                     else:
-                        step = min(
-                            int(u[v.i, v.j] - lower[v.i, v.j]),
-                            int(u[v.ref_row, v.ref_col] - lower[v.ref_row, v.ref_col]),
-                        )
+                        step = min(int(u[i, j] - lower[i, j]), int(u[r, c] - lower[r, c]))
                     if step < 1:
                         continue
                     deltas = (sign * step, -sign * step, -sign * step, sign * step)
@@ -770,7 +770,7 @@ def reference_taboo_search(system, seed, basis, local_tries_threshold, global_tr
 def reference_descent(system, seed, basis, trace=None):
     """``transition.taboo_search`` scoring one jump at a time.
 
-    For every kernel-basis vector and both signs, the jump to the boundary of
+    For every kernel-basis move and both signs, the jump to the boundary of
     feasibility is scored cell by cell with ``math.log``; the search moves to
     the jump with the lowest VI (within 1e-12, the lexicographically
     smallest flow) while it beats the current VI by more than 1e-12.
@@ -780,6 +780,7 @@ def reference_descent(system, seed, basis, trace=None):
     if not system.is_feasible(u):
         raise ConfigurationError("taboo_search seed is not a feasible flow")
     k, l, n = system.k, system.l, float(system.node_count)
+    r, c = k - 1, l - 1  # the corner every move passes through
     rows_full = [float(s) for s in system.sizes_from]
     cols_full = [float(s) for s in system.sizes_to]
     lower = system.lower
@@ -792,21 +793,15 @@ def reference_descent(system, seed, basis, trace=None):
     if trace is not None:
         trace.append((moves, cur_vi))
     while True:
-        best = None  # (vi, vector, signed step)
+        best = None  # (vi, cells, deltas)
         best_flat = None
-        for v in basis:
-            cells = ((v.i, v.j), (v.i, v.ref_col), (v.ref_row, v.j), (v.ref_row, v.ref_col))
+        for i, j in basis.tolist():
+            cells = ((i, j), (i, c), (r, j), (r, c))
             for sign in (1, -1):
                 if sign == 1:
-                    step = min(
-                        int(u[v.i, v.ref_col] - lower[v.i, v.ref_col]),
-                        int(u[v.ref_row, v.j] - lower[v.ref_row, v.j]),
-                    )
+                    step = min(int(u[i, c] - lower[i, c]), int(u[r, j] - lower[r, j]))
                 else:
-                    step = min(
-                        int(u[v.i, v.j] - lower[v.i, v.j]),
-                        int(u[v.ref_row, v.ref_col] - lower[v.ref_row, v.ref_col]),
-                    )
+                    step = min(int(u[i, j] - lower[i, j]), int(u[r, c] - lower[r, c]))
                 if step < 1:
                     continue
                 deltas = (sign * step, -sign * step, -sign * step, sign * step)
@@ -816,19 +811,19 @@ def reference_descent(system, seed, basis, trace=None):
                     dvi += contrib(old + dd, ci, cj) - contrib(old, ci, cj)
                 cand_vi = cur_vi + dvi
                 if best is None or cand_vi < best[0] - 1e-12:
-                    best = (cand_vi, v, sign * step)
+                    best = (cand_vi, cells, deltas)
                     best_flat = None
                 elif abs(cand_vi - best[0]) <= 1e-12:
                     # tie: lowest flattened lexicographic endpoint wins
                     if best_flat is None:
-                        best_flat = (u + best[2] * best[1].dense(k, l)).ravel().tolist()
-                    cand_flat = (u + sign * step * v.dense(k, l)).ravel().tolist()
+                        best_flat = _apply(u, best[1], best[2]).ravel().tolist()
+                    cand_flat = _apply(u, cells, deltas).ravel().tolist()
                     if cand_flat < best_flat:
-                        best = (cand_vi, v, sign * step)
+                        best = (cand_vi, cells, deltas)
                         best_flat = cand_flat
         if best is None or best[0] >= cur_vi - 1e-12:
             return u
-        u += best[2] * best[1].dense(k, l)
+        u = _apply(u, best[1], best[2])
         cur_vi = variation_of_information(u)
         moves += 1
         if not system.is_feasible(u):

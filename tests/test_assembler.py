@@ -412,6 +412,26 @@ def test_snapshot_rejects_node_columns_of_unequal_length(name, length):
         Snapshot(**_columns(**{name: column}))
 
 
+@pytest.mark.parametrize(
+    "endpoints",
+    [np.array([[2, 5, 9], [5, 9, 2]]), np.array([2, 5, 5, 9]), [(2, 5, 9), (5, 9, 2)]],
+    ids=["two_by_three", "flat", "triples"],
+)
+def test_snapshot_rejects_endpoints_that_are_not_pairs(endpoints):
+    with pytest.raises(ConfigurationError, match=r"not \(m, 2\) rows"):
+        Snapshot(**_columns(endpoints=endpoints))
+
+
+@pytest.mark.parametrize(
+    "endpoints", [[], (), np.array([]), np.empty((0, 2))], ids=["list", "tuple", "flat", "rows"]
+)
+def test_snapshot_takes_empty_endpoints_as_no_rows(endpoints):
+    changes = dict(degree=[0, 0, 0], intra_degree=[0, 0, 0], endpoints=endpoints)
+    snap = Snapshot(**_columns(**changes))
+    assert snap.endpoints.shape == (0, 2) and snap.endpoints.dtype == np.int64
+    snap.validate()
+
+
 _ARRAYS = ("ids", "degree", "intra_degree", "community", "endpoints")
 
 

@@ -12,13 +12,19 @@ from temponet import (
     FailedCondition,
     GraphabilityError,
     assemble_snapshot,
+    assign_nodes,
     assignment_feasible,
     check_graphable,
     erdos_gallai,
     inter_graphable,
 )
 
-from oracles import realizable_clustered, realizable_degree_sequence, reference_erdos_gallai
+from oracles import (
+    realizable_clustered,
+    realizable_degree_sequence,
+    reference_assignment_feasible,
+    reference_erdos_gallai,
+)
 
 
 def test_erdos_gallai_basics():
@@ -154,6 +160,52 @@ def _exhaustive_assignment(sizes, intra) -> bool:
         return False
 
     return place(0)
+
+
+def _capacity_specs(rng, count):
+    """Random (sizes, intra) with many singleton communities and zero intra
+    degrees, and intra degrees up to one above the largest room."""
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        sizes = rng.integers(1, 7, k)
+        sizes[rng.random(k) < 0.3] = 1
+        n = int(sizes.sum())
+        intra = rng.integers(0, sizes.max() + 1, n)
+        intra[rng.random(n) < 0.3] = 0
+        yield sizes.tolist(), intra.tolist()
+
+
+def test_capacity_count_equals_the_greedy_reference():
+    rng = np.random.default_rng(3)
+    accepted = 0
+    for sizes, intra in _capacity_specs(rng, 20_000):
+        got = assignment_feasible(sizes, intra)
+        assert got == reference_assignment_feasible(sizes, intra), (sizes, intra)
+        accepted += got
+    assert 1_000 <= accepted <= 19_000
+    assert assignment_feasible((1, 1, 1), (0, 0, 0))
+    assert not assignment_feasible((1, 1, 1), (0, 0, 1))
+    for sizes, intra in (((2, 2), (1, 1, 1)), ((1,), (0, 0)), ((), (0,))):
+        with pytest.raises(ConfigurationError, match="node count"):
+            assignment_feasible(sizes, intra)
+
+
+def test_bootstrap_assignment_never_runs_dry_on_a_gated_spec():
+    # placing nodes in non-increasing intra order, the bootstrap pass runs out
+    # of community capacity exactly on the specs the capacity count rejects
+    rng = np.random.default_rng(4)
+    accepted = 0
+    for sizes, intra in _capacity_specs(rng, 20_000):
+        total = [e + int(f) for e, f in zip(intra, rng.integers(1, 4, len(intra)))]
+        spec = DegreeSpec(tuple(total), tuple(intra))
+        feasible = assignment_feasible(sizes, intra)
+        accepted += feasible
+        if feasible:
+            assign_nodes(CommunitySpec(tuple(sizes)), spec, rng)
+        else:
+            with pytest.raises(GraphabilityError, match="ran out of community capacity"):
+                assign_nodes(CommunitySpec(tuple(sizes)), spec, rng)
+    assert 1_000 <= accepted <= 19_000
 
 
 def test_check_graphable_worked_example():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import reference_classify_events, reference_render_event_table
+from oracles import clustering, reference_classify_events, reference_render_event_table
 
 from temponet import (
     ConfigurationError,
@@ -52,8 +52,8 @@ def test_flow_jaccard_matches_set_jaccard_on_every_boundary():
     result = run(cfg)
     cells = 0
     for boundary in result.report.boundaries:
-        before = result.snapshots[boundary.t_from].clustering
-        after = result.snapshots[boundary.t_to].clustering
+        before = clustering(result.snapshots[boundary.t_from])
+        after = clustering(result.snapshots[boundary.t_to])
         birth_row = boundary.row_labels.index("births") if "births" in boundary.row_labels else None
         death_col = boundary.col_labels.index("deaths") if "deaths" in boundary.col_labels else None
         jac = flow_jaccard(boundary.contingency, birth_row, death_col)

@@ -28,6 +28,8 @@ import temponet
 from temponet import assembler, pipeline
 from temponet.cli import main as cli_main
 
+from oracles import clustering
+
 
 def small_cfg(**kw):
     base = dict(
@@ -266,7 +268,7 @@ def test_run_every_snapshot_validates_and_contingency_matches():
         assert np.array_equal(u[:k, :l], recount)
         assert u.sum() == snap_t.node_count + boundary.births
         # row sums of the real block reproduce the sizes at t
-        assert list(u.sum(axis=1))[:k] == [len(g) for g in snap_t.clustering]
+        assert list(u.sum(axis=1))[:k] == [len(g) for g in clustering(snap_t)]
 
 
 def test_run_explicit_kill_ids_die():
@@ -320,13 +322,13 @@ def test_run_output_files(tmp_path):
 
 def test_a_run_reads_links_as_endpoint_rows_only(tmp_path, monkeypatch):
     # no runtime path may build the tuple set that Snapshot.links makes, nor
-    # the Node dict or id sets that Snapshot.nodes and Snapshot.clustering make
+    # the Node dict that Snapshot.nodes makes
     want, got = tmp_path / "want", tmp_path / "got"
     result = run(small_cfg(timesteps=2, output_dir=str(want)))
     with pytest.raises(ValueError):
         result.snapshots[0].endpoints[0, 0] = 0
 
-    for name in ("links", "nodes", "clustering"):
+    for name in ("links", "nodes"):
 
         def refuse(snap, name=name):
             raise AssertionError(f"Snapshot.{name} read during a run")

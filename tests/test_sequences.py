@@ -221,7 +221,7 @@ def test_sequence_file_round_trip(tmp_path):
         assert d0.total == d1.total and d0.intra == d1.intra
 
 
-def test_sequence_file_validation(tmp_path):
+def test_sequence_file_validation(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 2\n2 1\n2 1\n")  # 5 nodes declared, 2 pairs given
     with pytest.raises(ConfigurationError):
@@ -231,3 +231,16 @@ def test_sequence_file_validation(tmp_path):
     with pytest.raises(ConfigurationError, match=r"token.txt: block 1: .*got 'x 1'"):
         load_sequences(token)
     assert cli_main(["check", "--file", str(token)]) == 2
+    # the sizes and degree pairs of block 1 break a rule of the specs themselves
+    cases = {
+        "zero.txt": ("2\n1 1\n1 1\n\n2\n1 1\n0 0\n", "slot 1: total degree 0 < 1"),
+        "intra.txt": ("2\n1 1\n1 1\n\n2\n1 1\n1 2\n", r"slot 1: intra degree 2 outside \[0, 1\]"),
+        "size.txt": ("2\n1 1\n1 1\n\n-1 3\n1 1\n1 1\n", "community sizes must be positive"),
+    }
+    for name, (text, reason) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=rf"{name}: block 1: {reason}"):
+            load_sequences(path)
+        assert cli_main(["check", "--file", str(path)]) == 2
+        assert "block 1" in capsys.readouterr().err

@@ -140,12 +140,20 @@ def test_hand_enumeration_2x2():
 
 
 def test_kernel_basis_dimension_and_nullspace():
-    for sizes in (((10, 8, 6), (12, 10, 2)), ((5, 5), (4, 3, 3)), ((9,), (9,))):
+    for sizes in (((10, 8, 6), (12, 10, 2)), ((5, 5), (4, 3, 3)), ((9,), (9,)), ((9,), (4, 5))):
         system = build_flow_system(*sizes)
+        k, l = system.k, system.l
         basis = kernel_basis(system)
-        assert len(basis) == (system.k - 1) * (system.l - 1)
+        assert basis.dtype == np.int64 and basis.shape == ((k - 1) * (l - 1), 2)
+        # row-major order of (i, j)
+        assert basis.tolist() == [[i, j] for i in range(k - 1) for j in range(l - 1)]
         a, _ = flow_equations(system, reduced=False)
-        dense = [v.dense(system.k, system.l).ravel() for v in basis]
+        dense = []
+        for i, j in basis.tolist():
+            move = np.zeros((k, l), dtype=np.int64)
+            move[i, j] = move[k - 1, l - 1] = 1
+            move[i, l - 1] = move[k - 1, j] = -1
+            dense.append(move.ravel())
         for vec in dense:
             assert (a @ vec == 0).all()
         if dense:
@@ -318,10 +326,10 @@ def _scalar_jump_scores(system, u, basis, vi):
     """Each jump with a step of at least 1 as (2 * vector + (1 for -), step,
     VI reached), scored with ``math.log`` per cell as the one-jump reference
     scores it."""
-    n = float(system.node_count)
+    n, r, c = float(system.node_count), system.k - 1, system.l - 1
     out = []
-    for b, v in enumerate(basis):
-        cells = ((v.i, v.j), (v.i, v.ref_col), (v.ref_row, v.j), (v.ref_row, v.ref_col))
+    for b, (i, j) in enumerate(basis.tolist()):
+        cells = ((i, j), (i, c), (r, j), (r, c))
         slack = [int(u[c] - system.lower[c]) for c in cells]
         jumps = ((1, min(slack[1], slack[2])), (-1, min(slack[0], slack[3])))
         for minus, (sign, step) in enumerate(jumps):
