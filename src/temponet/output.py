@@ -284,7 +284,8 @@ def _fields(record) -> dict:
 def write_report(report: RunReport, outdir) -> tuple[str, str]:
     """Write ``report.txt`` (human readable) and ``report.json`` (structured).
 
-    ``report.json`` also carries the package ``version`` that wrote it.
+    ``report.json`` is one line of JSON with sorted keys, and also carries
+    the package ``version`` that wrote it.
     """
     os.makedirs(outdir, exist_ok=True)
     txt_path = os.path.join(outdir, "report.txt")
@@ -294,7 +295,8 @@ def write_report(report: RunReport, outdir) -> tuple[str, str]:
     payload = _fields(report)
     payload["temporal_correlation_series"] = report.temporal_correlation_series
     payload["version"] = __version__
-    text = json.dumps(payload, default=_fields, indent=2, sort_keys=True)
+    # no indent: it would turn off the C encoder, which is several times faster
+    text = json.dumps(payload, default=_fields, sort_keys=True)
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     return txt_path, json_path

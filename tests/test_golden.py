@@ -28,13 +28,13 @@ FILES = ("nodes.csv", "edges.csv", "report.json", "report.txt")
 SAMPLER_DIGESTS = {
     "nodes.csv": "9ee4b7410c103181bf2499b8c6ba255b4761a62e4cac870a38a87b884b27bd25",
     "edges.csv": "a80303fadeaf73731434ada4d2399e1758dd30dbd5afeaffe2aae46dbd5fd6e9",
-    "report.json": "5f2d235f84bf7d61039ee72781c3b3f464cf12aef2e86592e855c54c9d4bb2e5",
+    "report.json": "4467227b6e4c08f7c6fc62eb67c37af8ddfb94c208c08b5af201979efa3df5e5",
     "report.txt": "19cc32b0bf913e49666210fe06c49a78d48a871fabca51c9a58eae1059b508b5",
 }
 SEQUENCE_FILE_DIGESTS = {
     "nodes.csv": "38e35636556f9c358f72c9e0c2fd039371bfd6a738bfaefe31c11f711a9de351",
     "edges.csv": "7887694c19c8cf32e1a8d85d236e17b536a789f23f544a1ec61abba70c8bc790",
-    "report.json": "90201d6bd2a2f1319cc240e6666dacb55a5dc17e9613490ab8b817764f940fa7",
+    "report.json": "75be824fb22f71827f733f190ca6edaf7a8888331288e96f42fc0999e73dc88d",
     "report.txt": "77b849f6bb8a49f7c0102d0ba7940a70fde31746d473695c0249c4474fb7cbe9",
 }
 
