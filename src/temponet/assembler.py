@@ -100,11 +100,11 @@ class Snapshot:
     def __post_init__(self):
         endpoints = self.endpoints
         if not isinstance(endpoints, np.ndarray):
-            endpoints = np.array(list(endpoints), dtype=np.int64)
-        endpoints = endpoints.astype(np.int64, copy=False)
+            endpoints = list(endpoints)
+        endpoints = np.asarray(endpoints, dtype=np.int64)
         if endpoints.size == 0:
             endpoints = endpoints.reshape(0, 2)
-        if endpoints.ndim != 2 or endpoints.shape[1] != 2:
+        if endpoints.shape[1:] != (2,):
             raise ConfigurationError(f"endpoints of shape {endpoints.shape} are not (m, 2) rows")
         self.endpoints = endpoints
         for name in _NODE_COLUMNS:

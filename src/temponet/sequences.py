@@ -245,7 +245,9 @@ def load_sequences(path) -> list[tuple[CommunitySpec, DegreeSpec]]:
     Blocks separated by blank lines, one block per timestep.  Line 1 of a
     block lists the community sizes (space-separated); each following line is
     one ``total intra`` pair per node slot.  Lines starting with ``#`` are
-    comments.
+    comments.  A block that breaks the format or a rule of ``CommunitySpec``
+    or ``DegreeSpec`` raises ``ConfigurationError`` naming the file and the
+    block.
     """
     with open(path, encoding="utf-8") as fh:
         raw = fh.read()
@@ -264,30 +266,28 @@ def load_sequences(path) -> list[tuple[CommunitySpec, DegreeSpec]]:
     steps = []
     for b, lines in enumerate(blocks):
         try:
-            sizes = CommunitySpec(tuple(int(tok) for tok in lines[0].split()))
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: block {b}: bad size line: {exc}") from None
+            steps.append(_read_block(lines))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: block {b}: {exc}") from None
-        pairs = []
-        for ln in lines[1:]:
-            try:
-                d, e = (int(tok) for tok in ln.split())
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}: block {b}: expected 'total intra' pair, got {ln!r}"
-                ) from None
-            pairs.append((d, e))
-        if len(pairs) != sizes.node_count:
-            raise ConfigurationError(
-                f"{path}: block {b}: {len(pairs)} degree pairs for {sizes.node_count} nodes"
-            )
-        try:
-            spec = DegreeSpec(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: block {b}: {exc}") from None
-        steps.append((sizes, spec))
     return steps
+
+
+def _read_block(lines: list[str]) -> tuple[CommunitySpec, DegreeSpec]:
+    """One block of a sequence file: its size line, then its degree pairs."""
+    try:
+        sizes = CommunitySpec(tuple(int(tok) for tok in lines[0].split()))
+    except ValueError as exc:
+        raise ConfigurationError(f"bad size line: {exc}") from None
+    pairs = []
+    for ln in lines[1:]:
+        try:
+            d, e = (int(tok) for tok in ln.split())
+        except ValueError:
+            raise ConfigurationError(f"expected 'total intra' pair, got {ln!r}") from None
+        pairs.append((d, e))
+    if len(pairs) != sizes.node_count:
+        raise ConfigurationError(f"{len(pairs)} degree pairs for {sizes.node_count} nodes")
+    return sizes, DegreeSpec(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
 def dump_sequences(steps, path) -> None:

@@ -115,14 +115,20 @@ def kernel_basis(system: FlowSystem) -> np.ndarray:
 # the cells of move (i, j) in ``_move_cells`` order -- (i, j), (i, l-1),
 # (k-1, j), (k-1, l-1) -- take these signs
 _MOVE_SIGNS = np.array([1, -1, -1, 1], dtype=np.int64)
+# what a jump by +1 (row 0) and by -1 (row 1) along a move adds to its cells;
+# the cells a jump lowers bound its step
+_JUMP_PATTERNS = np.array([_MOVE_SIGNS, -_MOVE_SIGNS])
+_STEP_BOUNDS = np.array([np.flatnonzero(p < 0) for p in _JUMP_PATTERNS])
 
 
 def _move_cells(system: FlowSystem, basis: np.ndarray) -> np.ndarray:
-    """Each move's four cells as flat indices into a ``(k, l)`` flow, one row per move."""
-    l = system.l
-    i, j = basis[:, 0] * l, basis[:, 1]
-    corner = np.full_like(j, (system.k - 1) * l)
-    return np.stack((i + j, i + l - 1, corner + j, corner + l - 1), axis=1)
+    """Each move's four cells as flat indices into a ``(k, l)`` flow, one row per move.
+
+    Cell ``(r, c)`` is ``r * l + c``, so each index is affine in ``(i, j)``.
+    """
+    k, l = system.k, system.l
+    scale = np.array([[l, l, 0, 0], [1, 0, 1, 0]])
+    return basis @ scale + np.array([0, l - 1, (k - 1) * l, k * l - 1])
 
 
 def variation_of_information(flow) -> float:
@@ -416,8 +422,8 @@ class SearchConfig:
     """
 
 
-def _jump_scorer(system: FlowSystem, basis: np.ndarray):
-    """Scores every kernel-basis jump of ``taboo_search`` from a flow at once.
+def _jump_scorer(system: FlowSystem, cells: np.ndarray):
+    """Scores every jump of ``taboo_search`` along the moves with these ``_move_cells``.
 
     Returns ``score(u, vi)`` for a feasible flow ``u`` of VI ``vi``.  It
     gives three arrays over the jumps whose step is at least 1, in basis
@@ -430,23 +436,16 @@ def _jump_scorer(system: FlowSystem, basis: np.ndarray):
     """
     l, n = system.l, float(system.node_count)
     logs, row_at, col_at = _log_tables(system)
-    cells = _move_cells(system, basis)
     row_base, col_base = row_at[cells // l], col_at[cells % l]
     floor = system.lower.ravel()[cells]
 
     def score(u: np.ndarray, vi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         held = u.ravel()[cells]
-        slack = held - floor
-        # a + jump lowers the cells of sign -1 and a - jump the others, so
-        # their slack bounds its step
-        steps = np.column_stack(
-            (slack[:, _MOVE_SIGNS < 0].min(axis=1), slack[:, _MOVE_SIGNS > 0].min(axis=1))
-        ).ravel()
+        steps = (held - floor)[:, _STEP_BOUNDS].min(axis=2).ravel()
         jumps = steps.nonzero()[0]
         b = jumps >> 1
         old = held[b]
-        signed = np.where(jumps & 1, -steps[jumps], steps[jumps])
-        values = np.array((old, old + signed[:, None] * _MOVE_SIGNS))
+        values = np.array((old, old + steps[jumps, None] * _JUMP_PATTERNS[jumps & 1]))
         terms = _contrib(values, n, logs[row_base[b] + values], logs[col_base[b] + values])
         d = terms[1] - terms[0]
         return jumps, steps[jumps], vi + (((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
@@ -487,7 +486,7 @@ def taboo_search(
         raise ConfigurationError("taboo_search seed is not a feasible flow")
     flat = u.reshape(-1)  # a view: a move written here moves u
     cells = _move_cells(system, basis)
-    score = _jump_scorer(system, basis)
+    score = _jump_scorer(system, cells)
 
     def endpoint(jump: int, step: int) -> list[int]:
         out = flat.copy()

@@ -21,6 +21,7 @@ from temponet.transition import (
     _contrib,
     _jump_scorer,
     _log_table,
+    _move_cells,
     max_chunk_greedy,
     proportional_fill,
     sorted_residual_greedy,
@@ -323,14 +324,14 @@ def test_descent_matches_the_one_jump_reference():
 
 
 def _scalar_jump_scores(system, u, basis, vi):
-    """Each jump with a step of at least 1 as (2 * vector + (1 for -), step,
+    """Each jump with a step of at least 1 as (2 * move + (1 for -), step,
     VI reached), scored with ``math.log`` per cell as the one-jump reference
     scores it."""
     n, r, c = float(system.node_count), system.k - 1, system.l - 1
     out = []
     for b, (i, j) in enumerate(basis.tolist()):
         cells = ((i, j), (i, c), (r, j), (r, c))
-        slack = [int(u[c] - system.lower[c]) for c in cells]
+        slack = [int(u[cell] - system.lower[cell]) for cell in cells]
         jumps = ((1, min(slack[1], slack[2])), (-1, min(slack[0], slack[3])))
         for minus, (sign, step) in enumerate(jumps):
             if step < 1:
@@ -353,7 +354,7 @@ def test_jump_scores_equal_the_scalar_sums():
         systems.append(build_flow_system((size * 4,) * 3, (size * 3,) * 4))
     for system in systems:
         basis = kernel_basis(system)
-        score = _jump_scorer(system, basis)
+        score = _jump_scorer(system, _move_cells(system, basis))
         for u in (random_feasible(system, rng), proportional_fill(system), mi_greedy(system)):
             vi = variation_of_information(u)
             jumps, sizes, vis = score(u, vi)
