@@ -15,7 +15,11 @@ draw, and each ban or stub update, costs O(log n).  While a node fills, it
 and its neighbours carry weight 0 in the tree.  Inter mode adds one tree per
 community over the same positions, k * n cells in all, and descends the
 global tree minus the node's own-community tree.  A draw picks exactly the
-position that a cumulative sum and ``searchsorted`` would pick.
+position that a cumulative sum and ``searchsorted`` would pick.  Intra and
+inter phases run separate fill loops, and every ban and unban walks a path
+of cells built once per phase, so a link costs few interpreter operations.
+A repair finds its candidates, the saturated eligible positions in position
+order, by one numpy pass over the open-stub counts.
 """
 
 from __future__ import annotations
@@ -512,9 +516,19 @@ def _wire_phase(
     ``tree`` is a Fenwick tree over each position's effective weight:
     ``rem[q]``, or 0 while q is banned for the node p being filled (p and its
     neighbours).  Zero weights pad it to ``size``, a power of two, so
-    ``tree[size]`` is the whole weight and the descent needs no bounds check.
-    In inter mode ``owns[c]`` mirrors those weights for the members of
-    community c only, and p's eligible weight is ``tree - owns[comm[p]]``.
+    ``tree[size]`` is the whole weight and the descent, which halves its
+    step from ``size / 2`` to 1, needs no bounds check.  In inter mode
+    ``owns[c]`` mirrors those weights for the members of community c only,
+    and p's eligible weight is ``tree - owns[comm[p]]``.  Intra and inter
+    mode each have their own fill loop, so the intra loop carries no
+    community tree.
+
+    Ban and unban: before p fills, every position among p and its neighbours
+    that has open stubs loses its whole weight in ``tree`` (and in its
+    community's tree); a drawn partner q loses its weight the same way as it
+    gives up one stub.  After p is full, each neighbour gets its open stubs
+    back.  Each of these updates walks ``paths[q]``, the cells whose sums
+    cover q (q + 1, then up by ``i & -i`` to the root), built once per phase.
 
     Prefetch rule: p draws ``k = min(rem[p], eligible)`` Beta variates at
     once, where ``eligible`` counts the eligible positions with positive
@@ -534,6 +548,14 @@ def _wire_phase(
     weights[:m] = [s for _, _, s in entries]
     if int(weights.sum()) % 2 == 1:
         raise WiringError("odd number of stubs in a wiring phase")
+    steps = [size >> b for b in range(1, size.bit_length())]  # size / 2, ..., 1
+    # up[i]: cell i and the cells above it, i + (i & -i) and so on, to the
+    # root; cells past the root get none
+    up: list[tuple[int, ...]] = [()] * (2 * size + 1)
+    for i in range(size, 0, -1):
+        up[i] = (i, *up[i + (i & -i)])
+    paths = up[1 : m + 1]
+    stubbed = weights[:m] > 0
     rem: list[int] = weights[:m].tolist()
     tree = _fenwick(weights)
     inter = community_of is not None
@@ -543,34 +565,14 @@ def _wire_phase(
         labels = np.full(size, -1, dtype=np.int64)
         labels[:m] = comm
         owns = [_fenwick(np.where(labels == c, weights, 0)) for c in range(len(index))]
-    else:
-        comm = [0] * m
-        owns = [None]
-    # open (rem > 0) positions, in all and per community
-    open_in = [0] * len(owns)
-    for q in np.flatnonzero(weights).tolist():
-        open_in[comm[q]] += 1
-    open_count = sum(open_in)
-    saturated: set[int] = set()  # positions whose stubs were all taken by links
+        # open (rem > 0) positions per community
+        open_in = np.bincount(labels[:m][stubbed], minlength=len(index)).tolist()
+    open_count = int(stubbed.sum())  # open positions
     adj: list[set[int]] = [set() for _ in range(m)]  # neighbour positions
     repairs = 0
     alpha, beta = shape.alpha, shape.beta
     heap = [(-d, p) for p, (_, d, s) in enumerate(entries) if s > 0]
     heapq.heapify(heap)
-
-    def add(q: int, delta: int) -> None:
-        """Add ``delta`` to position q's effective weight."""
-        own = owns[comm[q]]
-        i = q + 1
-        if own is None:
-            while i <= size:
-                tree[i] += delta
-                i += i & -i
-        else:
-            while i <= size:
-                tree[i] += delta
-                own[i] += delta
-                i += i & -i
 
     def repair(p: int) -> int:
         """Break a link (w, v) of a saturated eligible node w and link p to w;
@@ -578,14 +580,16 @@ def _wire_phase(
         nonlocal repairs, open_count
         # candidates, in position order: eligible partners with all stubs
         # taken, so >= 1 link to break (p itself still has open stubs)
-        cands = [
-            q for q in sorted(saturated) if q not in adj[p] and not (inter and comm[q] == comm[p])
-        ]
-        if not cands:
+        mask = stubbed & (np.array(rem) == 0)
+        mask[list(adj[p])] = False
+        if inter:
+            mask &= labels[:m] != comm[p]
+        cands = np.flatnonzero(mask)
+        if not cands.size:
             raise WiringError(
                 f"node {ids[p]}: no candidate links to rewire ({rem[p]} stubs left)"
             )
-        w = cands[int(rng.integers(len(cands)))]
+        w = int(cands[int(rng.integers(cands.size))])
         neighbors = sorted(adj[w], key=ids.__getitem__)
         v = neighbors[int(rng.integers(len(neighbors)))]
         adj[w].discard(v)
@@ -596,87 +600,138 @@ def _wire_phase(
         rem[p] -= 1
         rem[v] += 1
         if rem[v] == 1:
-            saturated.discard(v)
             open_count += 1
-            open_in[comm[v]] += 1
+            if inter:
+                open_in[comm[v]] += 1
         heapq.heappush(heap, (-entries[v][1], v))
         repairs += 1
         if repairs > budget:
             raise WiringError(f"wiring repair budget ({budget}) exhausted")
         if v in adj[p]:  # banned while p fills
             return 0
-        add(v, 1)
+        for i in paths[v]:
+            tree[i] += 1
+            if inter:
+                owns[comm[v]][i] += 1
         return int(rem[v] == 1 and not (inter and comm[v] == comm[p]))
 
-    while heap:
-        p = heapq.heappop(heap)[1]
-        if not rem[p]:
-            continue
-        c = comm[p]
-        own_c = owns[c]
-        adj_p = adj[p]
-        # ban p and its neighbours (in inter mode all outside c); the
-        # eligible positive positions are the open ones outside the bans
-        # and, in inter mode, outside c
-        eligible = open_count - (open_in[c] - 1 if inter else 0)
-        for q in [p, *adj_p]:
-            if rem[q]:
-                eligible -= 1
-                add(q, -rem[q])
-        while rem[p]:
-            k = min(rem[p], eligible)
-            if not k:
-                eligible += repair(p)
+    if not inter:
+        while heap:
+            p = heapq.heappop(heap)[1]
+            if not rem[p]:
                 continue
-            total = tree[size] if own_c is None else tree[size] - own_c[size]
-            for x in rng.beta(alpha, beta, size=k).tolist():
-                rank = min(int(x * total), total - 1)
-                q = 0
-                step = size >> 1
-                if own_c is None:
-                    while step:
+            adj_p = adj[p]
+            # ban p and its neighbours; the eligible positive positions are
+            # the open ones outside the bans
+            eligible = open_count
+            for q in [p, *adj_p]:
+                w = rem[q]
+                if w:
+                    eligible -= 1
+                    for i in paths[q]:
+                        tree[i] -= w
+            while True:
+                r = rem[p]
+                if not r:
+                    break
+                k = r if r < eligible else eligible
+                if not k:
+                    eligible += repair(p)
+                    continue
+                total = tree[size]
+                for x in rng.beta(alpha, beta, size=k).tolist():
+                    rank = int(x * total)
+                    if rank >= total:
+                        rank = total - 1
+                    q = 0
+                    for step in steps:
                         w = tree[q + step]
                         if w <= rank:
                             q += step
                             rank -= w
-                        step >>= 1
-                else:
-                    while step:
-                        w = tree[q + step] - own_c[q + step]
-                        if w <= rank:
-                            q += step
-                            rank -= w
-                        step >>= 1
-                # ban the partner at q and close one of its stubs
-                w = rem[q]
-                rem[q] = w - 1
-                total -= w
-                if w == 1:
-                    saturated.add(q)
-                    open_count -= 1
-                    open_in[comm[q]] -= 1
-                i = q + 1
-                own = owns[comm[q]]
-                if own is None:
-                    while i <= size:
+                    # ban the partner at q and close one of its stubs
+                    w = rem[q]
+                    rem[q] = w - 1
+                    total -= w
+                    if w == 1:
+                        open_count -= 1
+                    for i in paths[q]:
                         tree[i] -= w
-                        i += i & -i
-                else:
-                    while i <= size:
+                    adj_p.add(q)
+                    adj[q].add(p)
+                rem[p] = r - k
+                eligible -= k
+            open_count -= 1
+            # unban: partners and neighbours get their open stubs back
+            for q in adj_p:
+                w = rem[q]
+                if w:
+                    for i in paths[q]:
+                        tree[i] += w
+    else:
+        while heap:
+            p = heapq.heappop(heap)[1]
+            if not rem[p]:
+                continue
+            c = comm[p]
+            own_c = owns[c]
+            adj_p = adj[p]
+            # ban p and its neighbours, all outside c; the eligible positive
+            # positions are the open ones outside the bans and outside c
+            eligible = open_count - open_in[c] + 1
+            for q in [p, *adj_p]:
+                w = rem[q]
+                if w:
+                    eligible -= 1
+                    own = owns[comm[q]]
+                    for i in paths[q]:
                         tree[i] -= w
                         own[i] -= w
-                        i += i & -i
-                adj_p.add(q)
-                adj[q].add(p)
-            rem[p] -= k
-            eligible -= k
-        saturated.add(p)
-        open_count -= 1
-        open_in[c] -= 1
-        # unban: partners and neighbours get their open stubs back
-        for q in adj_p:
-            if rem[q]:
-                add(q, rem[q])
+            while True:
+                r = rem[p]
+                if not r:
+                    break
+                k = r if r < eligible else eligible
+                if not k:
+                    eligible += repair(p)
+                    continue
+                total = tree[size] - own_c[size]
+                for x in rng.beta(alpha, beta, size=k).tolist():
+                    rank = int(x * total)
+                    if rank >= total:
+                        rank = total - 1
+                    q = 0
+                    for step in steps:
+                        j = q + step
+                        w = tree[j] - own_c[j]
+                        if w <= rank:
+                            q = j
+                            rank -= w
+                    # ban the partner at q and close one of its stubs
+                    w = rem[q]
+                    rem[q] = w - 1
+                    total -= w
+                    if w == 1:
+                        open_count -= 1
+                        open_in[comm[q]] -= 1
+                    own = owns[comm[q]]
+                    for i in paths[q]:
+                        tree[i] -= w
+                        own[i] -= w
+                    adj_p.add(q)
+                    adj[q].add(p)
+                rem[p] = r - k
+                eligible -= k
+            open_count -= 1
+            open_in[c] -= 1
+            # unban: partners and neighbours get their open stubs back
+            for q in adj_p:
+                w = rem[q]
+                if w:
+                    own = owns[comm[q]]
+                    for i in paths[q]:
+                        tree[i] += w
+                        own[i] += w
     if any(rem):
         raise WiringError("stubs left unpaired after the wiring loop")
     node = np.array(ids, dtype=np.int64)

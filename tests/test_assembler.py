@@ -916,25 +916,56 @@ def test_tree_sampler_wires_like_the_cumsum_reference(pairing):
         if sum(stubs) % 2:
             stubs[int(gen.integers(n))] += 1
         entries = [(i, int(gen.integers(1, 30)), stubs[i]) for i in range(n)]
-        outcomes = []
-        for wire in (reference_wire_phase, assembler._wire_phase):
-            rng = np.random.default_rng(1000 + trial)
-            # the reference takes the repair bound that the library fixes
-            bound = (50 * n,) if wire is reference_wire_phase else ()
-            try:
-                links, repairs = wire(entries, shape, rng, *bound, community_of)
-            except WiringError:
-                result = "WiringError"
-            else:
-                if wire is assembler._wire_phase:
-                    links = _link_set(links)
-                result = (links, repairs)
-            outcomes.append((result, rng.bit_generator.state))
+        outcomes = _wire_both(entries, shape, 1000 + trial, community_of)
         assert outcomes[0] == outcomes[1], (trial, mode)
         result = outcomes[0][0]
         if result != "WiringError" and result[1] > 0:
             repaired[mode] += 1
     assert repaired["intra"] > 0 and repaired["inter"] > 0
+
+
+def _wire_both(entries, shape, seed, community_of):
+    """(result, generator state) of the reference wiring and of the library's
+    from one seed; a result is the link set and repairs, or "WiringError"."""
+    outcomes = []
+    for wire in (reference_wire_phase, assembler._wire_phase):
+        rng = np.random.default_rng(seed)
+        # the reference takes the repair bound that the library fixes
+        bound = (50 * len(entries),) if wire is reference_wire_phase else ()
+        try:
+            links, repairs = wire(entries, shape, rng, *bound, community_of)
+        except WiringError:
+            result = "WiringError"
+        else:
+            if wire is assembler._wire_phase:
+                links = _link_set(links)
+            result = (links, repairs)
+        outcomes.append((result, rng.bit_generator.state))
+    return outcomes
+
+
+@pytest.mark.parametrize("mode", ["intra", "inter"])
+def test_tree_sampler_wires_like_the_cumsum_reference_at_tree_sizes(mode):
+    # the scale benchmark wires trees of 1,024-2,048 slots: n from 500 to
+    # 1,500 with up to 40 stubs per node, biased toward high degrees so
+    # that some phases need repairs
+    gen = np.random.default_rng(61 if mode == "intra" else 67)
+    repaired = 0
+    for trial in range(3):
+        n = int(gen.integers(500, 1501))
+        stubs = gen.integers(0, 41, n).tolist()
+        if sum(stubs) % 2:
+            stubs[int(gen.integers(n))] += 1
+        community_of = None
+        if mode == "inter":
+            community_of = {i: int(gen.integers(3)) for i in range(n)}
+        entries = [(i, int(gen.integers(1, 200)), stubs[i]) for i in range(n)]
+        shape = ShapeParams(*[(1, 1), (8, 1), (30, 1)][trial])
+        outcomes = _wire_both(entries, shape, 2000 + trial, community_of)
+        assert outcomes[0] == outcomes[1], trial
+        result = outcomes[0][0]
+        repaired += result != "WiringError" and result[1] > 0
+    assert repaired
 
 
 def test_assemble_deterministic_given_seed():
