@@ -12,6 +12,11 @@ same interval syntax.  Snapshot ``t`` covers ``[t, t+1)``.
 Both files come from one sort of per-step id arrays: node ids with their
 labels sorted by (id, t), link endpoints sorted by (u, v, t), with a run
 starting wherever the key changes, ``t`` skips a step or the label changes.
+They are written in blocks of ``_BLOCK`` keys, each by one bytes ``%``
+format call.  A block's template joins one piece per run, chosen by whether
+the run is its key's first (the piece then opens the row) and whether it is
+its key's last (the piece then closes the field); numpy passes over the
+block's rows build the pieces' indices and the integers that fill them.
 """
 
 from __future__ import annotations
@@ -69,10 +74,31 @@ class RunReport:
         return [b.temporal_degree_correlation for b in self.boundaries]
 
 
-# keys (node ids or edges) formatted per write: small blocks keep few strings
-# alive at once (4,096-key blocks raised the churn benchmark's peak RSS by
-# about 0.6 MB), and the per-block numpy calls cost nothing measurable
-_BLOCK = 256
+# keys (node ids or edges) per block, each block written by one format call
+# from temporaries made per block.  In one process running three units of
+# the perfbench inputs (seed 1, 2 cores), 4,096-key blocks raised churn's
+# peak RSS by 0.5 MB over 1,024-key ones; 256-key blocks lowered neither
+# workload's and wrote scale's edges.csv about 14% slower
+_BLOCK = 1024
+
+# the text of one run, indexed by 2 * (first run of its key) + (last run of
+# its key); as bytes, since bytes format integers faster than str does
+_EDGE_PIECES = (
+    b"[%d,%d); ",
+    b'[%d,%d)>"\n',
+    b'%d,%d,Undirected,"<[%d,%d); ',
+    b'%d,%d,Undirected,"<[%d,%d)>"\n',
+)
+# nodes.csv: community runs indexed as those of edges.csv, then lifetime
+# runs at 4 + (last run of its key)
+_NODE_PIECES = (
+    b"[%d,%d,%d); ",
+    b'[%d,%d,%d)>","<',
+    b'%d,n%d,"<[%d,%d,%d); ',
+    b'%d,n%d,"<[%d,%d,%d)>","<',
+    b"[%d,%d); ",
+    b'[%d,%d)>"\n',
+)
 
 
 def _changed(*columns) -> np.ndarray:
@@ -91,37 +117,45 @@ def _after_gap(t, mark) -> np.ndarray:
     return out
 
 
-def _interval_blocks(t, key_start, run_start, label=None):
-    """Yield ``(rows, texts)`` per block of up to ``_BLOCK`` keys.
+def _blocks(key_start):
+    """``(lo, hi)`` row bounds of each block of up to ``_BLOCK`` keys."""
+    keys = np.append(np.flatnonzero(key_start), key_start.size)
+    for k in range(0, keys.size - 1, _BLOCK):
+        yield int(keys[k]), int(keys[min(k + _BLOCK, keys.size - 1)])
+
+
+def _runs(t, key_start, run_start, lo, hi):
+    """The runs of rows ``lo`` to ``hi - 1``, a whole number of keys.
 
     Rows are sorted by key, then by ``t``.  ``key_start`` marks the first row
     of each key and ``run_start`` the first row of each run; every key start
-    starts a run.  A run is the segment ``[t0,t1)``, or ``[t0,t1,label)`` when
-    ``label`` is given, from its first row's ``t`` to one past its last row's.
-    ``rows`` holds the first row of each key in the block, ``texts`` its
-    segments joined by ``"; "``.  Apart from ``keys``, every temporary is
-    made per block, so none spans the whole file.
+    starts a run.  Returns each run's first row, its segment ``[t0, t1)``
+    from its first row's ``t`` to one past its last row's, and whether it is
+    its key's first run and its key's last.
     """
-    keys = np.append(np.flatnonzero(key_start), t.size)
-    for k in range(0, keys.size - 1, _BLOCK):
-        lo, hi = keys[k], keys[min(k + _BLOCK, keys.size - 1)]
-        runs = np.flatnonzero(run_start[lo:hi])
-        tb = t[lo:hi]
-        first = tb[runs].tolist()
-        end = (tb[np.append(runs, hi - lo)[1:] - 1] + 1).tolist()
-        if label is None:
-            segs = [f"[{x},{y})" for x, y in zip(first, end)]
-        else:
-            lab = label[lo:hi][runs].tolist()
-            segs = [f"[{x},{y},{c})" for x, y, c in zip(first, end, lab)]
-        cut = np.append(np.flatnonzero(key_start[lo:hi][runs]), runs.size).tolist()
-        texts = [segs[i] if j - i == 1 else "; ".join(segs[i:j]) for i, j in zip(cut, cut[1:])]
-        yield keys[k : k + len(texts)], texts
+    rows = np.flatnonzero(run_start[lo:hi]) + lo
+    first = key_start[rows]
+    last = np.append(first[1:], True)
+    t1 = t[np.append(rows[1:], hi) - 1] + 1
+    return rows, t[rows], t1, first, last
+
+
+def _write_block(fh, pieces, code, values, keep) -> None:
+    """Write the pieces named by ``code``, one per row of ``values``, filled
+    with the row-major ``values`` that ``keep`` selects, in one format call."""
+    template = b"".join(map(pieces.__getitem__, code.tolist()))
+    fh.write(template % tuple(values[keep].tolist()))
 
 
 def _write_nodes(snaps, path) -> None:
     """``nodes.csv`` from the (id, t)-sorted node ids and labels of ``snaps``,
-    which is sorted by ``t``."""
+    which is sorted by ``t``.
+
+    A block's community runs and lifetime runs are merged into one sequence,
+    each key's community runs before its lifetime runs, and written as rows
+    ``(id, id, t0, t1, label)`` of which a community run keeps the ids only
+    when it is its key's first run, and a lifetime run keeps ``t0, t1``.
+    """
     nid = np.concatenate([s.ids for s in snaps])
     label = np.concatenate(
         [np.asarray(s.community_labels, dtype=np.int64)[s.community] for s in snaps]
@@ -131,17 +165,26 @@ def _write_nodes(snaps, path) -> None:
     nid, t, label = nid[order], t[order], label[order]
     key = _changed(nid)
     life = _after_gap(t, key)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("Id,Label,Communities,Interval\n")
-        blocks = zip(
-            _interval_blocks(t, key, life | _changed(label), label),
-            _interval_blocks(t, key, life),
-        )
-        for (rows, comms), (_, lives) in blocks:
-            fh.writelines(
-                f'{i},n{i},"<{c}>","<{iv}>"\n'
-                for i, c, iv in zip(nid[rows].tolist(), comms, lives)
-            )
+    comm = life | _changed(label)
+    with open(path, "wb") as fh:
+        fh.write(b"Id,Label,Communities,Interval\n")
+        for lo, hi in _blocks(key):
+            rc, c0, c1, cfirst, clast = _runs(t, key, comm, lo, hi)
+            rl, l0, l1, _, llast = _runs(t, key, life, lo, hi)
+            n = rc.size
+            values = np.zeros((n + rl.size, 5), dtype=np.int64)
+            values[:n, 0] = values[:n, 1] = nid[rc]
+            values[:, 2] = np.concatenate((c0, l0))
+            values[:, 3] = np.concatenate((c1, l1))
+            values[:n, 4] = label[rc]
+            keep = np.zeros(values.shape, dtype=bool)
+            keep[:n, :2] = cfirst[:, None]
+            keep[:, 2:4] = keep[:n, 4] = True
+            code = np.concatenate((2 * cfirst + clast, 4 + llast))
+            # each key's community runs, then its lifetime runs
+            ordinal = np.cumsum(key[lo:hi])
+            order = np.argsort(ordinal[np.concatenate((rc, rl)) - lo], kind="stable")
+            _write_block(fh, _NODE_PIECES, code[order], values[order], keep[order])
 
 
 def _write_edges(snaps, path) -> None:
@@ -157,13 +200,15 @@ def _write_edges(snaps, path) -> None:
     t = t[order]
     del order
     key = _changed(u, v)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("Source,Target,Type,Interval\n")
-        for rows, lives in _interval_blocks(t, key, _after_gap(t, key)):
-            fh.writelines(
-                f'{a},{b},Undirected,"<{iv}>"\n'
-                for a, b, iv in zip(u[rows].tolist(), v[rows].tolist(), lives)
-            )
+    life = _after_gap(t, key)
+    with open(path, "wb") as fh:
+        fh.write(b"Source,Target,Type,Interval\n")
+        for lo, hi in _blocks(key):
+            rows, t0, t1, first, last = _runs(t, key, life, lo, hi)
+            values = np.stack((u[rows], v[rows], t0, t1), axis=1)
+            keep = np.ones(values.shape, dtype=bool)
+            keep[:, :2] = first[:, None]
+            _write_block(fh, _EDGE_PIECES, 2 * first + last, values, keep)
 
 
 def export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
@@ -184,17 +229,26 @@ def export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
     return nodes_path, edges_path
 
 
-def _parse_interval(text: str) -> list[tuple[int, int]]:
+def _parse_interval(text: str, width: int, path, row: int) -> list[tuple[int, ...]]:
+    """The segments of an interval field, each a tuple of ``width`` integers.
+
+    Raises ``ConfigurationError`` naming the file, the row and the segment
+    for a field not in ``<...>``, a segment not in ``[...)``, and a segment
+    with another number of parts or a part that is not an integer.
+    """
     body = text.strip()
     if not body.startswith("<") or not body.endswith(">"):
-        raise ConfigurationError(f"bad interval syntax: {text!r}")
+        raise ConfigurationError(f"{path} row {row}: bad interval syntax {text!r}")
     out = []
     for seg in body[1:-1].split(";"):
         seg = seg.strip()
-        if not seg.startswith("[") or not seg.endswith(")"):
-            raise ConfigurationError(f"bad interval segment: {seg!r}")
         parts = seg[1:-1].split(",")
-        out.append(tuple(int(p) for p in parts))
+        try:
+            if not seg.startswith("[") or not seg.endswith(")") or len(parts) != width:
+                raise ValueError
+            out.append(tuple(int(p) for p in parts))
+        except ValueError:
+            raise ConfigurationError(f"{path} row {row}: bad interval segment {seg!r}") from None
     return out
 
 
@@ -203,21 +257,21 @@ def read_temporal_csv(nodes_path, edges_path):
 
     Returns ``(communities, edges)`` where ``communities[t]`` maps node id to
     community label and ``edges[t]`` is the set of node-id pairs alive at t.
+    A malformed interval raises ``ConfigurationError`` naming the file, the
+    row (1 for the first row after the header) and the segment.
     """
     communities: dict[int, dict[int, int]] = {}
     edges: dict[int, set[tuple[int, int]]] = {}
     with open(nodes_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for n, row in enumerate(csv.DictReader(fh), 1):
             nid = int(row["Id"])
-            for a, b, label in _parse_interval(row["Communities"]):
+            for a, b, label in _parse_interval(row["Communities"], 3, nodes_path, n):
                 for t in range(a, b):
                     communities.setdefault(t, {})[nid] = label
     with open(edges_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for n, row in enumerate(csv.DictReader(fh), 1):
             u, v = int(row["Source"]), int(row["Target"])
-            for a, b in _parse_interval(row["Interval"]):
+            for a, b in _parse_interval(row["Interval"], 2, edges_path, n):
                 for t in range(a, b):
                     edges.setdefault(t, set()).add((u, v))
     for t in communities:

@@ -307,7 +307,7 @@ def test_export_matches_the_reference_on_wide_ids_and_long_runs(tmp_path):
     # ids and labels past 32 bits, 30+ timesteps, linkless nodes, shuffled
     # input, and one network whose node and edge keys span several blocks
     rng = np.random.default_rng(808)
-    cases = [(int(rng.integers(30, 46)), 40) for _ in range(12)] + [(3, 2000)]
+    cases = [(int(rng.integers(30, 46)), 40) for _ in range(12)] + [(3, 4000)]
     for case, (steps, n) in enumerate(cases):
         snaps = _sticky_snapshots(rng, steps, n)
         want = reference_export_temporal_csv(snaps, tmp_path / f"ref{case}")
@@ -316,6 +316,54 @@ def test_export_matches_the_reference_on_wide_ids_and_long_runs(tmp_path):
             assert Path(a).read_bytes() == Path(b).read_bytes(), case
     for path in got:
         assert len(Path(path).read_text().splitlines()) > 2 * output._BLOCK + 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_export_matches_the_reference_at_block_edges(tmp_path, monkeypatch, block):
+    # blocks of 1-3 keys: the many runs of the sticky keys end and start
+    # at every block edge, and a network with no links at all writes a
+    # header-only edges.csv through the same blocks
+    monkeypatch.setattr(output, "_BLOCK", block)
+    rng = np.random.default_rng(909)
+    cases = [_sticky_snapshots(rng, int(rng.integers(5, 30)), 12) for _ in range(4)]
+    cases.append(
+        [
+            snapshot_from_nodes(
+                s.t, s.nodes, [], s.community_count, community_labels=s.community_labels
+            )
+            for s in cases[0]
+        ]
+    )
+    for case, snaps in enumerate(cases):
+        want = reference_export_temporal_csv(snaps, tmp_path / f"ref{case}")
+        got = export_temporal_csv(snaps, tmp_path / f"new{case}")
+        for a, b in zip(want, got):
+            assert Path(a).read_bytes() == Path(b).read_bytes(), case
+    assert Path(got[1]).read_text() == "Source,Target,Type,Interval\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, segment",
+    [
+        ("edges.csv", "<[0,x)>", "[0,x)"),
+        ("edges.csv", "<[0,1); [0,1,5)>", "[0,1,5)"),
+        ("edges.csv", "<[0)>", "[0)"),
+        ("nodes.csv", "<[0)>", "[0)"),
+        ("nodes.csv", "<[0,1,5); [1,2)>", "[1,2)"),
+    ],
+)
+def test_read_rejects_a_malformed_interval(tmp_path, name, text, segment):
+    # the bad field sits in the second row of its file
+    good = {
+        "nodes.csv": 'Id,Label,Communities,Interval\n0,n0,"<[0,2,5)>","<[0,2)>"\n',
+        "edges.csv": 'Source,Target,Type,Interval\n0,1,Undirected,"<[0,2)>"\n',
+    }
+    bad = {"nodes.csv": f'1,n1,"{text}","<[0,2)>"\n', "edges.csv": f'0,2,Undirected,"{text}"\n'}
+    for file, head in good.items():
+        (tmp_path / file).write_text(head + (bad[file] if file == name else ""))
+    with pytest.raises(ConfigurationError) as info:
+        read_temporal_csv(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    assert str(info.value) == f"{tmp_path / name} row 2: bad interval segment {segment!r}"
 
 
 def test_export_requires_snapshots(tmp_path):
