@@ -25,11 +25,14 @@ snapshot, and the capacity-weighted pick that only the assignment reference
 still makes.
 The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
-enumeration oracle; the library keeps only the count.
+enumeration oracle; the library keeps only the count.  ``reference_layers``
+installs the stub-pairing and CSV-export references in the library, so a
+whole run can be compared with one through the library's own kernels.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import heapq
 import itertools
@@ -51,6 +54,8 @@ from temponet import (
     seed_pool,
     variation_of_information,
 )
+from temponet import assembler, pipeline
+from temponet.assembler import REPAIR_BUDGET_FACTOR
 from temponet.lifecycle import (
     BORN,
     CONTINUES,
@@ -484,7 +489,9 @@ def reference_wire_phase(entries, shape, rng, budget, community_of=None):
                 continue
             cands.append(w)
         if not cands:
-            raise WiringError(f"node {u}: no candidate links to rewire")
+            raise WiringError(
+                f"node {u}: no candidate links to rewire ({rem[pos[u]]} stubs left)"
+            )
         w = cands[int(rng.integers(len(cands)))]
         neighbors = sorted(adjacency[w])
         v = neighbors[int(rng.integers(len(neighbors)))]
@@ -1238,6 +1245,32 @@ def reference_export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
                 ]
             )
     return nodes_path, edges_path
+
+
+@contextlib.contextmanager
+def reference_layers():
+    """Install the reference wiring loop and CSV export in temponet.
+
+    Inside the block, every wiring phase of ``assemble_snapshot`` runs
+    through ``reference_wire_phase`` with the library's repair bound, its
+    links as (m, 2) int64 rows (u, v), u < v, in sorted order, and ``run``
+    exports through ``reference_export_temporal_csv``.  The library's own
+    kernels are restored on exit.
+    """
+
+    def wire_phase(entries, shape, rng, community_of=None):
+        entries = list(entries)
+        bound = REPAIR_BUDGET_FACTOR * max(1, len(entries))
+        links, repairs = reference_wire_phase(entries, shape, rng, bound, community_of)
+        return np.array(sorted(links), dtype=np.int64).reshape(-1, 2), repairs
+
+    saved = assembler._wire_phase, pipeline.export_temporal_csv
+    assembler._wire_phase = wire_phase
+    pipeline.export_temporal_csv = reference_export_temporal_csv
+    try:
+        yield
+    finally:
+        assembler._wire_phase, pipeline.export_temporal_csv = saved
 
 
 # node assignment with one numpy scan over the tuples per node, and the

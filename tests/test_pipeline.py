@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from temponet import (
     GraphabilityError,
     RunConfig,
     SamplerConfig,
+    ShapeParams,
     TemponetError,
     WiringError,
     dump_sequences,
@@ -28,7 +30,7 @@ import temponet
 from temponet import assembler, pipeline
 from temponet.cli import main as cli_main
 
-from oracles import clustering
+from oracles import clustering, reference_layers
 
 
 def small_cfg(**kw):
@@ -337,6 +339,56 @@ def test_a_run_reads_links_as_endpoint_rows_only(tmp_path, monkeypatch):
     run(small_cfg(timesteps=2, output_dir=str(got)))
     for name in ("nodes.csv", "edges.csv", "report.json", "report.txt"):
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def _run_outcome(cfg):
+    """The four output files of a run, as bytes, or its error as text."""
+    try:
+        run(cfg)
+    except TemponetError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    out = Path(cfg.output_dir)
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def test_runs_match_the_reference_wiring_and_export(tmp_path):
+    # 100 small seeded configs, run once through the library and once with
+    # the reference wiring loop and CSV export installed: every output byte,
+    # or the error text, must agree.  Dense small communities force wiring
+    # repairs, and some configs end in an error.
+    gen = np.random.default_rng(2718)
+    ends = Counter()
+    for case in range(100):
+        low = int(gen.integers(4, 20))
+        dmin = int(gen.integers(1, 4))
+        family = ("uniform", "power_law", "binomial")[case % 3]
+        kw = dict(
+            timesteps=int(gen.integers(1, 5)),
+            seed=case,
+            community_cfg=SamplerConfig("uniform", low, low + int(gen.integers(0, 20))),
+            degree_cfg=SamplerConfig(
+                family,
+                dmin,
+                dmin + int(gen.integers(1, 10)),
+                param=(1.0, 2.5, 0.5)[case % 3],
+                mix_ratio=float(gen.uniform(0.3, 1.0)),
+                mix_mode=("fixed", "bernoulli")[case % 2],
+            ),
+            community_count=int(gen.integers(1, 6)),
+            kills=int(gen.integers(0, 4)),
+            pairing_shape=ShapeParams(*[(1, 1), (5, 1), (1, 5), (0.5, 0.5)][case % 4]),
+            max_sequence_retries=int(gen.integers(1, 6)),
+        )
+        library = _run_outcome(RunConfig(**kw, output_dir=str(tmp_path / f"lib{case}")))
+        with reference_layers():
+            reference = _run_outcome(RunConfig(**kw, output_dir=str(tmp_path / f"ref{case}")))
+        assert library == reference, case
+        if isinstance(library, str):
+            ends[library.partition(":")[0]] += 1
+        else:
+            repairs = json.loads(library["report.json"])["snapshots"]
+            ends["repaired" if any(s["wiring_repairs"] for s in repairs) else "plain"] += 1
+    assert ends["repaired"] and ends["plain"] and ends["GraphabilityError"], ends
 
 
 def test_report_echoes_the_complete_config(tmp_path):
