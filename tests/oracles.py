@@ -18,7 +18,8 @@ one run merger per field.  Assortativity, modularity and the connectivity
 check keep their per-link Python loops.  Node assignment keeps its numpy
 scan over every tuple per node and its draw of one variate per node, and the
 Erdos-Gallai test its loop over k, and the capacity gate its heap
-placement.  The partition contingency, the VI of two partitions and the
+placement.  The full gate of an assigned snapshot keeps its pass per
+community, one intra sequence at a time.  The partition contingency, the VI of two partitions and the
 best-of-pool pick live only here, since only tests use them, as do the
 building of a snapshot from a ``Node`` dict, each community's id set of a
 snapshot, and the capacity-weighted pick that only the assignment reference
@@ -56,6 +57,12 @@ from temponet import (
 )
 from temponet import assembler, pipeline
 from temponet.assembler import REPAIR_BUDGET_FACTOR
+from temponet.graphability import (
+    FailedCondition,
+    GraphabilityReport,
+    erdos_gallai,
+    inter_graphable,
+)
 from temponet.lifecycle import (
     BORN,
     CONTINUES,
@@ -1424,3 +1431,109 @@ def reference_assignment_feasible(sizes, intra) -> bool:
         cap, idx = heapq.heappop(heap)
         heapq.heappush(heap, (cap + 1, idx))
     return True
+
+
+# the full gate with one pass per community: each community's intra
+# sequence on its own, then the inter aggregates and the per-node bound
+
+
+def reference_check_graphable(
+    sizes: CommunitySpec,
+    spec: DegreeSpec,
+    membership=None,
+) -> GraphabilityReport:
+    """Full graphability report for one timestep's sequences.
+
+    With a concrete ``membership`` (community index per node slot) the
+    Erdos-Gallai condition is applied per community on the intra degrees, the
+    max condition on per-community inter aggregates, and the bound
+    ``f_i <= n - |c_i|`` on every node's inter degree.  Without one, only
+    the global parities and the capacity matching can be verified.
+    """
+    n = len(spec)
+    if sizes.node_count != n:
+        raise ConfigurationError(
+            f"community sizes cover {sizes.node_count} nodes but {n} degree slots were given"
+        )
+    intra = spec.intra
+    inter = spec.inter
+
+    if membership is None:
+        if sum(intra) % 2 == 1:
+            return GraphabilityReport(
+                False, None, FailedCondition.INTRA_PARITY, "total intra degree sum is odd"
+            )
+        if sum(inter) % 2 == 1:
+            return GraphabilityReport(
+                False, None, FailedCondition.INTER_PARITY, "total inter degree sum is odd"
+            )
+        if not reference_assignment_feasible(sizes.sizes, intra):
+            return GraphabilityReport(
+                False,
+                None,
+                FailedCondition.ASSIGNMENT_INFEASIBLE,
+                "some intra degree exceeds every community's capacity",
+            )
+        return GraphabilityReport(True)
+
+    membership = [int(c) for c in membership]
+    if len(membership) != n:
+        raise ConfigurationError("membership length does not match the degree slots")
+    k = len(sizes)
+    members: list[list[int]] = [[] for _ in range(k)]
+    for slot, c in enumerate(membership):
+        if not 0 <= c < k:
+            raise ConfigurationError(f"slot {slot}: community index {c} out of range")
+        members[c].append(slot)
+    for c, group in enumerate(members):
+        if len(group) != sizes.sizes[c]:
+            raise ConfigurationError(
+                f"community {c}: membership places {len(group)} nodes, size is {sizes.sizes[c]}"
+            )
+
+    for c, group in enumerate(members):
+        es = [intra[i] for i in group]
+        size = sizes.sizes[c]
+        if any(e > size - 1 for e in es):
+            return GraphabilityReport(
+                False,
+                c,
+                FailedCondition.ASSIGNMENT_INFEASIBLE,
+                f"community {c}: an intra degree reaches the community size",
+            )
+        if sum(es) % 2 == 1:
+            return GraphabilityReport(
+                False, c, FailedCondition.INTRA_PARITY, f"community {c}: odd intra degree sum"
+            )
+        if not erdos_gallai(es):
+            return GraphabilityReport(
+                False,
+                c,
+                FailedCondition.INTRA_ERDOS_GALLAI,
+                f"community {c}: intra sequence fails the Erdos-Gallai condition",
+            )
+
+    aggregates = [sum(inter[i] for i in group) for group in members]
+    if sum(aggregates) % 2 == 1:
+        return GraphabilityReport(
+            False, None, FailedCondition.INTER_PARITY, "total inter degree sum is odd"
+        )
+    if not inter_graphable(aggregates):
+        worst = max(range(k), key=lambda c: aggregates[c])
+        return GraphabilityReport(
+            False,
+            worst,
+            FailedCondition.INTER_MAX,
+            f"community {worst}: inter aggregate exceeds the remaining inter stubs",
+        )
+    for slot, c in enumerate(membership):
+        outside = n - sizes.sizes[c]
+        if inter[slot] > outside:
+            return GraphabilityReport(
+                False,
+                c,
+                FailedCondition.INTER_NODE_MAX,
+                f"community {c}: slot {slot} needs {inter[slot]} inter partners,"
+                f" only {outside} nodes lie outside",
+            )
+    return GraphabilityReport(True)

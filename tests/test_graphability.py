@@ -1,6 +1,7 @@
 """Erdos-Gallai tests against exhaustive realizability search."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     realizable_clustered,
     realizable_degree_sequence,
     reference_assignment_feasible,
+    reference_check_graphable,
     reference_erdos_gallai,
 )
 
@@ -294,3 +296,80 @@ def test_check_graphable_membership_agrees_with_realizability():
     # envelope except for rare capacity-starved corners; those are covered
     # (and excluded) by the acceptance-suite generator
     assert agreements >= 140
+
+
+def _random_gate_case(gen, trial):
+    """Sizes, a degree spec and a membership for the gate of an assigned snapshot.
+
+    Sizes run from 1 (singletons) to 8 over 1-6 communities, and over up to
+    200 in every 20th case.  Intra degrees stay below a random cap and the
+    room, with one slot at or past its room in a fifth of the cases; most
+    cases make every community's intra sum even and the inter sum even, so
+    that the later conditions are reached.  A few cases break the
+    membership: an index out of range, or one slot moved to another
+    community.
+    """
+    k = int(gen.integers(1, 201)) if trial % 20 == 0 else int(gen.integers(1, 7))
+    sizes = [int(s) for s in gen.integers(1, 9, k)]
+    n = sum(sizes)
+    membership = gen.permutation(np.repeat(np.arange(k), sizes)).tolist()
+    rooms = [sizes[c] - 1 for c in membership]
+    cap = int(gen.integers(1, 9))
+    intra = [min(int(gen.integers(0, cap + 1)), r) for r in rooms]
+    if gen.random() < 0.2:
+        i = int(gen.integers(n))
+        intra[i] = rooms[i] + int(gen.integers(0, 3))
+    if gen.random() < 0.7:
+        odd = {}
+        for slot, c in enumerate(membership):
+            if intra[slot]:
+                odd[c] = slot
+        sums = np.bincount(membership, weights=intra, minlength=k)
+        for c, slot in odd.items():
+            if int(sums[c]) % 2:
+                intra[slot] -= 1
+    outside = [n - sizes[c] for c in membership]
+    fcap = int(gen.integers(1, 12))
+    inter = [int(gen.integers(0, min(fcap, o) + 1)) for o in outside]
+    if gen.random() < 0.15:
+        i = int(gen.integers(n))
+        inter[i] = outside[i] + int(gen.integers(1, 3))
+    if sum(inter) % 2 and gen.random() < 0.7:
+        inter[int(gen.integers(n))] += 1
+    total = [max(1, e + f) for e, f in zip(intra, inter)]
+    fault = gen.random()
+    if fault < 0.02:
+        membership[int(gen.integers(n))] = (-1, k)[int(gen.integers(2))]
+    elif fault < 0.04 and k > 1:
+        i = int(gen.integers(n))
+        membership[i] = (membership[i] + int(gen.integers(1, k))) % k
+    return CommunitySpec(tuple(sizes)), DegreeSpec(tuple(total), tuple(intra)), membership
+
+
+def test_check_graphable_equals_the_per_community_reference():
+    # whole reports, or the ConfigurationError text, for every condition and
+    # both membership errors, with singletons, degrees at and past the room,
+    # and up to 200 communities
+    gen = np.random.default_rng(4099)
+    outcomes = Counter()
+    widest = Counter()
+    for trial in range(20_000):
+        sizes, spec, membership = _random_gate_case(gen, trial)
+        results = []
+        for check in (check_graphable, reference_check_graphable):
+            try:
+                results.append(check(sizes, spec, membership))
+            except ConfigurationError as exc:
+                results.append(str(exc))
+        new, reference = results
+        assert new == reference, trial
+        if isinstance(new, str):
+            kind = "out of range" if "out of range" in new else "count"
+        else:
+            kind = new.failing_condition.value if new.failing_condition else "ok"
+        outcomes[kind] += 1
+        widest[kind] = max(widest[kind], len(sizes))
+    kinds = {c.value for c in FailedCondition} | {"ok", "out of range", "count"}
+    assert set(outcomes) == kinds, outcomes
+    assert min(outcomes.values()) >= 100, outcomes
+    assert min(widest[kind] for kind in ("ok", "intra_erdos_gallai", "inter_parity")) > 150, widest
