@@ -19,11 +19,10 @@ check keep their per-link Python loops.  Node assignment keeps its numpy
 scan over every tuple per node and its draw of one variate per node, and the
 Erdos-Gallai test its loop over k, and the capacity gate its heap
 placement.  The full gate of an assigned snapshot keeps its pass per
-community, one intra sequence at a time.  The partition contingency, the VI of two partitions and the
-best-of-pool pick live only here, since only tests use them, as do the
-building of a snapshot from a ``Node`` dict, each community's id set of a
-snapshot, and the capacity-weighted pick that only the assignment reference
-still makes.
+community, one intra sequence at a time.  The partition contingency, the VI
+of two partitions and the best-of-pool pick live only here, since only tests
+use them, as do the building of a snapshot from a ``Node`` dict and each
+community's id set of a snapshot.
 The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
 enumeration oracle; the library keeps only the count.  ``reference_layers``
@@ -1284,17 +1283,6 @@ def reference_layers():
 # Erdos-Gallai test with one searchsorted per k
 
 
-def weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """An index drawn with probability proportional to ``weights``.
-
-    This is the pick of ``rng.choice(len(weights), p=weights / weights.sum())``,
-    with the same one ``rng.random()`` draw, minus that call's argument checks.
-    """
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
-
-
 def reference_assign_nodes(
     sizes: CommunitySpec,
     spec: DegreeSpec,
@@ -1308,7 +1296,8 @@ def reference_assign_nodes(
     Bootstrap mode (``surviving`` is None): node id ``slot`` takes the slot's
     degree tuple and is placed into a random community drawn with probability
     proportional to remaining capacity, never where ``e`` reaches the
-    community size.
+    community size: with one uniform u, the first eligible community whose
+    integer capacity prefix sum exceeds ``int(u * total)``.
 
     Temporal mode: every id in ``surviving`` keeps its flow-dictated
     community; nodes with a previous degree draw their new tuple by sampling
@@ -1330,7 +1319,9 @@ def reference_assign_nodes(
             eligible = np.flatnonzero((caps > 0) & (room >= e))
             if eligible.size == 0:
                 raise GraphabilityError("node assignment ran out of community capacity")
-            c = int(eligible[weighted_index(caps[eligible].astype(np.float64), rng)])
+            cum = np.cumsum(caps[eligible])
+            rank = int(rng.random() * int(cum[-1]))
+            c = int(eligible[np.searchsorted(cum, rank, side="right")])
             caps[c] -= 1
             out[slot] = (c, spec.total[slot], spec.intra[slot])
         return out

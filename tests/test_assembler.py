@@ -39,7 +39,6 @@ from oracles import (
     reference_wire_phase,
     snapshot_from_nodes,
     spectral_component_count,
-    weighted_index,
 )
 
 WORKED_SIZES = CommunitySpec((4, 4, 2))
@@ -776,24 +775,6 @@ def test_batched_beta_draws_equal_single_draws(a, b):
         assert batch.bit_generator.state == single.bit_generator.state, why
 
 
-def test_weighted_index_draws_what_generator_choice_draws():
-    # integer capacities as bootstrap placement weighs communities, then
-    # arbitrary positive weights
-    why = "bootstrap assign_nodes places nodes with this draw in place of Generator.choice"
-    gen = np.random.default_rng(59)
-    for trial in range(1000):
-        size = int(gen.integers(1, 60))
-        if trial % 2:
-            weights = gen.random(size) + 1e-9
-        else:
-            weights = gen.integers(1, 400, size).astype(np.float64)
-        fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
-        for _ in range(4):
-            pick = int(slow.choice(size, p=weights / weights.sum()))
-            assert weighted_index(weights, fast) == pick, why
-        assert fast.bit_generator.state == slow.bit_generator.state, why
-
-
 def _assign_both(sizes, spec, seed, **placement):
     """(assignment or error text, generator state) of assign_nodes and of its reference."""
     outcomes = []
@@ -807,9 +788,9 @@ def _assign_both(sizes, spec, seed, **placement):
     return outcomes
 
 
-def _random_assignment_spec(gen, k_max):
+def _random_assignment_spec(gen, k_max, k_min=1):
     """Community sizes and a degree spec whose intra degrees straddle the rooms."""
-    k = int(gen.integers(1, k_max + 1))
+    k = int(gen.integers(k_min, k_max + 1))
     sizes = CommunitySpec(tuple(int(x) for x in gen.integers(1, 16, k)))
     n = sizes.node_count
     total = [int(x) for x in gen.integers(1, 14, n)]
@@ -821,15 +802,20 @@ def _random_assignment_spec(gen, k_max):
 
 def test_bootstrap_assignment_equals_the_reference():
     # same communities, same misfit errors, same generator state after success
-    # and after failure
+    # and after failure; from one community up to 300, so that the capacity
+    # tree has several levels and k is rarely a power of two
     gen = np.random.default_rng(61)
     outcomes = {"ok": 0, "misfit": 0}
+    counts = set()
     for trial in range(600):
-        sizes, spec = _random_assignment_spec(gen, 6 if trial < 540 else 40)
+        k_range = (6,) if trial < 500 else (40,) if trial < 560 else (300, 200)
+        sizes, spec = _random_assignment_spec(gen, *k_range)
         new, reference = _assign_both(sizes, spec, trial)
         assert new == reference, trial
         outcomes["misfit" if isinstance(new[0], str) else "ok"] += 1
+        counts.add(len(sizes))
     assert min(outcomes.values()) > 50, outcomes
+    assert 1 in counts and max(counts) > 256, sorted(counts)
 
 
 @pytest.mark.parametrize("temporal", [(1, 1), (5, 1), (1, 5), (0.5, 0.5)])
