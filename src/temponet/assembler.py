@@ -14,18 +14,28 @@ cumulative frequency tables", 1994) over the degree-ordered positions, so a
 draw, and each ban or stub update, costs O(log n).  While a node fills, it
 and its neighbours carry weight 0 in the tree.  Inter mode adds one tree per
 community over the same positions, k * n cells in all, and descends the
-global tree minus the node's own-community tree.  A draw picks exactly the
+global tree minus the node's own-community tree; each community tree starts
+as a plain list filled by walking its members' paths, so building them costs
+O(n log n), not k passes over n positions.  A draw picks exactly the
 position that a cumulative sum and ``searchsorted`` would pick.  Intra and
 inter phases run separate fill loops, and every ban and unban walks a path
-of cells built once per phase, so a link costs few interpreter operations.
-A repair finds its candidates, the saturated eligible positions in position
-order, by one numpy pass over the open-stub counts.
+of cells from a table built once per tree size and shared by every phase and
+by node assignment, so a link costs few interpreter operations.  A repair
+finds its candidates, the saturated eligible positions in position order, by
+one numpy pass over the open-stub counts.
+
+Node assignment draws from Fenwick trees too: bootstrap placement from one
+tree over the k community capacities, temporal placement from trees over
+the degree tuples.  A snapshot groups its intra members with one stable
+argsort of the community column and gates an assignment with one segmented
+pass over all communities, so its fixed cost grows with n log n, not n * k.
 """
 
 from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import heapq
 import itertools
 import logging
@@ -272,12 +282,22 @@ def _prefix(tree: list[int], i: int) -> int:
     return s
 
 
-def _add(tree: list[int], size: int, q: int, delta: int) -> None:
-    """Add ``delta`` at position q of a Fenwick tree over ``size`` positions."""
-    i = q + 1
-    while i <= size:
-        tree[i] += delta
-        i += i & -i
+@functools.lru_cache(maxsize=16)
+def _paths(size: int) -> list[tuple[int, ...]]:
+    """The update paths of a Fenwick tree over ``size`` positions (a power of two).
+
+    ``paths[q]`` lists the cells whose sums cover position q: q + 1, then up
+    by ``i & -i`` to the root ``size``.  Adding w to each of them adds w at
+    q.  A table is built once per size and shared, so callers must not
+    change it; it holds ``size`` tuples, about 0.26 MB at 2**11 positions
+    and 20 MB at 2**17.
+    """
+    # up[i]: cell i and the cells above it, to the root; cells past the root
+    # get none
+    up: list[tuple[int, ...]] = [()] * (2 * size + 1)
+    for i in range(size, 0, -1):
+        up[i] = (i, *up[i + (i & -i)])
+    return up[1 : size + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +318,14 @@ def assign_nodes(
     Bootstrap mode (``surviving`` is None): node id ``slot`` takes the slot's
     degree tuple and is placed into a random community drawn with probability
     proportional to remaining capacity, never where ``e`` reaches the
-    community size.  Slots place in non-increasing ``e``, so the eligible
-    communities, and their capacities as float64 weights, are recomputed
-    only when a community fills or ``e`` falls to the room of a community
-    not yet eligible.  A pick is ``Generator.choice``'s: the cumulative sum
-    of ``weights / total`` (``total`` the exact capacity sum), divided by its
-    last entry and searched for the node's uniform on the right.
+    community size.  Slots place in non-increasing ``e``, and a Fenwick tree
+    over the k community indices holds the remaining capacities of the
+    eligible communities: a community joins it, with its whole size, once
+    the falling ``e`` reaches its room ``size - 1``.  A node with uniform u
+    takes ``rank = int(u * total)``, ``total`` the capacity in the tree, and
+    the descent picks the first community whose capacity prefix sum exceeds
+    it, the rank rule of wiring and temporal placement; the pick gives up
+    one unit of capacity.
 
     Temporal mode: every id in ``surviving`` keeps its flow-dictated
     community; nodes with a previous degree draw their new tuple by sampling
@@ -331,33 +353,31 @@ def assign_nodes(
     n = len(spec)
     if surviving is None:
         order = sorted(range(n), key=lambda i: (-spec.intra[i], -spec.total[i], i))
-        caps = list(sizes.sizes)
-        rooms = [s - 1 for s in caps]
+        k = len(sizes)
+        ksize = 1 << (k - 1).bit_length()
+        paths = _paths(ksize)
+        caps = [0] * (ksize + 1)  # Fenwick tree over the joined capacities
+        # communities by room, largest first; each joins once e falls to its room
+        joining = sorted(range(k), key=sizes.sizes.__getitem__, reverse=True)
+        joined = 0
         saved = rng.bit_generator.state
         uniforms = rng.random(n).tolist()
         out: dict[int, tuple[int, int, int]] = {}
-        stale = True
         for j, slot in enumerate(order):
             e = spec.intra[slot]
-            if stale or e <= below:
-                eligible = [c for c, cap in enumerate(caps) if cap and rooms[c] >= e]
-                below = max((room for room in rooms if room < e), default=-1)
-                weights = np.array([caps[c] for c in eligible], dtype=np.float64)
-                total = sum(caps[c] for c in eligible)
-                stale = False
-            if not eligible:
+            while joined < k and sizes.sizes[joining[joined]] - 1 >= e:
+                c = joining[joined]
+                for i in paths[c]:
+                    caps[i] += sizes.sizes[c]
+                joined += 1
+            total = caps[ksize]
+            if not total:
                 rng.bit_generator.state = saved
                 rng.random(j)
                 raise GraphabilityError("node assignment ran out of community capacity")
-            cdf = weights / total
-            cdf.cumsum(out=cdf)
-            cdf /= cdf[-1]
-            i = int(cdf.searchsorted(uniforms[j], side="right"))
-            c = eligible[i]
-            caps[c] -= 1
-            weights[i] -= 1
-            total -= 1
-            stale = not caps[c]
+            c = _select(caps, ksize, int(uniforms[j] * total))
+            for i in paths[c]:
+                caps[i] -= 1
             out[slot] = (c, spec.total[slot], e)
         return out
 
@@ -378,6 +398,7 @@ def assign_nodes(
     flags = np.zeros(size, dtype=np.int64)
     flags[:n] = 1
     alive = _fenwick(flags)
+    paths = _paths(size)
     # the rooms below the largest e, and the positions of the tuples above
     # the smallest of them: the only tuples any room excludes
     top = max(e_of)
@@ -388,6 +409,7 @@ def assign_nodes(
     e_high = np.full(hsize, low, dtype=np.int64)  # no room excludes the padding
     e_high[: len(high)] = [e_of[q] for q in high]
     excluded = {r: _fenwick((e_high > r).astype(np.int64)) for r in rooms}
+    hpaths = _paths(hsize)
     saved = rng.bit_generator.state
     variates = rng.beta(shape.alpha, shape.beta, size=len(survivors)).tolist() if survivors else []
     out = {}
@@ -415,12 +437,15 @@ def assign_nodes(
             if fixed == rank:
                 break
             rank = fixed
-        _add(alive, size, pick, -1)
+        for i in paths[pick]:
+            alive[i] -= 1
         e = e_of[pick]
         if e > low:
-            at = bisect.bisect_left(high, pick)
+            at = hpaths[bisect.bisect_left(high, pick)]
             for r in rooms[: bisect.bisect_left(rooms, e)]:
-                _add(excluded[r], hsize, at, -1)
+                counts = excluded[r]
+                for i in at:
+                    counts[i] -= 1
         out[nid] = (surviving[nid], *tuples[pick])
     return out
 
@@ -528,7 +553,9 @@ def _wire_phase(
     community's tree); a drawn partner q loses its weight the same way as it
     gives up one stub.  After p is full, each neighbour gets its open stubs
     back.  Each of these updates walks ``paths[q]``, the cells whose sums
-    cover q (q + 1, then up by ``i & -i`` to the root), built once per phase.
+    cover q (q + 1, then up by ``i & -i`` to the root), from the table that
+    ``_paths`` builds once per tree size.  The community trees start as
+    plain lists filled by walking each member's path once.
 
     Prefetch rule: p draws ``k = min(rem[p], eligible)`` Beta variates at
     once, where ``eligible`` counts the eligible positions with positive
@@ -549,12 +576,7 @@ def _wire_phase(
     if int(weights.sum()) % 2 == 1:
         raise WiringError("odd number of stubs in a wiring phase")
     steps = [size >> b for b in range(1, size.bit_length())]  # size / 2, ..., 1
-    # up[i]: cell i and the cells above it, i + (i & -i) and so on, to the
-    # root; cells past the root get none
-    up: list[tuple[int, ...]] = [()] * (2 * size + 1)
-    for i in range(size, 0, -1):
-        up[i] = (i, *up[i + (i & -i)])
-    paths = up[1 : m + 1]
+    paths = _paths(size)
     stubbed = weights[:m] > 0
     rem: list[int] = weights[:m].tolist()
     tree = _fenwick(weights)
@@ -562,11 +584,16 @@ def _wire_phase(
     if inter:
         index: dict[object, int] = {}
         comm = [index.setdefault(community_of[nid], len(index)) for nid in ids]
-        labels = np.full(size, -1, dtype=np.int64)
-        labels[:m] = comm
-        owns = [_fenwick(np.where(labels == c, weights, 0)) for c in range(len(index))]
+        labels = np.array(comm, dtype=np.int64)
+        # each member's weight walked up its path into its community's tree
+        owns = [[0] * (size + 1) for _ in index]
+        for q, w in enumerate(rem):
+            if w:
+                own = owns[comm[q]]
+                for i in paths[q]:
+                    own[i] += w
         # open (rem > 0) positions per community
-        open_in = np.bincount(labels[:m][stubbed], minlength=len(index)).tolist()
+        open_in = np.bincount(labels[stubbed], minlength=len(index)).tolist()
     open_count = int(stubbed.sum())  # open positions
     adj: list[set[int]] = [set() for _ in range(m)]  # neighbour positions
     repairs = 0
@@ -583,7 +610,7 @@ def _wire_phase(
         mask = stubbed & (np.array(rem) == 0)
         mask[list(adj[p])] = False
         if inter:
-            mask &= labels[:m] != comm[p]
+            mask &= labels != comm[p]
         cands = np.flatnonzero(mask)
         if not cands.size:
             raise WiringError(
@@ -876,14 +903,17 @@ def assemble_snapshot(
     degree = np.array(aligned.total, dtype=np.int64)
     intra_degree = np.array(aligned.intra, dtype=np.int64)
 
+    # the members of each community, in id order, as one run of a stable sort
+    order = np.argsort(community, kind="stable")
+    grouped = list(zip(*(column[order].tolist() for column in (node_ids, degree, intra_degree))))
     parts: list[np.ndarray] = []
     repairs = 0
-    for c in range(len(sizes)):
-        mine = community == c
-        triples = zip(node_ids[mine].tolist(), degree[mine].tolist(), intra_degree[mine].tolist())
-        community_links, used = wire_intra(triples, pairing_shape, rng)
+    start = 0
+    for end in itertools.accumulate(sizes.sizes):
+        community_links, used = wire_intra(grouped[start:end], pairing_shape, rng)
         parts.append(community_links)
         repairs += used
+        start = end
     components = check_connectivity(node_ids, community, np.concatenate(parts), len(sizes))
     disconnected = np.flatnonzero(components > 1).tolist()
     if disconnected:

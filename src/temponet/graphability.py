@@ -120,6 +120,15 @@ def check_graphable(
     max condition on per-community inter aggregates, and the bound
     ``f_i <= n - |c_i|`` on every node's inter degree.  Without one, only
     the global parities and the capacity matching can be verified.
+
+    The membership conditions are one segmented numpy pass over every
+    community at once, on the intra degrees sorted by (community, e): a
+    degree above the room ``size - 1``, an odd intra sum and the
+    Erdos-Gallai inequalities of every k, with one ``searchsorted`` over a
+    (community, e) key.  The report names the first failing community and,
+    of its failing conditions, the first in that order, as one loop over
+    the communities would.  The inter aggregates are one ``bincount`` and
+    the node bound one first-index search.
     """
     n = len(spec)
     if sizes.node_count != n:
@@ -147,64 +156,95 @@ def check_graphable(
             )
         return GraphabilityReport(True)
 
-    membership = [int(c) for c in membership]
-    if len(membership) != n:
+    member = np.asarray(membership, dtype=np.int64)
+    if member.shape != (n,):
         raise ConfigurationError("membership length does not match the degree slots")
     k = len(sizes)
-    members: list[list[int]] = [[] for _ in range(k)]
-    for slot, c in enumerate(membership):
-        if not 0 <= c < k:
-            raise ConfigurationError(f"slot {slot}: community index {c} out of range")
-        members[c].append(slot)
-    for c, group in enumerate(members):
-        if len(group) != sizes.sizes[c]:
-            raise ConfigurationError(
-                f"community {c}: membership places {len(group)} nodes, size is {sizes.sizes[c]}"
-            )
+    outside_range = (member < 0) | (member >= k)
+    if outside_range.any():
+        slot = int(outside_range.argmax())
+        raise ConfigurationError(f"slot {slot}: community index {member[slot]} out of range")
+    size = np.array(sizes.sizes, dtype=np.int64)
+    counts = np.bincount(member, minlength=k)
+    miscounted = counts != size
+    if miscounted.any():
+        c = int(miscounted.argmax())
+        raise ConfigurationError(
+            f"community {c}: membership places {counts[c]} nodes, size is {size[c]}"
+        )
 
-    for c, group in enumerate(members):
-        es = [intra[i] for i in group]
-        size = sizes.sizes[c]
-        if any(e > size - 1 for e in es):
+    # every community is a non-empty segment [starts[c], ends[c]) of the
+    # intra degrees sorted by (community, e)
+    e = np.array(intra, dtype=np.int64)
+    span = int(e.max()) + 1
+    key = member * span + e
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    seg = member[order]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    es = e[order]
+    cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(es, out=cum[1:])
+    too_high = es[ends - 1] > size - 1
+    odd = (cum[ends] - cum[starts]) % 2 == 1
+    # Erdos-Gallai for every k of every community at once: the entry at
+    # position i of segment [s, t) is its (t - i)-th largest, the tail after
+    # the k largest is [s, i), and its entries at most k are [s, below).  A
+    # key past the segment's last (k >= span) is capped at i like any other;
+    # an entry equal to k adds k whichever side the search takes
+    pos = np.arange(n)
+    s, t = starts[seg], ends[seg]
+    kk = t - pos
+    below = np.minimum(np.searchsorted(key, seg * span + kk, side="right"), pos)
+    rhs = kk * (kk - 1) + cum[below] - cum[s] + kk * (pos - below)
+    not_graphic = np.zeros(k, dtype=bool)
+    not_graphic[seg[cum[t] - cum[pos] > rhs]] = True
+    failing = too_high | odd | not_graphic
+    if failing.any():
+        c = int(failing.argmax())
+        if too_high[c]:
             return GraphabilityReport(
                 False,
                 c,
                 FailedCondition.ASSIGNMENT_INFEASIBLE,
                 f"community {c}: an intra degree reaches the community size",
             )
-        if sum(es) % 2 == 1:
+        if odd[c]:
             return GraphabilityReport(
                 False, c, FailedCondition.INTRA_PARITY, f"community {c}: odd intra degree sum"
             )
-        if not erdos_gallai(es):
-            return GraphabilityReport(
-                False,
-                c,
-                FailedCondition.INTRA_ERDOS_GALLAI,
-                f"community {c}: intra sequence fails the Erdos-Gallai condition",
-            )
+        return GraphabilityReport(
+            False,
+            c,
+            FailedCondition.INTRA_ERDOS_GALLAI,
+            f"community {c}: intra sequence fails the Erdos-Gallai condition",
+        )
 
-    aggregates = [sum(inter[i] for i in group) for group in members]
-    if sum(aggregates) % 2 == 1:
+    f = np.array(inter, dtype=np.int64)
+    aggregates = np.bincount(member, weights=f, minlength=k).astype(np.int64)
+    if int(aggregates.sum()) % 2 == 1:
         return GraphabilityReport(
             False, None, FailedCondition.INTER_PARITY, "total inter degree sum is odd"
         )
     if not inter_graphable(aggregates):
-        worst = max(range(k), key=lambda c: aggregates[c])
+        worst = int(aggregates.argmax())
         return GraphabilityReport(
             False,
             worst,
             FailedCondition.INTER_MAX,
             f"community {worst}: inter aggregate exceeds the remaining inter stubs",
         )
-    for slot, c in enumerate(membership):
-        outside = n - sizes.sizes[c]
-        if inter[slot] > outside:
-            return GraphabilityReport(
-                False,
-                c,
-                FailedCondition.INTER_NODE_MAX,
-                f"community {c}: slot {slot} needs {inter[slot]} inter partners,"
-                f" only {outside} nodes lie outside",
-            )
+    outside = n - size[member]
+    crowded = f > outside
+    if crowded.any():
+        slot = int(crowded.argmax())
+        c = int(member[slot])
+        return GraphabilityReport(
+            False,
+            c,
+            FailedCondition.INTER_NODE_MAX,
+            f"community {c}: slot {slot} needs {inter[slot]} inter partners,"
+            f" only {outside[slot]} nodes lie outside",
+        )
     return GraphabilityReport(True)
