@@ -26,8 +26,9 @@ community's id set of a snapshot.
 The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
 enumeration oracle; the library keeps only the count.  ``reference_layers``
-installs the stub-pairing and CSV-export references in the library, so a
-whole run can be compared with one through the library's own kernels.
+installs the placement, gate, stub-pairing and CSV-export references in the
+library, so a whole run can be compared with one through the library's own
+kernels.
 """
 
 from __future__ import annotations
@@ -1255,13 +1256,15 @@ def reference_export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
 
 @contextlib.contextmanager
 def reference_layers():
-    """Install the reference wiring loop and CSV export in temponet.
+    """Install the reference placement, gate, wiring loop and CSV export in temponet.
 
-    Inside the block, every wiring phase of ``assemble_snapshot`` runs
-    through ``reference_wire_phase`` with the library's repair bound, its
-    links as (m, 2) int64 rows (u, v), u < v, in sorted order, and ``run``
-    exports through ``reference_export_temporal_csv``.  The library's own
-    kernels are restored on exit.
+    Inside the block, ``assemble_snapshot`` places nodes through
+    ``reference_assign_nodes``, gates each assignment through
+    ``reference_check_graphable`` and runs every wiring phase through
+    ``reference_wire_phase`` with the library's repair bound, its links as
+    (m, 2) int64 rows (u, v), u < v, in sorted order; ``run`` exports
+    through ``reference_export_temporal_csv``.  The library's own functions
+    are restored on exit.
     """
 
     def wire_phase(entries, shape, rng, community_of=None):
@@ -1270,13 +1273,20 @@ def reference_layers():
         links, repairs = reference_wire_phase(entries, shape, rng, bound, community_of)
         return np.array(sorted(links), dtype=np.int64).reshape(-1, 2), repairs
 
-    saved = assembler._wire_phase, pipeline.export_temporal_csv
-    assembler._wire_phase = wire_phase
-    pipeline.export_temporal_csv = reference_export_temporal_csv
+    installed = {
+        (assembler, "assign_nodes"): reference_assign_nodes,
+        (assembler, "check_graphable"): reference_check_graphable,
+        (assembler, "_wire_phase"): wire_phase,
+        (pipeline, "export_temporal_csv"): reference_export_temporal_csv,
+    }
+    saved = {(owner, name): getattr(owner, name) for owner, name in installed}
+    for (owner, name), function in installed.items():
+        setattr(owner, name, function)
     try:
         yield
     finally:
-        assembler._wire_phase, pipeline.export_temporal_csv = saved
+        for (owner, name), function in saved.items():
+            setattr(owner, name, function)
 
 
 # node assignment with one numpy scan over the tuples per node, and the

@@ -352,10 +352,16 @@ def _run_outcome(cfg):
 
 
 def test_runs_match_the_reference_wiring_and_export(tmp_path):
-    # 100 small seeded configs, run once through the library and once with
-    # the reference wiring loop and CSV export installed: every output byte,
-    # or the error text, must agree.  Dense small communities force wiring
-    # repairs, and some configs end in an error.
+    """100 small seeded configs, run once through the library and once
+    with ``reference_layers`` installed: every output byte, or the error
+    text, must agree.
+
+    The references cover node placement (``assign_nodes``, bootstrap and
+    temporal), the post-assignment gate (``check_graphable`` with a
+    membership), intra and inter wiring (``_wire_phase``) and the CSV export
+    (``export_temporal_csv``).  Dense small communities force wiring
+    repairs, and some configs end in an error.
+    """
     gen = np.random.default_rng(2718)
     ends = Counter()
     for case in range(100):
