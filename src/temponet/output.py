@@ -252,28 +252,51 @@ def _parse_interval(text: str, width: int, path, row: int) -> list[tuple[int, ..
     return out
 
 
+def _rows(path, id_fields):
+    """The rows of an exported CSV after its header, numbered from 1, with
+    the ``id_fields`` parsed as integers.
+
+    Raises ``ConfigurationError`` naming the file and the row for a row
+    with fewer fields than the header and for an id that is not an integer.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for n, row in enumerate(reader, 1):
+            if None in row.values():
+                given = sum(value is not None for value in row.values())
+                raise ConfigurationError(
+                    f"{path} row {n}: {given} fields, the header names {len(reader.fieldnames)}"
+                )
+            ids = []
+            for name in id_fields:
+                try:
+                    ids.append(int(row[name]))
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{path} row {n}: bad {name} {row[name]!r}"
+                    ) from None
+            yield n, row, ids
+
+
 def read_temporal_csv(nodes_path, edges_path):
     """Parse the exported CSVs back into per-timestep node/community/edge maps.
 
     Returns ``(communities, edges)`` where ``communities[t]`` maps node id to
     community label and ``edges[t]`` is the set of node-id pairs alive at t.
-    A malformed interval raises ``ConfigurationError`` naming the file, the
-    row (1 for the first row after the header) and the segment.
+    A malformed interval, a non-integer id and a row with fewer fields than
+    the header raise ``ConfigurationError`` naming the file and the row (1
+    for the first row after the header).
     """
     communities: dict[int, dict[int, int]] = {}
     edges: dict[int, set[tuple[int, int]]] = {}
-    with open(nodes_path, newline="", encoding="utf-8") as fh:
-        for n, row in enumerate(csv.DictReader(fh), 1):
-            nid = int(row["Id"])
-            for a, b, label in _parse_interval(row["Communities"], 3, nodes_path, n):
-                for t in range(a, b):
-                    communities.setdefault(t, {})[nid] = label
-    with open(edges_path, newline="", encoding="utf-8") as fh:
-        for n, row in enumerate(csv.DictReader(fh), 1):
-            u, v = int(row["Source"]), int(row["Target"])
-            for a, b in _parse_interval(row["Interval"], 2, edges_path, n):
-                for t in range(a, b):
-                    edges.setdefault(t, set()).add((u, v))
+    for n, row, (nid,) in _rows(nodes_path, ("Id",)):
+        for a, b, label in _parse_interval(row["Communities"], 3, nodes_path, n):
+            for t in range(a, b):
+                communities.setdefault(t, {})[nid] = label
+    for n, row, (u, v) in _rows(edges_path, ("Source", "Target")):
+        for a, b in _parse_interval(row["Interval"], 2, edges_path, n):
+            for t in range(a, b):
+                edges.setdefault(t, set()).add((u, v))
     for t in communities:
         edges.setdefault(t, set())
     return communities, edges

@@ -366,6 +366,29 @@ def test_read_rejects_a_malformed_interval(tmp_path, name, text, segment):
     assert str(info.value) == f"{tmp_path / name} row 2: bad interval segment {segment!r}"
 
 
+@pytest.mark.parametrize(
+    "name, row, problem",
+    [
+        ("nodes.csv", '1x,n1,"<[0,2,5)>","<[0,2)>"', "bad Id '1x'"),
+        ("edges.csv", '0,two,Undirected,"<[0,2)>"', "bad Target 'two'"),
+        ("edges.csv", ',2,Undirected,"<[0,2)>"', "bad Source ''"),
+        ("nodes.csv", '1,n1,"<[0,2,5)>"', "3 fields, the header names 4"),
+        ("edges.csv", "0,2", "2 fields, the header names 4"),
+    ],
+)
+def test_read_rejects_a_bad_id_or_a_short_row(tmp_path, name, row, problem):
+    # the bad row is the second of its file
+    good = {
+        "nodes.csv": 'Id,Label,Communities,Interval\n0,n0,"<[0,2,5)>","<[0,2)>"\n',
+        "edges.csv": 'Source,Target,Type,Interval\n0,1,Undirected,"<[0,2)>"\n',
+    }
+    for file, head in good.items():
+        (tmp_path / file).write_text(head + (row + "\n" if file == name else ""))
+    with pytest.raises(ConfigurationError) as info:
+        read_temporal_csv(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    assert str(info.value) == f"{tmp_path / name} row 2: {problem}"
+
+
 def test_export_requires_snapshots(tmp_path):
     with pytest.raises(ConfigurationError):
         export_temporal_csv([], tmp_path)
