@@ -282,6 +282,8 @@ def _prefix(tree: list[int], i: int) -> int:
     return s
 
 
+# tree sizes are powers of two, so a run needs few tables; the largest holds
+# about half of the cache's memory
 @functools.lru_cache(maxsize=16)
 def _paths(size: int) -> list[tuple[int, ...]]:
     """The update paths of a Fenwick tree over ``size`` positions (a power of two).

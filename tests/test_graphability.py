@@ -320,12 +320,10 @@ def _random_gate_case(gen, trial):
         i = int(gen.integers(n))
         intra[i] = rooms[i] + int(gen.integers(0, 3))
     if gen.random() < 0.7:
-        odd = {}
-        for slot, c in enumerate(membership):
-            if intra[slot]:
-                odd[c] = slot
+        # an odd community sum loses one from its last positive degree
+        last = {c: slot for slot, c in enumerate(membership) if intra[slot]}
         sums = np.bincount(membership, weights=intra, minlength=k)
-        for c, slot in odd.items():
+        for c, slot in last.items():
             if int(sums[c]) % 2:
                 intra[slot] -= 1
     outside = [n - sizes[c] for c in membership]
