@@ -10,7 +10,9 @@ search with its hashed visited set and try thresholds, the steepest descent
 scoring one jump at a time with ``math.log`` per cell, max-chunk and
 min-VI greedy scanning every open cell per commit, the sorted-residual
 greedy on numpy residuals, and the proportional fill ordering its cells with
-a Python ``sorted``.  The lifecycle classifier and
+a Python ``sorted``.  The VI of a flow keeps its boolean masks and broadcast
+row and column sums, and the materialization of a flow reads it one numpy
+cell at a time.  The lifecycle classifier and
 its event table keep their earlier forms as well, with every rule written out
 once per side.  So do the parity repair with its separate fallback loop,
 snapshot validation with its separate degree passes, and the CSV export with
@@ -650,7 +652,60 @@ def reference_proportional_fill(system) -> np.ndarray:
     return u + base
 
 
-_MIX = 0x9E3779B97F4A7C15
+def reference_variation_of_information(flow) -> float:
+    """``transition.variation_of_information`` through boolean masks and
+    broadcast row and column sums.
+
+    Natural logarithm; ``0 * log(.)`` terms are dropped.  The value is the
+    standard node-weighted form ``-sum r_ij [log(r_ij/p_i) + log(r_ij/q_j)]``
+    with ``r_ij = u_ij / n``.
+    """
+    u = np.asarray(flow, dtype=np.float64)
+    if u.size == 0 or u.sum() <= 0:
+        return 0.0
+    if u.min() < 0:
+        raise ConfigurationError("flow entries must be non-negative")
+    n = u.sum()
+    rows = u.sum(axis=1, keepdims=True)
+    cols = u.sum(axis=0, keepdims=True)
+    mask = u > 0
+    r = u[mask] / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = r * (
+            np.log(u[mask] / np.broadcast_to(rows, u.shape)[mask])
+            + np.log(u[mask] / np.broadcast_to(cols, u.shape)[mask])
+        )
+    return float(-terms.sum()) + 0.0  # normalize -0.0
+
+
+def reference_materialize_flow(flow, groups, rng) -> list[list[list[int]]]:
+    """``transition.materialize_flow`` reading the flow one numpy cell at a time.
+
+    ``groups[i]`` holds the node ids of source community ``i``; the result's
+    ``[i][j]`` is the list of ids flowing from i to j, drawn uniformly at
+    random without replacement.  Row sums must match the group populations.
+    """
+    u = np.asarray(flow, dtype=np.int64)
+    if len(groups) != u.shape[0]:
+        raise AssertionError("group count does not match the flow rows")
+    out = []
+    for i, group in enumerate(groups):
+        if int(u[i].sum()) != len(group):
+            raise AssertionError(
+                f"row {i}: flow moves {int(u[i].sum())} nodes, community holds {len(group)}"
+            )
+        perm = [group[idx] for idx in rng.permutation(len(group))]
+        chunks = []
+        at = 0
+        for j in range(u.shape[1]):
+            take = int(u[i, j])
+            chunks.append(perm[at : at + take])
+            at += take
+        out.append(chunks)
+    return out
+
+
+_MIX =0x9E3779B97F4A7C15
 
 
 def _splitmix64(x: int) -> int:

@@ -1,5 +1,7 @@
 """Flow systems, VI, enumeration, seed heuristics and the descent search."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,11 +38,13 @@ from oracles import (
     iter_lattice,
     random_feasible,
     reference_descent,
+    reference_materialize_flow,
     reference_max_chunk_greedy,
     reference_mi_greedy,
     reference_proportional_fill,
     reference_sorted_residual_greedy,
     reference_taboo_search,
+    reference_variation_of_information,
     vi_partitions,
     vi_reference,
 )
@@ -468,6 +472,76 @@ def test_materialize_identity_flow_keeps_membership():
 def test_materialize_population_mismatch_is_bug_signal():
     with pytest.raises(AssertionError):
         materialize_flow(np.array([[2]]), [[1, 2, 3]], np.random.default_rng(0))
+
+
+def _vi_flows(rng):
+    """Over 2,000 flows: every seed and a random vertex of pipeline-style
+    systems (every other one with a pinned death column), churn-size pools,
+    1x1, 1xl and kx1 flows, flows with zero rows and columns, and empty or
+    all-zero ones."""
+    flows = []
+    for system in _transition_systems(rng, 300):
+        flows += seed_pool(system)
+        flows.append(random_feasible(system, rng))
+    for system in _churn_systems(rng, 4):
+        flows += seed_pool(system)
+    for case in range(300):
+        k, l = (int(x) for x in rng.integers(1, 12, 2))
+        k, l = ((1, 1), (1, l), (k, 1), (k, l))[case % 4]
+        u = rng.integers(0, 30, (k, l)) * (rng.random((k, l)) < 0.6)
+        if case % 3 == 0:
+            u[int(rng.integers(k)), :] = 0
+            u[:, int(rng.integers(l))] = 0
+        flows.append(u)
+    flows += [np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 3), np.int64), [[7]], [[0, 5]]]
+    return flows
+
+
+def test_vi_matches_the_mask_reference_bit_for_bit():
+    flows = _vi_flows(np.random.default_rng(21))
+    assert len(flows) >= 2000
+    for u in flows:
+        got, want = variation_of_information(u), reference_variation_of_information(u)
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), u
+
+
+def _materialize_cases(rng):
+    """Small flows with empty source rows, 1x1, 1xl and kx1 flows, and
+    churn-size flows."""
+    shapes = [(1, 1), (1, 5), (6, 1), (3, 3)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 12, 2)) for _ in range(300)]
+    for k, l in shapes:
+        u = rng.integers(0, 6, (k, l)) * (rng.random((k, l)) < 0.5)
+        u[rng.random(k) < 0.2] = 0
+        yield u
+    for system in _churn_systems(rng, 3):
+        yield sorted_residual_greedy(system)
+
+
+def test_materialize_matches_the_cell_reference():
+    # the same chunks, and the generator left in the same state: every
+    # group draws its permutation, the empty ones included
+    gen = np.random.default_rng(22)
+    empty = 0
+    for flow in _materialize_cases(gen):
+        sums = flow.sum(axis=1).tolist()
+        ids = gen.choice(10 * sum(sums) + 10, size=sum(sums), replace=False).tolist()
+        ends = np.cumsum(sums).tolist()
+        groups = [ids[a:b] for a, b in zip([0] + ends, ends)]
+        seed = int(gen.integers(2**32))
+        lib, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert materialize_flow(flow, groups, lib) == reference_materialize_flow(flow, groups, ref)
+        assert lib.bit_generator.state == ref.bit_generator.state
+        empty += 0 in sums
+    assert empty >= 50
+    for flow, groups in ((np.array([[2]]), [[1, 2, 3]]), (np.array([[1], [1]]), [[4]])):
+        errors = []
+        for materialize in (materialize_flow, reference_materialize_flow):
+            with pytest.raises(AssertionError) as exc:
+                materialize(flow, groups, np.random.default_rng(0))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 def test_sparsity_similarity_correlation():
