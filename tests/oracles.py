@@ -661,10 +661,12 @@ def reference_variation_of_information(flow) -> float:
     with ``r_ij = u_ij / n``.
     """
     u = np.asarray(flow, dtype=np.float64)
-    if u.size == 0 or u.sum() <= 0:
+    if u.size == 0:
         return 0.0
     if u.min() < 0:
         raise ConfigurationError("flow entries must be non-negative")
+    if u.sum() <= 0:
+        return 0.0
     n = u.sum()
     rows = u.sum(axis=1, keepdims=True)
     cols = u.sum(axis=0, keepdims=True)

@@ -73,6 +73,13 @@ def test_vi_agrees_with_entropy_route():
         assert vi_partitions(px, py) == pytest.approx(vi_reference(px, py), abs=1e-10)
 
 
+@pytest.mark.parametrize("flow", [[[-1, 1]], [[-2]], [[0, -1], [1, 0]], [[3, -1]]])
+def test_vi_rejects_negative_entries_whatever_their_sum(flow):
+    for vi in (variation_of_information, reference_variation_of_information):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            vi(flow)
+
+
 def test_vi_rejects_mismatched_node_sets():
     with pytest.raises(ConfigurationError):
         vi_partitions([{1, 2}], [{1, 2, 3}])
