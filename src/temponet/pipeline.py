@@ -289,20 +289,24 @@ def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: i
     if not cfg.no_search:
         flow = taboo_search(system, flow, kernel_basis(system))
 
-    # concrete node moves: survivors only; the pinned death column is the kill set
-    groups = [snap.ids[(snap.community == i) & ~dies].tolist() for i in range(k_real)]
+    # concrete node moves: survivors only; the pinned death column is the kill
+    # set.  One stable argsort groups the survivors by community, each group
+    # in the ids' own order.
+    community = snap.community[~dies]
+    order = np.argsort(community, kind="stable")
+    ids = snap.ids[~dies][order].tolist()
+    ends = np.bincount(community, minlength=k_real).cumsum().tolist()
+    groups = [ids[a:b] for a, b in zip([0] + ends, ends)]
     moved = materialize_flow(flow[:k_real, :l_real], groups, rng)
     surviving: dict[int, int] = {}
-    for i in range(k_real):
-        for j in range(l_real):
-            for nid in moved[i][j]:
-                surviving[nid] = j
+    for chunks in moved:
+        for j, chunk in enumerate(chunks):
+            surviving.update(dict.fromkeys(chunk, j))
     if plan.birth_row is not None:
         nid = prev.next_id
-        for j in range(l_real):
-            for _ in range(int(flow[plan.birth_row, j])):
-                surviving[nid] = j
-                nid += 1
+        for j, born in enumerate(flow[plan.birth_row, :l_real].tolist()):
+            surviving.update(dict.fromkeys(range(nid, nid + born), j))
+            nid += born
     return _Moves(plan, flow, pool_vi, surviving)
 
 

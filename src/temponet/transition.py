@@ -31,6 +31,7 @@ on some inputs, and those bits decide ties between seeds and between jumps.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,25 +137,24 @@ def variation_of_information(flow) -> float:
 
     Natural logarithm; ``0 * log(.)`` terms are dropped.  The value is the
     standard node-weighted form ``-sum r_ij [log(r_ij/p_i) + log(r_ij/q_j)]``
-    with ``r_ij = u_ij / n``.
+    with ``r_ij = u_ij / n``.  A flow with a negative entry raises
+    ``ConfigurationError``; an empty or all-zero flow has VI 0.0.
+
+    The nonzero cells are gathered once, in row-major order, with their row
+    and column sums, so each term is computed from positive numbers only and
+    the terms are summed in the order of the cells.
     """
     u = np.asarray(flow, dtype=np.float64)
     if u.size == 0:
         return 0.0
     if u.min() < 0:
         raise ConfigurationError("flow entries must be non-negative")
-    if u.sum() <= 0:
-        return 0.0
     n = u.sum()
-    rows = u.sum(axis=1, keepdims=True)
-    cols = u.sum(axis=0, keepdims=True)
-    mask = u > 0
-    r = u[mask] / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = r * (
-            np.log(u[mask] / np.broadcast_to(rows, u.shape)[mask])
-            + np.log(u[mask] / np.broadcast_to(cols, u.shape)[mask])
-        )
+    if n <= 0:
+        return 0.0
+    i, j = u.nonzero()
+    v = u[i, j]
+    terms = (v / n) * (np.log(v / u.sum(axis=1)[i]) + np.log(v / u.sum(axis=0)[j]))
     return float(-terms.sum()) + 0.0  # normalize -0.0
 
 
@@ -347,29 +347,43 @@ def max_chunk_greedy(system: FlowSystem) -> np.ndarray:
 
 
 def northwest_sorted(system: FlowSystem) -> np.ndarray:
-    """Northwest-corner rule on the size-sorted communities."""
-    rr = system.row_slack.astype(np.int64)
-    cr = system.col_slack.astype(np.int64)
+    """Northwest-corner rule on the size-sorted communities.
+
+    Rows and columns are visited by falling slack, ties in index order.
+    Every commit advances the row, the column or both, so the committed
+    cells are distinct and are written to the flow in one pass.
+    """
+    rr = system.row_slack.tolist()
+    cr = system.col_slack.tolist()
     ri = sorted(range(system.k), key=lambda i: (-rr[i], i))
     cj = sorted(range(system.l), key=lambda j: (-cr[j], j))
-    rem_r = [int(rr[i]) for i in ri]
-    rem_c = [int(cr[j]) for j in cj]
-    u = system.lower.copy()
+    rem_r = [rr[i] for i in ri]
+    rem_c = [cr[j] for j in cj]
+    rows, cols, amounts = [], [], []
     a = b = 0
     while a < len(ri) and b < len(cj):
         m = min(rem_r[a], rem_c[b])
-        u[ri[a], cj[b]] += m
+        rows.append(ri[a])
+        cols.append(cj[b])
+        amounts.append(m)
         rem_r[a] -= m
         rem_c[b] -= m
         if rem_r[a] == 0:
             a += 1
-        if b < len(cj) and rem_c[b] == 0:
+        if rem_c[b] == 0:
             b += 1
+    u = system.lower.copy()
+    u[rows, cols] += amounts
     return u
 
 
 def proportional_fill(system: FlowSystem) -> np.ndarray:
-    """Rounded independence product ``s_i * s'_j / n`` with integer repair."""
+    """Rounded independence product ``s_i * s'_j / n`` with integer repair.
+
+    The product and its floors are one numpy pass; the deficits are then
+    handed out over Python int residuals, and each cell gains at most one
+    node in the fractional pass, so those gains are written in one pass.
+    """
     rr = system.row_slack.astype(np.float64)
     cr = system.col_slack.astype(np.float64)
     total = rr.sum()
@@ -378,22 +392,26 @@ def proportional_fill(system: FlowSystem) -> np.ndarray:
         return u
     target = np.outer(rr, cr) / total
     base = np.floor(target).astype(np.int64)
-    rem_r = system.row_slack - base.sum(axis=1)
-    rem_c = system.col_slack - base.sum(axis=0)
+    rem_r = (system.row_slack - base.sum(axis=1)).tolist()
+    rem_c = (system.col_slack - base.sum(axis=0)).tolist()
     frac = target - base
     # distribute the deficits cell by cell, largest fractional part first; a
     # stable sort keeps ties in row-major order
+    l = system.l
+    gains = []
     for cell in np.argsort(-frac, axis=None, kind="stable").tolist():
-        i, j = divmod(cell, system.l)
+        i, j = divmod(cell, l)
         if rem_r[i] > 0 and rem_c[j] > 0:
-            base[i, j] += 1
+            gains.append(cell)
             rem_r[i] -= 1
             rem_c[j] -= 1
-    # the fractional pass can strand deficits; finish northwest style
+    base.flat[gains] += 1
+    # the fractional pass can strand deficits; finish northwest style, each
+    # into the first column with the largest residual
     for i in range(system.k):
         while rem_r[i] > 0:
-            j = int(np.argmax(rem_c))
-            m = min(int(rem_r[i]), int(rem_c[j]))
+            j = rem_c.index(max(rem_c))
+            m = min(rem_r[i], rem_c[j])
             base[i, j] += m
             rem_r[i] -= m
             rem_c[j] -= m
@@ -535,22 +553,21 @@ def materialize_flow(flow, groups, rng) -> list[list[list[int]]]:
     ``groups[i]`` holds the node ids of source community ``i``; the result's
     ``[i][j]`` is the list of ids flowing from i to j, drawn uniformly at
     random without replacement.  Row sums must match the group populations.
+
+    Each group, empty ones included, draws one ``rng.permutation`` of its
+    size, in group order; the flow's row then cuts that permutation into
+    consecutive chunks, column by column.
     """
     u = np.asarray(flow, dtype=np.int64)
     if len(groups) != u.shape[0]:
         raise AssertionError("group count does not match the flow rows")
     out = []
-    for i, group in enumerate(groups):
-        if int(u[i].sum()) != len(group):
+    for i, (group, row) in enumerate(zip(groups, u.tolist())):
+        if sum(row) != len(group):
             raise AssertionError(
-                f"row {i}: flow moves {int(u[i].sum())} nodes, community holds {len(group)}"
+                f"row {i}: flow moves {sum(row)} nodes, community holds {len(group)}"
             )
-        perm = [group[idx] for idx in rng.permutation(len(group))]
-        chunks = []
-        at = 0
-        for j in range(u.shape[1]):
-            take = int(u[i, j])
-            chunks.append(perm[at : at + take])
-            at += take
-        out.append(chunks)
+        perm = [group[idx] for idx in rng.permutation(len(group)).tolist()]
+        starts = itertools.accumulate(row, initial=0)
+        out.append([perm[at : at + take] for at, take in zip(starts, row)])
     return out
