@@ -28,9 +28,9 @@ community's id set of a snapshot.
 The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
 enumeration oracle; the library keeps only the count.  ``reference_layers``
-installs the placement, gate, stub-pairing and CSV-export references in the
-library, so a whole run can be compared with one through the library's own
-kernels.
+installs the placement, gate, stub-pairing, CSV-export and flow-transition
+references in the library, so a whole run can be compared with one through
+the library's own kernels.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from temponet.lifecycle import (
     LifecycleThresholds,
     flow_jaccard,
 )
+from temponet.transition import northwest_sorted
 
 
 def realizable_with_parts(degrees, parts) -> bool:
@@ -1311,17 +1312,35 @@ def reference_export_temporal_csv(snapshots, outdir) -> tuple[str, str]:
     return nodes_path, edges_path
 
 
+def reference_seed_pool(system) -> list[np.ndarray]:
+    """``transition.seed_pool`` from the heuristics' references, in the pool's order.
+
+    ``northwest_sorted`` has no reference: its library form is the plain loop.
+    """
+    return [
+        reference_mi_greedy(system),
+        reference_sorted_residual_greedy(system),
+        reference_max_chunk_greedy(system),
+        northwest_sorted(system),
+        reference_proportional_fill(system),
+    ]
+
+
 @contextlib.contextmanager
 def reference_layers():
-    """Install the reference placement, gate, wiring loop and CSV export in temponet.
+    """Install the reference placement, gate, wiring loop, CSV export and
+    flow transition in temponet.
 
     Inside the block, ``assemble_snapshot`` places nodes through
     ``reference_assign_nodes``, gates each assignment through
     ``reference_check_graphable`` and runs every wiring phase through
     ``reference_wire_phase`` with the library's repair bound, its links as
-    (m, 2) int64 rows (u, v), u < v, in sorted order; ``run`` exports
-    through ``reference_export_temporal_csv``.  The library's own functions
-    are restored on exit.
+    (m, 2) int64 rows (u, v), u < v, in sorted order.  ``run`` builds each
+    boundary's seed pool through ``reference_seed_pool``, scores flows through
+    ``reference_variation_of_information``, searches through
+    ``reference_descent``, materializes through ``reference_materialize_flow``
+    and exports through ``reference_export_temporal_csv``.  The library's own
+    functions are restored on exit.
     """
 
     def wire_phase(entries, shape, rng, community_of=None):
@@ -1334,6 +1353,10 @@ def reference_layers():
         (assembler, "assign_nodes"): reference_assign_nodes,
         (assembler, "check_graphable"): reference_check_graphable,
         (assembler, "_wire_phase"): wire_phase,
+        (pipeline, "seed_pool"): reference_seed_pool,
+        (pipeline, "variation_of_information"): reference_variation_of_information,
+        (pipeline, "taboo_search"): reference_descent,
+        (pipeline, "materialize_flow"): reference_materialize_flow,
         (pipeline, "export_temporal_csv"): reference_export_temporal_csv,
     }
     saved = {(owner, name): getattr(owner, name) for owner, name in installed}
