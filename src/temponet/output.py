@@ -303,14 +303,17 @@ def read_temporal_csv(nodes_path, edges_path):
 
 
 def _contingency_lines(boundary: BoundaryReport) -> list[str]:
+    """The flow table, every label and count right-aligned to one width.
+
+    Each row is one ``%`` format call: its label and its int counts.
+    """
     width = max(
         [len(lbl) for lbl in boundary.row_labels + boundary.col_labels] + [5]
     )
     head = " " * (width + 1) + " ".join(f"{lbl:>{width}}" for lbl in boundary.col_labels)
     lines = [head]
     for lbl, row in zip(boundary.row_labels, boundary.contingency):
-        cells = " ".join(f"{x:>{width}}" for x in row)
-        lines.append(f"{lbl:>{width}} {cells}")
+        lines.append((f"%{width}s " + " ".join([f"%{width}d"] * len(row))) % (lbl, *row))
     return lines
 
 

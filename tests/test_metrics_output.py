@@ -423,6 +423,25 @@ def test_report_files(tmp_path):
     assert payload["version"] == __version__
 
 
+def test_contingency_rows_align_to_the_widest_label():
+    boundary = output.BoundaryReport(
+        t_from=0, t_to=1, vi=0.5, contingency=[[3, 0, 12], [0, 1234567, 0]],
+        row_labels=["7", "births"], col_labels=["1000000", "9", "deaths"],
+        temporal_degree_correlation=0.0, correlation_degenerate=False,
+        deaths=12, births=1234567, seed_pool_vi=[0.5],
+    )
+    assert output._contingency_lines(boundary) == [
+        "        1000000       9  deaths",
+        "      7       3       0      12",
+        " births       0 1234567       0",
+    ]
+    boundary.row_labels, boundary.col_labels = ["0", "1"], ["0", "1", "2"]
+    assert output._contingency_lines(boundary)[1:] == [
+        "    0     3     0    12",
+        "    1     0 1234567     0",
+    ]
+
+
 def test_large_uniform_network_assortativity_near_zero():
     # structural sanity at n = 10^4: uniform pairing keeps the coefficient
     # within +-0.05 of zero
