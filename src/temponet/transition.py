@@ -26,6 +26,12 @@ a size is scored and kept for later transitions (up to 1,024 sizes).  The
 tables let a whole matrix of contributions be scored with numpy gathers.
 ``np.log`` cannot replace them: it differs from ``math.log`` in the last bit
 on some inputs, and those bits decide ties between seeds and between jumps.
+
+The matrices here are small (a few to a few thousand cells), so a numpy call
+costs more than the arithmetic it does.  Each whole-matrix quantity (a
+flow's VI terms, the proportional product, a score table) is therefore one
+numpy pass, and the bookkeeping between passes (residuals, commits, the
+chunks of a materialized flow) runs on Python ints and lists.
 """
 
 from __future__ import annotations
@@ -91,8 +97,8 @@ class FlowSystem:
         return (
             u.shape == (self.k, self.l)
             and bool((u >= self.lower).all())
-            and bool((u.sum(axis=1) == np.asarray(self.sizes_from)).all())
-            and bool((u.sum(axis=0) == np.asarray(self.sizes_to)).all())
+            and u.sum(axis=1).tolist() == list(self.sizes_from)
+            and u.sum(axis=0).tolist() == list(self.sizes_to)
         )
 
 
@@ -349,31 +355,26 @@ def max_chunk_greedy(system: FlowSystem) -> np.ndarray:
 def northwest_sorted(system: FlowSystem) -> np.ndarray:
     """Northwest-corner rule on the size-sorted communities.
 
-    Rows and columns are visited by falling slack, ties in index order.
-    Every commit advances the row, the column or both, so the committed
-    cells are distinct and are written to the flow in one pass.
+    Rows and columns are visited by falling slack; ``sorted`` is stable, also
+    with ``reverse``, so ties keep index order.
     """
     rr = system.row_slack.tolist()
     cr = system.col_slack.tolist()
-    ri = sorted(range(system.k), key=lambda i: (-rr[i], i))
-    cj = sorted(range(system.l), key=lambda j: (-cr[j], j))
+    ri = sorted(range(system.k), key=rr.__getitem__, reverse=True)
+    cj = sorted(range(system.l), key=cr.__getitem__, reverse=True)
     rem_r = [rr[i] for i in ri]
     rem_c = [cr[j] for j in cj]
-    rows, cols, amounts = [], [], []
+    u = system.lower.copy()
     a = b = 0
     while a < len(ri) and b < len(cj):
         m = min(rem_r[a], rem_c[b])
-        rows.append(ri[a])
-        cols.append(cj[b])
-        amounts.append(m)
+        u[ri[a], cj[b]] += m
         rem_r[a] -= m
         rem_c[b] -= m
         if rem_r[a] == 0:
             a += 1
         if rem_c[b] == 0:
             b += 1
-    u = system.lower.copy()
-    u[rows, cols] += amounts
     return u
 
 
@@ -554,9 +555,9 @@ def materialize_flow(flow, groups, rng) -> list[list[list[int]]]:
     ``[i][j]`` is the list of ids flowing from i to j, drawn uniformly at
     random without replacement.  Row sums must match the group populations.
 
-    Each group, empty ones included, draws one ``rng.permutation`` of its
-    size, in group order; the flow's row then cuts that permutation into
-    consecutive chunks, column by column.
+    Each group draws one ``rng.permutation`` of its size, in group order,
+    also when it is empty or its row sends it to one target; the flow's row
+    then cuts that permutation into consecutive chunks, column by column.
     """
     u = np.asarray(flow, dtype=np.int64)
     if len(groups) != u.shape[0]:

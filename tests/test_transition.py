@@ -25,6 +25,7 @@ from temponet.transition import (
     _log_table,
     _move_cells,
     max_chunk_greedy,
+    northwest_sorted,
     proportional_fill,
     sorted_residual_greedy,
 )
@@ -195,6 +196,12 @@ def test_seed_pool_feasible_and_unique_solution_case():
     system = build_flow_system((10, 8, 6), (12, 10, 2))
     for flow in seed_pool(system):
         assert system.is_feasible(flow)
+
+
+def test_northwest_visits_ties_in_index_order():
+    # rows by slack 5, 3, 3 visit rows 1, 0, 2; columns 4, 4, 3 visit 0, 1, 2
+    system = build_flow_system((3, 5, 3), (4, 4, 3))
+    assert northwest_sorted(system).tolist() == [[0, 3, 0], [4, 1, 0], [0, 0, 3]]
 
 
 def test_best_of_pool_beats_random_feasible():
