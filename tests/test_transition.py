@@ -535,7 +535,7 @@ def _materialize_cases(rng):
 
 def test_materialize_matches_the_cell_reference():
     # the same chunks, and the generator left in the same state: every
-    # group draws its permutation, the empty ones included
+    # group draws its permutation, also one whose row has a single target
     gen = np.random.default_rng(22)
     empty = 0
     for flow in _materialize_cases(gen):
