@@ -18,9 +18,11 @@ once per side.  So do the parity repair with its separate fallback loop,
 snapshot validation with its separate degree passes, and the CSV export with
 one run merger per field.  Assortativity, modularity and the connectivity
 check keep their per-link Python loops.  Node assignment keeps its numpy
-scan over every tuple per node and its draw of one variate per node, and the
-Erdos-Gallai test its loop over k, and the capacity gate its heap
-placement.  The full gate of an assigned snapshot keeps its pass per
+scan over every tuple per node and its draw of one variate per node, and
+recounts Hall's count from scratch for each temporal pick; the first-fit
+temporal placement, which raised mid-pass, stays as an oracle of the picks
+that rule leaves alone.  The Erdos-Gallai test keeps its loop over k, and
+the capacity gate its heap placement.  The full gate of an assigned snapshot keeps its pass per
 community, one intra sequence at a time.  The partition contingency, the VI
 of two partitions and the best-of-pool pick live only here, since only tests
 use them, as do the building of a snapshot from a ``Node`` dict and each
@@ -1369,8 +1371,8 @@ def reference_layers():
             setattr(owner, name, function)
 
 
-# node assignment with one numpy scan over the tuples per node, and the
-# Erdos-Gallai test with one searchsorted per k
+# node assignment with one numpy scan over the tuples per node, and Hall's
+# count recounted from scratch for each temporal pick
 
 
 def reference_assign_nodes(
@@ -1394,12 +1396,19 @@ def reference_assign_nodes(
     a Beta(``temporal_shape``) position in the remaining degree-ordered tuple
     list (restricted to tuples that fit the community), largest previous
     degrees drawing first.  Ids without history (newborns) draw uniformly.
+    A pick after which Hall's count fails for the nodes still to place is
+    re-mapped: with z the largest threshold below the node's room at which
+    as many alive tuples lie above z as unplaced nodes have a room above z,
+    the same variate selects among the alive tuples with z < e <= room.
 
-    One pass; raises ``GraphabilityError`` when a node finds no fitting
-    community or tuple.  ``assemble_snapshot`` retries with fresh draws.
+    Either mode first checks Hall's count for the whole placement and raises
+    ``GraphabilityError`` before any draw when it fails; after that no pick
+    can fail.
     """
     n = len(spec)
     if surviving is None:
+        if not reference_assignment_feasible(sizes.sizes, spec.intra):
+            raise GraphabilityError("node assignment ran out of community capacity")
         order = sorted(range(n), key=lambda i: (-spec.intra[i], -spec.total[i], i))
         caps = np.array(sizes.sizes, dtype=np.int64)
         room = np.array(sizes.sizes) - 1
@@ -1407,8 +1416,7 @@ def reference_assign_nodes(
         for slot in order:
             e = spec.intra[slot]
             eligible = np.flatnonzero((caps > 0) & (room >= e))
-            if eligible.size == 0:
-                raise GraphabilityError("node assignment ran out of community capacity")
+            assert eligible.size, "Hall's count holds, so some community has room"
             cum = np.cumsum(caps[eligible])
             rank = int(rng.random() * int(cum[-1]))
             c = int(eligible[np.searchsorted(cum, rank, side="right")])
@@ -1420,6 +1428,83 @@ def reference_assign_nodes(
         raise ConfigurationError(
             f"{len(surviving)} surviving memberships for {n} degree slots"
         )
+    shape = temporal_shape or ShapeParams()
+    prev_degrees = prev_degrees or {}
+    survivors = sorted(
+        (nid for nid in surviving if nid in prev_degrees),
+        key=lambda nid: (-prev_degrees[nid], nid),
+    )
+    newborns = sorted(nid for nid in surviving if nid not in prev_degrees)
+    order = survivors + newborns
+    tuples = sorted(zip(spec.total, spec.intra), key=lambda de: (de[0], de[1]))
+    d_arr = np.array([d for d, _ in tuples], dtype=np.int64)
+    e_arr = np.array([e for _, e in tuples], dtype=np.int64)
+    rooms = np.array([sizes.sizes[surviving[nid]] - 1 for nid in order], dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    thresholds = np.arange(int(e_arr.max()) + 1)
+
+    def slack(j: int) -> np.ndarray:
+        """For each threshold x, the unplaced nodes (the j-th on) with a room
+        above x, minus the alive tuples with e above x."""
+        nodes = (rooms[j:, None] > thresholds).sum(axis=0)
+        return nodes - (e_arr[alive, None] > thresholds).sum(axis=0)
+
+    def hall(j: int) -> bool:
+        """Hall's count for placing the nodes from the j-th on onto the alive tuples."""
+        return bool((slack(j) >= 0).all())
+
+    if not hall(0):
+        raise GraphabilityError(
+            "degree tuples could not be matched to the flow-dictated communities"
+        )
+    out = {}
+    for j, nid in enumerate(order):
+        cap = int(rooms[j])
+        eligible = np.flatnonzero(alive & (e_arr <= cap))
+        if nid in prev_degrees:
+            pos = float(rng.beta(shape.alpha, shape.beta))
+            idx = min(int(pos * eligible.size), eligible.size - 1)
+        else:
+            drawn = int(rng.integers(eligible.size))
+            idx = drawn
+        pick = int(eligible[idx])
+        alive[pick] = False
+        safe = hall(j + 1)
+        alive[pick] = True
+        if not safe:
+            z = int(np.flatnonzero(slack(j)[:cap] == 0).max())
+            tight = np.flatnonzero(alive & (e_arr > z) & (e_arr <= cap))
+            if nid in prev_degrees:
+                idx = min(int(pos * tight.size), tight.size - 1)
+            else:
+                idx = drawn * tight.size // eligible.size
+            pick = int(tight[idx])
+        alive[pick] = False
+        out[nid] = (surviving[nid], int(d_arr[pick]), int(e_arr[pick]))
+    return out
+
+
+# the temporal placement before the Hall-slack rule: the first fitting pick,
+# raising mid-pass when a later node fits nowhere
+
+
+def first_fit_assign_nodes(
+    sizes: CommunitySpec,
+    spec: DegreeSpec,
+    rng: np.random.Generator,
+    surviving: dict[int, int],
+    temporal_shape: ShapeParams | None = None,
+    prev_degrees: dict[int, int] | None = None,
+) -> dict[int, tuple[int, int, int]]:
+    """Temporal placement that takes every pick as drawn; returns id -> (community, d, e).
+
+    Each node draws as in ``reference_assign_nodes`` among the alive tuples
+    that fit its community, with no look-ahead, so a pick may leave a later
+    node no fitting tuple; that node raises ``GraphabilityError``.  Wherever
+    this placement completes, Hall's count held after every pick, so the
+    Hall-slack rule never re-maps and gives the same tuples.
+    """
+    n = len(spec)
     shape = temporal_shape or ShapeParams()
     prev_degrees = prev_degrees or {}
     survivors = sorted(
@@ -1448,6 +1533,20 @@ def reference_assign_nodes(
         alive[pick] = False
         out[nid] = (surviving[nid], int(d_arr[pick]), int(e_arr[pick]))
     return out
+
+
+def rooms_admit_tuples(rooms, intra) -> bool:
+    """True iff every intra degree can go to a node of its own whose room reaches it.
+
+    Sorted pairing decides it: the j-th largest intra degree must fit the
+    j-th largest room, for every j.
+    """
+    if len(rooms) != len(intra):
+        raise ConfigurationError("as many rooms as intra degrees are needed")
+    return all(e <= r for e, r in zip(sorted(intra, reverse=True), sorted(rooms, reverse=True)))
+
+
+# the Erdos-Gallai test with one searchsorted per k
 
 
 def reference_erdos_gallai(degrees) -> bool:
