@@ -26,7 +26,9 @@ one numpy pass over the open-stub counts.
 
 Node assignment draws from Fenwick trees too: bootstrap placement from one
 tree over the k community capacities, temporal placement from trees over
-the degree tuples.  A snapshot groups its intra members with one stable
+the degree tuples.  Either mode checks Hall's count before it draws, and
+temporal placement keeps the count true pick by pick, so a pass that starts
+never fails.  A snapshot groups its intra members with one stable
 argsort of the community column and gates an assignment with one segmented
 pass over all communities, so its fixed cost grows with n log n, not n * k.
 """
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigurationError, GraphabilityError, WiringError
-from .graphability import check_graphable
+from .graphability import assignment_feasible, check_graphable
 from .sequences import CommunitySpec, DegreeSpec
 
 log = logging.getLogger(__name__)
@@ -53,11 +55,9 @@ log = logging.getLogger(__name__)
 # a wiring phase of m nodes raises WiringError after more than 50 * m repairs;
 # random realizable phases (n <= 40) needed at most 5.7 * m
 REPAIR_BUDGET_FACTOR = 50
-# a snapshot gives up after ASSIGNMENT_ATTEMPTS failed attempts; an attempt
-# fails at parity repair, at the gate, or after MISFIT_PASSES passes in a row
-# in which some node fit nowhere (so at most 200 assignment passes)
+# a snapshot gives up after ASSIGNMENT_ATTEMPTS placement passes that parity
+# repair or the gate rejects
 ASSIGNMENT_ATTEMPTS = 10
-MISFIT_PASSES = 20
 
 
 @dataclass
@@ -273,6 +273,19 @@ def _select(tree: list[int], size: int, rank: int) -> int:
     return q
 
 
+def _select_minus(tree: list[int], minus: list[int], size: int, rank: int) -> int:
+    """``_select`` over the difference of two Fenwick trees over ``size`` positions."""
+    q = 0
+    step = size >> 1
+    while step:
+        w = tree[q + step] - minus[q + step]
+        if w <= rank:
+            q += step
+            rank -= w
+        step >>= 1
+    return q
+
+
 def _prefix(tree: list[int], i: int) -> int:
     """The sum of a Fenwick tree's first ``i`` positions."""
     s = 0
@@ -327,7 +340,8 @@ def assign_nodes(
     takes ``rank = int(u * total)``, ``total`` the capacity in the tree, and
     the descent picks the first community whose capacity prefix sum exceeds
     it, the rank rule of wiring and temporal placement; the pick gives up
-    one unit of capacity.
+    one unit of capacity.  In this order no node runs out of capacity once
+    ``assignment_feasible`` holds, so that count runs first.
 
     Temporal mode: every id in ``surviving`` keeps its flow-dictated
     community; nodes with a previous degree draw their new tuple by sampling
@@ -343,17 +357,30 @@ def assign_nodes(
     the fixed point r = idx + (excluded alive tuples at or before it),
     reached from r = idx.
 
-    The uniforms (bootstrap) and the survivors' Beta variates (temporal) are
-    drawn in one call at the start; a node that fits nowhere rewinds the
-    generator and redraws the variates of the nodes before it, so the
-    generator is left as one draw per node leaves it.  Newborns draw one
-    ``rng.integers`` each.
+    Hall's count keeps every pass whole.  For each of those rooms,
+    ``slack[j]`` is the number of unplaced nodes with a room above
+    ``rooms[j]``, minus the alive tuples with ``e`` above it (the root of
+    its excluded tree); the rest of the nodes can be placed iff no slack is
+    negative, and rooms at or above the largest ``e`` never bind.  A node of
+    room R that takes a tuple of intra degree e lowers ``slack[j]`` by one
+    for ``rooms[j]`` in [e, R), so the pick is safe unless one of those is
+    0.  An unsafe pick is re-mapped: with z the largest tight index, the
+    same variate (a newborn's ``idx * sub // count``) selects among the
+    ``sub`` alive tuples with ``e`` in (``rooms[z]``, R], by one descent over
+    ``rooms[z]``'s excluded tree minus the node's own; there is always one,
+    and the pick is safe.  A pick that is safe is the pick of a placement
+    without the rule, so the rule changes a pass only where that placement
+    would have left some node no fitting tuple.
 
-    One pass; raises ``GraphabilityError`` when a node finds no fitting
-    community or tuple.  ``assemble_snapshot`` retries with fresh draws.
+    ``GraphabilityError`` comes only from the count before the first draw
+    (in either mode), when no placement exists.  The uniforms (bootstrap)
+    and the survivors' Beta variates (temporal) are drawn in one call at the
+    start; newborns draw one ``rng.integers`` each.
     """
     n = len(spec)
     if surviving is None:
+        if not assignment_feasible(sizes.sizes, spec.intra):
+            raise GraphabilityError("node assignment ran out of community capacity")
         order = sorted(range(n), key=lambda i: (-spec.intra[i], -spec.total[i], i))
         k = len(sizes)
         ksize = 1 << (k - 1).bit_length()
@@ -362,7 +389,6 @@ def assign_nodes(
         # communities by room, largest first; each joins once e falls to its room
         joining = sorted(range(k), key=sizes.sizes.__getitem__, reverse=True)
         joined = 0
-        saved = rng.bit_generator.state
         uniforms = rng.random(n).tolist()
         out: dict[int, tuple[int, int, int]] = {}
         for j, slot in enumerate(order):
@@ -372,12 +398,7 @@ def assign_nodes(
                 for i in paths[c]:
                     caps[i] += sizes.sizes[c]
                 joined += 1
-            total = caps[ksize]
-            if not total:
-                rng.bit_generator.state = saved
-                rng.random(j)
-                raise GraphabilityError("node assignment ran out of community capacity")
-            c = _select(caps, ksize, int(uniforms[j] * total))
+            c = _select(caps, ksize, int(uniforms[j] * caps[ksize]))
             for i in paths[c]:
                 caps[i] -= 1
             out[slot] = (c, spec.total[slot], e)
@@ -404,7 +425,8 @@ def assign_nodes(
     # the rooms below the largest e, and the positions of the tuples above
     # the smallest of them: the only tuples any room excludes
     top = max(e_of)
-    rooms = sorted({r for r in (sizes.sizes[c] - 1 for c in surviving.values()) if r < top})
+    node_rooms = sorted(sizes.sizes[c] - 1 for c in surviving.values())
+    rooms = sorted({r for r in node_rooms if r < top})
     low = rooms[0] if rooms else top
     high = [q for q, e in enumerate(e_of) if e > low]
     hsize = 1 << max(len(high) - 1, 0).bit_length()
@@ -412,20 +434,19 @@ def assign_nodes(
     e_high[: len(high)] = [e_of[q] for q in high]
     excluded = {r: _fenwick((e_high > r).astype(np.int64)) for r in rooms}
     hpaths = _paths(hsize)
-    saved = rng.bit_generator.state
+    slack = [n - bisect.bisect_right(node_rooms, r) - excluded[r][hsize] for r in rooms]
+    if rooms and min(slack) < 0:
+        raise GraphabilityError(
+            "degree tuples could not be matched to the flow-dictated communities"
+        )
+    # the slack window of a pick starts at the first room at or above its e
+    first = [bisect.bisect_left(rooms, e) for e in range(top + 1)]
     variates = rng.beta(shape.alpha, shape.beta, size=len(survivors)).tolist() if survivors else []
     out = {}
     for j, nid in enumerate(survivors + newborns):
-        ex = excluded.get(sizes.sizes[surviving[nid]] - 1)
+        room = sizes.sizes[surviving[nid]] - 1
+        ex = excluded.get(room)
         count = alive[size] - (0 if ex is None else ex[hsize])
-        if not count:
-            if j < len(survivors):
-                rng.bit_generator.state = saved
-                if j:
-                    rng.beta(shape.alpha, shape.beta, size=j)
-            raise GraphabilityError(
-                "degree tuples could not be matched to the flow-dictated communities"
-            )
         if j < len(survivors):
             idx = min(int(variates[j] * count), count - 1)
         else:
@@ -439,12 +460,27 @@ def assign_nodes(
             if fixed == rank:
                 break
             rank = fixed
+        e = e_of[pick]
+        a, b = first[e], first[room] if ex is not None else len(rooms)
+        if 0 in slack[a:b]:
+            z = b - 1 - slack[a:b][::-1].index(0)
+            within = excluded[rooms[z]]
+            sub = within[hsize] - (0 if ex is None else ex[hsize])
+            if j < len(survivors):
+                idx = min(int(variates[j] * sub), sub - 1)
+            else:
+                idx = idx * sub // count
+            h = _select_minus(within, ex or [0] * (hsize + 1), hsize, idx)
+            pick = high[h]
+            e = e_of[pick]
+            a = first[e]
+        for i in range(a, b):
+            slack[i] -= 1
         for i in paths[pick]:
             alive[i] -= 1
-        e = e_of[pick]
         if e > low:
             at = hpaths[bisect.bisect_left(high, pick)]
-            for r in rooms[: bisect.bisect_left(rooms, e)]:
+            for r in rooms[:a]:
                 counts = excluded[r]
                 for i in at:
                     counts[i] -= 1
@@ -859,12 +895,13 @@ def assemble_snapshot(
     """Build one snapshot: assign, repair parity, gate, wire, and validate.
 
     The full post-assignment graphability check runs before any wiring.  A
-    failing assignment pass is redrawn; ``GraphabilityError`` ends the
-    snapshot after ``ASSIGNMENT_ATTEMPTS`` failed attempts.
+    placement pass that parity repair or the gate rejects is redrawn, and
+    ``GraphabilityError`` ends the snapshot after ``ASSIGNMENT_ATTEMPTS``
+    rejected passes.  Placement itself fails only when no placement exists,
+    before it draws, so that error ends the snapshot at once.
     """
     pairing_shape = pairing_shape or ShapeParams()
     failures: list[str] = []
-    misfits = 0
     while len(failures) < ASSIGNMENT_ATTEMPTS:
         try:
             assignment = assign_nodes(
@@ -876,12 +913,7 @@ def assemble_snapshot(
                 prev_degrees=prev_degrees,
             )
         except GraphabilityError as exc:
-            misfits += 1
-            if misfits == MISFIT_PASSES:
-                failures.append(str(exc))
-                misfits = 0
-            continue
-        misfits = 0
+            raise GraphabilityError(f"timestep {t}: {exc}") from exc
         try:
             assignment = repair_intra_parity(assignment, sizes)
         except GraphabilityError as exc:

@@ -27,16 +27,18 @@ from temponet import (
     wire_intra,
 )
 from temponet import assembler
-from temponet.assembler import ASSIGNMENT_ATTEMPTS, MISFIT_PASSES, repair_intra_parity
+from temponet.assembler import ASSIGNMENT_ATTEMPTS, repair_intra_parity
 
 from oracles import (
     degree_joint_distribution_baseline,
+    first_fit_assign_nodes,
     realizable_with_parts,
     reference_assign_nodes,
     reference_check_connectivity,
     reference_repair_intra_parity,
     reference_validate,
     reference_wire_phase,
+    rooms_admit_tuples,
     snapshot_from_nodes,
     spectral_component_count,
 )
@@ -167,20 +169,21 @@ def test_exhausted_assignment_names_timestep_attempts_and_conditions(monkeypatch
     assert len(calls) == ASSIGNMENT_ATTEMPTS
 
 
-def test_assignment_misfits_use_up_to_misfit_passes_per_attempt(monkeypatch):
-    # node 0 stays in the singleton, where no intra degree 2 fits, so every
-    # pass misfits
+def test_unmatchable_placement_raises_once_before_any_draw(monkeypatch):
+    # node 0 stays in the singleton, where no intra degree 2 fits: Hall's
+    # count fails, so placement raises before its first draw and the snapshot
+    # ends at once, since every pass would fail the same way
     sizes = CommunitySpec((1, 3))
     spec = DegreeSpec((2, 2, 2, 2), (2, 2, 2, 2))
     calls = _counting_assign(monkeypatch)
+    rng = np.random.default_rng(0)
     with pytest.raises(GraphabilityError) as info:
-        assemble_snapshot(
-            2, sizes, spec, np.random.default_rng(0), surviving={0: 0, 1: 1, 2: 1, 3: 1}
-        )
-    message = str(info.value)
-    assert message.startswith(f"timestep 2: {ASSIGNMENT_ATTEMPTS} assignment attempt(s) failed:")
-    assert "could not be matched" in message
-    assert len(calls) == ASSIGNMENT_ATTEMPTS * MISFIT_PASSES
+        assemble_snapshot(2, sizes, spec, rng, surviving={0: 0, 1: 1, 2: 1, 3: 1})
+    assert str(info.value) == (
+        "timestep 2: degree tuples could not be matched to the flow-dictated communities"
+    )
+    assert len(calls) == 1
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_repair_intra_parity_fixes_odd_communities():
@@ -848,8 +851,10 @@ def test_temporal_assignment_equals_the_reference(temporal):
 @pytest.mark.parametrize("failing", ["survivor", "newborn"])
 def test_temporal_assignment_fails_like_the_reference(failing):
     # two singleton communities (room 0) and one e = 0 tuple: whichever of
-    # ids 10 and 11 comes second fits nowhere.  Both are survivors drawing
-    # after two others, or both are newborns drawing after every survivor.
+    # ids 10 and 11 comes second would fit nowhere, so Hall's count fails
+    # and both placements raise before any draw.  Both ids are survivors
+    # drawing after two others, or both are newborns drawing after every
+    # survivor.
     sizes = CommunitySpec((1, 1, 4))
     spec = DegreeSpec((1, 2, 2, 3, 3, 3), (0, 1, 1, 1, 1, 1))
     surviving = {10: 0, 11: 1, 12: 2, 13: 2, 14: 2, 15: 2}
@@ -866,10 +871,57 @@ def test_temporal_assignment_fails_like_the_reference(failing):
             prev_degrees=prev,
         )
         assert new == reference, seed
-        assert new[0] == (
+        assert new == (
             "GraphabilityError: degree tuples could not be matched"
-            " to the flow-dictated communities"
+            " to the flow-dictated communities",
+            np.random.default_rng(seed).bit_generator.state,
         )
+
+
+_SHAPES = [(1, 1), (5, 1), (1, 5), (0.5, 0.5)]
+
+
+@pytest.mark.parametrize("temporal", _SHAPES)
+def test_temporal_placement_fails_only_up_front_and_keeps_first_fit_picks(temporal):
+    # 2,500 specs per shape, 10,000 in all: placement raises exactly when no
+    # tuple-to-node matching exists (sorted pairing of intra degrees against
+    # rooms), and then before its first draw.  Otherwise every node gets a
+    # fitting tuple of the spec, and wherever first-fit placement completes,
+    # the tuples and the generator state are its own
+    shape = ShapeParams(*temporal)
+    gen = np.random.default_rng(67 + _SHAPES.index(temporal))
+    tally = {"unmatchable": 0, "first fit": 0, "re-mapped": 0}
+    for trial in range(2500):
+        sizes, spec = _random_assignment_spec(gen, 6)
+        n = sizes.node_count
+        ids = gen.permutation(3 * n)[:n].tolist()
+        surviving = dict(zip(ids, (c for c, s in enumerate(sizes.sizes) for _ in range(s))))
+        share = (0.0, 1.0, 0.6)[trial % 3]
+        prev = {nid: int(gen.integers(1, 12)) for nid in ids if gen.random() < share}
+        placement = dict(surviving=surviving, temporal_shape=shape, prev_degrees=prev)
+        rng = np.random.default_rng(trial)
+        fresh = rng.bit_generator.state
+        rooms = [sizes.sizes[c] - 1 for c in surviving.values()]
+        if not rooms_admit_tuples(rooms, spec.intra):
+            with pytest.raises(GraphabilityError, match="could not be matched"):
+                assign_nodes(sizes, spec, rng, **placement)
+            assert rng.bit_generator.state == fresh, trial
+            tally["unmatchable"] += 1
+            continue
+        got = assign_nodes(sizes, spec, rng, **placement)
+        assert sorted(got) == sorted(ids), trial
+        assert all(e <= sizes.sizes[c] - 1 for c, _, e in got.values()), trial
+        assert sorted((d, e) for _, d, e in got.values()) == sorted(zip(spec.total, spec.intra))
+        first_rng = np.random.default_rng(trial)
+        try:
+            first_fit = first_fit_assign_nodes(sizes, spec, first_rng, **placement)
+        except GraphabilityError:
+            tally["re-mapped"] += 1
+            continue
+        assert got == first_fit, trial
+        assert rng.bit_generator.state == first_rng.bit_generator.state, trial
+        tally["first fit"] += 1
+    assert min(tally.values()) > 200, tally
 
 
 def test_assignment_length_mismatch_raises_like_the_reference():
