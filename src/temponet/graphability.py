@@ -49,27 +49,53 @@ def erdos_gallai(degrees) -> bool:
 
     Checks the even-sum condition and, for every k,
     ``sum_{i<=k} d_i <= k(k-1) + sum_{i>k} min(d_i, k)`` on the sequence
-    sorted non-increasingly.  All n conditions are one numpy pass: of the
-    n - k entries after the k-th, the ``cnt`` smallest are at most k (one
-    ``searchsorted`` over every k at once) and add their sum from the
-    ascending prefix sums, the others add k each.
+    sorted non-increasingly, as the one-segment case of the pass that
+    ``check_graphable`` makes over every community.
     """
-    d = np.sort(np.asarray(list(degrees), dtype=np.int64))[::-1]
-    n = int(d.size)
-    if n == 0:
+    d = np.asarray(list(degrees), dtype=np.int64)
+    if d.size == 0:
         return True
-    if int(d[-1]) < 0:
+    if int(d.min()) < 0:
         raise ConfigurationError("degrees must be non-negative")
     if int(d.sum()) % 2 == 1:
         return False
-    if int(d[0]) >= n:
-        return False
-    asc = d[::-1]
-    prefix_asc = np.concatenate(([0], np.cumsum(asc)))
-    k = np.arange(1, n + 1)
-    cnt = np.minimum(np.searchsorted(asc, k, side="right"), n - k)
-    rhs = k * (k - 1) + prefix_asc[cnt] + k * (n - k - cnt)
-    return not (np.cumsum(d) > rhs).any()
+    *_, not_graphic = _segmented_erdos_gallai(np.zeros(d.size, dtype=np.int64), d, [d.size])
+    return not not_graphic[0]
+
+
+def _segmented_erdos_gallai(member: np.ndarray, e: np.ndarray, counts):
+    """The Erdos-Gallai inequalities of every k of every community in one numpy pass.
+
+    ``member`` gives each degree in ``e`` its community, and ``counts[c]``,
+    at least 1, is community c's member count.  Returns the degrees sorted
+    by (community, e), their prefix sums from 0, each community's segment
+    ``[starts[c], ends[c])`` of them, and whether each community fails some
+    inequality.  The entry at position i of segment [s, t) is its
+    (t - i)-th largest, the tail after the k largest is [s, i), and its
+    entries at most k are [s, below): one ``searchsorted`` over a
+    (community, e) key finds ``below`` for every k at once.  A key past the
+    segment's last (k >= span) is capped at i like any other; an entry equal
+    to k adds k whichever side the search takes.
+    """
+    n = e.size
+    span = int(e.max()) + 1
+    key = member * span + e
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    seg = member[order]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    es = e[order]
+    cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(es, out=cum[1:])
+    pos = np.arange(n)
+    s, t = starts[seg], ends[seg]
+    kk = t - pos
+    below = np.minimum(np.searchsorted(key, seg * span + kk, side="right"), pos)
+    rhs = kk * (kk - 1) + cum[below] - cum[s] + kk * (pos - below)
+    not_graphic = np.zeros(len(counts), dtype=bool)
+    not_graphic[seg[cum[t] - cum[pos] > rhs]] = True
+    return es, cum, starts, ends, not_graphic
 
 
 def inter_graphable(inter_aggregates) -> bool:
@@ -173,33 +199,11 @@ def check_graphable(
             f"community {c}: membership places {counts[c]} nodes, size is {size[c]}"
         )
 
-    # every community is a non-empty segment [starts[c], ends[c]) of the
-    # intra degrees sorted by (community, e)
+    # every community is a non-empty segment of the sorted intra degrees
     e = np.array(intra, dtype=np.int64)
-    span = int(e.max()) + 1
-    key = member * span + e
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    seg = member[order]
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    es = e[order]
-    cum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(es, out=cum[1:])
+    es, cum, starts, ends, not_graphic = _segmented_erdos_gallai(member, e, counts)
     too_high = es[ends - 1] > size - 1
     odd = (cum[ends] - cum[starts]) % 2 == 1
-    # Erdos-Gallai for every k of every community at once: the entry at
-    # position i of segment [s, t) is its (t - i)-th largest, the tail after
-    # the k largest is [s, i), and its entries at most k are [s, below).  A
-    # key past the segment's last (k >= span) is capped at i like any other;
-    # an entry equal to k adds k whichever side the search takes
-    pos = np.arange(n)
-    s, t = starts[seg], ends[seg]
-    kk = t - pos
-    below = np.minimum(np.searchsorted(key, seg * span + kk, side="right"), pos)
-    rhs = kk * (kk - 1) + cum[below] - cum[s] + kk * (pos - below)
-    not_graphic = np.zeros(k, dtype=bool)
-    not_graphic[seg[cum[t] - cum[pos] > rhs]] = True
     failing = too_high | odd | not_graphic
     if failing.any():
         c = int(failing.argmax())
