@@ -80,23 +80,6 @@ class FlowSystem:
         if self.row_slack.min() < 0 or self.col_slack.min() < 0:
             raise ConfigurationError("lower bounds exceed a community size")
 
-    @functools.cached_property
-    def log_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``_log_table`` of every row size, then of every column size, in one array.
-
-        Also returns the offset of each row's table and of each column's
-        table in that array, so a cell ``(i, j)`` holding ``v`` nodes reads
-        its logs at ``row_at[i] + v`` and ``col_at[j] + v``.  Built once per
-        system, for ``mi_greedy`` and the search alike, and read-only.
-        """
-        sizes = self.sizes_from + self.sizes_to
-        at = np.cumsum([0] + [s + 1 for s in sizes[:-1]])
-        logs = np.concatenate([_log_table(s) for s in sizes])
-        tables = logs, at[: self.k], at[self.k :]
-        for table in tables:
-            table.flags.writeable = False
-        return tables
-
     @property
     def k(self) -> int:
         return len(self.sizes_from)
@@ -249,6 +232,28 @@ def _log_table(size: int) -> np.ndarray:
     return table
 
 
+# one entry: mi_greedy and the search of one transition share it, and no
+# finished transition's tables stay alive
+@functools.lru_cache(maxsize=1)
+def _log_tables(
+    sizes_from: tuple[int, ...], sizes_to: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_log_table`` of every row size, then of every column size, in one array.
+
+    Also returns the offset of each row's table and of each column's table
+    in that array, so a cell ``(i, j)`` holding ``v`` nodes reads its logs at
+    ``row_at[i] + v`` and ``col_at[j] + v``.  The arrays are read-only, as
+    every caller of the cache gets the same ones.
+    """
+    sizes = sizes_from + sizes_to
+    at = np.cumsum([0] + [s + 1 for s in sizes[:-1]])
+    logs = np.concatenate([_log_table(s) for s in sizes])
+    tables = logs, at[: len(sizes_from)], at[len(sizes_from) :]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _contrib(v, n, row_log, col_log):
     """Additive VI contribution of cells holding ``v`` nodes (scalars or arrays).
 
@@ -279,7 +284,7 @@ def mi_greedy(system: FlowSystem) -> np.ndarray:
     """
     k, l = system.k, system.l
     n = float(system.node_count)
-    logs, row_at, col_at = system.log_tables
+    logs, row_at, col_at = _log_tables(system.sizes_from, system.sizes_to)
     lower = system.lower
     ri, cj = row_at[:, None], col_at[None, :]
     top = lower + np.minimum.outer(system.row_slack, system.col_slack)
@@ -460,7 +465,7 @@ def _jump_scorer(system: FlowSystem, cells: np.ndarray):
     docstring).
     """
     l, n = system.l, float(system.node_count)
-    logs, row_at, col_at = system.log_tables
+    logs, row_at, col_at = _log_tables(system.sizes_from, system.sizes_to)
     row_base, col_base = row_at[cells // l], col_at[cells % l]
     floor = system.lower.ravel()[cells]
 
