@@ -358,19 +358,18 @@ def assign_nodes(
     reached from r = idx.
 
     Hall's count keeps every pass whole.  For each of those rooms,
-    ``slack[j]`` is the number of unplaced nodes with a room above
-    ``rooms[j]``, minus the alive tuples with ``e`` above it (the root of
-    its excluded tree); the rest of the nodes can be placed iff no slack is
-    negative, and rooms at or above the largest ``e`` never bind.  A node of
-    room R that takes a tuple of intra degree e lowers ``slack[j]`` by one
-    for ``rooms[j]`` in [e, R), so the pick is safe unless one of those is
-    0.  An unsafe pick is re-mapped: with z the largest tight index, the
-    same variate (a newborn's ``idx * sub // count``) selects among the
-    ``sub`` alive tuples with ``e`` in (``rooms[z]``, R], by one descent over
-    ``rooms[z]``'s excluded tree minus the node's own; there is always one,
-    and the pick is safe.  A pick that is safe is the pick of a placement
-    without the rule, so the rule changes a pass only where that placement
-    would have left some node no fitting tuple.
+    ``slack[j]`` counts the unplaced nodes with a room above ``rooms[j]``
+    minus the alive tuples with ``e`` above it (its excluded tree's root);
+    the remaining nodes can be placed iff no slack is negative (rooms at or
+    above the largest ``e`` never bind).  A node of room R taking intra
+    degree e lowers ``slack[j]`` by one for ``rooms[j]`` in [e, R), so the
+    pick is safe unless one of those is 0.  An unsafe pick is re-mapped:
+    with z the largest tight index, the same variate (a newborn's
+    ``idx * sub // count``) selects among the ``sub`` alive tuples with
+    ``e`` in (``rooms[z]``, R], always at least one, by one descent over
+    ``rooms[z]``'s excluded tree minus the node's own.  Safe picks stay as
+    drawn, so the rule changes only passes in which some later node would
+    have found no fitting tuple.
 
     ``GraphabilityError`` comes only from the count before the first draw
     (in either mode), when no placement exists.  The uniforms (bootstrap)

@@ -804,18 +804,18 @@ def _random_assignment_spec(gen, k_max, k_min=1):
 
 
 def test_bootstrap_assignment_equals_the_reference():
-    # same communities, same misfit errors, same generator state after success
-    # and after failure; from one community up to 300, so that the capacity
+    # same communities, same refusals, same generator state after success
+    # and after a refusal; from one community up to 300, so that the capacity
     # tree has several levels and k is rarely a power of two
     gen = np.random.default_rng(61)
-    outcomes = {"ok": 0, "misfit": 0}
+    outcomes = {"ok": 0, "refused": 0}
     counts = set()
     for trial in range(600):
         k_range = (6,) if trial < 500 else (40,) if trial < 560 else (300, 200)
         sizes, spec = _random_assignment_spec(gen, *k_range)
         new, reference = _assign_both(sizes, spec, trial)
         assert new == reference, trial
-        outcomes["misfit" if isinstance(new[0], str) else "ok"] += 1
+        outcomes["refused" if isinstance(new[0], str) else "ok"] += 1
         counts.add(len(sizes))
     assert min(outcomes.values()) > 50, outcomes
     assert 1 in counts and max(counts) > 256, sorted(counts)
