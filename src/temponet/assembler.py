@@ -357,19 +357,21 @@ def assign_nodes(
     the fixed point r = idx + (excluded alive tuples at or before it),
     reached from r = idx.
 
-    Hall's count keeps every pass whole.  For each of those rooms,
-    ``slack[j]`` counts the unplaced nodes with a room above ``rooms[j]``
-    minus the alive tuples with ``e`` above it (its excluded tree's root);
-    the remaining nodes can be placed iff no slack is negative (rooms at or
-    above the largest ``e`` never bind).  A node of room R taking intra
-    degree e lowers ``slack[j]`` by one for ``rooms[j]`` in [e, R), so the
-    pick is safe unless one of those is 0.  An unsafe pick is re-mapped:
-    with z the largest tight index, the same variate (a newborn's
-    ``idx * sub // count``) selects among the ``sub`` alive tuples with
-    ``e`` in (``rooms[z]``, R], always at least one, by one descent over
-    ``rooms[z]``'s excluded tree minus the node's own.  Safe picks stay as
-    drawn, so the rule changes only passes in which some later node would
-    have found no fitting tuple.
+    Hall's count keeps every pass whole.  For each of those rooms, its
+    slack counts the unplaced nodes with a room above it minus the alive
+    tuples with ``e`` above it (its excluded tree's root); the remaining
+    nodes can be placed iff no slack is negative (rooms at or above the
+    largest ``e`` never bind).  A node of room R taking intra degree e
+    lowers the slack of each room in [e, R) by one, so the pick is safe
+    unless one of those is 0.  As no pick lowers a slack by more than one,
+    the slacks are recounted, from the unplaced nodes per room and the
+    trees' roots, only once as many picks have passed as their minimum at
+    the last count.  An unsafe pick is re-mapped: with z the largest tight
+    room below R, the same variate (a newborn's ``idx * sub // count``)
+    selects among the ``sub`` alive tuples with ``e`` in (z, R], always at
+    least one, by one descent over z's excluded tree minus the node's own.
+    Safe picks stay as drawn, so the rule changes only passes in which some
+    later node would have found no fitting tuple.
 
     ``GraphabilityError`` comes only from the count before the first draw
     (in either mode), when no placement exists.  The uniforms (bootstrap)
@@ -424,8 +426,7 @@ def assign_nodes(
     # the rooms below the largest e, and the positions of the tuples above
     # the smallest of them: the only tuples any room excludes
     top = max(e_of)
-    node_rooms = sorted(sizes.sizes[c] - 1 for c in surviving.values())
-    rooms = sorted({r for r in node_rooms if r < top})
+    rooms = sorted({r for r in (sizes.sizes[c] - 1 for c in surviving.values()) if r < top})
     low = rooms[0] if rooms else top
     high = [q for q, e in enumerate(e_of) if e > low]
     hsize = 1 << max(len(high) - 1, 0).bit_length()
@@ -433,18 +434,31 @@ def assign_nodes(
     e_high[: len(high)] = [e_of[q] for q in high]
     excluded = {r: _fenwick((e_high > r).astype(np.int64)) for r in rooms}
     hpaths = _paths(hsize)
-    slack = [n - bisect.bisect_right(node_rooms, r) - excluded[r][hsize] for r in rooms]
-    if rooms and min(slack) < 0:
+    # how many of those rooms lie below each intra degree and below each
+    # community's room; the nodes still to place, by the latter count
+    first = [bisect.bisect_left(rooms, e) for e in range(top + 1)]
+    below = [bisect.bisect_left(rooms, s - 1) for s in sizes.sizes]
+    left = [0] * (len(rooms) + 1)
+    for c in surviving.values():
+        left[below[c]] += 1
+
+    def slacks() -> list[int]:
+        """Per room, the nodes still to place above it minus the alive tuples above it."""
+        nodes = list(itertools.accumulate(reversed(left)))[-2::-1]
+        return [nodes[j] - excluded[r][hsize] for j, r in enumerate(rooms)]
+
+    slack = slacks()
+    if min(slack, default=0) < 0:
         raise GraphabilityError(
             "degree tuples could not be matched to the flow-dictated communities"
         )
-    # the slack window of a pick starts at the first room at or above its e
-    first = [bisect.bisect_left(rooms, e) for e in range(top + 1)]
+    # a lower bound on the smallest slack: a pick lowers each by at most one
+    spare = min(slack, default=n)
     variates = rng.beta(shape.alpha, shape.beta, size=len(survivors)).tolist() if survivors else []
     out = {}
     for j, nid in enumerate(survivors + newborns):
-        room = sizes.sizes[surviving[nid]] - 1
-        ex = excluded.get(room)
+        c = surviving[nid]
+        ex = excluded.get(sizes.sizes[c] - 1)
         count = alive[size] - (0 if ex is None else ex[hsize])
         if j < len(survivors):
             idx = min(int(variates[j] * count), count - 1)
@@ -460,30 +474,33 @@ def assign_nodes(
                 break
             rank = fixed
         e = e_of[pick]
-        a, b = first[e], first[room] if ex is not None else len(rooms)
-        if 0 in slack[a:b]:
-            z = b - 1 - slack[a:b][::-1].index(0)
-            within = excluded[rooms[z]]
-            sub = within[hsize] - (0 if ex is None else ex[hsize])
-            if j < len(survivors):
-                idx = min(int(variates[j] * sub), sub - 1)
-            else:
-                idx = idx * sub // count
-            h = _select_minus(within, ex or [0] * (hsize + 1), hsize, idx)
-            pick = high[h]
-            e = e_of[pick]
-            a = first[e]
-        for i in range(a, b):
-            slack[i] -= 1
+        if spare:
+            spare -= 1
+        else:
+            slack = slacks()
+            spare = max(min(slack) - 1, 0)
+            a, b = first[e], below[c]
+            if 0 in slack[a:b]:
+                z = b - 1 - slack[a:b][::-1].index(0)
+                within = excluded[rooms[z]]
+                sub = within[hsize] - (0 if ex is None else ex[hsize])
+                if j < len(survivors):
+                    idx = min(int(variates[j] * sub), sub - 1)
+                else:
+                    idx = idx * sub // count
+                h = _select_minus(within, ex or [0] * (hsize + 1), hsize, idx)
+                pick = high[h]
+                e = e_of[pick]
+        left[below[c]] -= 1
         for i in paths[pick]:
             alive[i] -= 1
         if e > low:
             at = hpaths[bisect.bisect_left(high, pick)]
-            for r in rooms[:a]:
+            for r in rooms[: first[e]]:
                 counts = excluded[r]
                 for i in at:
                     counts[i] -= 1
-        out[nid] = (surviving[nid], *tuples[pick])
+        out[nid] = (c, *tuples[pick])
     return out
 
 
