@@ -249,9 +249,17 @@ def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _fenwick(weights: np.ndarray) -> list[int]:
-    """Fenwick tree over ``weights``: cell i sums the ``i & -i`` weights
-    ending at position i - 1; cell 0 is unused."""
+def _fenwick(weights) -> list[int]:
+    """Fenwick tree over ``weights``, a list or an array whose length is a
+    power of two: cell i sums the ``i & -i`` weights ending at position
+    i - 1; cell 0 is unused.  A short list is summed in place, each cell
+    into the one above it; anything else takes two numpy passes."""
+    if isinstance(weights, list) and len(weights) <= 64:
+        tree = [0, *weights]
+        for i in range(1, len(weights)):
+            tree[i + (i & -i)] += tree[i]
+        return tree
+    weights = np.asarray(weights, dtype=np.int64)
     cum = np.zeros(weights.size + 1, dtype=np.int64)
     np.cumsum(weights, out=cum[1:])
     idx = np.arange(1, cum.size)
@@ -583,18 +591,47 @@ def _wire_phase(
     rng: np.random.Generator,
     community_of: dict[int, int] | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Pair all stubs into simple links; returns (endpoints, repairs used).
+    """Pair all stubs of one phase into simple links; returns (endpoints, repairs used).
 
-    ``endpoints`` holds one int64 row (u, v), u < v, per link.
-    ``community_of`` switches inter mode: partners must then live in a
-    different community.  Raises ``WiringError`` after more than
-    ``REPAIR_BUDGET_FACTOR * m`` repairs for m nodes.
+    ``entries`` is (id, total d, stubs) triples; ``endpoints`` holds one int64
+    row (u, v), u < v, per link.  ``community_of`` switches inter mode:
+    partners must then live in a different community.  Positions sort the
+    nodes by (total degree, id), and ``_pair`` wires them.
+    """
+    entries = sorted(entries, key=lambda t: (t[1], t[0]))
+    ids = [nid for nid, _, _ in entries]
+    comm = None
+    if community_of is not None:
+        index: dict[object, int] = {}
+        comm = [index.setdefault(community_of[nid], len(index)) for nid in ids]
+    degree = [d for _, d, _ in entries]
+    stubs = [s for _, _, s in entries]
+    adj, repairs = _pair(ids, degree, stubs, shape, rng, comm)
+    count = [len(nbrs) for nbrs in adj]
+    partner = itertools.chain.from_iterable(adj)
+    return _link_rows(np.array(ids, dtype=np.int64), count, partner), repairs
 
-    Positions sort the phase's nodes by (total degree, id); ``rem[q]`` counts
-    the open stubs at position q, and nodes fill largest degree first.
-    ``tree`` is a Fenwick tree over each position's effective weight:
-    ``rem[q]``, or 0 while q is banned for the node p being filled (p and its
-    neighbours).  Zero weights pad it to ``size``, a power of two, so
+
+def _pair(
+    ids: list[int],
+    degree: list[int],
+    stubs: list[int],
+    shape: ShapeParams,
+    rng: np.random.Generator,
+    comm: list[int] | None = None,
+) -> tuple[list[set[int]], int]:
+    """The wiring loop of one phase; returns each position's neighbour positions and the repairs used.
+
+    Position q holds node ``ids[q]`` with total degree ``degree[q]`` and
+    ``stubs[q]`` stubs to pair, in (total degree, id) order.  ``comm`` (the
+    positions' community indices 0, 1, ...) switches inter mode.  Raises
+    ``WiringError`` for an odd stub sum, before any draw, and after more
+    than ``REPAIR_BUDGET_FACTOR * m`` repairs for m nodes.
+
+    ``rem[q]`` counts the open stubs at position q, and nodes fill largest
+    degree first.  ``tree`` is a Fenwick tree over each position's effective
+    weight: ``rem[q]``, or 0 while q is banned for the node p being filled (p
+    and its neighbours).  Zero weights pad it to ``size``, a power of two, so
     ``tree[size]`` is the whole weight and the descent, which halves its
     step from ``size / 2`` to 1, needs no bounds check.  In inter mode
     ``owns[c]`` mirrors those weights for the members of community c only,
@@ -611,60 +648,77 @@ def _wire_phase(
     ``_paths`` builds once per tree size.  The community trees start as
     plain lists filled by walking each member's path once.
 
-    Prefetch rule: p draws ``k = min(rem[p], eligible)`` Beta variates at
-    once, where ``eligible`` counts the eligible positions with positive
-    weight.  Every draw takes the positive position it lands on and bans it,
-    so ``eligible`` falls by exactly one per draw and none of the k draws
-    finds the weight empty.  ``k`` is 0 exactly when the eligible weight is,
-    and only then does ``repair`` run, with its ``rng.integers`` calls.  As
-    ``Generator.beta(a, b, size=k)`` yields the variates of k single calls,
-    one draw per stub would make the same draws and repairs in the same order.
+    Prefetch rule: a draw closes two stubs and a repair none, so a phase of
+    S stubs makes exactly S / 2 draws, and it reads their Beta variates with
+    one ``rng.beta(size=S // 2)`` call.  p takes the next
+    ``k = min(rem[p], eligible)`` of them, where ``eligible`` counts the
+    eligible positions with positive weight.  Every draw takes the positive
+    position it lands on and bans it, so ``eligible`` falls by exactly one
+    per draw and none of the k draws finds the weight empty.  ``k`` is 0
+    exactly when the eligible weight is, and only then does ``repair`` run.
+    As ``Generator.beta(a, b, size=k)`` yields the variates of k single
+    calls, the read makes the draws of one call per draw, except that a
+    repair's ``rng.integers`` calls must come after the variates used so
+    far, not after the whole read.  So the generator state from before the
+    read is kept.  A repair restores it and redraws the variates used so
+    far, makes its ``rng.integers`` calls, checks the repair budget, and
+    then reads the rest of the phase the same way.  Every exit, a
+    ``WiringError`` included, thus leaves the generator where one
+    ``rng.beta`` call per draw would.
     """
-    entries = sorted(entries, key=lambda t: (t[1], t[0]))
-    ids = [nid for nid, _, _ in entries]
     m = len(ids)
     budget = REPAIR_BUDGET_FACTOR * max(1, m)
-    size = 1 << max(m - 1, 0).bit_length()
-    weights = np.zeros(size, dtype=np.int64)
-    weights[:m] = [s for _, _, s in entries]
-    if int(weights.sum()) % 2 == 1:
+    draws, odd = divmod(sum(stubs), 2)
+    if odd:
         raise WiringError("odd number of stubs in a wiring phase")
+    adj: list[set[int]] = [set() for _ in range(m)]  # neighbour positions
+    if not draws:
+        return adj, 0
+    size = 1 << (m - 1).bit_length()
     steps = [size >> b for b in range(1, size.bit_length())]  # size / 2, ..., 1
     paths = _paths(size)
-    stubbed = weights[:m] > 0
-    rem: list[int] = weights[:m].tolist()
-    tree = _fenwick(weights)
-    inter = community_of is not None
+    rem = list(stubs)
+    tree = _fenwick(rem + [0] * (size - m))
+    inter = comm is not None
     if inter:
-        index: dict[object, int] = {}
-        comm = [index.setdefault(community_of[nid], len(index)) for nid in ids]
-        labels = np.array(comm, dtype=np.int64)
-        # each member's weight walked up its path into its community's tree
-        owns = [[0] * (size + 1) for _ in index]
+        # each member's weight walked up its path into its community's tree,
+        # and the open (rem > 0) positions per community
+        owns = [[0] * (size + 1) for _ in range(max(comm) + 1)]
+        open_in = [0] * len(owns)
         for q, w in enumerate(rem):
             if w:
+                open_in[comm[q]] += 1
                 own = owns[comm[q]]
                 for i in paths[q]:
                     own[i] += w
-        # open (rem > 0) positions per community
-        open_in = np.bincount(labels[stubbed], minlength=len(index)).tolist()
-    open_count = int(stubbed.sum())  # open positions
-    adj: list[set[int]] = [set() for _ in range(m)]  # neighbour positions
+    open_count = m - rem.count(0)  # open positions
     repairs = 0
-    alpha, beta = shape.alpha, shape.beta
-    heap = [(-d, p) for p, (_, d, s) in enumerate(entries) if s > 0]
+    heap = [(-d, p) for p, (d, s) in enumerate(zip(degree, stubs)) if s > 0]
     heapq.heapify(heap)
+    alpha, beta = shape.alpha, shape.beta
+    bitgen = rng.bit_generator
+    # the variates still to use from index ``used`` on, and the generator
+    # state from before they were read
+    state = bitgen.state
+    variates = rng.beta(alpha, beta, size=draws).tolist()
+    used = 0
+
+    def replay() -> None:
+        """Leave the generator where one Beta call per draw so far would."""
+        bitgen.state = state
+        rng.beta(alpha, beta, size=used)
 
     def repair(p: int) -> int:
         """Break a link (w, v) of a saturated eligible node w and link p to w;
         returns 1 when v is now an eligible position with positive weight."""
-        nonlocal repairs, open_count
+        nonlocal repairs, open_count, state, variates, used
+        replay()
         # candidates, in position order: eligible partners with all stubs
         # taken, so >= 1 link to break (p itself still has open stubs)
-        mask = stubbed & (np.array(rem) == 0)
+        mask = (np.array(rem) == 0) & (np.array(stubs) > 0)
         mask[list(adj[p])] = False
         if inter:
-            mask &= labels != comm[p]
+            mask &= np.array(comm) != comm[p]
         cands = np.flatnonzero(mask)
         if not cands.size:
             raise WiringError(
@@ -684,10 +738,13 @@ def _wire_phase(
             open_count += 1
             if inter:
                 open_in[comm[v]] += 1
-        heapq.heappush(heap, (-entries[v][1], v))
+        heapq.heappush(heap, (-degree[v], v))
         repairs += 1
         if repairs > budget:
             raise WiringError(f"wiring repair budget ({budget}) exhausted")
+        state = bitgen.state
+        variates = rng.beta(alpha, beta, size=len(variates) - used).tolist()
+        used = 0
         if v in adj[p]:  # banned while p fills
             return 0
         for i in paths[v]:
@@ -720,7 +777,7 @@ def _wire_phase(
                     eligible += repair(p)
                     continue
                 total = tree[size]
-                for x in rng.beta(alpha, beta, size=k).tolist():
+                for x in variates[used : used + k]:
                     rank = int(x * total)
                     if rank >= total:
                         rank = total - 1
@@ -740,6 +797,7 @@ def _wire_phase(
                         tree[i] -= w
                     adj_p.add(q)
                     adj[q].add(p)
+                used += k
                 rem[p] = r - k
                 eligible -= k
             open_count -= 1
@@ -777,7 +835,7 @@ def _wire_phase(
                     eligible += repair(p)
                     continue
                 total = tree[size] - own_c[size]
-                for x in rng.beta(alpha, beta, size=k).tolist():
+                for x in variates[used : used + k]:
                     rank = int(x * total)
                     if rank >= total:
                         rank = total - 1
@@ -801,6 +859,7 @@ def _wire_phase(
                         own[i] -= w
                     adj_p.add(q)
                     adj[q].add(p)
+                used += k
                 rem[p] = r - k
                 eligible -= k
             open_count -= 1
@@ -814,26 +873,63 @@ def _wire_phase(
                         tree[i] += w
                         own[i] += w
     if any(rem):
+        replay()
         raise WiringError("stubs left unpaired after the wiring loop")
-    node = np.array(ids, dtype=np.int64)
-    count = [len(nbrs) for nbrs in adj]
-    partner = np.fromiter(itertools.chain.from_iterable(adj), np.int64, sum(count))
+    return adj, repairs
+
+
+def _link_rows(
+    node: np.ndarray, count: list[int], partner, base: np.ndarray | None = None
+) -> np.ndarray:
+    """One int64 row (u, v), u < v, per link, in position order.
+
+    Position q, node ``node[q]``, has the next ``count[q]`` entries of
+    ``partner`` as its neighbours, positions counted from ``base[q]``, or
+    from 0 without ``base``.
+    """
+    partner = np.fromiter(partner, np.int64, sum(count))
+    if base is not None:
+        partner += np.repeat(base, count)
     uv = np.stack((np.repeat(node, count), node[partner]), axis=1)
-    return uv[uv[:, 0] < uv[:, 1]], repairs
+    return uv[uv[:, 0] < uv[:, 1]]
 
 
 def wire_intra(
-    members,
+    nodes,
     pairing_shape: ShapeParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    """Wire one community's intra links; ``members`` is (id, total d, intra e) triples.
+    """Wire every community's intra links; ``nodes`` is (id, total d, intra e, community).
 
-    Returns the (m, 2) int64 link rows (u, v), u < v, and the repairs used.
-    Every member's realized intra degree equals its ``e`` exactly; the intra
-    sequence must pass the Erdos-Gallai test beforehand.
+    Each community is a wiring phase of its own, with its own Fenwick tree,
+    and the phases run in community index order on ``rng``.  One lexsort
+    groups the members and orders each community by (total degree, id), and
+    one numpy pass builds the link rows of all communities.  Returns the
+    (m, 2) int64 link rows (u, v), u < v, community by community, and the
+    repairs used.  Every member's realized intra degree equals its ``e``
+    exactly; each community's intra sequence must pass the Erdos-Gallai test
+    beforehand.  A community with an odd intra sum raises ``WiringError``
+    once the communities before it are wired.
     """
-    return _wire_phase(members, pairing_shape, rng)
+    table = np.fromiter(itertools.chain.from_iterable(nodes), np.int64).reshape(-1, 4)
+    node, total, intra, community = table.T
+    order = np.lexsort((node, total, community))
+    community = community[order]
+    cuts = (np.flatnonzero(community[1:] != community[:-1]) + 1).tolist()
+    bounds = [0, *cuts, community.size]
+    ids, degree, stubs = (column[order].tolist() for column in (node, total, intra))
+    # each community's neighbour positions, flattened as soon as it is wired
+    count: list[int] = []
+    partner: list[int] = []
+    repairs = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        adj, used = _pair(ids[lo:hi], degree[lo:hi], stubs[lo:hi], pairing_shape, rng)
+        count += map(len, adj)
+        partner += itertools.chain.from_iterable(adj)
+        repairs += used
+    # each community's positions count from its first row
+    base = np.repeat(bounds[:-1], np.diff(bounds))
+    return _link_rows(node[order], count, partner, base), repairs
 
 
 def wire_inter(
@@ -953,18 +1049,9 @@ def assemble_snapshot(
     degree = np.array(aligned.total, dtype=np.int64)
     intra_degree = np.array(aligned.intra, dtype=np.int64)
 
-    # the members of each community, in id order, as one run of a stable sort
-    order = np.argsort(community, kind="stable")
-    grouped = list(zip(*(column[order].tolist() for column in (node_ids, degree, intra_degree))))
-    parts: list[np.ndarray] = []
-    repairs = 0
-    start = 0
-    for end in itertools.accumulate(sizes.sizes):
-        community_links, used = wire_intra(grouped[start:end], pairing_shape, rng)
-        parts.append(community_links)
-        repairs += used
-        start = end
-    components = check_connectivity(node_ids, community, np.concatenate(parts), len(sizes))
+    intra_entries = zip(ids, aligned.total, aligned.intra, membership)
+    intra_links, repairs = wire_intra(intra_entries, pairing_shape, rng)
+    components = check_connectivity(node_ids, community, intra_links, len(sizes))
     disconnected = np.flatnonzero(components > 1).tolist()
     if disconnected:
         log.warning(
@@ -973,7 +1060,6 @@ def assemble_snapshot(
 
     inter_entries = zip(ids, aligned.total, aligned.inter, membership)
     inter_links, used = wire_inter(inter_entries, pairing_shape, rng)
-    parts.append(inter_links)
     repairs += used
 
     snap = Snapshot(
@@ -983,7 +1069,7 @@ def assemble_snapshot(
         intra_degree=intra_degree,
         community=community,
         community_count=len(sizes),
-        endpoints=np.concatenate(parts),
+        endpoints=np.concatenate((intra_links, inter_links)),
         wiring_repairs=repairs,
         disconnected_communities=disconnected,
     )

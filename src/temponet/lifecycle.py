@@ -81,19 +81,20 @@ def flow_jaccard(flow, birth_row: int | None = None, death_col: int | None = Non
 def inherit_labels(jac: np.ndarray, labels_t, threshold: float, counter: int):
     """Carry community labels across the boundary by greedy Jaccard matching.
 
+    Pairs (i, j) are taken by falling Jaccard index, ties by (i, j): one
+    stable argsort of ``-jac`` orders them, as its flat index is
+    ``i * l + j``.  Only the pairs at or above ``threshold`` are walked;
+    each match takes a source and a target that are both still free.
     Returns the t+1 labels and the next unused label; targets without a
-    match above ``threshold`` take fresh labels from ``counter`` on.
+    match take fresh labels from ``counter`` on.
     """
-    k, l = jac.shape
-    pairs = sorted(
-        ((jac[i, j], i, j) for i in range(k) for j in range(l)),
-        key=lambda p: (-p[0], p[1], p[2]),
-    )
+    jac = np.asarray(jac)
+    l = jac.shape[1]
+    order = np.argsort(-jac, axis=None, kind="stable")
     labels1: list[int | None] = [None] * l
     used = set()
-    for value, i, j in pairs:
-        if value < threshold:
-            break
+    for flat in order[: np.count_nonzero(jac >= threshold)].tolist():
+        i, j = divmod(flat, l)
         if i in used or labels1[j] is not None:
             continue
         labels1[j] = labels_t[i]

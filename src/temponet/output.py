@@ -187,13 +187,29 @@ def _write_nodes(snaps, path) -> None:
             _write_block(fh, _NODE_PIECES, code[order], values[order], keep[order])
 
 
+def _pair_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The stable order that sorts the pairs (u, v) by u, then v.
+
+    When ``(u - min u) * span + (v - min v)``, with ``span`` the range of v,
+    fits in int64, one stable argsort of that single key gives the order;
+    otherwise ``np.lexsort`` does.
+    """
+    if not u.size:
+        return np.zeros(0, dtype=np.intp)
+    u_low, v_low = int(u.min()), int(v.min())
+    span = int(v.max()) - v_low + 1
+    if (int(u.max()) - u_low + 1) * span > np.iinfo(np.int64).max:
+        return np.lexsort((v, u))
+    return np.argsort((u - u_low) * span + (v - v_low), kind="stable")
+
+
 def _write_edges(snaps, path) -> None:
     """``edges.csv`` from the (u, v, t)-sorted link endpoints of ``snaps``,
     which is sorted by ``t``."""
     u = np.concatenate([s.endpoints[:, 0] for s in snaps])
     v = np.concatenate([s.endpoints[:, 1] for s in snaps])
     t = np.repeat(np.array([s.t for s in snaps], dtype=np.int64), [s.link_count for s in snaps])
-    order = np.lexsort((v, u))
+    order = _pair_order(u, v)
     # one column at a time, so at most one unsorted copy is alive beside the rest
     u = u[order]
     v = v[order]

@@ -9,6 +9,7 @@ exactly the configured range.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -273,21 +274,29 @@ def load_sequences(path) -> list[tuple[CommunitySpec, DegreeSpec]]:
 
 
 def _read_block(lines: list[str]) -> tuple[CommunitySpec, DegreeSpec]:
-    """One block of a sequence file: its size line, then its degree pairs."""
+    """One block of a sequence file: its size line, then its degree pairs.
+
+    The pair lines are split once and their tokens converted by one ``map``;
+    only a block that fails is walked line by line, to name its first bad line.
+    """
     try:
         sizes = CommunitySpec(tuple(int(tok) for tok in lines[0].split()))
     except ValueError as exc:
         raise ConfigurationError(f"bad size line: {exc}") from None
-    pairs = []
-    for ln in lines[1:]:
-        try:
-            d, e = (int(tok) for tok in ln.split())
-        except ValueError:
-            raise ConfigurationError(f"expected 'total intra' pair, got {ln!r}") from None
-        pairs.append((d, e))
-    if len(pairs) != sizes.node_count:
-        raise ConfigurationError(f"{len(pairs)} degree pairs for {sizes.node_count} nodes")
-    return sizes, DegreeSpec(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+    rows = [ln.split() for ln in lines[1:]]
+    try:
+        if set(map(len, rows)) - {2}:
+            raise ValueError
+        values = list(map(int, itertools.chain.from_iterable(rows)))
+    except ValueError:
+        for ln, row in zip(lines[1:], rows):
+            try:
+                d, e = map(int, row)
+            except ValueError:
+                raise ConfigurationError(f"expected 'total intra' pair, got {ln!r}") from None
+    if len(rows) != sizes.node_count:
+        raise ConfigurationError(f"{len(rows)} degree pairs for {sizes.node_count} nodes")
+    return sizes, DegreeSpec(tuple(values[0::2]), tuple(values[1::2]))
 
 
 def dump_sequences(steps, path) -> None:

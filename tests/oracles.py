@@ -531,6 +531,24 @@ def reference_wire_phase(entries, shape, rng, budget, community_of=None):
     return links, repairs
 
 
+def reference_wire_intra(nodes, shape, rng, budget_factor=REPAIR_BUDGET_FACTOR):
+    """Every community's intra phase through ``reference_wire_phase``, in index order.
+
+    ``nodes`` is (id, total d, intra e, community) tuples, as
+    ``temponet.assembler.wire_intra`` takes them.  Each community is one
+    phase on ``rng`` with a repair bound of ``budget_factor`` per member.
+    Returns each community's link set and repairs, by community index; a
+    ``WiringError`` comes from the first community that raises it.
+    """
+    members: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for nid, d, e, c in nodes:
+        members[c].append((nid, d, e))
+    return {
+        c: reference_wire_phase(members[c], shape, rng, budget_factor * len(members[c]))
+        for c in sorted(members)
+    }
+
+
 def reference_max_chunk_greedy(system) -> np.ndarray:
     """``transition.max_chunk_greedy`` as a scan of every open cell per commit.
 
@@ -1011,6 +1029,30 @@ def reference_classify_events(
     return records
 
 
+def reference_inherit_labels(jac, labels_t, threshold, counter):
+    """``temponet.lifecycle.inherit_labels`` through a Python sort of every
+    (value, i, j) triple, read one numpy cell at a time."""
+    k, l = jac.shape
+    pairs = sorted(
+        ((jac[i, j], i, j) for i in range(k) for j in range(l)),
+        key=lambda p: (-p[0], p[1], p[2]),
+    )
+    labels1 = [None] * l
+    used = set()
+    for value, i, j in pairs:
+        if value < threshold:
+            break
+        if i in used or labels1[j] is not None:
+            continue
+        labels1[j] = labels_t[i]
+        used.add(i)
+    for j in range(l):
+        if labels1[j] is None:
+            labels1[j] = counter
+            counter += 1
+    return labels1, counter
+
+
 def reference_render_event_table(
     records,
     t: int,
@@ -1335,26 +1377,45 @@ def reference_layers():
 
     Inside the block, ``assemble_snapshot`` places nodes through
     ``reference_assign_nodes``, gates each assignment through
-    ``reference_check_graphable`` and runs every wiring phase through
-    ``reference_wire_phase`` with the library's repair bound, its links as
-    (m, 2) int64 rows (u, v), u < v, in sorted order.  ``run`` builds each
+    ``reference_check_graphable`` and wires through ``reference_wire_phase``
+    with the library's repair bound: ``wire_intra`` becomes one reference
+    phase per community in index order (``reference_wire_intra``), and
+    ``wire_inter`` one phase over all nodes.  Links come back as (m, 2)
+    int64 rows (u, v), u < v, sorted within each phase.  ``run`` builds each
     boundary's seed pool through ``reference_seed_pool``, scores flows through
     ``reference_variation_of_information``, searches through
-    ``reference_descent``, materializes through ``reference_materialize_flow``
-    and exports through ``reference_export_temporal_csv``.  The library's own
-    functions are restored on exit.
+    ``reference_descent``, materializes through ``reference_materialize_flow``,
+    carries the labels through ``reference_inherit_labels`` and exports
+    through ``reference_export_temporal_csv``.  The library's own functions
+    are restored on exit.
     """
 
-    def wire_phase(entries, shape, rng, community_of=None):
-        entries = list(entries)
-        bound = REPAIR_BUDGET_FACTOR * max(1, len(entries))
+    def rows(links) -> np.ndarray:
+        return np.array(sorted(links), dtype=np.int64).reshape(-1, 2)
+
+    def wire_intra(nodes, shape, rng):
+        wired = reference_wire_intra(nodes, shape, rng).values()
+        if not wired:
+            return rows(()), 0
+        return (
+            np.concatenate([rows(links) for links, _ in wired]),
+            sum(repairs for _, repairs in wired),
+        )
+
+    def wire_inter(nodes, shape, rng):
+        nodes = list(nodes)
+        bound = REPAIR_BUDGET_FACTOR * max(1, len(nodes))
+        entries = [(nid, d, f) for nid, d, f, _ in nodes]
+        community_of = {nid: c for nid, _, _, c in nodes}
         links, repairs = reference_wire_phase(entries, shape, rng, bound, community_of)
-        return np.array(sorted(links), dtype=np.int64).reshape(-1, 2), repairs
+        return rows(links), repairs
 
     installed = {
         (assembler, "assign_nodes"): reference_assign_nodes,
         (assembler, "check_graphable"): reference_check_graphable,
-        (assembler, "_wire_phase"): wire_phase,
+        (assembler, "wire_intra"): wire_intra,
+        (assembler, "wire_inter"): wire_inter,
+        (pipeline, "inherit_labels"): reference_inherit_labels,
         (pipeline, "seed_pool"): reference_seed_pool,
         (pipeline, "variation_of_information"): reference_variation_of_information,
         (pipeline, "taboo_search"): reference_descent,

@@ -37,6 +37,7 @@ from oracles import (
     reference_check_connectivity,
     reference_repair_intra_parity,
     reference_validate,
+    reference_wire_intra,
     reference_wire_phase,
     rooms_admit_tuples,
     snapshot_from_nodes,
@@ -490,7 +491,9 @@ def _rows(links) -> np.ndarray:
 
 def test_wire_intra_forced_k4():
     links, repairs = wire_intra(
-        [(0, 3, 3), (1, 3, 3), (2, 3, 3), (3, 3, 3)], ShapeParams(), np.random.default_rng(0)
+        [(0, 3, 3, 0), (1, 3, 3, 0), (2, 3, 3, 0), (3, 3, 3, 0)],
+        ShapeParams(),
+        np.random.default_rng(0),
     )
     assert _link_set(links) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
@@ -506,7 +509,7 @@ def test_wire_intra_exactness_on_random_graphable_communities():
         seq = sorted((int(x) for x in rng.integers(0, n, n)), reverse=True)
         if sum(seq) % 2 or not erdos_gallai(seq):
             continue
-        members = [(i, seq[i], seq[i]) for i in range(n)]
+        members = [(i, seq[i], seq[i], 0) for i in range(n)]
         links, repairs = wire_intra(members, ShapeParams(), rng)
         repaired_runs += repairs > 0
         deg = {i: 0 for i in range(n)}
@@ -559,11 +562,10 @@ def test_gate_accepted_memberships_always_wire():
         spec = DegreeSpec(tuple(total), tuple(intra))
         if not check_graphable(CommunitySpec(tuple(sizes)), spec, membership).ok:
             continue
-        all_links = set()
-        for c in range(k):
-            idx = [i for i in range(n) if membership[i] == c]
-            links, _ = wire_intra([(i, total[i], intra[i]) for i in idx], ShapeParams(), rng)
-            all_links |= _link_set(links)
+        intra_rows, _ = wire_intra(
+            [(i, total[i], intra[i], membership[i]) for i in range(n)], ShapeParams(), rng
+        )
+        all_links = _link_set(intra_rows)
         inter_rows, _ = wire_inter(
             [(i, total[i], spec.inter[i], membership[i]) for i in range(n)],
             ShapeParams(),
@@ -585,7 +587,7 @@ def test_wiring_error_on_ungraphable_injection():
     # link, node 0's only partner is its neighbour and no node is saturated,
     # so no link can be rewired, whatever the repair bound
     with pytest.raises(WiringError, match="no candidate links to rewire"):
-        wire_intra([(0, 3, 3), (1, 3, 3)], ShapeParams(), np.random.default_rng(0))
+        wire_intra([(0, 3, 3, 0), (1, 3, 3, 0)], ShapeParams(), np.random.default_rng(0))
 
 
 def test_wiring_gives_up_after_50_repairs_per_node():
@@ -707,7 +709,7 @@ def test_star_forcing_spec_always_stars():
     rng = np.random.default_rng(29)
     for _ in range(50):
         links, _ = wire_intra(
-            [(0, 3, 3), (1, 1, 1), (2, 1, 1), (3, 1, 1)], ShapeParams(), rng
+            [(0, 3, 3, 0), (1, 1, 1, 0), (2, 1, 1, 0), (3, 1, 1, 0)], ShapeParams(), rng
         )
         assert _link_set(links) == {(0, 1), (0, 2), (0, 3)}
 
@@ -1004,6 +1006,86 @@ def test_tree_sampler_wires_like_the_cumsum_reference_at_tree_sizes(mode):
         result = outcomes[0][0]
         repaired += result != "WiringError" and result[1] > 0
     assert repaired
+
+
+def _intra_nodes(gen, k, odd=None, dead=None):
+    """(id, total d, intra e, community) tuples of ``k`` communities in
+    shuffled order, ids shuffled across them.  Each community has a dense
+    graphical intra sequence, except community ``odd``, whose intra sum is
+    odd, and community ``dead``, whose even sequence no graph realizes."""
+    from temponet import erdos_gallai
+
+    nodes = []
+    ids = gen.permutation(20 * k).tolist()
+    for c in range(k):
+        n = int(gen.integers(3 if c == dead else 1, 13))
+        while True:
+            intra = gen.integers(0, n, n).tolist()
+            if c == odd:
+                if sum(intra) % 2 == 0:
+                    intra[int(gen.integers(n))] ^= 1
+                break
+            if sum(intra) % 2 == 0 and erdos_gallai(sorted(intra, reverse=True)) != (c == dead):
+                break
+        for e in intra:
+            nodes.append((ids.pop(), e + int(gen.integers(0, 5)), e, c))
+    return [nodes[i] for i in gen.permutation(len(nodes))]
+
+
+@pytest.mark.parametrize("pairing", [(1, 1), (5, 1), (0.5, 0.5)])
+def test_batched_intra_wiring_matches_one_reference_phase_per_community(pairing):
+    # one wire_intra call over k communities draws like one reference phase
+    # per community in index order on one generator: the same links per
+    # community, repairs, errors and final generator state.  Every tenth
+    # trial has a community with an odd intra sum, which raises before it
+    # draws, and every tenth one a dead-end community, which raises midway.
+    shape = ShapeParams(*pairing)
+    gen = np.random.default_rng(71)
+    repaired_middle = 0
+    for trial in range(150):
+        k = int(gen.integers(2, 6))
+        odd = int(gen.integers(k)) if trial % 10 == 9 else None
+        dead = int(gen.integers(k)) if trial % 10 == 4 else None
+        nodes = _intra_nodes(gen, k, odd, dead)
+        community = {nid: c for nid, _, _, c in nodes}
+        rng = np.random.default_rng(3000 + trial)
+        try:
+            wired = reference_wire_intra(nodes, shape, rng)
+        except WiringError as exc:
+            want = str(exc)
+        else:
+            links = {c: links for c, (links, _) in wired.items()}
+            want = (links, sum(repairs for _, repairs in wired.values()))
+            repaired_middle += any(wired[c][1] for c in range(1, k - 1))
+        want_state = rng.bit_generator.state
+        rng = np.random.default_rng(3000 + trial)
+        try:
+            rows, repairs = wire_intra(nodes, shape, rng)
+        except WiringError as exc:
+            got = str(exc)
+        else:
+            per_community = {c: set() for c in range(k)}
+            for u, v in _link_set(rows):
+                assert community[u] == community[v]
+                per_community[community[u]].add((u, v))
+            got = (per_community, repairs)
+        assert got == want, trial
+        assert rng.bit_generator.state == want_state, trial
+        assert isinstance(got, str) == (odd is not None or dead is not None), trial
+    assert repaired_middle
+
+
+def test_batched_intra_wiring_stops_at_an_odd_community():
+    # the odd community raises before it draws, after the communities
+    # before it have drawn all their variates
+    nodes = [(0, 1, 1, 0), (1, 1, 1, 0), (2, 2, 1, 1), (3, 2, 1, 1), (4, 2, 1, 1)]
+    nodes.append((5, 1, 1, 2))
+    rng = np.random.default_rng(5)
+    with pytest.raises(WiringError, match="odd number of stubs"):
+        wire_intra(nodes, ShapeParams(), rng)
+    want = np.random.default_rng(5)
+    want.beta(1.0, 1.0)
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_assemble_deterministic_given_seed():

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from oracles import clustering, reference_classify_events, reference_render_event_table
+from oracles import (
+    clustering,
+    reference_classify_events,
+    reference_inherit_labels,
+    reference_render_event_table,
+)
 
 from temponet import (
     ConfigurationError,
@@ -26,6 +31,7 @@ from temponet.lifecycle import (
     SPLIT_INTO,
     START_OF_T1,
     flow_jaccard,
+    inherit_labels,
     render_event_table,
 )
 
@@ -263,3 +269,21 @@ def test_classification_and_table_match_the_per_side_reference():
         BORN,
         DEAD,
     }
+
+
+def test_inherit_labels_matches_the_sorted_tuple_reference():
+    # values on a coarse grid, so ties are common and many equal the
+    # threshold exactly; some rows are all zero, shapes are k != l, and
+    # some boundaries have no target (l = 0) or no source (k = 0)
+    rng = np.random.default_rng(404)
+    for case in range(600):
+        k, l = (int(x) for x in rng.integers(0, 9, 2))
+        if case % 50 == 0:
+            l = 0
+        jac = rng.integers(0, 6, (k, l)) / 5
+        jac[rng.random(k) < 0.2] = 0.0
+        threshold = float(rng.choice([0.0, 0.2, 0.4, 0.6, 1.0]))
+        labels_t = rng.permutation(100)[:k].tolist()
+        counter = int(rng.integers(100, 200))
+        want = reference_inherit_labels(jac, labels_t, threshold, counter)
+        assert inherit_labels(jac, labels_t, threshold, counter) == want, case

@@ -318,6 +318,30 @@ def test_export_matches_the_reference_on_wide_ids_and_long_runs(tmp_path):
         assert len(Path(path).read_text().splitlines()) > 2 * output._BLOCK + 1
 
 
+@pytest.mark.parametrize("spread", [2**8, 2**31, 2**62])
+def test_edge_order_matches_lexsort_on_ids_past_32_bits(tmp_path, spread):
+    # ids from 2**32 on, spread over ``spread`` values: at 2**8 and 2**31 the
+    # single (u, v) sort key fits in int64, at 2**62 the export falls back to
+    # np.lexsort.  Pairs recur across timesteps, so the sort must be stable.
+    rng = np.random.default_rng(spread % 997)
+    ids = np.unique(2**32 + rng.integers(0, spread, 40))
+    pool = {tuple(sorted(p)) for p in rng.choice(ids, (60, 2)).tolist() if p[0] != p[1]}
+    pool = sorted(pool)
+    snaps = []
+    for t in rng.permutation(6).tolist():
+        nodes = {int(nid): Node(int(nid), 0, 0, 0) for nid in ids}
+        links = [pool[i] for i in rng.permutation(len(pool))[: len(pool) // 2]]
+        snaps.append(snapshot_from_nodes(t, nodes, links, 1))
+    ordered = sorted(snaps, key=lambda s: s.t)
+    u = np.concatenate([s.endpoints[:, 0] for s in ordered])
+    v = np.concatenate([s.endpoints[:, 1] for s in ordered])
+    assert np.array_equal(output._pair_order(u, v), np.lexsort((v, u)))
+    want = reference_export_temporal_csv(snaps, tmp_path / "ref")
+    got = export_temporal_csv(snaps, tmp_path / "new")
+    for a, b in zip(want, got):
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_export_matches_the_reference_at_block_edges(tmp_path, monkeypatch, block):
     # blocks of 1-3 keys: the many runs of the sticky keys end and start

@@ -358,14 +358,15 @@ def test_runs_match_the_reference_wiring_and_export(tmp_path):
 
     The references cover node placement (``assign_nodes``, bootstrap and
     temporal), the post-assignment gate (``check_graphable`` with a
-    membership), intra and inter wiring (``_wire_phase``), the seed pool
+    membership), intra wiring (``wire_intra``, one reference phase per
+    community) and inter wiring (``wire_inter``), the seed pool
     (``mi_greedy``, ``sorted_residual_greedy``, ``max_chunk_greedy`` and
     ``proportional_fill``), the flow search (``taboo_search``), the VI of a
-    flow, its materialization (``materialize_flow``) and the CSV export
-    (``export_temporal_csv``).  Still uncovered: ``northwest_sorted``,
-    ``kernel_basis``, ``flow_jaccard``, ``inherit_labels`` and
-    ``_plan_moves``.  Dense small communities force wiring repairs, and some
-    configs end in an error.
+    flow, its materialization (``materialize_flow``), the label matching
+    (``inherit_labels``) and the CSV export (``export_temporal_csv``).
+    Still uncovered: ``northwest_sorted``, ``kernel_basis``,
+    ``flow_jaccard`` and ``_plan_moves``.  Dense small communities force
+    wiring repairs, and some configs end in an error.
     """
     gen = np.random.default_rng(2718)
     ends = Counter()
