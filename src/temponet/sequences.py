@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,19 @@ class DegreeSpec:
     intra: tuple[int, ...]
 
     def __post_init__(self):
-        self.total = tuple(int(d) for d in self.total)
-        self.intra = tuple(int(e) for e in self.intra)
+        self.total = tuple(map(int, self.total))
+        self.intra = tuple(map(int, self.intra))
         if not self.total:
             raise ConfigurationError("degree sequences are empty")
         if len(self.total) != len(self.intra):
             raise ConfigurationError("total and intra sequences differ in length")
+        if (
+            min(self.total) >= 1
+            and min(self.intra) >= 0
+            and not any(map(operator.gt, self.intra, self.total))
+        ):
+            return
+        # name the first slot that breaks a rule
         for i, (d, e) in enumerate(zip(self.total, self.intra)):
             if d < 1:
                 raise ConfigurationError(f"slot {i}: total degree {d} < 1 (no isolated nodes)")
