@@ -24,13 +24,21 @@ by node assignment, so a link costs few interpreter operations.  A repair
 finds its candidates, the saturated eligible positions in position order, by
 one numpy pass over the open-stub counts.
 
+A phase of S stubs makes exactly S / 2 draws, and it reads their Beta
+variates with one ``rng.beta`` call.  It keeps the generator state from
+before that read, so a repair can restore it, redraw the variates used so
+far, make its own ``rng.integers`` calls and read the rest of the phase:
+every exit leaves the generator where one ``rng.beta`` call per draw would.
+One ``wire_intra`` call wires all communities of a snapshot, in index order,
+each as a phase with its own small tree built in plain lists; one lexsort
+orders the members and one numpy pass builds the link rows of them all.
+
 Node assignment draws from Fenwick trees too: bootstrap placement from one
 tree over the k community capacities, temporal placement from trees over
 the degree tuples.  Either mode checks Hall's count before it draws, and
 temporal placement keeps the count true pick by pick, so a pass that starts
-never fails.  A snapshot groups its intra members with one stable
-argsort of the community column and gates an assignment with one segmented
-pass over all communities, so its fixed cost grows with n log n, not n * k.
+never fails.  A snapshot gates an assignment with one segmented pass over
+all communities, so its fixed cost grows with n log n, not n * k.
 """
 
 from __future__ import annotations
@@ -620,7 +628,7 @@ def _pair(
     rng: np.random.Generator,
     comm: list[int] | None = None,
 ) -> tuple[list[set[int]], int]:
-    """The wiring loop of one phase; returns each position's neighbour positions and the repairs used.
+    """Wire one phase; returns each position's neighbour positions and the repairs used.
 
     Position q holds node ``ids[q]`` with total degree ``degree[q]`` and
     ``stubs[q]`` stubs to pair, in (total degree, id) order.  ``comm`` (the
@@ -697,8 +705,8 @@ def _pair(
     heapq.heapify(heap)
     alpha, beta = shape.alpha, shape.beta
     bitgen = rng.bit_generator
-    # the variates still to use from index ``used`` on, and the generator
-    # state from before they were read
+    # variates[used:] are the phase's variates still to use, and state is
+    # the generator's from before variates was read
     state = bitgen.state
     variates = rng.beta(alpha, beta, size=draws).tolist()
     used = 0

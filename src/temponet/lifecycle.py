@@ -88,7 +88,6 @@ def inherit_labels(jac: np.ndarray, labels_t, threshold: float, counter: int):
     Returns the t+1 labels and the next unused label; targets without a
     match take fresh labels from ``counter`` on.
     """
-    jac = np.asarray(jac)
     l = jac.shape[1]
     order = np.argsort(-jac, axis=None, kind="stable")
     labels1: list[int | None] = [None] * l

@@ -14,9 +14,11 @@ a Python ``sorted``.  The VI of a flow keeps its boolean masks and broadcast
 row and column sums, and the materialization of a flow reads it one numpy
 cell at a time.  The lifecycle classifier and
 its event table keep their earlier forms as well, with every rule written out
-once per side.  So do the parity repair with its separate fallback loop,
+once per side, and so does the label matching, with its Python sort of every
+Jaccard pair.  So do the parity repair with its separate fallback loop,
 snapshot validation with its separate degree passes, and the CSV export with
-one run merger per field.  Assortativity, modularity and the connectivity
+one run merger per field.  Intra wiring runs one reference phase per
+community, one ``rng.beta`` call per draw.  Assortativity, modularity and the connectivity
 check keep their per-link Python loops.  Node assignment keeps its numpy
 scan over every tuple per node and its draw of one variate per node, and
 recounts Hall's count from scratch for each temporal pick; the first-fit
@@ -30,9 +32,9 @@ community's id set of a snapshot.
 The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
 enumeration oracle; the library keeps only the count.  ``reference_layers``
-installs the placement, gate, stub-pairing, CSV-export and flow-transition
-references in the library, so a whole run can be compared with one through
-the library's own kernels.
+installs the placement, gate, stub-pairing, label-matching, CSV-export and
+flow-transition references in the library, so a whole run can be compared
+with one through the library's own kernels.
 """
 
 from __future__ import annotations

@@ -605,6 +605,25 @@ def test_wiring_gives_up_after_50_repairs_per_node():
             wire_inter(nodes, ShapeParams(), np.random.default_rng(seed))
 
 
+def test_exhausted_repair_budget_leaves_the_generator_like_the_reference():
+    # the budget check comes before the read of the phase's remaining
+    # variates, so the generator stops where one Beta call per draw would;
+    # the inter phase of test_wiring_gives_up_after_50_repairs_per_node
+    community = [0, 0, 0, 1, 1, 2, 2, 2]
+    f = (5, 4, 5, 5, 5, 2, 5, 1)
+    entries = [(i, f[i], f[i]) for i in range(8)]
+    community_of = dict(enumerate(community))
+    for seed in range(1, 4):
+        states = []
+        for wire in (reference_wire_phase, assembler._wire_phase):
+            rng = np.random.default_rng(seed)
+            bound = (50 * len(entries),) if wire is reference_wire_phase else ()
+            with pytest.raises(WiringError, match="exhausted"):
+                wire(entries, ShapeParams(), rng, *bound, community_of)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1], seed
+
+
 def test_worked_example_snapshot_counts_and_exactness():
     rng = np.random.default_rng(11)
     snap = assemble_snapshot(0, WORKED_SIZES, WORKED_SPEC, rng)
