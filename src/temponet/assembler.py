@@ -32,6 +32,7 @@ every exit leaves the generator where one ``rng.beta`` call per draw would.
 One ``wire_intra`` call wires all communities of a snapshot, in index order,
 each as a phase with its own small tree built in plain lists; one lexsort
 orders the members and one numpy pass builds the link rows of them all.
+``wire_inter`` decodes its nodes the same way and wires them as one phase.
 
 Node assignment draws from Fenwick trees too: bootstrap placement from one
 tree over the k community capacities, temporal placement from trees over
@@ -545,6 +546,8 @@ def repair_intra_parity(
     if len(odd) % 2 == 1:
         raise GraphabilityError("odd number of odd-parity communities; global parity broken")
 
+    # members per community; a swap leaves both lists stale, but both of
+    # its communities leave ``odd`` with it, and only those lists are read
     by_comm: dict[int, list[int]] = defaultdict(list)
     for nid, (c, _, _) in out.items():
         by_comm[c].append(nid)
@@ -575,10 +578,6 @@ def repair_intra_parity(
                 _, d2, e2 = out[nid2]
                 out[nid1] = (c1, d2, e2)
                 out[nid2] = (c2, d1, e1)
-                by_comm[c1].remove(nid1)
-                by_comm[c1].append(nid2)
-                by_comm[c2].remove(nid2)
-                by_comm[c2].append(nid1)
                 odd.pop(pos)
                 break
         else:
@@ -591,33 +590,6 @@ def repair_intra_parity(
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
-
-
-def _wire_phase(
-    entries,
-    shape: ShapeParams,
-    rng: np.random.Generator,
-    community_of: dict[int, int] | None = None,
-) -> tuple[np.ndarray, int]:
-    """Pair all stubs of one phase into simple links; returns (endpoints, repairs used).
-
-    ``entries`` is (id, total d, stubs) triples; ``endpoints`` holds one int64
-    row (u, v), u < v, per link.  ``community_of`` switches inter mode:
-    partners must then live in a different community.  Positions sort the
-    nodes by (total degree, id), and ``_pair`` wires them.
-    """
-    entries = sorted(entries, key=lambda t: (t[1], t[0]))
-    ids = [nid for nid, _, _ in entries]
-    comm = None
-    if community_of is not None:
-        index: dict[object, int] = {}
-        comm = [index.setdefault(community_of[nid], len(index)) for nid in ids]
-    degree = [d for _, d, _ in entries]
-    stubs = [s for _, _, s in entries]
-    adj, repairs = _pair(ids, degree, stubs, shape, rng, comm)
-    count = [len(nbrs) for nbrs in adj]
-    partner = itertools.chain.from_iterable(adj)
-    return _link_rows(np.array(ids, dtype=np.int64), count, partner), repairs
 
 
 def _pair(
@@ -947,14 +919,18 @@ def wire_inter(
 ) -> tuple[np.ndarray, int]:
     """Wire all inter-community links; ``nodes`` is (id, total d, inter f, community).
 
+    All nodes form one phase, with positions in (total degree, id) order;
+    partners always live in different communities, so no inter link can
+    duplicate an intra link.  ``np.unique`` maps the community labels to
+    indices 0, 1, ..., which ``_pair`` only compares and indexes by.
     Returns the (m, 2) int64 link rows (u, v), u < v, and the repairs used.
-    Partners always live in different communities, so no inter link can
-    duplicate an intra link.
     """
-    nodes = list(nodes)
-    entries = [(nid, d, f) for nid, d, f, _ in nodes]
-    community_of = {nid: c for nid, _, _, c in nodes}
-    return _wire_phase(entries, pairing_shape, rng, community_of=community_of)
+    table = np.fromiter(itertools.chain.from_iterable(nodes), np.int64).reshape(-1, 4)
+    node, total, inter, community = table[np.lexsort((table[:, 0], table[:, 1]))].T
+    comm = np.unique(community, return_inverse=True)[1].tolist()
+    adj, repairs = _pair(node.tolist(), total.tolist(), inter.tolist(), pairing_shape, rng, comm)
+    partner = itertools.chain.from_iterable(adj)
+    return _link_rows(node, list(map(len, adj)), partner), repairs
 
 
 def check_connectivity(

@@ -4,9 +4,11 @@ A (sizes, degrees) pair is accepted when every community's intra sequence is
 graphable as a simple graph (Erdos-Gallai), the community-aggregated inter
 degrees are graphable as a loop-free multigraph on the reduced community
 graph, and no node needs more inter partners than live outside its
-community.  Before a membership exists only the necessary conditions can be
-checked: global sum parities plus the capacity matching between intra degrees
-and community sizes, which Hall's condition decides by counting.
+community.  Before a membership exists only necessary conditions can be
+checked: global sum parities, the capacity matching between intra degrees
+and community sizes, which Hall's condition decides by counting, and, for a
+single community, an inter sum of 0, since no other community exists to
+take its inter stubs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ class FailedCondition(Enum):
     INTER_MAX = "inter_max"
     INTER_NODE_MAX = "inter_node_max"
     ASSIGNMENT_INFEASIBLE = "assignment_infeasible"
+    INTER_LONE_COMMUNITY = "inter_lone_community"
 
 
 @dataclass
@@ -145,7 +148,8 @@ def check_graphable(
     Erdos-Gallai condition is applied per community on the intra degrees, the
     max condition on per-community inter aggregates, and the bound
     ``f_i <= n - |c_i|`` on every node's inter degree.  Without one, only
-    the global parities and the capacity matching can be verified.
+    the global parities, the capacity matching and, for a single community,
+    an inter sum of 0 can be verified, in that order.
 
     The membership conditions are one segmented numpy pass over every
     community at once, on the intra degrees sorted by (community, e): a
@@ -179,6 +183,14 @@ def check_graphable(
                 None,
                 FailedCondition.ASSIGNMENT_INFEASIBLE,
                 "some intra degree exceeds every community's capacity",
+            )
+        if len(sizes) == 1 and sum(inter):
+            return GraphabilityReport(
+                False,
+                0,
+                FailedCondition.INTER_LONE_COMMUNITY,
+                f"{sum(inter)} inter stubs in a single community:"
+                " no other community exists to take them",
             )
         return GraphabilityReport(True)
 

@@ -450,11 +450,15 @@ def degree_joint_distribution_baseline(degrees) -> np.ndarray:
 def reference_wire_phase(entries, shape, rng, budget, community_of=None):
     """The configuration-model wiring loop with one ``np.cumsum`` per drawn stub.
 
-    Same contract, draw order and RNG use as ``temponet.assembler._wire_phase``:
-    positions are the open stubs sorted by (total degree, id), the node being
-    filled, its neighbours and (``community_of`` given) its own community get
-    weight 0, and the partner is the first position whose cumulative weight
-    exceeds ``min(int(beta * total), total - 1)``.  Returns (links, repairs).
+    One phase of (id, total d, stubs) ``entries``, with the draw order and
+    RNG use of the library's phases: ``temponet.assembler.wire_intra`` runs
+    one per community, and ``wire_inter`` (``community_of`` given) one over
+    all nodes.  Positions are the open stubs sorted by (total degree, id),
+    the node being filled, its neighbours and (``community_of`` given) its
+    own community get weight 0, and the partner is the first position whose
+    cumulative weight exceeds ``min(int(beta * total), total - 1)``.  Raises
+    ``WiringError`` after more than ``budget`` repairs.  Returns (links,
+    repairs).
     """
     entries = sorted(entries, key=lambda t: (t[1], t[0]))
     ids = [nid for nid, _, _ in entries]
@@ -1691,7 +1695,8 @@ def reference_check_graphable(
     Erdos-Gallai condition is applied per community on the intra degrees, the
     max condition on per-community inter aggregates, and the bound
     ``f_i <= n - |c_i|`` on every node's inter degree.  Without one, only
-    the global parities and the capacity matching can be verified.
+    the global parities, the capacity matching and, for a single community,
+    an inter sum of 0 can be verified, in that order.
     """
     n = len(spec)
     if sizes.node_count != n:
@@ -1716,6 +1721,14 @@ def reference_check_graphable(
                 None,
                 FailedCondition.ASSIGNMENT_INFEASIBLE,
                 "some intra degree exceeds every community's capacity",
+            )
+        if len(sizes) == 1 and sum(inter):
+            return GraphabilityReport(
+                False,
+                0,
+                FailedCondition.INTER_LONE_COMMUNITY,
+                f"{sum(inter)} inter stubs in a single community:"
+                " no other community exists to take them",
             )
         return GraphabilityReport(True)
 

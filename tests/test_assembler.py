@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -612,16 +613,16 @@ def test_exhausted_repair_budget_leaves_the_generator_like_the_reference():
     community = [0, 0, 0, 1, 1, 2, 2, 2]
     f = (5, 4, 5, 5, 5, 2, 5, 1)
     entries = [(i, f[i], f[i]) for i in range(8)]
-    community_of = dict(enumerate(community))
+    nodes = [(i, f[i], f[i], community[i]) for i in range(8)]
     for seed in range(1, 4):
-        states = []
-        for wire in (reference_wire_phase, assembler._wire_phase):
-            rng = np.random.default_rng(seed)
-            bound = (50 * len(entries),) if wire is reference_wire_phase else ()
-            with pytest.raises(WiringError, match="exhausted"):
-                wire(entries, ShapeParams(), rng, *bound, community_of)
-            states.append(rng.bit_generator.state)
-        assert states[0] == states[1], seed
+        rng = np.random.default_rng(seed)
+        with pytest.raises(WiringError, match="exhausted"):
+            reference_wire_phase(entries, ShapeParams(), rng, 50 * 8, dict(enumerate(community)))
+        want = rng.bit_generator.state
+        rng = np.random.default_rng(seed)
+        with pytest.raises(WiringError, match="exhausted"):
+            wire_inter(nodes, ShapeParams(), rng)
+        assert rng.bit_generator.state == want, seed
 
 
 def test_worked_example_snapshot_counts_and_exactness():
@@ -985,20 +986,33 @@ def test_tree_sampler_wires_like_the_cumsum_reference(pairing):
 
 def _wire_both(entries, shape, seed, community_of):
     """(result, generator state) of the reference wiring and of the library's
-    from one seed; a result is the link set and repairs, or "WiringError"."""
+    from one seed; a result is the link set and repairs, or "WiringError".
+
+    Without ``community_of`` the library side is ``wire_intra`` with every
+    node in community 0, with it ``wire_inter``; the reference takes the
+    repair bound that the library fixes.
+    """
+    if community_of is None:
+        library = wire_intra
+        nodes = [(nid, d, s, 0) for nid, d, s in entries]
+    else:
+        library = wire_inter
+        nodes = [(nid, d, s, community_of[nid]) for nid, d, s in entries]
+
+    def reference(rng):
+        return reference_wire_phase(entries, shape, rng, 50 * len(entries), community_of)
+
+    def wired(rng):
+        rows, repairs = library(nodes, shape, rng)
+        return _link_set(rows), repairs
+
     outcomes = []
-    for wire in (reference_wire_phase, assembler._wire_phase):
+    for wire in (reference, wired):
         rng = np.random.default_rng(seed)
-        # the reference takes the repair bound that the library fixes
-        bound = (50 * len(entries),) if wire is reference_wire_phase else ()
         try:
-            links, repairs = wire(entries, shape, rng, *bound, community_of)
+            result = wire(rng)
         except WiringError:
             result = "WiringError"
-        else:
-            if wire is assembler._wire_phase:
-                links = _link_set(links)
-            result = (links, repairs)
         outcomes.append((result, rng.bit_generator.state))
     return outcomes
 
@@ -1025,6 +1039,36 @@ def test_tree_sampler_wires_like_the_cumsum_reference_at_tree_sizes(mode):
         result = outcomes[0][0]
         repaired += result != "WiringError" and result[1] > 0
     assert repaired
+
+
+def test_wire_inter_reads_community_labels_only_as_groups():
+    # the same phases with communities labelled (0, 1, 2) and (900, 5, 37):
+    # the compact indices of the second labelling are a permutation of the
+    # first's, and no link row, repair count, error or variate may move
+    gen = np.random.default_rng(71)
+    relabel = (900, 5, 37)
+    ends = Counter()
+    for trial in range(40):
+        n = int(gen.integers(4, 40))
+        community = gen.integers(0, 3, n).tolist()
+        stubs = gen.integers(0, 8, n).tolist()
+        if sum(stubs) % 2:
+            stubs[int(gen.integers(n))] += 1
+        total = [s + int(gen.integers(0, 5)) for s in stubs]
+        outcomes = []
+        for labels in ((0, 1, 2), relabel):
+            nodes = [(i, total[i], stubs[i], labels[community[i]]) for i in range(n)]
+            rng = np.random.default_rng(3000 + trial)
+            try:
+                rows, repairs = wire_inter(nodes, ShapeParams(5, 1), rng)
+                result = (rows.tolist(), repairs)
+            except WiringError as exc:
+                result = str(exc)
+            outcomes.append((result, rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1], trial
+        result = outcomes[0][0]
+        ends["error" if isinstance(result, str) else "repaired" if result[1] else "plain"] += 1
+    assert ends["repaired"] and ends["plain"] and ends["error"], ends
 
 
 def _intra_nodes(gen, k, odd=None, dead=None):

@@ -263,6 +263,46 @@ def test_inter_degree_above_the_outside_population_is_rejected():
         assemble_snapshot(0, sizes, spec, np.random.default_rng(0))
 
 
+def test_lone_community_with_inter_stubs_is_refused_before_membership():
+    sizes = CommunitySpec((4,))
+    spec = DegreeSpec((3, 3, 2, 2), (2, 2, 2, 2))
+    for check in (check_graphable, reference_check_graphable):
+        report = check(sizes, spec)
+        assert not report.ok
+        assert report.failing_condition is FailedCondition.INTER_LONE_COMMUNITY
+        assert report.failing_community == 0
+        assert report.reason == (
+            "inter_lone_community: 2 inter stubs in a single community:"
+            " no other community exists to take them"
+        )
+    # the three earlier conditions keep their reports
+    odd_inter = check_graphable(sizes, DegreeSpec((3, 2, 2, 2), (2, 2, 2, 2)))
+    assert odd_inter.failing_condition is FailedCondition.INTER_PARITY
+    too_high = check_graphable(sizes, DegreeSpec((5, 4, 2, 1), (4, 3, 2, 1)))
+    assert too_high.failing_condition is FailedCondition.ASSIGNMENT_INFEASIBLE
+    # no inter stubs, or a second community to take them, pass
+    assert check_graphable(sizes, DegreeSpec((2, 2, 2, 2), (2, 2, 2, 2))).ok
+    assert check_graphable(CommunitySpec((2, 2)), DegreeSpec((2, 2, 1, 1), (1, 1, 1, 1))).ok
+
+
+def test_lone_community_refusals_are_unrealizable():
+    # every one-community spec of up to 4 nodes that the rule refuses has no
+    # realization: with its only membership, no inter stub finds a partner
+    refused = 0
+    for size in range(1, 5):
+        for intra in itertools.product(range(size), repeat=size):
+            for inter in itertools.product(range(3), repeat=size):
+                total = tuple(e + f for e, f in zip(intra, inter))
+                if 0 in total:  # a spec has no isolated nodes
+                    continue
+                spec = DegreeSpec(total, intra)
+                report = check_graphable(CommunitySpec((size,)), spec)
+                if report.failing_condition is FailedCondition.INTER_LONE_COMMUNITY:
+                    refused += 1
+                    assert not realizable_clustered((size,), [0] * size, intra, inter)
+    assert refused > 1_000
+
+
 def test_check_graphable_validation_errors():
     with pytest.raises(ConfigurationError):
         check_graphable(CommunitySpec((2,)), DegreeSpec((1, 1, 2), (0, 0, 0)))
@@ -367,7 +407,9 @@ def test_check_graphable_equals_the_per_community_reference():
             kind = new.failing_condition.value if new.failing_condition else "ok"
         outcomes[kind] += 1
         widest[kind] = max(widest[kind], len(sizes))
-    kinds = {c.value for c in FailedCondition} | {"ok", "out of range", "count"}
+    # the lone-community rule is checked only before a membership exists
+    kinds = {c.value for c in FailedCondition} - {FailedCondition.INTER_LONE_COMMUNITY.value}
+    kinds |= {"ok", "out of range", "count"}
     assert set(outcomes) == kinds, outcomes
     assert min(outcomes.values()) >= 100, outcomes
     assert min(widest[kind] for kind in ("ok", "intra_erdos_gallai", "inter_parity")) > 150, widest

@@ -351,6 +351,25 @@ def _run_outcome(cfg):
     return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
 
 
+def _sequence_file(kw, path, seed):
+    """Turn the sampler config ``kw`` into a sequence-file run of its own draws.
+
+    Each timestep's block is the first of up to ``max_sequence_retries``
+    draws that passes the gate before membership, or the last draw.
+    """
+    cfg, rng, steps = RunConfig(**kw), np.random.default_rng(seed), []
+    for _ in range(cfg.timesteps):
+        for _ in range(cfg.max_sequence_retries):
+            block = pipeline._draw_sequences(cfg, rng)
+            if pipeline.check_graphable(*block).ok:
+                break
+        steps.append(block)
+    dump_sequences(steps, path)
+    for name in ("community_cfg", "degree_cfg", "community_count", "max_sequence_retries"):
+        del kw[name]
+    kw["sequence_file"] = str(path)
+
+
 def test_runs_match_the_reference_wiring_and_export(tmp_path):
     """100 small seeded configs, run once through the library and once
     with ``reference_layers`` installed: every output byte, or the error
@@ -366,7 +385,10 @@ def test_runs_match_the_reference_wiring_and_export(tmp_path):
     (``inherit_labels``) and the CSV export (``export_temporal_csv``).
     Still uncovered: ``northwest_sorted``, ``kernel_basis``,
     ``flow_jaccard`` and ``_plan_moves``.  Dense small communities force
-    wiring repairs, and some configs end in an error.
+    wiring repairs, and some configs end in an error.  The configs mix both
+    roundings, per-boundary kill-count lists, ``no_search``,
+    ``on_disconnected="abort"`` and, in every tenth case, a sequence file
+    of the sampler's own draws.
     """
     gen = np.random.default_rng(2718)
     ends = Counter()
@@ -385,12 +407,21 @@ def test_runs_match_the_reference_wiring_and_export(tmp_path):
                 param=(1.0, 2.5, 0.5)[case % 3],
                 mix_ratio=float(gen.uniform(0.3, 1.0)),
                 mix_mode=("fixed", "bernoulli")[case % 2],
+                rounding=("stochastic", "nearest")[case // 2 % 2],
             ),
             community_count=int(gen.integers(1, 6)),
             kills=int(gen.integers(0, 4)),
             pairing_shape=ShapeParams(*[(1, 1), (5, 1), (1, 5), (0.5, 0.5)][case % 4]),
             max_sequence_retries=int(gen.integers(1, 6)),
+            no_search=case % 5 == 4,
+            on_disconnected=("warn", "abort")[case % 7 in (2, 5)],
         )
+        if case % 4 == 3:
+            kw["kills"] = [(kw["kills"] + b) % 4 for b in range(kw["timesteps"] - 1)]
+        kind = "sampler"
+        if case % 10 == 9:
+            _sequence_file(kw, tmp_path / f"steps{case}.txt", case)
+            kind = "file"
         library = _run_outcome(RunConfig(**kw, output_dir=str(tmp_path / f"lib{case}")))
         with reference_layers():
             reference = _run_outcome(RunConfig(**kw, output_dir=str(tmp_path / f"ref{case}")))
@@ -400,7 +431,9 @@ def test_runs_match_the_reference_wiring_and_export(tmp_path):
         else:
             repairs = json.loads(library["report.json"])["snapshots"]
             ends["repaired" if any(s["wiring_repairs"] for s in repairs) else "plain"] += 1
+            ends[kind] += 1
     assert ends["repaired"] and ends["plain"] and ends["GraphabilityError"], ends
+    assert ends["file"], ends
 
 
 def test_report_echoes_the_complete_config(tmp_path):
@@ -493,6 +526,28 @@ def test_exhausted_assembly_names_its_conditions_in_the_draw_error(tmp_path):
     assert message.startswith("timestep 0: 1 sequence draw(s) failed: 10 assignment attempt(s)")
     assert message.count("timestep 0") == 1
     assert "inter_max" in message and "(x10)" in message
+
+
+def test_lone_community_with_inter_stubs_fails_at_the_gate(tmp_path, monkeypatch):
+    # one community and 2 inter stubs: the gate refuses the block before
+    # any placement pass is spent on it
+    path = tmp_path / "steps.txt"
+    path.write_text("4\n3 2\n3 2\n2 2\n2 2\n")
+    calls = []
+    real = assembler.assign_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assembler, "assign_nodes", counted)
+    with pytest.raises(GraphabilityError) as info:
+        run(RunConfig(timesteps=1, seed=0, sequence_file=str(path)))
+    assert str(info.value) == (
+        "timestep 0: 1 sequence draw(s) failed: inter_lone_community: 2 inter stubs"
+        " in a single community: no other community exists to take them"
+    )
+    assert calls == []
 
 
 def test_mid_scale_run_produces_lifecycle_events(tmp_path):
