@@ -605,8 +605,10 @@ def _pair(
     Position q holds node ``ids[q]`` with total degree ``degree[q]`` and
     ``stubs[q]`` stubs to pair, in (total degree, id) order.  ``comm`` (the
     positions' community indices 0, 1, ...) switches inter mode.  Raises
-    ``WiringError`` for an odd stub sum, before any draw, and after more
-    than ``REPAIR_BUDGET_FACTOR * m`` repairs for m nodes.
+    ``WiringError`` for a negative stub count or an odd stub sum, before any
+    draw, and after more than ``REPAIR_BUDGET_FACTOR * m`` repairs for m
+    nodes.  A batch that draws nothing from a positive eligible weight
+    raises ``AssertionError``, as the loop would otherwise never end.
 
     ``rem[q]`` counts the open stubs at position q, and nodes fill largest
     degree first.  ``tree`` is a Fenwick tree over each position's effective
@@ -630,12 +632,13 @@ def _pair(
 
     Prefetch rule: a draw closes two stubs and a repair none, so a phase of
     S stubs makes exactly S / 2 draws, and it reads their Beta variates with
-    one ``rng.beta(size=S // 2)`` call.  p takes the next
-    ``k = min(rem[p], eligible)`` of them, where ``eligible`` counts the
-    eligible positions with positive weight.  Every draw takes the positive
-    position it lands on and bans it, so ``eligible`` falls by exactly one
-    per draw and none of the k draws finds the weight empty.  ``k`` is 0
-    exactly when the eligible weight is, and only then does ``repair`` run.
+    one ``rng.beta(size=S // 2)`` call.  p takes the next of them while it
+    has open stubs and its eligible weight (``tree[size]``, less
+    ``owns[comm[p]][size]`` in inter mode) is positive, and counts its
+    draws as the growth of ``adj[p]``.  Every draw takes the positive
+    position it lands on and bans it, so the weight never runs out
+    mid-draw, and the phase's S / 2 variates cover every batch.  Only when
+    p has open stubs and an empty eligible weight does ``repair`` run.
     As ``Generator.beta(a, b, size=k)`` yields the variates of k single
     calls, the read makes the draws of one call per draw, except that a
     repair's ``rng.integers`` calls must come after the variates used so
@@ -648,6 +651,9 @@ def _pair(
     """
     m = len(ids)
     budget = REPAIR_BUDGET_FACTOR * max(1, m)
+    low = min(stubs, default=0)
+    if low < 0:
+        raise WiringError(f"node {ids[stubs.index(low)]}: negative stub count ({low})")
     draws, odd = divmod(sum(stubs), 2)
     if odd:
         raise WiringError("odd number of stubs in a wiring phase")
@@ -661,17 +667,13 @@ def _pair(
     tree = _fenwick(rem + [0] * (size - m))
     inter = comm is not None
     if inter:
-        # each member's weight walked up its path into its community's tree,
-        # and the open (rem > 0) positions per community
+        # each member's weight walked up its path into its community's tree
         owns = [[0] * (size + 1) for _ in range(max(comm) + 1)]
-        open_in = [0] * len(owns)
         for q, w in enumerate(rem):
             if w:
-                open_in[comm[q]] += 1
                 own = owns[comm[q]]
                 for i in paths[q]:
                     own[i] += w
-    open_count = m - rem.count(0)  # open positions
     repairs = 0
     heap = [(-d, p) for p, (d, s) in enumerate(zip(degree, stubs)) if s > 0]
     heapq.heapify(heap)
@@ -688,10 +690,9 @@ def _pair(
         bitgen.state = state
         rng.beta(alpha, beta, size=used)
 
-    def repair(p: int) -> int:
-        """Break a link (w, v) of a saturated eligible node w and link p to w;
-        returns 1 when v is now an eligible position with positive weight."""
-        nonlocal repairs, open_count, state, variates, used
+    def repair(p: int) -> None:
+        """Break a link (w, v) of a saturated eligible node w and link p to w."""
+        nonlocal repairs, state, variates, used
         replay()
         # candidates, in position order: eligible partners with all stubs
         # taken, so >= 1 link to break (p itself still has open stubs)
@@ -714,10 +715,6 @@ def _pair(
         adj[w].add(p)
         rem[p] -= 1
         rem[v] += 1
-        if rem[v] == 1:
-            open_count += 1
-            if inter:
-                open_in[comm[v]] += 1
         heapq.heappush(heap, (-degree[v], v))
         repairs += 1
         if repairs > budget:
@@ -726,12 +723,11 @@ def _pair(
         variates = rng.beta(alpha, beta, size=len(variates) - used).tolist()
         used = 0
         if v in adj[p]:  # banned while p fills
-            return 0
+            return
         for i in paths[v]:
             tree[i] += 1
             if inter:
                 owns[comm[v]][i] += 1
-        return int(rem[v] == 1 and not (inter and comm[v] == comm[p]))
 
     if not inter:
         while heap:
@@ -739,25 +735,19 @@ def _pair(
             if not rem[p]:
                 continue
             adj_p = adj[p]
-            # ban p and its neighbours; the eligible positive positions are
-            # the open ones outside the bans
-            eligible = open_count
+            # ban p and its neighbours
             for q in [p, *adj_p]:
                 w = rem[q]
                 if w:
-                    eligible -= 1
                     for i in paths[q]:
                         tree[i] -= w
-            while True:
-                r = rem[p]
-                if not r:
-                    break
-                k = r if r < eligible else eligible
-                if not k:
-                    eligible += repair(p)
-                    continue
+            while rem[p]:
                 total = tree[size]
-                for x in variates[used : used + k]:
+                if not total:
+                    repair(p)
+                    continue
+                start = len(adj_p)
+                for x in variates[used : used + rem[p]]:
                     rank = int(x * total)
                     if rank >= total:
                         rank = total - 1
@@ -771,16 +761,17 @@ def _pair(
                     w = rem[q]
                     rem[q] = w - 1
                     total -= w
-                    if w == 1:
-                        open_count -= 1
                     for i in paths[q]:
                         tree[i] -= w
                     adj_p.add(q)
                     adj[q].add(p)
+                    if not total:
+                        break
+                k = len(adj_p) - start
+                if not k:
+                    raise AssertionError("a batch drew nothing from a positive eligible weight")
                 used += k
-                rem[p] = r - k
-                eligible -= k
-            open_count -= 1
+                rem[p] -= k
             # unban: partners and neighbours get their open stubs back
             for q in adj_p:
                 w = rem[q]
@@ -795,27 +786,21 @@ def _pair(
             c = comm[p]
             own_c = owns[c]
             adj_p = adj[p]
-            # ban p and its neighbours, all outside c; the eligible positive
-            # positions are the open ones outside the bans and outside c
-            eligible = open_count - open_in[c] + 1
+            # ban p and its neighbours, all outside c
             for q in [p, *adj_p]:
                 w = rem[q]
                 if w:
-                    eligible -= 1
                     own = owns[comm[q]]
                     for i in paths[q]:
                         tree[i] -= w
                         own[i] -= w
-            while True:
-                r = rem[p]
-                if not r:
-                    break
-                k = r if r < eligible else eligible
-                if not k:
-                    eligible += repair(p)
-                    continue
+            while rem[p]:
                 total = tree[size] - own_c[size]
-                for x in variates[used : used + k]:
+                if not total:
+                    repair(p)
+                    continue
+                start = len(adj_p)
+                for x in variates[used : used + rem[p]]:
                     rank = int(x * total)
                     if rank >= total:
                         rank = total - 1
@@ -830,20 +815,19 @@ def _pair(
                     w = rem[q]
                     rem[q] = w - 1
                     total -= w
-                    if w == 1:
-                        open_count -= 1
-                        open_in[comm[q]] -= 1
                     own = owns[comm[q]]
                     for i in paths[q]:
                         tree[i] -= w
                         own[i] -= w
                     adj_p.add(q)
                     adj[q].add(p)
+                    if not total:
+                        break
+                k = len(adj_p) - start
+                if not k:
+                    raise AssertionError("a batch drew nothing from a positive eligible weight")
                 used += k
-                rem[p] = r - k
-                eligible -= k
-            open_count -= 1
-            open_in[c] -= 1
+                rem[p] -= k
             # unban: partners and neighbours get their open stubs back
             for q in adj_p:
                 w = rem[q]

@@ -89,9 +89,14 @@ def plan_transition(
     ``alive_ids`` outside the kill set; the opposite sign births new nodes
     instead.  The plan's ``kill_ids`` therefore name all ``deaths``.  The
     death-adjustment community is appended to the t+1 side and the
-    birth-adjustment community to the t side (only when non-empty).
+    birth-adjustment community to the t side (only when non-empty).  Kill
+    ids outside ``alive_ids`` raise ``ConfigurationError`` before any draw.
     """
     kill_ids = tuple(sorted(set(int(x) for x in kill_ids)))
+    alive_ids = set(alive_ids)
+    unknown = [nid for nid in kill_ids if nid not in alive_ids]
+    if unknown:
+        raise ConfigurationError(f"kill ids {unknown} are not alive")
     n_t, n_t1 = sizes_t.node_count, sizes_t1.node_count
     if len(kill_ids) > n_t:
         raise ConfigurationError(f"kill set of {len(kill_ids)} exceeds the population {n_t}")
@@ -99,7 +104,7 @@ def plan_transition(
     births = max(0, gap)
     extra = max(0, -gap)
     deaths = len(kill_ids) + extra
-    pool = sorted(set(alive_ids) - set(kill_ids))
+    pool = sorted(alive_ids.difference(kill_ids))
     if len(kill_ids) + len(pool) < deaths:
         raise ConfigurationError("not enough alive nodes to draw the extra kills from")
     if extra:

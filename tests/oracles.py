@@ -32,8 +32,8 @@ community's id set of a snapshot.
 The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
 enumeration oracle; the library keeps only the count.  ``reference_layers``
-installs the placement, gate, stub-pairing, label-matching, CSV-export and
-flow-transition references in the library, so a whole run can be compared
+installs the placement, gate, stub-pairing, move-planning, label-matching,
+CSV-export and flow-transition references in the library, so a whole run can be compared
 with one through the library's own kernels.
 """
 
@@ -1376,10 +1376,65 @@ def reference_seed_pool(system) -> list[np.ndarray]:
     ]
 
 
+def reference_plan_moves(cfg, rng, prev, sizes_t1, t):
+    """``pipeline._plan_moves`` with the dead nodes per community, the
+    survivor groups and the surviving map counted in plain loops.
+
+    The kill draw, the seed pool, the flow search and the materialization
+    are called through ``pipeline``, so whatever is installed there runs.
+    """
+    snap = prev.snap
+    explicit_ids, random_count = pipeline._kills_for_boundary(cfg, t - 1)
+    alive = snap.ids.tolist()
+    bad = [nid for nid in explicit_ids if nid not in alive]
+    if bad:
+        raise ConfigurationError(f"boundary {t - 1}: kill ids {bad} are not alive at T{t - 1}")
+    kill_ids = set(explicit_ids)
+    if random_count:
+        pool = [nid for nid in alive if nid not in kill_ids]
+        if random_count > len(pool):
+            raise ConfigurationError(f"boundary {t - 1}: cannot kill {random_count} nodes")
+        for pick in rng.choice(len(pool), size=random_count, replace=False):
+            kill_ids.add(pool[int(pick)])
+    plan = pipeline.plan_transition(prev.sizes, sizes_t1, sorted(kill_ids), rng, alive_ids=alive)
+
+    k, l = len(prev.sizes), len(sizes_t1)
+    dead = set(plan.kill_ids)
+    # the dead nodes of each community pin the death column; the survivors
+    # group by community, each group in ascending id order
+    lower = np.zeros((len(plan.sizes_from_augmented), len(plan.sizes_to_augmented)), np.int64)
+    groups = [[] for _ in range(k)]
+    for nid, c in zip(alive, snap.community.tolist()):
+        if nid in dead:
+            lower[c, plan.death_col] += 1
+        else:
+            groups[c].append(nid)
+    system = pipeline.build_flow_system(
+        plan.sizes_from_augmented, plan.sizes_to_augmented, lower=lower
+    )
+    pool_flows = pipeline.seed_pool(system)
+    pool_vi = [pipeline.variation_of_information(u) for u in pool_flows]
+    flow = pool_flows[pool_vi.index(min(pool_vi))]
+    if not cfg.no_search:
+        flow = pipeline.taboo_search(system, flow, pipeline.kernel_basis(system))
+    surviving = {}
+    for chunks in pipeline.materialize_flow(flow[:k, :l], groups, rng):
+        for j, chunk in enumerate(chunks):
+            for nid in chunk:
+                surviving[nid] = j
+    if plan.birth_row is not None:
+        nid = prev.next_id
+        for j in range(l):
+            for _ in range(int(flow[plan.birth_row, j])):
+                surviving[nid] = j
+                nid += 1
+    return pipeline._Moves(plan, flow, pool_vi, surviving)
+
+
 @contextlib.contextmanager
 def reference_layers():
-    """Install the reference placement, gate, wiring loop, CSV export and
-    flow transition in temponet.
+    """Install the reference placement, gate, wiring loop, move planning,
+    CSV export and flow transition in temponet.
 
     Inside the block, ``assemble_snapshot`` places nodes through
     ``reference_assign_nodes``, gates each assignment through
@@ -1387,8 +1442,9 @@ def reference_layers():
     with the library's repair bound: ``wire_intra`` becomes one reference
     phase per community in index order (``reference_wire_intra``), and
     ``wire_inter`` one phase over all nodes.  Links come back as (m, 2)
-    int64 rows (u, v), u < v, sorted within each phase.  ``run`` builds each
-    boundary's seed pool through ``reference_seed_pool``, scores flows through
+    int64 rows (u, v), u < v, sorted within each phase.  ``run`` plans each
+    boundary's moves through ``reference_plan_moves``, which builds the seed
+    pool through ``reference_seed_pool``, scores flows through
     ``reference_variation_of_information``, searches through
     ``reference_descent``, materializes through ``reference_materialize_flow``,
     carries the labels through ``reference_inherit_labels`` and exports
@@ -1421,6 +1477,7 @@ def reference_layers():
         (assembler, "check_graphable"): reference_check_graphable,
         (assembler, "wire_intra"): wire_intra,
         (assembler, "wire_inter"): wire_inter,
+        (pipeline, "_plan_moves"): reference_plan_moves,
         (pipeline, "inherit_labels"): reference_inherit_labels,
         (pipeline, "seed_pool"): reference_seed_pool,
         (pipeline, "variation_of_information"): reference_variation_of_information,

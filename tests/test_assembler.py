@@ -1151,6 +1151,22 @@ def test_batched_intra_wiring_stops_at_an_odd_community():
     assert rng.bit_generator.state == want.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "wire, nodes",
+    [
+        (wire_intra, [(0, 2, 2, 0), (1, 2, 2, 0), (2, 2, -2, 0), (3, 0, 0, 0)]),
+        (wire_inter, [(0, 1, 1, 0), (1, 1, 1, 0), (2, 2, 2, 1), (3, 2, -2, 1)]),
+    ],
+)
+def test_negative_stub_counts_are_refused_before_any_draw(wire, nodes):
+    # the stub sums are even, so only the negative count stands in the way;
+    # the stop at an empty eligible weight relies on no count being negative
+    rng = np.random.default_rng(3)
+    with pytest.raises(WiringError, match=r"negative stub count \(-2\)"):
+        wire(nodes, ShapeParams(), rng)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
 def test_assemble_deterministic_given_seed():
     sizes, spec, _ = assembled_graphable_spec(np.random.default_rng(37))
     snap_a = assemble_snapshot(0, sizes, spec, np.random.default_rng(41))

@@ -125,6 +125,16 @@ def test_plan_transition_validation():
         )
 
 
+def test_plan_transition_refuses_kill_ids_that_are_not_alive():
+    # a dead id in the kill set would count a death that no node makes
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigurationError, match=r"kill ids \[10, 99\] are not alive"):
+        plan_transition(
+            CommunitySpec((5, 5)), CommunitySpec((7,)), (99, 3, 10), rng, alive_ids=range(10)
+        )
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -378,15 +388,21 @@ def test_runs_match_the_reference_wiring_and_export(tmp_path):
     The references cover node placement (``assign_nodes``, bootstrap and
     temporal), the post-assignment gate (``check_graphable`` with a
     membership), intra wiring (``wire_intra``, one reference phase per
-    community) and inter wiring (``wire_inter``), the seed pool
-    (``mi_greedy``, ``sorted_residual_greedy``, ``max_chunk_greedy`` and
+    community) and inter wiring (``wire_inter``), the move planning
+    (``_plan_moves``: the dead nodes per community, the survivor groups and
+    the surviving map), the seed pool (``mi_greedy``,
+    ``sorted_residual_greedy``, ``max_chunk_greedy`` and
     ``proportional_fill``), the flow search (``taboo_search``), the VI of a
     flow, its materialization (``materialize_flow``), the label matching
-    (``inherit_labels``) and the CSV export (``export_temporal_csv``).
-    Still uncovered: ``northwest_sorted``, ``kernel_basis``,
-    ``flow_jaccard`` and ``_plan_moves``.  Dense small communities force
-    wiring repairs, and some configs end in an error.  The configs mix both
-    roundings, per-boundary kill-count lists, ``no_search``,
+    (``inherit_labels``) and the CSV export (``export_temporal_csv``).  The
+    other layers need no reference: the library form of
+    ``northwest_sorted`` is the plain loop, ``kernel_basis`` is one
+    ``np.indices``, and
+    ``test_flow_jaccard_matches_set_jaccard_on_every_boundary`` checks
+    ``flow_jaccard`` against set Jaccard on every boundary.  Dense small
+    communities force wiring repairs, and some configs end in an error.
+    The configs mix both roundings, per-boundary kill-count lists,
+    ``no_search``,
     ``on_disconnected="abort"`` and, in every tenth case, a sequence file
     of the sampler's own draws.
     """
