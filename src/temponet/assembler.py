@@ -635,10 +635,9 @@ def _pair(
     one ``rng.beta(size=S // 2)`` call.  p takes the next of them while it
     has open stubs and its eligible weight (``tree[size]``, less
     ``owns[comm[p]][size]`` in inter mode) is positive, and counts its
-    draws as the growth of ``adj[p]``.  Every draw takes the positive
-    position it lands on and bans it, so the weight never runs out
-    mid-draw, and the phase's S / 2 variates cover every batch.  Only when
-    p has open stubs and an empty eligible weight does ``repair`` run.
+    draws as the growth of ``adj[p]``.  Every draw lands on a position of
+    positive weight and bans it, so no draw finds the weight empty.  Only
+    when p has open stubs and an empty eligible weight does ``repair`` run.
     As ``Generator.beta(a, b, size=k)`` yields the variates of k single
     calls, the read makes the draws of one call per draw, except that a
     repair's ``rng.integers`` calls must come after the variates used so

@@ -33,8 +33,8 @@ The exact lattice enumerator (every feasible flow of a transportation
 system, one free cell at a time) and the system's incidence matrix are the
 enumeration oracle; the library keeps only the count.  ``reference_layers``
 installs the placement, gate, stub-pairing, move-planning, label-matching,
-CSV-export and flow-transition references in the library, so a whole run can be compared
-with one through the library's own kernels.
+CSV-export and flow-transition references in the library, so a whole run
+can be compared with one through the library's own kernels.
 """
 
 from __future__ import annotations

@@ -119,9 +119,9 @@ def test_plan_transition_draws_extra_victims_from_alive():
 
 
 def test_plan_transition_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="exceeds the population 2"):
         plan_transition(
-            CommunitySpec((2,)), CommunitySpec((2,)), (1, 2, 3), np.random.default_rng(0), (1, 2)
+            CommunitySpec((2,)), CommunitySpec((2,)), (1, 2, 3), np.random.default_rng(0), range(4)
         )
 
 
