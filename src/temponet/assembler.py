@@ -18,9 +18,10 @@ global tree minus the node's own-community tree; each community tree starts
 as a plain list filled by walking its members' paths, so building them costs
 O(n log n), not k passes over n positions.  A draw picks exactly the
 position that a cumulative sum and ``searchsorted`` would pick.  Intra and
-inter phases run separate fill loops, and every ban and unban walks a path
-of cells from a table built once per tree size and shared by every phase and
-by node assignment, so a link costs few interpreter operations.  A repair
+inter phases share one fill loop, which tests the mode only at the descent
+and at each tree update; every ban and unban walks a path of cells from a
+table built once per tree size and shared by every phase and by node
+assignment, so a link costs few interpreter operations.  A repair
 finds its candidates, the saturated eligible positions in position order, by
 one numpy pass over the open-stub counts.
 
@@ -617,9 +618,12 @@ def _pair(
     ``tree[size]`` is the whole weight and the descent, which halves its
     step from ``size / 2`` to 1, needs no bounds check.  In inter mode
     ``owns[c]`` mirrors those weights for the members of community c only,
-    and p's eligible weight is ``tree - owns[comm[p]]``.  Intra and inter
-    mode each have their own fill loop, so the intra loop carries no
-    community tree.
+    and p's eligible weight is ``tree - owns[comm[p]]``.  Both modes run one
+    fill loop, which tests ``inter`` only where they differ: at the descent,
+    and at each tree update (ban, draw, unban and a repair's restore), where
+    inter mode walks ``tree`` and the community tree together.  Intra mode
+    carries no community tree at all, not even an empty one: subtracting
+    and updating one would slow every intra draw for nothing.
 
     Ban and unban: before p fills, every position among p and its neighbours
     that has open stubs loses its whole weight in ``tree`` (and in its
@@ -723,118 +727,89 @@ def _pair(
         used = 0
         if v in adj[p]:  # banned while p fills
             return
-        for i in paths[v]:
-            tree[i] += 1
-            if inter:
-                owns[comm[v]][i] += 1
+        if inter:
+            own = owns[comm[v]]
+            for i in paths[v]:
+                tree[i] += 1
+                own[i] += 1
+        else:
+            for i in paths[v]:
+                tree[i] += 1
 
-    if not inter:
-        while heap:
-            p = heapq.heappop(heap)[1]
-            if not rem[p]:
+    while heap:
+        p = heapq.heappop(heap)[1]
+        if not rem[p]:
+            continue
+        if inter:
+            own_c = owns[comm[p]]
+        adj_p = adj[p]
+        # ban p and its neighbours (in inter mode, all outside p's community)
+        for q in [p, *adj_p]:
+            w = rem[q]
+            if w and inter:
+                own = owns[comm[q]]
+                for i in paths[q]:
+                    tree[i] -= w
+                    own[i] -= w
+            elif w:
+                for i in paths[q]:
+                    tree[i] -= w
+        while rem[p]:
+            total = tree[size] - own_c[size] if inter else tree[size]
+            if not total:
+                repair(p)
                 continue
-            adj_p = adj[p]
-            # ban p and its neighbours
-            for q in [p, *adj_p]:
-                w = rem[q]
-                if w:
-                    for i in paths[q]:
-                        tree[i] -= w
-            while rem[p]:
-                total = tree[size]
-                if not total:
-                    repair(p)
-                    continue
-                start = len(adj_p)
-                for x in variates[used : used + rem[p]]:
-                    rank = int(x * total)
-                    if rank >= total:
-                        rank = total - 1
-                    q = 0
-                    for step in steps:
-                        w = tree[q + step]
-                        if w <= rank:
-                            q += step
-                            rank -= w
-                    # ban the partner at q and close one of its stubs
-                    w = rem[q]
-                    rem[q] = w - 1
-                    total -= w
-                    for i in paths[q]:
-                        tree[i] -= w
-                    adj_p.add(q)
-                    adj[q].add(p)
-                    if not total:
-                        break
-                k = len(adj_p) - start
-                if not k:
-                    raise AssertionError("a batch drew nothing from a positive eligible weight")
-                used += k
-                rem[p] -= k
-            # unban: partners and neighbours get their open stubs back
-            for q in adj_p:
-                w = rem[q]
-                if w:
-                    for i in paths[q]:
-                        tree[i] += w
-    else:
-        while heap:
-            p = heapq.heappop(heap)[1]
-            if not rem[p]:
-                continue
-            c = comm[p]
-            own_c = owns[c]
-            adj_p = adj[p]
-            # ban p and its neighbours, all outside c
-            for q in [p, *adj_p]:
-                w = rem[q]
-                if w:
-                    own = owns[comm[q]]
-                    for i in paths[q]:
-                        tree[i] -= w
-                        own[i] -= w
-            while rem[p]:
-                total = tree[size] - own_c[size]
-                if not total:
-                    repair(p)
-                    continue
-                start = len(adj_p)
-                for x in variates[used : used + rem[p]]:
-                    rank = int(x * total)
-                    if rank >= total:
-                        rank = total - 1
-                    q = 0
+            start = len(adj_p)
+            for x in variates[used : used + rem[p]]:
+                rank = int(x * total)
+                if rank >= total:
+                    rank = total - 1
+                q = 0
+                if inter:
                     for step in steps:
                         j = q + step
                         w = tree[j] - own_c[j]
                         if w <= rank:
                             q = j
                             rank -= w
-                    # ban the partner at q and close one of its stubs
-                    w = rem[q]
-                    rem[q] = w - 1
-                    total -= w
+                else:
+                    for step in steps:
+                        w = tree[q + step]
+                        if w <= rank:
+                            q += step
+                            rank -= w
+                # ban the partner at q and close one of its stubs
+                w = rem[q]
+                rem[q] = w - 1
+                total -= w
+                if inter:
                     own = owns[comm[q]]
                     for i in paths[q]:
                         tree[i] -= w
                         own[i] -= w
-                    adj_p.add(q)
-                    adj[q].add(p)
-                    if not total:
-                        break
-                k = len(adj_p) - start
-                if not k:
-                    raise AssertionError("a batch drew nothing from a positive eligible weight")
-                used += k
-                rem[p] -= k
-            # unban: partners and neighbours get their open stubs back
-            for q in adj_p:
-                w = rem[q]
-                if w:
-                    own = owns[comm[q]]
+                else:
                     for i in paths[q]:
-                        tree[i] += w
-                        own[i] += w
+                        tree[i] -= w
+                adj_p.add(q)
+                adj[q].add(p)
+                if not total:
+                    break
+            k = len(adj_p) - start
+            if not k:
+                raise AssertionError("a batch drew nothing from a positive eligible weight")
+            used += k
+            rem[p] -= k
+        # unban: partners and neighbours get their open stubs back
+        for q in adj_p:
+            w = rem[q]
+            if w and inter:
+                own = owns[comm[q]]
+                for i in paths[q]:
+                    tree[i] += w
+                    own[i] += w
+            elif w:
+                for i in paths[q]:
+                    tree[i] += w
     if any(rem):
         replay()
         raise WiringError("stubs left unpaired after the wiring loop")

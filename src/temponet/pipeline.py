@@ -78,23 +78,31 @@ class TransitionPlan:
 def plan_transition(
     sizes_t: CommunitySpec,
     sizes_t1: CommunitySpec,
-    kill_ids,
+    kills,
     rng: np.random.Generator,
     alive_ids,
 ) -> TransitionPlan:
     """Balance node counts across a boundary.
 
-    Deaths are the explicit kill set plus, depending on the sign of
-    ``sum(S_t) - sum(S_t+1) - |O|``, additional kills drawn uniformly from
-    ``alive_ids`` outside the kill set; the opposite sign births new nodes
-    instead.  The plan's ``kill_ids`` therefore name all ``deaths``.  The
-    death-adjustment community is appended to the t+1 side and the
-    birth-adjustment community to the t side (only when non-empty).  Kill
-    ids outside ``alive_ids`` raise ``ConfigurationError`` before any draw.
+    ``kills`` is the boundary's kill spec: an ``int`` count of kills drawn
+    uniformly from ``alive_ids`` (one ``rng.choice`` over the ascending ids,
+    none for a count of 0), or a sequence of explicit kill ids.  Deaths are
+    those kills plus, depending on the sign of ``sum(S_t) - sum(S_t+1) - |O|``,
+    additional kills drawn uniformly from ``alive_ids`` outside the kill set;
+    the opposite sign births new nodes instead.  The plan's ``kill_ids``
+    therefore name all ``deaths``.  The death-adjustment community is
+    appended to the t+1 side and the birth-adjustment community to the t
+    side (only when non-empty).  Kill ids outside ``alive_ids``, and a count
+    above their number, raise ``ConfigurationError`` before any draw.
     """
-    kill_ids = tuple(sorted(set(int(x) for x in kill_ids)))
-    alive_ids = set(alive_ids)
-    unknown = [nid for nid in kill_ids if nid not in alive_ids]
+    alive = sorted(set(alive_ids))
+    if isinstance(kills, numbers.Integral):
+        if kills > len(alive):
+            raise ConfigurationError(f"cannot kill {kills} of {len(alive)} alive nodes")
+        picks = rng.choice(len(alive), size=kills, replace=False) if kills else ()
+        kills = [alive[int(p)] for p in picks]
+    kill_ids = tuple(sorted(set(int(x) for x in kills)))
+    unknown = sorted(set(kill_ids).difference(alive))
     if unknown:
         raise ConfigurationError(f"kill ids {unknown} are not alive")
     n_t, n_t1 = sizes_t.node_count, sizes_t1.node_count
@@ -104,7 +112,7 @@ def plan_transition(
     births = max(0, gap)
     extra = max(0, -gap)
     deaths = len(kill_ids) + extra
-    pool = sorted(alive_ids.difference(kill_ids))
+    pool = sorted(set(alive).difference(kill_ids))
     if len(kill_ids) + len(pool) < deaths:
         raise ConfigurationError("not enough alive nodes to draw the extra kills from")
     if extra:
@@ -123,22 +131,25 @@ def plan_transition(
     )
 
 
+def _integer(name: str, x) -> int:
+    """``x`` as an ``int``; any integral type counts, anything else is refused."""
+    if isinstance(x, numbers.Integral):
+        return operator.index(x)
+    raise ConfigurationError(f"{name}: {x!r} is not an integer")
+
+
 def _normalize_kills(kills):
     """A kill spec as an ``int`` count for every boundary, or as a tuple with
     one entry per boundary, each an ``int`` count or a tuple of ids.  Any
     integral type counts as an integer; an empty list kills nobody."""
-
-    def integer(x):
-        if isinstance(x, numbers.Integral):
-            return operator.index(x)
-        raise ConfigurationError(f"kills: {x!r} is not an integer")
-
     if not isinstance(kills, (list, tuple)):
-        return integer(kills)
+        return _integer("kills", kills)
     if not kills:
         return 0
     return tuple(
-        tuple(map(integer, entry)) if isinstance(entry, (list, tuple)) else integer(entry)
+        tuple(_integer("kills", x) for x in entry)
+        if isinstance(entry, (list, tuple))
+        else _integer("kills", entry)
         for entry in kills
     )
 
@@ -163,6 +174,8 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("timesteps", "seed", "community_count", "max_sequence_retries"):
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.timesteps < 1:
             raise ConfigurationError("timesteps must be >= 1")
         if self.seed < 0:
@@ -213,11 +226,8 @@ class RunResult:
 
 
 def _kills_for_boundary(cfg: RunConfig, boundary: int):
-    """Resolve the kill spec for boundary t -> t+1 into (explicit ids, random count)."""
-    spec = cfg.kills
-    if isinstance(spec, tuple):
-        spec = spec[boundary]
-    return ((), spec) if isinstance(spec, int) else (spec, 0)
+    """The kill spec of boundary t -> t+1: an ``int`` count or a tuple of ids."""
+    return cfg.kills[boundary] if isinstance(cfg.kills, tuple) else cfg.kills
 
 
 def _draw_sequences(cfg: RunConfig, rng: np.random.Generator) -> tuple[CommunitySpec, DegreeSpec]:
@@ -267,20 +277,11 @@ class _Moves:
 def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: int) -> _Moves:
     """Plan the kills into timestep ``t``, search the flow and materialize it into node moves."""
     snap = prev.snap
-    explicit_ids, random_count = _kills_for_boundary(cfg, t - 1)
-    alive = snap.ids.tolist()
-    alive_set = set(alive)
-    bad = [nid for nid in explicit_ids if nid not in alive_set]
-    if bad:
-        raise ConfigurationError(f"boundary {t - 1}: kill ids {bad} are not alive at T{t - 1}")
-    kill_ids = set(explicit_ids)
-    if random_count:
-        pool = [nid for nid in alive if nid not in kill_ids]
-        if random_count > len(pool):
-            raise ConfigurationError(f"boundary {t - 1}: cannot kill {random_count} nodes")
-        picks = rng.choice(len(pool), size=random_count, replace=False)
-        kill_ids |= {pool[int(p)] for p in picks}
-    plan = plan_transition(prev.sizes, sizes_t1, sorted(kill_ids), rng, alive_ids=alive)
+    kills = _kills_for_boundary(cfg, t - 1)
+    try:
+        plan = plan_transition(prev.sizes, sizes_t1, kills, rng, alive_ids=snap.ids.tolist())
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"boundary {t - 1}: {exc}") from exc
 
     k_real, l_real = len(prev.sizes), len(sizes_t1)
     dies = np.isin(snap.ids, plan.kill_ids)

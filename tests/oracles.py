@@ -1380,23 +1380,17 @@ def reference_plan_moves(cfg, rng, prev, sizes_t1, t):
     """``pipeline._plan_moves`` with the dead nodes per community, the
     survivor groups and the surviving map counted in plain loops.
 
-    The kill draw, the seed pool, the flow search and the materialization
-    are called through ``pipeline``, so whatever is installed there runs.
+    The kill plan (``plan_transition``, which draws the kills), the seed
+    pool, the flow search and the materialization are called through
+    ``pipeline``, so whatever is installed there runs.
     """
     snap = prev.snap
-    explicit_ids, random_count = pipeline._kills_for_boundary(cfg, t - 1)
     alive = snap.ids.tolist()
-    bad = [nid for nid in explicit_ids if nid not in alive]
-    if bad:
-        raise ConfigurationError(f"boundary {t - 1}: kill ids {bad} are not alive at T{t - 1}")
-    kill_ids = set(explicit_ids)
-    if random_count:
-        pool = [nid for nid in alive if nid not in kill_ids]
-        if random_count > len(pool):
-            raise ConfigurationError(f"boundary {t - 1}: cannot kill {random_count} nodes")
-        for pick in rng.choice(len(pool), size=random_count, replace=False):
-            kill_ids.add(pool[int(pick)])
-    plan = pipeline.plan_transition(prev.sizes, sizes_t1, sorted(kill_ids), rng, alive_ids=alive)
+    kills = pipeline._kills_for_boundary(cfg, t - 1)
+    try:
+        plan = pipeline.plan_transition(prev.sizes, sizes_t1, kills, rng, alive_ids=alive)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"boundary {t - 1}: {exc}") from exc
 
     k, l = len(prev.sizes), len(sizes_t1)
     dead = set(plan.kill_ids)

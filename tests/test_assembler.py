@@ -1071,6 +1071,41 @@ def test_wire_inter_reads_community_labels_only_as_groups():
     assert ends["repaired"] and ends["plain"] and ends["error"], ends
 
 
+def _wire_outcome(wire, nodes, shape, seed):
+    """A wiring call's link rows and repairs, or its ``WiringError`` text,
+    with the generator's state after the call."""
+    rng = np.random.default_rng(seed)
+    try:
+        rows, repairs = wire(nodes, shape, rng)
+        result = (rows.tolist(), repairs)
+    except WiringError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 5), (0.5, 0.5)])
+def test_intra_and_inter_wiring_agree_on_singleton_communities(shape):
+    # one community of intra stubs and one community per node of inter
+    # stubs forbid the same partners (only p itself), so the two modes must
+    # make the same draws, repairs and errors
+    gen = np.random.default_rng(83)
+    ends = Counter()
+    for trial in range(250):
+        n = int(gen.integers(1, 14))
+        stubs = gen.integers(0, n, n).tolist()
+        if sum(stubs) % 2:
+            stubs[int(gen.integers(n))] += 1
+        ids = gen.permutation(3 * n)[:n].tolist()
+        total = [s + int(gen.integers(0, 4)) for s in stubs]
+        intra = [(v, d, s, 0) for v, d, s in zip(ids, total, stubs)]
+        inter = [(v, d, s, v) for v, d, s in zip(ids, total, stubs)]
+        outcome = _wire_outcome(wire_intra, intra, ShapeParams(*shape), trial)
+        assert _wire_outcome(wire_inter, inter, ShapeParams(*shape), trial) == outcome, trial
+        result = outcome[0]
+        ends["error" if isinstance(result, str) else "repaired" if result[1] else "plain"] += 1
+    assert ends["repaired"] and ends["plain"] and ends["error"], ends
+
+
 def _intra_nodes(gen, k, odd=None, dead=None):
     """(id, total d, intra e, community) tuples of ``k`` communities in
     shuffled order, ids shuffled across them.  Each community has a dense

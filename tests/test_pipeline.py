@@ -118,6 +118,25 @@ def test_plan_transition_draws_extra_victims_from_alive():
     assert set(plan.kill_ids) <= set(range(10))
 
 
+def test_plan_transition_draws_a_kill_count_from_the_ascending_alive_ids():
+    # a count is one choice over the sorted alive ids, then the balancing draw
+    rng, want = np.random.default_rng(5), np.random.default_rng(5)
+    plan = plan_transition(
+        CommunitySpec((5, 5)), CommunitySpec((6,)), 2, rng, alive_ids=range(9, -1, -1)
+    )
+    first = want.choice(10, size=2, replace=False)
+    rest = [nid for nid in range(10) if nid not in first]
+    second = want.choice(len(rest), size=2, replace=False)
+    assert plan.kill_ids == tuple(sorted([*first.tolist(), *(rest[i] for i in second)]))
+    assert rng.bit_generator.state == want.bit_generator.state
+    rng = np.random.default_rng(5)
+    plan_transition(CommunitySpec((5, 5)), CommunitySpec((10,)), 0, rng, alive_ids=range(10))
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    with pytest.raises(ConfigurationError, match="cannot kill 11 of 10 alive nodes"):
+        plan_transition(CommunitySpec((5, 5)), CommunitySpec((10,)), 11, rng, alive_ids=range(10))
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
 def test_plan_transition_validation():
     with pytest.raises(ConfigurationError, match="exceeds the population 2"):
         plan_transition(
@@ -143,9 +162,14 @@ def test_plan_transition_refuses_kill_ids_that_are_not_alive():
         ("kills", [1, "2"], "not an integer"),
         ("max_sequence_retries", 0, "max_sequence_retries"),
         ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, r"seed: 1\.5 is not an integer"),
+        ("timesteps", 2.5, r"timesteps: 2\.5 is not an integer"),
+        ("community_count", "4", "community_count: '4' is not an integer"),
+        ("max_sequence_retries", 2.0, r"max_sequence_retries: 2\.0 is not an integer"),
     ],
     ids=[
         "kills", "kills_per_boundary", "kills_not_integer", "max_sequence_retries", "seed",
+        "seed_float", "timesteps_float", "community_count_str", "max_sequence_retries_float",
     ],
 )
 def test_run_config_rejects_values_that_fail_later(field, value, message):
@@ -161,23 +185,19 @@ def test_run_config_rejects_mix_settings_on_the_community_sampler(name, value):
     small_cfg(degree_cfg=SamplerConfig("uniform", 3, 8, **{name: value}))
 
 
-def counts(*n):
-    return [((), x) for x in n]
-
-
 @pytest.mark.parametrize(
     "kills, resolved",
     [
-        ([1, 2, 0, 4, 5], counts(1, 2, 0, 4, 5)),
+        ([1, 2, 0, 4, 5], [1, 2, 0, 4, 5]),
         ([1, 2], "kill list shorter"),
-        ([[3], [], [4, 5], [6], [7]], [((3,), 0), ((), 0), ((4, 5), 0), ((6,), 0), ((7,), 0)]),
+        ([[3], [], [4, 5], [6], [7]], [(3,), (), (4, 5), (6,), (7,)]),
         ([[3], [4, 5]], "kill list shorter"),
-        ([1, 2, 0, 4, 5, 6], counts(1, 2, 0, 4, 5)),
-        (4, counts(4, 4, 4, 4, 4)),
-        ([], counts(0, 0, 0, 0, 0)),
-        ([np.int64(2), np.int64(3), 0, 4, 5], counts(2, 3, 0, 4, 5)),
+        ([1, 2, 0, 4, 5, 6], [1, 2, 0, 4, 5]),
+        (4, [4, 4, 4, 4, 4]),
+        ([], [0, 0, 0, 0, 0]),
+        ([np.int64(2), np.int64(3), 0, 4, 5], [2, 3, 0, 4, 5]),
         ([np.int64(-1), 3, 0, 4, 5], "random kill counts"),
-        (np.int64(3), counts(3, 3, 3, 3, 3)),
+        (np.int64(3), [3, 3, 3, 3, 3]),
     ],
     ids=[
         "counts", "counts_short", "id_lists", "id_lists_short", "counts_long",
@@ -194,7 +214,8 @@ def test_run_config_checks_a_per_boundary_kill_list_up_front(kills, resolved):
     cfg = small_cfg(timesteps=6, kills=kills)
     got = [pipeline._kills_for_boundary(cfg, boundary) for boundary in range(5)]
     assert got == resolved
-    assert all(type(x) is int for ids, count in got for x in (*ids, count))
+    ints = [x for spec in got for x in (spec if isinstance(spec, tuple) else (spec,))]
+    assert all(type(x) is int for x in ints)
 
 
 def test_boundary_recount_reads_the_realized_snapshots(monkeypatch):
@@ -289,6 +310,23 @@ def test_run_explicit_kill_ids_die():
     result = run(small_cfg(timesteps=2, kills=[victims]))
     assert set(victims) & set(result.snapshots[1].nodes) == set()
     assert result.report.boundaries[0].deaths >= 3
+
+
+def test_run_names_the_boundary_of_a_dead_kill_id():
+    # ids are never recycled, so no node of the first snapshot has this id
+    message = r"^boundary 1: kill ids \[100000\] are not alive$"
+    with pytest.raises(ConfigurationError, match=message):
+        run(small_cfg(timesteps=3, kills=[[], [100000]]))
+
+
+def test_numpy_integers_configure_a_run_like_ints(tmp_path):
+    fields = dict(timesteps=np.int64(2), seed=np.int64(3), community_count=np.int32(4))
+    cfg = small_cfg(output_dir=str(tmp_path), max_sequence_retries=np.int16(2), **fields)
+    run(cfg)
+    assert sorted(os.listdir(tmp_path)) == ["edges.csv", "nodes.csv", "report.json", "report.txt"]
+    echo = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert [echo[name] for name in (*fields, "max_sequence_retries")] == [2, 3, 4, 2]
+    assert all(type(getattr(cfg, name)) is int for name in (*fields, "max_sequence_retries"))
 
 
 def test_run_sequence_file_mode(tmp_path):
