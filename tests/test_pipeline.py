@@ -313,7 +313,7 @@ def test_run_explicit_kill_ids_die():
 
 
 def test_run_names_the_boundary_of_a_dead_kill_id():
-    # ids are never recycled, so no node of the first snapshot has this id
+    # the ids of this small run stay far below 100000, so that id is never alive
     message = r"^boundary 1: kill ids \[100000\] are not alive$"
     with pytest.raises(ConfigurationError, match=message):
         run(small_cfg(timesteps=3, kills=[[], [100000]]))
