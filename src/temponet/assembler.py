@@ -32,8 +32,8 @@ far, make its own ``rng.integers`` calls and read the rest of the phase:
 every exit leaves the generator where one ``rng.beta`` call per draw would.
 One ``wire_intra`` call wires all communities of a snapshot, in index order,
 each as a phase with its own small tree built in plain lists; one lexsort
-orders the members and one numpy pass builds the link rows of them all.
-``wire_inter`` decodes its nodes the same way and wires them as one phase.
+of the snapshot's int64 node columns orders the members and one numpy pass
+builds all their link rows.  ``wire_inter`` wires every node in one phase.
 
 Node assignment draws from Fenwick trees too: bootstrap placement from one
 tree over the k community capacities, temporal placement from trees over
@@ -105,9 +105,9 @@ class Snapshot:
     ``ids`` in strictly ascending order, ``degree``, ``intra_degree`` and
     ``community``, an index into ``range(community_count)``.  Each node thus
     has exactly one community, and a community may be empty.  ``endpoints``
-    is a read-only (m, 2) int64 array, one row (u, v) per link; any iterable
-    of pairs is coerced to one, in its iteration order, and any other shape
-    but an empty one is refused.  Snapshots compare by identity.
+    is a new read-only (m, 2) int64 array built from any pairs, each row
+    turned to u <= v and the rows sorted by (u, v); any other shape but an
+    empty one is refused.  Snapshots compare by identity.
     """
 
     t: int
@@ -130,7 +130,8 @@ class Snapshot:
             endpoints = endpoints.reshape(0, 2)
         if endpoints.shape[1:] != (2,):
             raise ConfigurationError(f"endpoints of shape {endpoints.shape} are not (m, 2) rows")
-        self.endpoints = endpoints
+        endpoints = np.sort(endpoints, axis=1)
+        self.endpoints = endpoints[_pair_order(endpoints[:, 0], endpoints[:, 1])]
         for name in _NODE_COLUMNS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         n = self.ids.size
@@ -173,12 +174,12 @@ class Snapshot:
 
         The checks are numpy passes over the columns.  They raise for the
         first failing row of ``endpoints`` (self-loop, unknown id, or a
-        duplicate of an earlier row in either orientation), then for the
-        first node in id order whose community index lies outside
-        ``range(community_count)``, then for the first node whose realized
-        degree or intra degree differs from its column, as one loop over the
-        rows and one over the nodes would.  The columns give each node one
-        community, so no partition check is needed.
+        duplicate: the rows are sorted, so a row equal to the one before it),
+        then for the first node in id order whose community index lies
+        outside ``range(community_count)``, then for the first node whose
+        realized degree or intra degree differs from its column, as one loop
+        over the rows and one over the nodes would.  The columns give each
+        node one community, so no partition check is needed.
         """
         ids = self.ids
         n = len(ids)
@@ -186,16 +187,8 @@ class Snapshot:
         at, known = _lookup(ids, uv)
         loop = uv[:, 0] == uv[:, 1]
         unknown = ~(known[:, 0] & known[:, 1])
-        # one key per unordered pair of known ids, a key of its own per link
-        # to an unknown id; every link after the first of its key is a duplicate
-        pair = np.minimum(at[:, 0], at[:, 1]) * n + np.maximum(at[:, 0], at[:, 1])
-        key = np.where(unknown, -1 - np.arange(len(uv)), pair)
-        order = np.argsort(key)
-        sorted_key = key[order]
-        run_start = np.ones(len(uv), dtype=bool)
-        run_start[1:] = sorted_key[1:] != sorted_key[:-1]
-        duplicate = np.ones(len(uv), dtype=bool)
-        duplicate[np.minimum.reduceat(order, np.flatnonzero(run_start))] = False
+        duplicate = np.zeros(len(uv), dtype=bool)
+        duplicate[1:] = (uv[1:] == uv[:-1]).all(axis=1)
         failed = loop | unknown | duplicate
         if failed.any():
             i = int(failed.argmax())
@@ -204,7 +197,7 @@ class Snapshot:
                 raise AssertionError(f"self-loop at node {u}")
             if unknown[i]:
                 raise AssertionError(f"link ({u}, {v}) references unknown nodes")
-            raise AssertionError(f"duplicate link {(min(u, v), max(u, v))}")
+            raise AssertionError(f"duplicate link {(u, v)}")
         k = self.community_count
         comm = self.community
         outside = (comm < 0) | (comm >= k)
@@ -252,6 +245,22 @@ def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     at = np.searchsorted(ids, values)
     np.minimum(at, ids.size - 1, out=at)
     return at, ids[at] == values
+
+
+def _pair_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The stable order that sorts the pairs (u, v) by u, then v.
+
+    When ``(u - min u) * span + (v - min v)``, with ``span`` the range of v,
+    fits in int64, one stable argsort of that single key gives the order;
+    otherwise ``np.lexsort`` does.
+    """
+    if not u.size:
+        return np.zeros(0, dtype=np.intp)
+    u_low, v_low = int(u.min()), int(v.min())
+    span = int(v.max()) - v_low + 1
+    if (int(u.max()) - u_low + 1) * span > np.iinfo(np.int64).max:
+        return np.lexsort((v, u))
+    return np.argsort((u - u_low) * span + (v - v_low), kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -833,29 +842,27 @@ def _link_rows(
 
 
 def wire_intra(
-    nodes,
-    pairing_shape: ShapeParams,
-    rng: np.random.Generator,
+    ids, degree, stubs, community, pairing_shape: ShapeParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Wire every community's intra links; ``nodes`` is (id, total d, intra e, community).
+    """Wire every community's intra links; node i has int64 column entries
+    ``ids[i]``, total ``degree[i]``, intra ``stubs[i]`` and ``community[i]``.
 
     Each community is a wiring phase of its own, with its own Fenwick tree,
     and the phases run in community index order on ``rng``.  One lexsort
     groups the members and orders each community by (total degree, id), and
     one numpy pass builds the link rows of all communities.  Returns the
     (m, 2) int64 link rows (u, v), u < v, community by community, and the
-    repairs used.  Every member's realized intra degree equals its ``e``
+    repairs used.  Every member's realized intra degree equals its stubs
     exactly; each community's intra sequence must pass the Erdos-Gallai test
     beforehand.  A community with an odd intra sum raises ``WiringError``
     once the communities before it are wired.
     """
-    table = np.fromiter(itertools.chain.from_iterable(nodes), np.int64).reshape(-1, 4)
-    node, total, intra, community = table.T
-    order = np.lexsort((node, total, community))
+    order = np.lexsort((ids, degree, community))
     community = community[order]
     cuts = (np.flatnonzero(community[1:] != community[:-1]) + 1).tolist()
     bounds = [0, *cuts, community.size]
-    ids, degree, stubs = (column[order].tolist() for column in (node, total, intra))
+    node = ids[order]
+    ids, degree, stubs = (column[order].tolist() for column in (ids, degree, stubs))
     # each community's neighbour positions, flattened as soon as it is wired
     count: list[int] = []
     partner: list[int] = []
@@ -867,15 +874,13 @@ def wire_intra(
         repairs += used
     # each community's positions count from its first row
     base = np.repeat(bounds[:-1], np.diff(bounds))
-    return _link_rows(node[order], count, partner, base), repairs
+    return _link_rows(node, count, partner, base), repairs
 
 
 def wire_inter(
-    nodes,
-    pairing_shape: ShapeParams,
-    rng: np.random.Generator,
+    ids, degree, stubs, community, pairing_shape: ShapeParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Wire all inter-community links; ``nodes`` is (id, total d, inter f, community).
+    """Wire all inter-community links; the columns are ``wire_intra``'s, with inter ``stubs``.
 
     All nodes form one phase, with positions in (total degree, id) order;
     partners always live in different communities, so no inter link can
@@ -883,10 +888,10 @@ def wire_inter(
     indices 0, 1, ..., which ``_pair`` only compares and indexes by.
     Returns the (m, 2) int64 link rows (u, v), u < v, and the repairs used.
     """
-    table = np.fromiter(itertools.chain.from_iterable(nodes), np.int64).reshape(-1, 4)
-    node, total, inter, community = table[np.lexsort((table[:, 0], table[:, 1]))].T
-    comm = np.unique(community, return_inverse=True)[1].tolist()
-    adj, repairs = _pair(node.tolist(), total.tolist(), inter.tolist(), pairing_shape, rng, comm)
+    order = np.lexsort((ids, degree))
+    node, degree, stubs = ids[order], degree[order].tolist(), stubs[order].tolist()
+    comm = np.unique(community[order], return_inverse=True)[1].tolist()
+    adj, repairs = _pair(node.tolist(), degree, stubs, pairing_shape, rng, comm)
     partner = itertools.chain.from_iterable(adj)
     return _link_rows(node, list(map(len, adj)), partner), repairs
 
@@ -991,8 +996,7 @@ def assemble_snapshot(
     degree = np.array(aligned.total, dtype=np.int64)
     intra_degree = np.array(aligned.intra, dtype=np.int64)
 
-    intra_entries = zip(ids, aligned.total, aligned.intra, membership)
-    intra_links, repairs = wire_intra(intra_entries, pairing_shape, rng)
+    intra_links, repairs = wire_intra(node_ids, degree, intra_degree, community, pairing_shape, rng)
     components = check_connectivity(node_ids, community, intra_links, len(sizes))
     disconnected = np.flatnonzero(components > 1).tolist()
     if disconnected:
@@ -1000,8 +1004,8 @@ def assemble_snapshot(
             "timestep %d: communities %s wired with multiple components", t, disconnected
         )
 
-    inter_entries = zip(ids, aligned.total, aligned.inter, membership)
-    inter_links, used = wire_inter(inter_entries, pairing_shape, rng)
+    inter_degree = degree - intra_degree
+    inter_links, used = wire_inter(node_ids, degree, inter_degree, community, pairing_shape, rng)
     repairs += used
 
     snap = Snapshot(

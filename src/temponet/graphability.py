@@ -4,11 +4,13 @@ A (sizes, degrees) pair is accepted when every community's intra sequence is
 graphable as a simple graph (Erdos-Gallai), the community-aggregated inter
 degrees are graphable as a loop-free multigraph on the reduced community
 graph, and no node needs more inter partners than live outside its
-community.  Before a membership exists only necessary conditions can be
-checked: global sum parities, the capacity matching between intra degrees
-and community sizes, which Hall's condition decides by counting, and, for a
-single community, an inter sum of 0, since no other community exists to
-take its inter stubs.
+community.  When exactly two communities hold inter stubs, every inter link
+joins those two, so the inter phase is a bipartite graph and the Gale-Ryser
+condition (Gale 1957; Ryser 1957) decides it exactly.  Before a membership
+exists only necessary conditions can be checked: global sum parities, the
+capacity matching between intra degrees and community sizes, which Hall's
+condition decides by counting, and, for a single community, an inter sum of
+0, since no other community exists to take its inter stubs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class FailedCondition(Enum):
     INTER_NODE_MAX = "inter_node_max"
     ASSIGNMENT_INFEASIBLE = "assignment_infeasible"
     INTER_LONE_COMMUNITY = "inter_lone_community"
+    INTER_GALE_RYSER = "inter_gale_ryser"
 
 
 @dataclass
@@ -115,6 +118,24 @@ def inter_graphable(inter_aggregates) -> bool:
     return total % 2 == 0 and 2 * max(agg) <= total
 
 
+def _gale_ryser_excess(a: np.ndarray, b: np.ndarray) -> int:
+    """The largest excess of a Gale-Ryser inequality of side ``a`` against side ``b``.
+
+    For every k, the k largest of ``a`` may need at most
+    ``sum_j min(b_j, k)`` partners in ``b``; returns the largest
+    ``sum_{i<=k} a_i - sum_j min(b_j, k)``, positive iff some inequality
+    fails.  With ``b`` sorted, its entries below k are a prefix, so each
+    right-hand side is a prefix sum plus k times the count of the rest.
+    """
+    k = np.arange(1, a.size + 1)
+    b = np.sort(b)
+    cum = np.zeros(b.size + 1, dtype=np.int64)
+    np.cumsum(b, out=cum[1:])
+    below = np.searchsorted(b, k)
+    rhs = cum[below] + k * (b.size - below)
+    return int((np.cumsum(np.sort(a)[::-1]) - rhs).max())
+
+
 def assignment_feasible(sizes, intra) -> bool:
     """True iff intra degrees can be placed into communities with ``e <= size - 1``.
 
@@ -146,10 +167,12 @@ def check_graphable(
 
     With a concrete ``membership`` (community index per node slot) the
     Erdos-Gallai condition is applied per community on the intra degrees, the
-    max condition on per-community inter aggregates, and the bound
-    ``f_i <= n - |c_i|`` on every node's inter degree.  Without one, only
-    the global parities, the capacity matching and, for a single community,
-    an inter sum of 0 can be verified, in that order.
+    max condition on per-community inter aggregates, the bound
+    ``f_i <= n - |c_i|`` on every node's inter degree and, when exactly two
+    communities hold inter stubs, the Gale-Ryser inequalities between them,
+    which make the inter check exact.  Without one, only the global
+    parities, the capacity matching and, for a single community, an inter
+    sum of 0 can be verified, in that order.
 
     The membership conditions are one segmented numpy pass over every
     community at once, on the intra degrees sorted by (community, e): a
@@ -158,7 +181,9 @@ def check_graphable(
     (community, e) key.  The report names the first failing community and,
     of its failing conditions, the first in that order, as one loop over
     the communities would.  The inter aggregates are one ``bincount`` and
-    the node bound one first-index search.
+    the node bound one first-index search.  Gale-Ryser is checked from each
+    side, and the report names the community whose inequality fails by the
+    most (the lower index on a tie).
     """
     n = len(spec)
     if sizes.node_count != n:
@@ -263,4 +288,18 @@ def check_graphable(
             f"community {c}: slot {slot} needs {inter[slot]} inter partners,"
             f" only {outside[slot]} nodes lie outside",
         )
+    holders = np.flatnonzero(aggregates).tolist()
+    if len(holders) == 2:
+        a, b = (f[member == c] for c in holders)
+        excess = [_gale_ryser_excess(a, b), _gale_ryser_excess(b, a)]
+        worst = excess.index(max(excess))
+        if excess[worst] > 0:
+            c, other = holders[worst], holders[1 - worst]
+            return GraphabilityReport(
+                False,
+                c,
+                FailedCondition.INTER_GALE_RYSER,
+                f"community {c}: inter degrees fail the Gale-Ryser condition"
+                f" against community {other}",
+            )
     return GraphabilityReport(True)

@@ -25,16 +25,12 @@ def assortativity_details(snapshot: Snapshot) -> tuple[float, bool]:
     """Newman degree assortativity and a flag for the degenerate (zero variance) case.
 
     The link (u, v) adds the pairs (d_u, d_v) and (d_v, d_u), link after link
-    in sorted order, so the sums run in the order of a loop over the rows
-    of ``endpoints`` in sorted order.
+    in the (u, v) order that ``Snapshot`` keeps its rows in, so the sums run
+    in the order of a loop over the rows of ``endpoints``.
     """
     if not snapshot.link_count:
         raise ConfigurationError("assortativity needs at least one link")
-    at = _endpoint_index(snapshot)
-    # the ids ascend, so node indices sort links as their ids do; the links
-    # are distinct pairs of ids, so their keys are distinct
-    key = at[:, 0] * snapshot.node_count + at[:, 1]
-    ends = snapshot.degree.astype(np.float64)[at[np.argsort(key)]]
+    ends = snapshot.degree.astype(np.float64)[_endpoint_index(snapshot)]
     x = ends.ravel()
     y = ends[:, ::-1].ravel()
     mean = x.mean()

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
+from .assembler import _pair_order
 from .errors import ConfigurationError
 from .lifecycle import EventRecord, render_event_table
 
@@ -185,22 +186,6 @@ def _write_nodes(snaps, path) -> None:
             ordinal = np.cumsum(key[lo:hi])
             order = np.argsort(ordinal[np.concatenate((rc, rl)) - lo], kind="stable")
             _write_block(fh, _NODE_PIECES, code[order], values[order], keep[order])
-
-
-def _pair_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The stable order that sorts the pairs (u, v) by u, then v.
-
-    When ``(u - min u) * span + (v - min v)``, with ``span`` the range of v,
-    fits in int64, one stable argsort of that single key gives the order;
-    otherwise ``np.lexsort`` does.
-    """
-    if not u.size:
-        return np.zeros(0, dtype=np.intp)
-    u_low, v_low = int(u.min()), int(v.min())
-    span = int(v.max()) - v_low + 1
-    if (int(u.max()) - u_low + 1) * span > np.iinfo(np.int64).max:
-        return np.lexsort((v, u))
-    return np.argsort((u - u_low) * span + (v - v_low), kind="stable")
 
 
 def _write_edges(snaps, path) -> None:

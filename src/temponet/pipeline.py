@@ -420,8 +420,9 @@ def run(cfg: RunConfig) -> RunResult:
             raise ConfigurationError(
                 f"sequence file provides {len(steps)} timesteps, the run needs {cfg.timesteps}"
             )
-    # the samplers draw a timestep again when its sequences fail the gate or
-    # cannot be assembled; a sequence file has one draw to give
+    # the samplers draw a timestep again when its sequences cannot be mended
+    # to even sums, fail the gate or cannot be assembled; a sequence file has
+    # one draw to give
     draws = cfg.max_sequence_retries if steps is None else 1
     report = RunReport(seed=cfg.seed, config=cfg.echo())
     snapshots: list[Snapshot] = []
@@ -429,12 +430,12 @@ def run(cfg: RunConfig) -> RunResult:
     for t in range(cfg.timesteps):
         failures: list[str] = []
         for _ in range(draws):
-            sizes, spec = steps[t] if steps is not None else _draw_sequences(cfg, rng)
-            gate = check_graphable(sizes, spec)
-            if not gate.ok:
-                failures.append(gate.reason)
-                continue
             try:
+                sizes, spec = steps[t] if steps is not None else _draw_sequences(cfg, rng)
+                gate = check_graphable(sizes, spec)
+                if not gate.ok:
+                    failures.append(gate.reason)
+                    continue
                 state = _step(cfg, rng, state, sizes, spec, t, report)
                 break
             except GraphabilityError as exc:

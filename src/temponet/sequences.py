@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GraphabilityError
 
 FAMILIES = ("uniform", "power_law", "exponential", "binomial")
 MIX_MODES = ("fixed", "bernoulli")
@@ -219,7 +219,9 @@ def fix_parity(
     An odd intra sum is fixed by moving one randomly chosen ``e_i`` one step
     inside ``[0, d_i]``.  An odd inter sum after that (equivalently an odd
     total sum) is fixed by moving one ``d_i`` one step while respecting
-    ``degree_bounds`` and ``d_i >= max(1, e_i)``.
+    ``degree_bounds`` and ``d_i >= max(1, e_i)``.  When no such step exists
+    the draw cannot be mended, and ``GraphabilityError`` says so, so that a
+    sampler may draw again.
     """
     total = list(spec.total)
     intra = list(spec.intra)
@@ -242,7 +244,7 @@ def fix_parity(
             if d - 1 >= max(lo, intra[i], 1):
                 moves.append((i, -1))
         if not moves:
-            raise ConfigurationError("cannot repair inter-degree parity within the degree bounds")
+            raise GraphabilityError("cannot repair inter-degree parity within the degree bounds")
         i, delta = moves[int(rng.integers(len(moves)))]
         total[i] += delta
     return DegreeSpec(tuple(total), tuple(intra))

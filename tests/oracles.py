@@ -537,11 +537,18 @@ def reference_wire_phase(entries, shape, rng, budget, community_of=None):
     return links, repairs
 
 
+def node_columns(nodes) -> tuple[np.ndarray, ...]:
+    """(id, total d, stubs, community) tuples as the four int64 columns
+    (ids, degrees, stubs, communities) that ``wire_intra`` and
+    ``wire_inter`` take."""
+    return tuple(np.array(list(nodes), dtype=np.int64).reshape(-1, 4).T)
+
+
 def reference_wire_intra(nodes, shape, rng, budget_factor=REPAIR_BUDGET_FACTOR):
     """Every community's intra phase through ``reference_wire_phase``, in index order.
 
-    ``nodes`` is (id, total d, intra e, community) tuples, as
-    ``temponet.assembler.wire_intra`` takes them.  Each community is one
+    ``nodes`` is (id, total d, intra e, community) tuples, the rows of the
+    columns that ``temponet.assembler.wire_intra`` takes.  Each community is one
     phase on ``rng`` with a repair bound of ``budget_factor`` per member.
     Returns each community's link set and repairs, by community index; a
     ``WiringError`` comes from the first community that raises it.
@@ -1435,7 +1442,8 @@ def reference_layers():
     ``reference_check_graphable`` and wires through ``reference_wire_phase``
     with the library's repair bound: ``wire_intra`` becomes one reference
     phase per community in index order (``reference_wire_intra``), and
-    ``wire_inter`` one phase over all nodes.  Links come back as (m, 2)
+    ``wire_inter`` one phase over all nodes; both take the library's int64
+    node columns (ids, degrees, stubs, communities).  Links come back as (m, 2)
     int64 rows (u, v), u < v, sorted within each phase.  ``run`` plans each
     boundary's moves through ``reference_plan_moves``, which builds the seed
     pool through ``reference_seed_pool``, scores flows through
@@ -1449,7 +1457,8 @@ def reference_layers():
     def rows(links) -> np.ndarray:
         return np.array(sorted(links), dtype=np.int64).reshape(-1, 2)
 
-    def wire_intra(nodes, shape, rng):
+    def wire_intra(ids, degree, stubs, community, shape, rng):
+        nodes = zip(*(column.tolist() for column in (ids, degree, stubs, community)))
         wired = reference_wire_intra(nodes, shape, rng).values()
         if not wired:
             return rows(()), 0
@@ -1458,11 +1467,10 @@ def reference_layers():
             sum(repairs for _, repairs in wired),
         )
 
-    def wire_inter(nodes, shape, rng):
-        nodes = list(nodes)
-        bound = REPAIR_BUDGET_FACTOR * max(1, len(nodes))
-        entries = [(nid, d, f) for nid, d, f, _ in nodes]
-        community_of = {nid: c for nid, _, _, c in nodes}
+    def wire_inter(ids, degree, stubs, community, shape, rng):
+        bound = REPAIR_BUDGET_FACTOR * max(1, len(ids))
+        entries = list(zip(ids.tolist(), degree.tolist(), stubs.tolist()))
+        community_of = dict(zip(ids.tolist(), community.tolist()))
         links, repairs = reference_wire_phase(entries, shape, rng, bound, community_of)
         return rows(links), repairs
 
@@ -1744,10 +1752,11 @@ def reference_check_graphable(
 
     With a concrete ``membership`` (community index per node slot) the
     Erdos-Gallai condition is applied per community on the intra degrees, the
-    max condition on per-community inter aggregates, and the bound
-    ``f_i <= n - |c_i|`` on every node's inter degree.  Without one, only
-    the global parities, the capacity matching and, for a single community,
-    an inter sum of 0 can be verified, in that order.
+    max condition on per-community inter aggregates, the bound
+    ``f_i <= n - |c_i|`` on every node's inter degree and, when exactly two
+    communities hold inter stubs, the Gale-Ryser inequalities between them.
+    Without one, only the global parities, the capacity matching and, for a
+    single community, an inter sum of 0 can be verified, in that order.
     """
     n = len(spec)
     if sizes.node_count != n:
@@ -1842,5 +1851,24 @@ def reference_check_graphable(
                 FailedCondition.INTER_NODE_MAX,
                 f"community {c}: slot {slot} needs {inter[slot]} inter partners,"
                 f" only {outside} nodes lie outside",
+            )
+    holders = [c for c in range(k) if aggregates[c]]
+    if len(holders) == 2:
+        # the largest excess of a Gale-Ryser inequality from each side
+        excess = []
+        for c, other in (holders, holders[::-1]):
+            a = sorted((inter[i] for i in members[c]), reverse=True)
+            b = [inter[i] for i in members[other]]
+            excess.append(
+                max(sum(a[:j]) - sum(min(x, j) for x in b) for j in range(1, len(a) + 1))
+            )
+        if max(excess) > 0:
+            c, other = holders if excess[0] >= excess[1] else holders[::-1]
+            return GraphabilityReport(
+                False,
+                c,
+                FailedCondition.INTER_GALE_RYSER,
+                f"community {c}: inter degrees fail the Gale-Ryser condition"
+                f" against community {other}",
             )
     return GraphabilityReport(True)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from temponet import (
     check_connectivity,
     check_graphable,
     fix_parity,
+    modularity,
     sample_degrees,
     split_degrees,
     wire_inter,
@@ -29,10 +31,12 @@ from temponet import (
 )
 from temponet import assembler
 from temponet.assembler import ASSIGNMENT_ATTEMPTS, repair_intra_parity
+from temponet.metrics import assortativity_details
 
 from oracles import (
     degree_joint_distribution_baseline,
     first_fit_assign_nodes,
+    node_columns,
     realizable_with_parts,
     reference_assign_nodes,
     reference_check_connectivity,
@@ -475,6 +479,39 @@ def test_snapshots_compare_by_identity():
     assert snap != Snapshot(**_columns())
 
 
+def _metric_outcome(metric, snap):
+    """``repr`` of a metric's result, exact to the last bit, or its error."""
+    try:
+        return repr(metric(snap))
+    except (KeyError, ValueError, ConfigurationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_link_rows_come_out_sorted_whatever_order_they_go_in():
+    # valid snapshots and their _mutate faults, given again with their rows
+    # permuted and a random subset of them reversed: the same endpoints, the
+    # same validate outcome and bit-equal metrics
+    kinds = ["self_loop", "unknown_node", "duplicate", "community_range", "degree", "intra_degree"]
+    rng = np.random.default_rng(79)
+    bases = [assembled_graphable_spec(rng, n_max=40)[2] for _ in range(6)]
+    for trial in range(240):
+        snap = bases[trial % len(bases)]
+        if trial % 4:
+            snap = _mutate(snap, kinds[trial % len(kinds)], rng)
+        rows = snap.endpoints
+        assert (np.diff(rows, axis=1) >= 0).all()
+        assert np.array_equal(rows, sorted(rows.tolist()))
+        given = rows[rng.permutation(len(rows))]
+        flip = rng.random(len(rows)) < 0.5
+        given[flip] = given[flip, ::-1]
+        twin = dataclasses.replace(snap, endpoints=given)
+        assert twin.endpoints is not given and given.flags.writeable
+        assert np.array_equal(twin.endpoints, rows), trial
+        assert _outcome(Snapshot.validate, twin) == _outcome(Snapshot.validate, snap), trial
+        for metric in (assortativity_details, modularity):
+            assert _metric_outcome(metric, twin) == _metric_outcome(metric, snap), trial
+
+
 def _link_set(endpoints: np.ndarray) -> set[tuple[int, int]]:
     """The rows of a wiring result as a set, after checking that they are
     (m, 2) int64 rows (u, v) with u < v and no row twice, which a set hides."""
@@ -492,7 +529,7 @@ def _rows(links) -> np.ndarray:
 
 def test_wire_intra_forced_k4():
     links, repairs = wire_intra(
-        [(0, 3, 3, 0), (1, 3, 3, 0), (2, 3, 3, 0), (3, 3, 3, 0)],
+        *node_columns([(0, 3, 3, 0), (1, 3, 3, 0), (2, 3, 3, 0), (3, 3, 3, 0)]),
         ShapeParams(),
         np.random.default_rng(0),
     )
@@ -511,7 +548,7 @@ def test_wire_intra_exactness_on_random_graphable_communities():
         if sum(seq) % 2 or not erdos_gallai(seq):
             continue
         members = [(i, seq[i], seq[i], 0) for i in range(n)]
-        links, repairs = wire_intra(members, ShapeParams(), rng)
+        links, repairs = wire_intra(*node_columns(members), ShapeParams(), rng)
         repaired_runs += repairs > 0
         deg = {i: 0 for i in range(n)}
         for u, v in _link_set(links):
@@ -529,7 +566,7 @@ def test_wire_inter_single_bridge():
     from temponet import wire_inter
 
     links, _ = wire_inter(
-        [(0, 1, 1, 0), (1, 1, 1, 1)], ShapeParams(), np.random.default_rng(0)
+        *node_columns([(0, 1, 1, 0), (1, 1, 1, 1)]), ShapeParams(), np.random.default_rng(0)
     )
     assert _link_set(links) == {(0, 1)}
 
@@ -564,11 +601,13 @@ def test_gate_accepted_memberships_always_wire():
         if not check_graphable(CommunitySpec(tuple(sizes)), spec, membership).ok:
             continue
         intra_rows, _ = wire_intra(
-            [(i, total[i], intra[i], membership[i]) for i in range(n)], ShapeParams(), rng
+            *node_columns((i, total[i], intra[i], membership[i]) for i in range(n)),
+            ShapeParams(),
+            rng,
         )
         all_links = _link_set(intra_rows)
         inter_rows, _ = wire_inter(
-            [(i, total[i], spec.inter[i], membership[i]) for i in range(n)],
+            *node_columns((i, total[i], spec.inter[i], membership[i]) for i in range(n)),
             ShapeParams(),
             rng,
         )
@@ -588,7 +627,9 @@ def test_wiring_error_on_ungraphable_injection():
     # link, node 0's only partner is its neighbour and no node is saturated,
     # so no link can be rewired, whatever the repair bound
     with pytest.raises(WiringError, match="no candidate links to rewire"):
-        wire_intra([(0, 3, 3, 0), (1, 3, 3, 0)], ShapeParams(), np.random.default_rng(0))
+        wire_intra(
+            *node_columns([(0, 3, 3, 0), (1, 3, 3, 0)]), ShapeParams(), np.random.default_rng(0)
+        )
 
 
 def test_wiring_gives_up_after_50_repairs_per_node():
@@ -603,7 +644,7 @@ def test_wiring_gives_up_after_50_repairs_per_node():
     nodes = [(i, f[i], f[i], community[i]) for i in range(8)]
     for seed in range(1, 7):
         with pytest.raises(WiringError, match=r"wiring repair budget \(400\) exhausted"):
-            wire_inter(nodes, ShapeParams(), np.random.default_rng(seed))
+            wire_inter(*node_columns(nodes), ShapeParams(), np.random.default_rng(seed))
 
 
 def test_exhausted_repair_budget_leaves_the_generator_like_the_reference():
@@ -621,7 +662,7 @@ def test_exhausted_repair_budget_leaves_the_generator_like_the_reference():
         want = rng.bit_generator.state
         rng = np.random.default_rng(seed)
         with pytest.raises(WiringError, match="exhausted"):
-            wire_inter(nodes, ShapeParams(), rng)
+            wire_inter(*node_columns(nodes), ShapeParams(), rng)
         assert rng.bit_generator.state == want, seed
 
 
@@ -729,7 +770,9 @@ def test_star_forcing_spec_always_stars():
     rng = np.random.default_rng(29)
     for _ in range(50):
         links, _ = wire_intra(
-            [(0, 3, 3, 0), (1, 1, 1, 0), (2, 1, 1, 0), (3, 1, 1, 0)], ShapeParams(), rng
+            *node_columns([(0, 3, 3, 0), (1, 1, 1, 0), (2, 1, 1, 0), (3, 1, 1, 0)]),
+            ShapeParams(),
+            rng,
         )
         assert _link_set(links) == {(0, 1), (0, 2), (0, 3)}
 
@@ -1003,7 +1046,7 @@ def _wire_both(entries, shape, seed, community_of):
         return reference_wire_phase(entries, shape, rng, 50 * len(entries), community_of)
 
     def wired(rng):
-        rows, repairs = library(nodes, shape, rng)
+        rows, repairs = library(*node_columns(nodes), shape, rng)
         return _link_set(rows), repairs
 
     outcomes = []
@@ -1060,7 +1103,7 @@ def test_wire_inter_reads_community_labels_only_as_groups():
             nodes = [(i, total[i], stubs[i], labels[community[i]]) for i in range(n)]
             rng = np.random.default_rng(3000 + trial)
             try:
-                rows, repairs = wire_inter(nodes, ShapeParams(5, 1), rng)
+                rows, repairs = wire_inter(*node_columns(nodes), ShapeParams(5, 1), rng)
                 result = (rows.tolist(), repairs)
             except WiringError as exc:
                 result = str(exc)
@@ -1076,7 +1119,7 @@ def _wire_outcome(wire, nodes, shape, seed):
     with the generator's state after the call."""
     rng = np.random.default_rng(seed)
     try:
-        rows, repairs = wire(nodes, shape, rng)
+        rows, repairs = wire(*node_columns(nodes), shape, rng)
         result = (rows.tolist(), repairs)
     except WiringError as exc:
         result = str(exc)
@@ -1104,6 +1147,43 @@ def test_intra_and_inter_wiring_agree_on_singleton_communities(shape):
         result = outcome[0]
         ends["error" if isinstance(result, str) else "repaired" if result[1] else "plain"] += 1
     assert ends["repaired"] and ends["plain"] and ends["error"], ends
+
+
+# the sha256 of every outcome below, as the tuple-taking wire_intra and
+# wire_inter that the column signature replaced produced them
+_TUPLE_FORM_DIGEST = "f6b7dc9446d8d1515095c0649db97cffee1c2073c356c6d95426acc2c2034b84"
+
+
+def test_column_wiring_matches_the_tuple_form_it_replaced():
+    # ids shuffled, community labels sparse, every community's stub sum
+    # even; both modes on the same nodes give the link set, repairs or error
+    # and generator state that one call of the tuple form gave
+    shapes = [(1, 1), (5, 1), (1, 5), (0.5, 0.5)]
+    gen = np.random.default_rng(97)
+    digest = hashlib.sha256()
+    ends = Counter()
+    for trial in range(240):
+        n = int(gen.integers(1, 30))
+        k = int(gen.integers(1, 5))
+        ids = gen.permutation(3 * n)[:n].tolist()
+        labels = gen.permutation(10 * k)[:k].tolist()
+        community = [labels[c] for c in gen.integers(0, k, n).tolist()]
+        stubs = gen.integers(0, 5, n).tolist()
+        for c in set(community):
+            members = [i for i, x in enumerate(community) if x == c]
+            if sum(stubs[i] for i in members) % 2:
+                stubs[members[0]] += 1
+        total = [s + int(gen.integers(0, 4)) for s in stubs]
+        nodes = list(zip(ids, total, stubs, community))
+        shape = ShapeParams(*shapes[trial % len(shapes)])
+        for wire in (wire_intra, wire_inter):
+            rows, state = _wire_outcome(wire, nodes, shape, 5000 + trial)
+            result = rows if isinstance(rows, str) else (sorted(map(tuple, rows[0])), rows[1])
+            digest.update(repr((result, state)).encode())
+            kind = "error" if isinstance(result, str) else "repaired" if result[1] else "plain"
+            ends[wire.__name__, kind] += 1
+    assert digest.hexdigest() == _TUPLE_FORM_DIGEST
+    assert len(ends) == 6 and min(ends.values()) >= 20, ends
 
 
 def _intra_nodes(gen, k, odd=None, dead=None):
@@ -1158,7 +1238,7 @@ def test_batched_intra_wiring_matches_one_reference_phase_per_community(pairing)
         want_state = rng.bit_generator.state
         rng = np.random.default_rng(3000 + trial)
         try:
-            rows, repairs = wire_intra(nodes, shape, rng)
+            rows, repairs = wire_intra(*node_columns(nodes), shape, rng)
         except WiringError as exc:
             got = str(exc)
         else:
@@ -1180,7 +1260,7 @@ def test_batched_intra_wiring_stops_at_an_odd_community():
     nodes.append((5, 1, 1, 2))
     rng = np.random.default_rng(5)
     with pytest.raises(WiringError, match="odd number of stubs"):
-        wire_intra(nodes, ShapeParams(), rng)
+        wire_intra(*node_columns(nodes), ShapeParams(), rng)
     want = np.random.default_rng(5)
     want.beta(1.0, 1.0)
     assert rng.bit_generator.state == want.bit_generator.state
@@ -1198,7 +1278,7 @@ def test_negative_stub_counts_are_refused_before_any_draw(wire, nodes):
     # the stop at an empty eligible weight relies on no count being negative
     rng = np.random.default_rng(3)
     with pytest.raises(WiringError, match=r"negative stub count \(-2\)"):
-        wire(nodes, ShapeParams(), rng)
+        wire(*node_columns(nodes), ShapeParams(), rng)
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 

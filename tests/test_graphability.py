@@ -12,20 +12,25 @@ from temponet import (
     DegreeSpec,
     FailedCondition,
     GraphabilityError,
+    ShapeParams,
+    WiringError,
     assemble_snapshot,
     assign_nodes,
     assignment_feasible,
     check_graphable,
     erdos_gallai,
     inter_graphable,
+    wire_inter,
 )
 
 from oracles import (
+    node_columns,
     realizable_clustered,
     realizable_degree_sequence,
     reference_assignment_feasible,
     reference_check_graphable,
     reference_erdos_gallai,
+    realizable_with_parts,
 )
 
 
@@ -303,6 +308,67 @@ def test_lone_community_refusals_are_unrealizable():
     assert refused > 1_000
 
 
+def _two_part_inter(gen, membership):
+    """Inter degrees for the slots of two communities, 0 and 1: each at
+    least 1 and at most the other community's size, evened out one stub at
+    a time until both communities hold the same sum."""
+    sides = [[i for i, c in enumerate(membership) if c == x] for x in (0, 1)]
+    inter = [0] * len(membership)
+    for side, other in (sides, sides[::-1]):
+        for i in side:
+            inter[i] = int(gen.integers(1, len(other) + 1))
+    while True:
+        sums = [sum(inter[i] for i in side) for side in sides]
+        if sums[0] == sums[1]:
+            return inter
+        small, big = sides if sums[0] < sums[1] else sides[::-1]
+        i = small[int(gen.integers(len(small)))]
+        if inter[i] < len(big):
+            inter[i] += 1
+        else:
+            j = big[int(gen.integers(len(big)))]
+            inter[j] -= inter[j] > 1
+
+
+def test_a_bipartite_inter_phase_that_no_graph_realizes_is_refused():
+    # every earlier condition holds: equal aggregates of 20, and no node
+    # needs more partners than the other community has.  The two largest of
+    # community 0 (5 and 5) need 10 links to community 1, whose degrees
+    # (7, 6, 4, 2, 1) can give two nodes at most 2 + 2 + 2 + 2 + 1 = 9.
+    sizes, community = CommunitySpec((7, 5)), [0] * 7 + [1] * 5
+    f = (5, 5, 4, 2, 2, 1, 1, 7, 6, 4, 2, 1)
+    spec = DegreeSpec(f, (0,) * 12)
+    assert not realizable_with_parts(f, community)
+    for check in (check_graphable, reference_check_graphable):
+        report = check(sizes, spec, community)
+        assert report.failing_condition is FailedCondition.INTER_GALE_RYSER
+        assert report.failing_community == 0
+        assert report.reason == (
+            "inter_gale_ryser: community 0: inter degrees fail the Gale-Ryser condition"
+            " against community 1"
+        )
+    # what the gate used to let through ends in the wiring's repair bound
+    nodes = [(i, f[i], f[i], community[i]) for i in range(12)]
+    with pytest.raises(WiringError, match=r"repair budget \(600\) exhausted"):
+        wire_inter(*node_columns(nodes), ShapeParams(), np.random.default_rng(0))
+
+
+def test_the_gate_decides_two_part_inter_phases_like_exhaustive_search():
+    # two communities of 1-6 nodes with no intra stubs: the gate's answer
+    # and the exhaustive search's agree on every phase
+    gen = np.random.default_rng(101)
+    outcomes = Counter()
+    for _ in range(1500):
+        sizes = [int(x) for x in gen.integers(1, 7, 2)]
+        membership = gen.permutation(np.repeat([0, 1], sizes)).tolist()
+        f = _two_part_inter(gen, membership)
+        spec = DegreeSpec(f, (0,) * len(f))
+        report = check_graphable(CommunitySpec(tuple(sizes)), spec, membership)
+        assert report.ok == realizable_with_parts(f, membership), (sizes, membership, f)
+        outcomes[report.failing_condition] += 1
+    assert outcomes[None] >= 500 and outcomes[FailedCondition.INTER_GALE_RYSER] >= 100, outcomes
+
+
 def test_check_graphable_validation_errors():
     with pytest.raises(ConfigurationError):
         check_graphable(CommunitySpec((2,)), DegreeSpec((1, 1, 2), (0, 0, 0)))
@@ -345,11 +411,16 @@ def _random_gate_case(gen, trial):
     200 in every 20th case.  Intra degrees stay below a random cap and the
     room, with one slot at or past its room in a fifth of the cases; most
     cases make every community's intra sum even and the inter sum even, so
-    that the later conditions are reached.  A few cases break the
-    membership: an index out of range, or one slot moved to another
-    community.
+    that the later conditions are reached.  Every fifth case has two
+    communities whose inter degrees ``_two_part_inter`` draws, so that the
+    Gale-Ryser condition is reached.  A few cases break the membership: an
+    index out of range, or one slot moved to another community.
     """
-    k = int(gen.integers(1, 201)) if trial % 20 == 0 else int(gen.integers(1, 7))
+    two_part = trial % 5 == 2
+    if two_part:
+        k = 2
+    else:
+        k = int(gen.integers(1, 201)) if trial % 20 == 0 else int(gen.integers(1, 7))
     sizes = [int(s) for s in gen.integers(1, 9, k)]
     n = sum(sizes)
     membership = gen.permutation(np.repeat(np.arange(k), sizes)).tolist()
@@ -368,12 +439,15 @@ def _random_gate_case(gen, trial):
                 intra[slot] -= 1
     outside = [n - sizes[c] for c in membership]
     fcap = int(gen.integers(1, 12))
-    inter = [int(gen.integers(0, min(fcap, o) + 1)) for o in outside]
-    if gen.random() < 0.15:
-        i = int(gen.integers(n))
-        inter[i] = outside[i] + int(gen.integers(1, 3))
-    if sum(inter) % 2 and gen.random() < 0.7:
-        inter[int(gen.integers(n))] += 1
+    if two_part:
+        inter = _two_part_inter(gen, membership)
+    else:
+        inter = [int(gen.integers(0, min(fcap, o) + 1)) for o in outside]
+        if gen.random() < 0.15:
+            i = int(gen.integers(n))
+            inter[i] = outside[i] + int(gen.integers(1, 3))
+        if sum(inter) % 2 and gen.random() < 0.7:
+            inter[int(gen.integers(n))] += 1
     total = [max(1, e + f) for e, f in zip(intra, inter)]
     fault = gen.random()
     if fault < 0.02:

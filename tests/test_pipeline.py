@@ -21,6 +21,7 @@ from temponet import (
     TemponetError,
     WiringError,
     dump_sequences,
+    fix_parity,
     load_run_config,
     plan_transition,
     read_temporal_csv,
@@ -567,6 +568,30 @@ def test_exhausted_sequence_draws_name_timestep_attempts_and_conditions():
     message = str(info.value)
     assert message.startswith("timestep 0: 3 sequence draw(s) failed:")
     assert "assignment_infeasible" in message and "(x3)" in message
+
+
+def test_a_draw_whose_parity_cannot_be_mended_is_drawn_again():
+    # every degree is 1 and every stub inter, so a draw of an odd node count
+    # has an odd inter sum that the bounds (1, 1) give no room to mend; such
+    # a draw fails like any other, and the run draws again
+    def cfg(seed):
+        return RunConfig(
+            timesteps=2,
+            seed=seed,
+            community_cfg=SamplerConfig("uniform", 4, 7),
+            degree_cfg=SamplerConfig("uniform", 1, 1, mix_ratio=0.0),
+            community_count=2,
+            max_sequence_retries=8,
+        )
+
+    with pytest.raises(GraphabilityError, match="cannot repair inter-degree parity"):
+        fix_parity(DegreeSpec((1, 1, 1), (0, 0, 0)), np.random.default_rng(0), (1, 1))
+    assert [snap.node_count % 2 for snap in run(cfg(0)).snapshots] == [0, 0]
+    for seed in range(1, 12):
+        try:
+            run(cfg(seed))
+        except GraphabilityError:
+            pass
 
 
 def test_exhausted_assembly_names_its_conditions_in_the_draw_error(tmp_path):

@@ -9,6 +9,7 @@ from temponet import (
     CommunitySpec,
     ConfigurationError,
     DegreeSpec,
+    GraphabilityError,
     SamplerConfig,
     dump_sequences,
     fix_parity,
@@ -171,8 +172,8 @@ def test_fix_parity_changes_at_most_one_intra_entry():
 
 def test_fix_parity_unrepairable_inter_errors():
     # D={3}, E={3}: intra repair forces E={2}, inter sum becomes odd,
-    # and with bounds (3, 3) the total degree cannot move
-    with pytest.raises(ConfigurationError):
+    # and with bounds (3, 3) the total degree cannot move: the draw fails
+    with pytest.raises(GraphabilityError, match="cannot repair inter-degree parity"):
         fix_parity(DegreeSpec((3,), (3,)), np.random.default_rng(0), degree_bounds=(3, 3))
 
 
