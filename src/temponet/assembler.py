@@ -14,26 +14,24 @@ cumulative frequency tables", 1994) over the degree-ordered positions, so a
 draw, and each ban or stub update, costs O(log n).  While a node fills, it
 and its neighbours carry weight 0 in the tree.  Inter mode adds one tree per
 community over the same positions, k * n cells in all, and descends the
-global tree minus the node's own-community tree; each community tree starts
-as a plain list filled by walking its members' paths, so building them costs
-O(n log n), not k passes over n positions.  A draw picks exactly the
-position that a cumulative sum and ``searchsorted`` would pick.  Intra and
-inter phases share one fill loop, which tests the mode only at the descent
-and at each tree update; every ban and unban walks a path of cells from a
-table built once per tree size and shared by every phase and by node
-assignment, so a link costs few interpreter operations.  A repair
-finds its candidates, the saturated eligible positions in position order, by
-one numpy pass over the open-stub counts.
+global tree minus the node's own-community tree.  A draw picks exactly the
+position that a cumulative sum and ``searchsorted`` would pick.
 
-A phase of S stubs makes exactly S / 2 draws, and it reads their Beta
-variates with one ``rng.beta`` call.  It keeps the generator state from
-before that read, so a repair can restore it, redraw the variates used so
-far, make its own ``rng.integers`` calls and read the rest of the phase:
-every exit leaves the generator where one ``rng.beta`` call per draw would.
-One ``wire_intra`` call wires all communities of a snapshot, in index order,
-each as a phase with its own small tree built in plain lists; one lexsort
-of the snapshot's int64 node columns orders the members and one numpy pass
-builds all their link rows.  ``wire_inter`` wires every node in one phase.
+The fill loop is C (``_fill.c``), which the system C compiler builds at
+the first wiring call of a process into the user's cache (see
+``_kernel``); ``_pair``, the same loop in Python, is its reference and
+wires where no build loads.  Either way one ``wire_intra`` call wires all
+communities of a snapshot, in index order, each as a phase with its own
+tree, and ``wire_inter`` every node in one phase; one lexsort of the
+snapshot's int64 node columns orders the positions and one numpy pass
+builds the link rows.  Python keeps the generator.  A phase of S stubs
+makes exactly S / 2 draws, and it reads their Beta variates in blocks of
+at most ``VARIATE_BLOCK``, keeping the state from before each block.  At a
+dead end the repair restores that state, redraws the variates used so
+far, and makes its own ``rng.integers`` calls: every exit leaves the
+generator where one ``rng.beta`` call per draw would.  A repair finds its
+candidates, the saturated eligible positions in position order, by one
+numpy pass over the open-stub counts.
 
 Node assignment draws from Fenwick trees too: bootstrap placement from one
 tree over the k community capacities, temporal placement from trees over
@@ -47,12 +45,19 @@ from __future__ import annotations
 
 import bisect
 import copy
+import ctypes
 import functools
+import hashlib
 import heapq
 import itertools
 import logging
+import os
+import platform
+import sys
+import tempfile
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -65,6 +70,10 @@ log = logging.getLogger(__name__)
 # a wiring phase of m nodes raises WiringError after more than 50 * m repairs;
 # random realizable phases (n <= 40) needed at most 5.7 * m
 REPAIR_BUDGET_FACTOR = 50
+# a wiring phase reads at most VARIATE_BLOCK Beta variates at a time, so a
+# repair, which replays the used part of the current block and reads the
+# rest again, costs at most one block of extra variates
+VARIATE_BLOCK = 1024
 # a snapshot gives up after ASSIGNMENT_ATTEMPTS placement passes that parity
 # repair or the gate rejects
 ASSIGNMENT_ATTEMPTS = 10
@@ -610,15 +619,17 @@ def _pair(
     rng: np.random.Generator,
     comm: list[int] | None = None,
 ) -> tuple[list[set[int]], int]:
-    """Wire one phase; returns each position's neighbour positions and the repairs used.
+    """Wire one phase in Python; returns each position's neighbour positions and the repairs used.
 
-    Position q holds node ``ids[q]`` with total degree ``degree[q]`` and
-    ``stubs[q]`` stubs to pair, in (total degree, id) order.  ``comm`` (the
-    positions' community indices 0, 1, ...) switches inter mode.  Raises
-    ``WiringError`` for a negative stub count or an odd stub sum, before any
-    draw, and after more than ``REPAIR_BUDGET_FACTOR * m`` repairs for m
-    nodes.  A batch that draws nothing from a positive eligible weight
-    raises ``AssertionError``, as the loop would otherwise never end.
+    This is the wiring path where the compiled fill loop of ``_fill.c``
+    does not load, and the reference for its every pick.  Position q holds
+    node ``ids[q]`` with total degree ``degree[q]`` and ``stubs[q]`` stubs to
+    pair, in (total degree, id) order; ``_wire`` refuses a negative stub
+    count or an odd stub sum before any draw.  ``comm`` (the positions'
+    community indices 0, 1, ...) switches inter mode.  Raises ``WiringError``
+    after more than ``REPAIR_BUDGET_FACTOR * m`` repairs for m nodes.  A
+    batch that draws nothing from a positive eligible weight raises
+    ``AssertionError``, as the loop would otherwise never end.
 
     ``rem[q]`` counts the open stubs at position q, and nodes fill largest
     degree first.  ``tree`` is a Fenwick tree over each position's effective
@@ -643,34 +654,27 @@ def _pair(
     ``_paths`` builds once per tree size.  The community trees start as
     plain lists filled by walking each member's path once.
 
-    Prefetch rule: a draw closes two stubs and a repair none, so a phase of
-    S stubs makes exactly S / 2 draws, and it reads their Beta variates with
-    one ``rng.beta(size=S // 2)`` call.  p takes the next of them while it
-    has open stubs and its eligible weight (``tree[size]``, less
-    ``owns[comm[p]][size]`` in inter mode) is positive, and counts its
+    Block rule: a draw closes two stubs and a repair none, so the phase
+    makes ``sum(rem) / 2`` more draws at any time.  It reads their Beta
+    variates in blocks of at most ``VARIATE_BLOCK``; p takes the next of
+    them while it has open stubs and its eligible weight (``tree[size]``,
+    less ``owns[comm[p]][size]`` in inter mode) is positive, and counts its
     draws as the growth of ``adj[p]``.  Every draw lands on a position of
-    positive weight and bans it, so no draw finds the weight empty.  Only
-    when p has open stubs and an empty eligible weight does ``repair`` run.
-    As ``Generator.beta(a, b, size=k)`` yields the variates of k single
-    calls, the read makes the draws of one call per draw, except that a
-    repair's ``rng.integers`` calls must come after the variates used so
-    far, not after the whole read.  So the generator state from before the
-    read is kept.  A repair restores it and redraws the variates used so
-    far, makes its ``rng.integers`` calls, checks the repair budget, and
-    then reads the rest of the phase the same way.  Every exit, a
-    ``WiringError`` included, thus leaves the generator where one
-    ``rng.beta`` call per draw would.
+    positive weight and bans it, so only when p has open stubs and an empty
+    eligible weight does ``repair`` run.  As ``Generator.beta(a, b,
+    size=k)`` yields the variates of k single calls, the reads make the
+    draws of one call per draw, except that a repair's ``rng.integers``
+    calls must come after the variates used so far.  So the generator state
+    from before each block is kept.  A repair restores it, redraws the
+    block's used variates, makes its ``rng.integers`` calls, checks the
+    repair budget, and reads the next block.  Every exit, a ``WiringError``
+    included, thus leaves the generator where one ``rng.beta`` call per
+    draw would, and a repair costs at most one block of extra variates.
     """
     m = len(ids)
     budget = REPAIR_BUDGET_FACTOR * max(1, m)
-    low = min(stubs, default=0)
-    if low < 0:
-        raise WiringError(f"node {ids[stubs.index(low)]}: negative stub count ({low})")
-    draws, odd = divmod(sum(stubs), 2)
-    if odd:
-        raise WiringError("odd number of stubs in a wiring phase")
     adj: list[set[int]] = [set() for _ in range(m)]  # neighbour positions
-    if not draws:
+    if not any(stubs):
         return adj, 0
     size = 1 << (m - 1).bit_length()
     steps = [size >> b for b in range(1, size.bit_length())]  # size / 2, ..., 1
@@ -691,11 +695,17 @@ def _pair(
     heapq.heapify(heap)
     alpha, beta = shape.alpha, shape.beta
     bitgen = rng.bit_generator
-    # variates[used:] are the phase's variates still to use, and state is
-    # the generator's from before variates was read
-    state = bitgen.state
-    variates = rng.beta(alpha, beta, size=draws).tolist()
-    used = 0
+    # variates[used:] are the block's variates still to use, and state is
+    # the generator's from before the block was read; the first batch reads
+    # the first block
+    state, variates, used = bitgen.state, [], 0
+
+    def read() -> None:
+        """Read the next block of variates, one per draw left."""
+        nonlocal state, variates, used
+        state = bitgen.state
+        variates = rng.beta(alpha, beta, size=min(VARIATE_BLOCK, sum(rem) // 2)).tolist()
+        used = 0
 
     def replay() -> None:
         """Leave the generator where one Beta call per draw so far would."""
@@ -704,7 +714,7 @@ def _pair(
 
     def repair(p: int) -> None:
         """Break a link (w, v) of a saturated eligible node w and link p to w."""
-        nonlocal repairs, state, variates, used
+        nonlocal repairs
         replay()
         # candidates, in position order: eligible partners with all stubs
         # taken, so >= 1 link to break (p itself still has open stubs)
@@ -731,9 +741,7 @@ def _pair(
         repairs += 1
         if repairs > budget:
             raise WiringError(f"wiring repair budget ({budget}) exhausted")
-        state = bitgen.state
-        variates = rng.beta(alpha, beta, size=len(variates) - used).tolist()
-        used = 0
+        read()
         if v in adj[p]:  # banned while p fills
             return
         if inter:
@@ -768,6 +776,8 @@ def _pair(
             if not total:
                 repair(p)
                 continue
+            if used == len(variates):
+                read()
             start = len(adj_p)
             for x in variates[used : used + rem[p]]:
                 rank = int(x * total)
@@ -825,22 +835,6 @@ def _pair(
     return adj, repairs
 
 
-def _link_rows(
-    node: np.ndarray, count: list[int], partner, base: np.ndarray | None = None
-) -> np.ndarray:
-    """One int64 row (u, v), u < v, per link, in position order.
-
-    Position q, node ``node[q]``, has the next ``count[q]`` entries of
-    ``partner`` as its neighbours, positions counted from ``base[q]``, or
-    from 0 without ``base``.
-    """
-    partner = np.fromiter(partner, np.int64, sum(count))
-    if base is not None:
-        partner += np.repeat(base, count)
-    uv = np.stack((np.repeat(node, count), node[partner]), axis=1)
-    return uv[uv[:, 0] < uv[:, 1]]
-
-
 def wire_intra(
     ids, degree, stubs, community, pairing_shape: ShapeParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
@@ -849,32 +843,18 @@ def wire_intra(
 
     Each community is a wiring phase of its own, with its own Fenwick tree,
     and the phases run in community index order on ``rng``.  One lexsort
-    groups the members and orders each community by (total degree, id), and
-    one numpy pass builds the link rows of all communities.  Returns the
-    (m, 2) int64 link rows (u, v), u < v, community by community, and the
-    repairs used.  Every member's realized intra degree equals its stubs
+    groups the members and orders each community by (total degree, id).
+    Returns the (m, 2) int64 link rows (u, v), u < v, in no fixed order, and
+    the repairs used.  Every member's realized intra degree equals its stubs
     exactly; each community's intra sequence must pass the Erdos-Gallai test
     beforehand.  A community with an odd intra sum raises ``WiringError``
     once the communities before it are wired.
     """
     order = np.lexsort((ids, degree, community))
     community = community[order]
-    cuts = (np.flatnonzero(community[1:] != community[:-1]) + 1).tolist()
-    bounds = [0, *cuts, community.size]
-    node = ids[order]
-    ids, degree, stubs = (column[order].tolist() for column in (ids, degree, stubs))
-    # each community's neighbour positions, flattened as soon as it is wired
-    count: list[int] = []
-    partner: list[int] = []
-    repairs = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        adj, used = _pair(ids[lo:hi], degree[lo:hi], stubs[lo:hi], pairing_shape, rng)
-        count += map(len, adj)
-        partner += itertools.chain.from_iterable(adj)
-        repairs += used
-    # each community's positions count from its first row
-    base = np.repeat(bounds[:-1], np.diff(bounds))
-    return _link_rows(node, count, partner, base), repairs
+    cuts = np.flatnonzero(community[1:] != community[:-1]) + 1
+    bounds = np.concatenate(([0], cuts, [community.size]))
+    return _wire(ids[order], degree[order], stubs[order], bounds, pairing_shape, rng)
 
 
 def wire_inter(
@@ -885,15 +865,217 @@ def wire_inter(
     All nodes form one phase, with positions in (total degree, id) order;
     partners always live in different communities, so no inter link can
     duplicate an intra link.  ``np.unique`` maps the community labels to
-    indices 0, 1, ..., which ``_pair`` only compares and indexes by.
+    indices 0, 1, ..., which the fill loop only compares and indexes by.
     Returns the (m, 2) int64 link rows (u, v), u < v, and the repairs used.
     """
     order = np.lexsort((ids, degree))
-    node, degree, stubs = ids[order], degree[order].tolist(), stubs[order].tolist()
-    comm = np.unique(community[order], return_inverse=True)[1].tolist()
-    adj, repairs = _pair(node.tolist(), degree, stubs, pairing_shape, rng, comm)
-    partner = itertools.chain.from_iterable(adj)
-    return _link_rows(node, list(map(len, adj)), partner), repairs
+    comm = np.unique(community[order], return_inverse=True)[1].astype(np.int64)
+    bounds = np.array([0, ids.size])
+    return _wire(ids[order], degree[order], stubs[order], bounds, pairing_shape, rng, comm)
+
+
+def _wire(node, degree, stubs, bounds, shape, rng, comm=None) -> tuple[np.ndarray, int]:
+    """Wire the phases of positions ``bounds[f]`` to ``bounds[f + 1] - 1`` in order.
+
+    Phases before the first one with a negative stub count or an odd stub
+    sum are wired, and then that one raises ``WiringError``.  The compiled
+    kernel wires them where it loads, ``_pair`` phase by phase elsewhere,
+    with the same draws, links, repairs, errors and final generator state.
+    """
+    if not node.size:
+        return np.zeros((0, 2), dtype=np.int64), 0
+    degree, stubs = degree.astype(np.int64), stubs.astype(np.int64)
+    low = np.minimum.reduceat(stubs, bounds[:-1])
+    bad = np.flatnonzero((low < 0) | (np.add.reduceat(stubs, bounds[:-1]) % 2 == 1))
+    wired = bounds[: int(bad[0]) + 1] if bad.size else bounds
+    kernel = _kernel()
+    if kernel is not None:
+        partner, repairs = _fill(kernel, node, degree, stubs, wired, shape, rng, comm)
+    else:
+        ids, degrees, counts = node.tolist(), degree.tolist(), stubs.tolist()
+        partners, repairs = [np.zeros(0, dtype=np.int64)], 0
+        for lo, hi in itertools.pairwise(wired.tolist()):
+            part = None if comm is None else comm[lo:hi].tolist()
+            adj, used = _pair(ids[lo:hi], degrees[lo:hi], counts[lo:hi], shape, rng, part)
+            partners.append(np.fromiter(itertools.chain.from_iterable(adj), np.int64) + lo)
+            repairs += used
+        partner = np.concatenate(partners)
+    if bad.size:
+        f = int(bad[0])
+        if low[f] < 0:
+            q = bounds[f] + int(stubs[bounds[f] : bounds[f + 1]].argmin())
+            raise WiringError(f"node {node[q]}: negative stub count ({low[f]})")
+        raise WiringError("odd number of stubs in a wiring phase")
+    # position q has stubs[q] partners, in position order
+    uv = np.stack((np.repeat(node, stubs), node[partner]), axis=1)
+    return uv[uv[:, 0] < uv[:, 1]], repairs
+
+
+# ---------------------------------------------------------------------------
+# the compiled fill loop
+# ---------------------------------------------------------------------------
+
+_FILL_SOURCE = Path(__file__).with_name("_fill.c")
+# temponet_fill's return codes and the slots of its state array, as in _fill.c
+_DONE, _BLOCK, _REPAIR, _UNPAIRED = range(4)
+_PHASE, _NODE, _USED, _READ, _QUEUED, _PICK_W, _PICK_V = range(7)
+
+
+def _library_path() -> Path:
+    """Where the build of this ``_fill.c`` for this platform is cached:
+    ``$XDG_CACHE_HOME/temponet``, else ``~/.cache/temponet``, in a file
+    named by the platform and the source's sha256."""
+    digest = hashlib.sha256(_FILL_SOURCE.read_bytes()).hexdigest()[:16]
+    cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(cache) / "temponet" / f"fill-{sys.platform}-{platform.machine()}-{digest}.so"
+
+
+def _compile(library: Path) -> None:
+    """Build ``_fill.c`` with the system C compiler into ``library``.
+
+    The compiler writes a temporary file in the cache, which gets the
+    sha256 of its bytes appended (the loader ignores bytes past the ELF
+    image) and then replaces ``library`` at once, so no process loads a
+    half-written build.  Plain ``-O2``, without ``-ffast-math``: a rank must
+    truncate as ``int()`` does.
+    """
+    import subprocess  # at first use only, so that importing temponet stays as fast
+
+    library.parent.mkdir(parents=True, exist_ok=True)
+    fd, temporary = tempfile.mkstemp(suffix=".so", dir=library.parent)
+    os.close(fd)
+    try:
+        command = ["cc", "-O2", "-shared", "-fPIC", "-o", temporary, str(_FILL_SOURCE)]
+        done = subprocess.run(command, capture_output=True, text=True)
+        if done.returncode:
+            raise OSError(f"cc exited with status {done.returncode}: {done.stderr.strip()}")
+        built = Path(temporary).read_bytes()
+        Path(temporary).write_bytes(built + hashlib.sha256(built).digest())
+        os.replace(temporary, library)
+    finally:
+        Path(temporary).unlink(missing_ok=True)
+
+
+@functools.cache
+def _kernel():
+    """The compiled ``temponet_fill``, built at the first wiring call of a
+    process, or None where no build loads.
+
+    A cached build whose bytes match the sha256 at its end is loaded
+    without compiling; any other, such as a truncated file, which could
+    crash the process that maps it, is built again.  Where that fails (no
+    compiler, a cache that cannot be written), wiring runs ``_pair`` and one
+    WARNING says why.
+    """
+    try:
+        library = _library_path()
+        data = library.read_bytes() if library.exists() else b""
+        if hashlib.sha256(data[:-32]).digest() != data[-32:]:
+            _compile(library)
+        fill = ctypes.CDLL(str(library)).temponet_fill
+    except (OSError, AttributeError, RuntimeError) as exc:
+        log.warning("wiring runs the Python fill loop: the compiled one is unavailable (%s)", exc)
+        return None
+    fill.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 13
+    fill.restype = ctypes.c_int64
+    return fill
+
+
+def _address(array: np.ndarray | None, length: int, dtype=np.int64) -> int | None:
+    """The data pointer of ``array``, or None for no array, checked to be
+    ``length`` C-contiguous ``dtype`` entries, as the kernel reads it."""
+    if array is None:
+        return None
+    if array.dtype != dtype or not array.flags.c_contiguous or array.size != length:
+        raise AssertionError(f"a fill kernel array is not {length} C-contiguous {dtype} entries")
+    return array.ctypes.data
+
+
+def _fill(kernel, node, degree, stubs, bounds, shape, rng, comm) -> tuple[np.ndarray, int]:
+    """``_pair`` over each phase in order, through the compiled kernel.
+
+    Returns the partner positions, ``stubs[q]`` of them for each position q
+    in order, and the repairs used.  Python keeps the generator: it reads
+    each phase's variates in blocks of at most ``VARIATE_BLOCK`` as the
+    kernel asks for them, and at a dead end replays the block's used
+    variates and makes the repair's ``rng.integers`` calls, whose (w, v)
+    the kernel applies as it resumes.
+    """
+    m, end, phases = node.size, bounds[-1], len(bounds) - 1
+    off = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(stubs, out=off[1:])
+    longest = int(np.diff(bounds).max(initial=1))
+    size = 1 << (longest - 1).bit_length()
+    rem, cnt, nbr = stubs.copy(), np.zeros(m, dtype=np.int64), np.empty(off[end], dtype=np.int64)
+    owns = None if comm is None else np.zeros((int(comm.max()) + 1) * (size + 1), dtype=np.int64)
+    st = np.array([0, -1, 0, 0, -1, -1, -1], dtype=np.int64)
+    heap, queued = np.empty(longest, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    tree = np.empty(size + 1, dtype=np.int64)
+    # every buffer stays referenced here until the last call returns
+    buffers = [
+        (bounds, len(bounds)),
+        (degree, m),
+        (comm, m),
+        (off, m + 1),
+        (rem, m),
+        (cnt, m),
+        (nbr, off[end]),
+        (heap, longest),
+        (queued, m),
+        (tree, size + 1),
+        (owns, None if owns is None else owns.size),
+    ]
+    pointers = [_address(array, length) for array, length in buffers]
+    alpha, beta = shape.alpha, shape.beta
+    bitgen = rng.bit_generator
+    repairs = [0] * phases
+
+    def read() -> None:
+        """Read the next block of the phase's variates, one per draw left."""
+        nonlocal state, variates
+        lo, hi = bounds[st[_PHASE]], bounds[st[_PHASE] + 1]
+        state = bitgen.state
+        variates = rng.beta(alpha, beta, size=min(VARIATE_BLOCK, int(rem[lo:hi].sum()) // 2))
+        st[_USED], st[_READ] = 0, variates.size
+
+    # the kernel asks for each phase's first block as it first draws
+    state, variates = bitgen.state, np.empty(0)
+    while True:
+        at = _address(variates, variates.size, np.float64)
+        status = kernel(phases, *pointers, at, _address(st, st.size))
+        if status == _DONE:
+            return nbr, sum(repairs)
+        if status == _BLOCK:
+            read()
+            continue
+        bitgen.state = state  # replay: one Beta call per draw so far
+        rng.beta(alpha, beta, size=int(st[_USED]))
+        if status == _UNPAIRED:
+            raise WiringError("stubs left unpaired after the wiring loop")
+        if status != _REPAIR:
+            raise AssertionError("the fill kernel drew a position of no weight")
+        # _pair's repair: the candidates, in position order, are the
+        # eligible partners with all stubs taken
+        f, p = int(st[_PHASE]), int(st[_NODE])
+        lo, hi = bounds[f], bounds[f + 1]
+        mask = (rem[lo:hi] == 0) & (stubs[lo:hi] > 0)
+        mask[nbr[off[p] : off[p] + cnt[p]] - lo] = False
+        if comm is not None:
+            mask &= comm[lo:hi] != comm[p]
+        cands = np.flatnonzero(mask) + lo
+        if not cands.size:
+            raise WiringError(
+                f"node {node[p]}: no candidate links to rewire ({rem[p]} stubs left)"
+            )
+        w = cands[int(rng.integers(cands.size))]
+        neighbours = nbr[off[w] : off[w] + cnt[w]]
+        v = neighbours[np.argsort(node[neighbours])][int(rng.integers(neighbours.size))]
+        repairs[f] += 1
+        budget = REPAIR_BUDGET_FACTOR * int(hi - lo)
+        if repairs[f] > budget:
+            raise WiringError(f"wiring repair budget ({budget}) exhausted")
+        st[_PICK_W], st[_PICK_V] = w, v
+        read()
 
 
 def check_connectivity(
