@@ -19,19 +19,17 @@ position that a cumulative sum and ``searchsorted`` would pick.
 
 The fill loop is C (``_fill.c``), which the system C compiler builds at
 the first wiring call of a process into the user's cache (see
-``_kernel``); ``_pair``, the same loop in Python, is its reference and
-wires where no build loads.  Either way one ``wire_intra`` call wires all
-communities of a snapshot, in index order, each as a phase with its own
-tree, and ``wire_inter`` every node in one phase; one lexsort of the
-snapshot's int64 node columns orders the positions and one numpy pass
-builds the link rows.  Python keeps the generator.  A phase of S stubs
-makes exactly S / 2 draws, and it reads their Beta variates in blocks of
-at most ``VARIATE_BLOCK``, keeping the state from before each block.  At a
-dead end the repair restores that state, redraws the variates used so
-far, and makes its own ``rng.integers`` calls: every exit leaves the
-generator where one ``rng.beta`` call per draw would.  A repair finds its
-candidates, the saturated eligible positions in position order, by one
-numpy pass over the open-stub counts.
+``_kernel``); where no build loads, ``_pair``, its port to Python, runs
+instead.  One driver, ``_fill``, runs either loop: it allocates the loop's
+state once, and it alone calls the generator, picks repairs, checks the
+repair budget and raises, so both loops wire alike.  One ``wire_intra``
+call wires all communities of a snapshot, in index order, each as a phase
+with its own tree, and ``wire_inter`` every node in one phase; one
+lexsort of the snapshot's int64 node columns orders the positions and one
+numpy pass turns the loop's partner array into link rows.  A phase of S
+stubs makes exactly S / 2 draws, and ``_fill`` states the block rule by
+which it reads their Beta variates: every exit leaves the generator where
+one ``rng.beta`` call per draw would.
 
 Node assignment draws from Fenwick trees too: bootstrap placement from one
 tree over the k community capacities, temporal placement from trees over
@@ -146,8 +144,7 @@ class Snapshot:
         n = self.ids.size
         if any(getattr(self, name).shape != (n,) for name in _NODE_COLUMNS):
             raise ConfigurationError("the node columns differ in length")
-        if (self.ids[1:] <= self.ids[:-1]).any():
-            raise ConfigurationError("node ids do not strictly ascend")
+        _check_ascending(self.ids)
         for name in (*_NODE_COLUMNS, "endpoints"):
             getattr(self, name).flags.writeable = False
         if not self.community_labels:
@@ -230,6 +227,12 @@ class Snapshot:
                 f"node {nid}: realized intra degree {realized_intra[i]}"
                 f" != spec {intra_degree[i]}"
             )
+
+
+def _check_ascending(ids: np.ndarray) -> None:
+    """Refuse node ids that do not strictly ascend."""
+    if (ids[1:] <= ids[:-1]).any():
+        raise ConfigurationError("node ids do not strictly ascend")
 
 
 def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -611,228 +614,143 @@ def repair_intra_parity(
 # ---------------------------------------------------------------------------
 
 
-def _pair(
-    ids: list[int],
-    degree: list[int],
-    stubs: list[int],
-    shape: ShapeParams,
-    rng: np.random.Generator,
-    comm: list[int] | None = None,
-) -> tuple[list[set[int]], int]:
-    """Wire one phase in Python; returns each position's neighbour positions and the repairs used.
+# temponet_fill's return codes and the slots of its state array, as in _fill.c
+_DONE, _BLOCK, _REPAIR, _UNPAIRED, _BROKEN = range(5)
+_PHASE, _NODE, _USED, _READ, _QUEUED, _PICK_W, _PICK_V = range(7)
 
-    This is the wiring path where the compiled fill loop of ``_fill.c``
-    does not load, and the reference for its every pick.  Position q holds
-    node ``ids[q]`` with total degree ``degree[q]`` and ``stubs[q]`` stubs to
-    pair, in (total degree, id) order; ``_wire`` refuses a negative stub
-    count or an odd stub sum before any draw.  ``comm`` (the positions'
-    community indices 0, 1, ...) switches inter mode.  Raises ``WiringError``
-    after more than ``REPAIR_BUDGET_FACTOR * m`` repairs for m nodes.  A
-    batch that draws nothing from a positive eligible weight raises
-    ``AssertionError``, as the loop would otherwise never end.
 
-    ``rem[q]`` counts the open stubs at position q, and nodes fill largest
-    degree first.  ``tree`` is a Fenwick tree over each position's effective
-    weight: ``rem[q]``, or 0 while q is banned for the node p being filled (p
-    and its neighbours).  Zero weights pad it to ``size``, a power of two, so
-    ``tree[size]`` is the whole weight and the descent, which halves its
-    step from ``size / 2`` to 1, needs no bounds check.  In inter mode
-    ``owns[c]`` mirrors those weights for the members of community c only,
-    and p's eligible weight is ``tree - owns[comm[p]]``.  Both modes run one
-    fill loop, which tests ``inter`` only where they differ: at the descent,
-    and at each tree update (ban, draw, unban and a repair's restore), where
-    inter mode walks ``tree`` and the community tree together.  Intra mode
-    carries no community tree at all, not even an empty one: subtracting
-    and updating one would slow every intra draw for nothing.
+def _pair(phases, bounds, degree, comm, off, rem, cnt, nbr, heap, queued, tree, owns, variates, st):
+    """``temponet_fill`` of ``_fill.c`` ported to Python, for where no build of it loads.
 
-    Ban and unban: before p fills, every position among p and its neighbours
-    that has open stubs loses its whole weight in ``tree`` (and in its
-    community's tree); a drawn partner q loses its weight the same way as it
-    gives up one stub.  After p is full, each neighbour gets its open stubs
-    back.  Each of these updates walks ``paths[q]``, the cells whose sums
-    cover q (q + 1, then up by ``i & -i`` to the root), from the table that
-    ``_paths`` builds once per tree size.  The community trees start as
-    plain lists filled by walking each member's path once.
-
-    Block rule: a draw closes two stubs and a repair none, so the phase
-    makes ``sum(rem) / 2`` more draws at any time.  It reads their Beta
-    variates in blocks of at most ``VARIATE_BLOCK``; p takes the next of
-    them while it has open stubs and its eligible weight (``tree[size]``,
-    less ``owns[comm[p]][size]`` in inter mode) is positive, and counts its
-    draws as the growth of ``adj[p]``.  Every draw lands on a position of
-    positive weight and bans it, so only when p has open stubs and an empty
-    eligible weight does ``repair`` run.  As ``Generator.beta(a, b,
-    size=k)`` yields the variates of k single calls, the reads make the
-    draws of one call per draw, except that a repair's ``rng.integers``
-    calls must come after the variates used so far.  So the generator state
-    from before each block is kept.  A repair restores it, redraws the
-    block's used variates, makes its ``rng.integers`` calls, checks the
-    repair budget, and reads the next block.  Every exit, a ``WiringError``
-    included, thus leaves the generator where one ``rng.beta`` call per
-    draw would, and a repair costs at most one block of extra variates.
+    It takes the kernel's arguments as lists, ``owns`` as one list per
+    community (``comm`` and ``owns`` are None in intra mode), changes them as
+    the kernel changes its arrays, and returns the kernel's status wherever
+    the kernel does, so a call resumes where the last one returned and
+    ``_fill`` drives both loops alike.  Only the means differ: the heap
+    holds (-degree, position) pairs for ``heapq``, and each tree update
+    walks the cells that ``_paths`` lists for the position.
     """
-    m = len(ids)
-    budget = REPAIR_BUDGET_FACTOR * max(1, m)
-    adj: list[set[int]] = [set() for _ in range(m)]  # neighbour positions
-    if not any(stubs):
-        return adj, 0
-    size = 1 << (m - 1).bit_length()
-    steps = [size >> b for b in range(1, size.bit_length())]  # size / 2, ..., 1
-    paths = _paths(size)
-    rem = list(stubs)
-    tree = _fenwick(rem + [0] * (size - m))
-    inter = comm is not None
-    if inter:
-        # each member's weight walked up its path into its community's tree
-        owns = [[0] * (size + 1) for _ in range(max(comm) + 1)]
-        for q, w in enumerate(rem):
-            if w:
-                own = owns[comm[q]]
-                for i in paths[q]:
-                    own[i] += w
-    repairs = 0
-    heap = [(-d, p) for p, (d, s) in enumerate(zip(degree, stubs)) if s > 0]
-    heapq.heapify(heap)
-    alpha, beta = shape.alpha, shape.beta
-    bitgen = rng.bit_generator
-    # variates[used:] are the block's variates still to use, and state is
-    # the generator's from before the block was read; the first batch reads
-    # the first block
-    state, variates, used = bitgen.state, [], 0
 
-    def read() -> None:
-        """Read the next block of variates, one per draw left."""
-        nonlocal state, variates, used
-        state = bitgen.state
-        variates = rng.beta(alpha, beta, size=min(VARIATE_BLOCK, sum(rem) // 2)).tolist()
-        used = 0
+    def update(q: int, d: int) -> None:
+        """Add d at position q to the tree and, in inter mode, to q's community tree."""
+        for i in paths[q - lo]:
+            tree[i] += d
+        if owns is not None:
+            own = owns[comm[q]]
+            for i in paths[q - lo]:
+                own[i] += d
 
-    def replay() -> None:
-        """Leave the generator where one Beta call per draw so far would."""
-        bitgen.state = state
-        rng.beta(alpha, beta, size=used)
-
-    def repair(p: int) -> None:
-        """Break a link (w, v) of a saturated eligible node w and link p to w."""
-        nonlocal repairs
-        replay()
-        # candidates, in position order: eligible partners with all stubs
-        # taken, so >= 1 link to break (p itself still has open stubs)
-        mask = (np.array(rem) == 0) & (np.array(stubs) > 0)
-        mask[list(adj[p])] = False
-        if inter:
-            mask &= np.array(comm) != comm[p]
-        cands = np.flatnonzero(mask)
-        if not cands.size:
-            raise WiringError(
-                f"node {ids[p]}: no candidate links to rewire ({rem[p]} stubs left)"
-            )
-        w = int(cands[int(rng.integers(cands.size))])
-        neighbors = sorted(adj[w], key=ids.__getitem__)
-        v = neighbors[int(rng.integers(len(neighbors)))]
-        adj[w].discard(v)
-        adj[v].discard(w)
-        # w gets a stub back and spends it on p at once, so it stays saturated
-        adj[p].add(w)
-        adj[w].add(p)
-        rem[p] -= 1
-        rem[v] += 1
-        heapq.heappush(heap, (-degree[v], v))
-        repairs += 1
-        if repairs > budget:
-            raise WiringError(f"wiring repair budget ({budget}) exhausted")
-        read()
-        if v in adj[p]:  # banned while p fills
-            return
-        if inter:
-            own = owns[comm[v]]
-            for i in paths[v]:
-                tree[i] += 1
-                own[i] += 1
-        else:
-            for i in paths[v]:
-                tree[i] += 1
-
-    while heap:
-        p = heapq.heappop(heap)[1]
-        if not rem[p]:
-            continue
-        if inter:
-            own_c = owns[comm[p]]
-        adj_p = adj[p]
-        # ban p and its neighbours (in inter mode, all outside p's community)
-        for q in [p, *adj_p]:
-            w = rem[q]
-            if w and inter:
-                own = owns[comm[q]]
-                for i in paths[q]:
-                    tree[i] -= w
-                    own[i] -= w
-            elif w:
-                for i in paths[q]:
-                    tree[i] -= w
-        while rem[p]:
-            total = tree[size] - own_c[size] if inter else tree[size]
-            if not total:
-                repair(p)
-                continue
-            if used == len(variates):
-                read()
-            start = len(adj_p)
-            for x in variates[used : used + rem[p]]:
-                rank = int(x * total)
-                if rank >= total:
-                    rank = total - 1
-                q = 0
-                if inter:
-                    for step in steps:
-                        j = q + step
-                        w = tree[j] - own_c[j]
-                        if w <= rank:
-                            q = j
-                            rank -= w
-                else:
-                    for step in steps:
-                        w = tree[q + step]
-                        if w <= rank:
-                            q += step
-                            rank -= w
-                # ban the partner at q and close one of its stubs
-                w = rem[q]
-                rem[q] = w - 1
-                total -= w
-                if inter:
-                    own = owns[comm[q]]
-                    for i in paths[q]:
-                        tree[i] -= w
-                        own[i] -= w
-                else:
-                    for i in paths[q]:
-                        tree[i] -= w
-                adj_p.add(q)
-                adj[q].add(p)
-                if not total:
-                    break
-            k = len(adj_p) - start
-            if not k:
-                raise AssertionError("a batch drew nothing from a positive eligible weight")
-            used += k
-            rem[p] -= k
-        # unban: partners and neighbours get their open stubs back
-        for q in adj_p:
-            w = rem[q]
-            if w and inter:
-                own = owns[comm[q]]
-                for i in paths[q]:
-                    tree[i] += w
-                    own[i] += w
-            elif w:
-                for i in paths[q]:
-                    tree[i] += w
-    if any(rem):
-        replay()
-        raise WiringError("stubs left unpaired after the wiring loop")
-    return adj, repairs
+    # the variates used live in a local while the loop runs
+    used, read = st[_USED], st[_READ]
+    try:
+        while st[_PHASE] < phases:
+            lo, hi = bounds[st[_PHASE]], bounds[st[_PHASE] + 1]
+            size = 1 << max(hi - lo - 1, 0).bit_length()
+            steps = [size >> b for b in range(1, size.bit_length())]  # size / 2, ..., 1
+            paths = _paths(size)
+            if st[_QUEUED] < 0:
+                tree[: size + 1] = _fenwick(rem[lo:hi] + [0] * (size - hi + lo))
+                heap[:] = [(-degree[q], q) for q in range(lo, hi) if rem[q]]
+                heapq.heapify(heap)
+                st[_QUEUED] = len(heap)
+                for _, q in heap:
+                    queued[q] = 1
+                    if owns is not None:
+                        own = owns[comm[q]]
+                        for i in paths[q - lo]:
+                            own[i] += rem[q]
+            while True:
+                p = st[_NODE]
+                if p < 0:
+                    if not heap:
+                        break
+                    p = heapq.heappop(heap)[1]
+                    st[_QUEUED] -= 1
+                    queued[p] = 0
+                    if not rem[p]:
+                        continue
+                    st[_NODE] = p
+                    # ban p and its neighbours
+                    for q in [p, *nbr[off[p] : off[p] + cnt[p]]]:
+                        if rem[q]:
+                            update(q, -rem[q])
+                elif st[_PICK_W] >= 0:
+                    # break (w, v) and link p to w, which stays saturated
+                    w, v = st[_PICK_W], st[_PICK_V]
+                    st[_PICK_W] = -1
+                    for a, b in ((w, v), (v, w)):
+                        i = nbr.index(b, off[a], off[a] + cnt[a])
+                        cnt[a] -= 1
+                        nbr[i] = nbr[off[a] + cnt[a]]
+                    for a, b in ((p, w), (w, p)):
+                        nbr[off[a] + cnt[a]] = b
+                        cnt[a] += 1
+                    rem[p] -= 1
+                    rem[v] += 1
+                    if not queued[v]:
+                        queued[v] = 1
+                        heapq.heappush(heap, (-degree[v], v))
+                        st[_QUEUED] += 1
+                    if v not in nbr[off[p] : off[p] + cnt[p]]:
+                        update(v, 1)
+                own = None if owns is None else owns[comm[p]]
+                while rem[p]:
+                    total = tree[size] if own is None else tree[size] - own[size]
+                    if not total:
+                        return _REPAIR
+                    if used == read:
+                        return _BLOCK
+                    rank = int(variates[used] * total)
+                    used += 1
+                    if rank >= total:
+                        rank = total - 1
+                    q = 0
+                    if own is None:
+                        for step in steps:
+                            w = tree[q + step]
+                            if w <= rank:
+                                q += step
+                                rank -= w
+                    else:
+                        for step in steps:
+                            w = tree[q + step] - own[q + step]
+                            if w <= rank:
+                                q += step
+                                rank -= w
+                    # a draw lands on a position of positive weight, never
+                    # on p, which is banned
+                    q += lo
+                    if q >= hi or q == p or rem[q] <= 0:
+                        return _BROKEN
+                    # ban the partner at q and close one of its stubs; this is
+                    # update(q, -w) written out, as it runs once per draw
+                    w = rem[q]
+                    if owns is None:
+                        for i in paths[q - lo]:
+                            tree[i] -= w
+                    else:
+                        own_q = owns[comm[q]]
+                        for i in paths[q - lo]:
+                            tree[i] -= w
+                            own_q[i] -= w
+                    rem[q] = w - 1
+                    rem[p] -= 1
+                    nbr[off[p] + cnt[p]] = q
+                    nbr[off[q] + cnt[q]] = p
+                    cnt[p] += 1
+                    cnt[q] += 1
+                # unban: partners and neighbours get their open stubs back
+                for q in nbr[off[p] : off[p] + cnt[p]]:
+                    if rem[q]:
+                        update(q, rem[q])
+                st[_NODE] = -1
+            if any(rem[lo:hi]):
+                return _UNPAIRED
+            st[_PHASE] += 1
+            st[_QUEUED] = -1
+        return _DONE
+    finally:
+        st[_USED] = used
 
 
 def wire_intra(
@@ -848,8 +766,10 @@ def wire_intra(
     the repairs used.  Every member's realized intra degree equals its stubs
     exactly; each community's intra sequence must pass the Erdos-Gallai test
     beforehand.  A community with an odd intra sum raises ``WiringError``
-    once the communities before it are wired.
+    once the communities before it are wired.  Columns of unequal length or
+    a repeated id raise ``ConfigurationError`` before any draw.
     """
+    _check_columns(ids, degree, stubs, community)
     order = np.lexsort((ids, degree, community))
     community = community[order]
     cuts = np.flatnonzero(community[1:] != community[:-1]) + 1
@@ -868,19 +788,28 @@ def wire_inter(
     indices 0, 1, ..., which the fill loop only compares and indexes by.
     Returns the (m, 2) int64 link rows (u, v), u < v, and the repairs used.
     """
+    _check_columns(ids, degree, stubs, community)
     order = np.lexsort((ids, degree))
     comm = np.unique(community[order], return_inverse=True)[1].astype(np.int64)
     bounds = np.array([0, ids.size])
     return _wire(ids[order], degree[order], stubs[order], bounds, pairing_shape, rng, comm)
 
 
+def _check_columns(ids, *columns) -> None:
+    """Refuse node columns that differ in length, or ids that repeat."""
+    if any(len(column) != len(ids) for column in columns):
+        raise ConfigurationError("the node columns differ in length")
+    ordered = np.sort(ids)
+    repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if repeated.size:
+        raise ConfigurationError(f"node id {ordered[repeated[0]]} repeats")
+
+
 def _wire(node, degree, stubs, bounds, shape, rng, comm=None) -> tuple[np.ndarray, int]:
     """Wire the phases of positions ``bounds[f]`` to ``bounds[f + 1] - 1`` in order.
 
     Phases before the first one with a negative stub count or an odd stub
-    sum are wired, and then that one raises ``WiringError``.  The compiled
-    kernel wires them where it loads, ``_pair`` phase by phase elsewhere,
-    with the same draws, links, repairs, errors and final generator state.
+    sum are wired, and then that one raises ``WiringError``.
     """
     if not node.size:
         return np.zeros((0, 2), dtype=np.int64), 0
@@ -888,18 +817,7 @@ def _wire(node, degree, stubs, bounds, shape, rng, comm=None) -> tuple[np.ndarra
     low = np.minimum.reduceat(stubs, bounds[:-1])
     bad = np.flatnonzero((low < 0) | (np.add.reduceat(stubs, bounds[:-1]) % 2 == 1))
     wired = bounds[: int(bad[0]) + 1] if bad.size else bounds
-    kernel = _kernel()
-    if kernel is not None:
-        partner, repairs = _fill(kernel, node, degree, stubs, wired, shape, rng, comm)
-    else:
-        ids, degrees, counts = node.tolist(), degree.tolist(), stubs.tolist()
-        partners, repairs = [np.zeros(0, dtype=np.int64)], 0
-        for lo, hi in itertools.pairwise(wired.tolist()):
-            part = None if comm is None else comm[lo:hi].tolist()
-            adj, used = _pair(ids[lo:hi], degrees[lo:hi], counts[lo:hi], shape, rng, part)
-            partners.append(np.fromiter(itertools.chain.from_iterable(adj), np.int64) + lo)
-            repairs += used
-        partner = np.concatenate(partners)
+    partner, repairs = _fill(node, degree, stubs, wired, shape, rng, comm)
     if bad.size:
         f = int(bad[0])
         if low[f] < 0:
@@ -912,13 +830,10 @@ def _wire(node, degree, stubs, bounds, shape, rng, comm=None) -> tuple[np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# the compiled fill loop
+# the fill loop: the compiled kernel, and its one driver
 # ---------------------------------------------------------------------------
 
 _FILL_SOURCE = Path(__file__).with_name("_fill.c")
-# temponet_fill's return codes and the slots of its state array, as in _fill.c
-_DONE, _BLOCK, _REPAIR, _UNPAIRED = range(4)
-_PHASE, _NODE, _USED, _READ, _QUEUED, _PICK_W, _PICK_V = range(7)
 
 
 def _library_path() -> Path:
@@ -991,41 +906,69 @@ def _address(array: np.ndarray | None, length: int, dtype=np.int64) -> int | Non
     return array.ctypes.data
 
 
-def _fill(kernel, node, degree, stubs, bounds, shape, rng, comm) -> tuple[np.ndarray, int]:
-    """``_pair`` over each phase in order, through the compiled kernel.
+def _fill(node, degree, stubs, bounds, shape, rng, comm) -> tuple[np.ndarray, int]:
+    """Wire ``_wire``'s phases through the fill loop: ``_kernel()`` where it loads, else ``_pair``.
 
     Returns the partner positions, ``stubs[q]`` of them for each position q
-    in order, and the repairs used.  Python keeps the generator: it reads
-    each phase's variates in blocks of at most ``VARIATE_BLOCK`` as the
-    kernel asks for them, and at a dead end replays the block's used
-    variates and makes the repair's ``rng.integers`` calls, whose (w, v)
-    the kernel applies as it resumes.
+    in order, and the repairs used.  This driver allocates the loop's state
+    once and hands the kernel its arrays, or ``_pair`` lists copied from
+    them.  It alone calls the generator, picks repairs, checks the repair
+    budget and raises, so both loops make the same draws, links, repairs and
+    errors and leave the generator in the same state.
+
+    Block rule: a draw closes two stubs and a repair none, so a phase has
+    ``sum(rem) / 2`` draws left at any time.  The loop returns for a block
+    of their Beta variates, at most ``VARIATE_BLOCK`` of them, when it has
+    used the last one; as ``Generator.beta(a, b, size=k)`` yields the
+    variates of k single calls, the blocks make the draws of one call per
+    draw.  A repair's ``rng.integers`` calls must come after the variates
+    used so far, so the generator state from before each block is kept.
+    When p has open stubs and no eligible weight, the loop returns for a
+    repair: the driver restores that state and redraws the block's used
+    variates.  Then one call picks w among the candidates, the eligible
+    partners of p with all stubs taken, in position order, and one picks v
+    among w's neighbours in id order; the loop breaks (w, v) and links p to
+    w as it resumes, after the driver has checked the budget of
+    ``REPAIR_BUDGET_FACTOR`` repairs per node of the phase and read the
+    next block.  Every exit, a ``WiringError`` included, thus leaves the
+    generator where one ``rng.beta`` call per draw would, and a repair
+    costs at most one block of extra variates.
     """
     m, end, phases = node.size, bounds[-1], len(bounds) - 1
     off = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(stubs, out=off[1:])
     longest = int(np.diff(bounds).max(initial=1))
     size = 1 << (longest - 1).bit_length()
-    rem, cnt, nbr = stubs.copy(), np.zeros(m, dtype=np.int64), np.empty(off[end], dtype=np.int64)
-    owns = None if comm is None else np.zeros((int(comm.max()) + 1) * (size + 1), dtype=np.int64)
+    rem, cnt, nbr = stubs.copy(), np.zeros(m, dtype=np.int64), np.zeros(off[end], dtype=np.int64)
+    k = 0 if comm is None else int(comm.max()) + 1
+    owns = None if comm is None else np.zeros(k * (size + 1), dtype=np.int64)
     st = np.array([0, -1, 0, 0, -1, -1, -1], dtype=np.int64)
-    heap, queued = np.empty(longest, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    tree = np.empty(size + 1, dtype=np.int64)
-    # every buffer stays referenced here until the last call returns
-    buffers = [
-        (bounds, len(bounds)),
-        (degree, m),
-        (comm, m),
-        (off, m + 1),
-        (rem, m),
-        (cnt, m),
-        (nbr, off[end]),
-        (heap, longest),
-        (queued, m),
-        (tree, size + 1),
-        (owns, None if owns is None else owns.size),
-    ]
-    pointers = [_address(array, length) for array, length in buffers]
+    heap, queued = np.zeros(longest, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    tree = np.zeros(size + 1, dtype=np.int64)
+    buffers = [bounds, degree, comm, off, rem, cnt, nbr, heap, queued, tree, owns]
+    kernel = _kernel()
+    if kernel is None:
+        # the same buffers as lists, owns as one zeroed list per community
+        lists = [None if array is None else array.tolist() for array in buffers[:-1]]
+        lists.append(None if owns is None else [[0] * (size + 1) for _ in range(k)])
+        bounds, _, _, off, rem, cnt, nbr = lists[:7]  # the driver reads these copies
+        sum_of = sum
+        st = st.tolist()
+
+        def fill(variates: np.ndarray) -> int:
+            return _pair(phases, *lists, variates.tolist(), st)
+
+    else:
+        # every buffer stays referenced here until the last call returns
+        lengths = [len(bounds), m, m, m + 1, m, m, off[end], longest, m, size + 1, k * (size + 1)]
+        pointers = [_address(array, length) for array, length in zip(buffers, lengths)]
+        # a Python sum would walk an int64 array element by element
+        sum_of = np.add.reduce
+
+        def fill(variates: np.ndarray) -> int:
+            at = _address(variates, variates.size, np.float64)
+            return kernel(phases, *pointers, at, _address(st, st.size))
+
     alpha, beta = shape.alpha, shape.beta
     bitgen = rng.bit_generator
     repairs = [0] * phases
@@ -1035,16 +978,16 @@ def _fill(kernel, node, degree, stubs, bounds, shape, rng, comm) -> tuple[np.nda
         nonlocal state, variates
         lo, hi = bounds[st[_PHASE]], bounds[st[_PHASE] + 1]
         state = bitgen.state
-        variates = rng.beta(alpha, beta, size=min(VARIATE_BLOCK, int(rem[lo:hi].sum()) // 2))
+        left = int(sum_of(rem[lo:hi])) // 2
+        variates = rng.beta(alpha, beta, size=min(VARIATE_BLOCK, left))
         st[_USED], st[_READ] = 0, variates.size
 
-    # the kernel asks for each phase's first block as it first draws
+    # the loop asks for each phase's first block as it first draws
     state, variates = bitgen.state, np.empty(0)
     while True:
-        at = _address(variates, variates.size, np.float64)
-        status = kernel(phases, *pointers, at, _address(st, st.size))
+        status = fill(variates)
         if status == _DONE:
-            return nbr, sum(repairs)
+            return np.asarray(nbr, dtype=np.int64), sum(repairs)
         if status == _BLOCK:
             read()
             continue
@@ -1053,25 +996,23 @@ def _fill(kernel, node, degree, stubs, bounds, shape, rng, comm) -> tuple[np.nda
         if status == _UNPAIRED:
             raise WiringError("stubs left unpaired after the wiring loop")
         if status != _REPAIR:
-            raise AssertionError("the fill kernel drew a position of no weight")
-        # _pair's repair: the candidates, in position order, are the
-        # eligible partners with all stubs taken
+            raise AssertionError("the fill loop drew a position of no weight")
         f, p = int(st[_PHASE]), int(st[_NODE])
         lo, hi = bounds[f], bounds[f + 1]
-        mask = (rem[lo:hi] == 0) & (stubs[lo:hi] > 0)
-        mask[nbr[off[p] : off[p] + cnt[p]] - lo] = False
+        mask = (np.asarray(rem[lo:hi]) == 0) & (stubs[lo:hi] > 0)
+        mask[np.asarray(nbr[off[p] : off[p] + cnt[p]], dtype=np.int64) - lo] = False
         if comm is not None:
             mask &= comm[lo:hi] != comm[p]
-        cands = np.flatnonzero(mask) + lo
+        cands = mask.nonzero()[0]
         if not cands.size:
             raise WiringError(
                 f"node {node[p]}: no candidate links to rewire ({rem[p]} stubs left)"
             )
-        w = cands[int(rng.integers(cands.size))]
-        neighbours = nbr[off[w] : off[w] + cnt[w]]
-        v = neighbours[np.argsort(node[neighbours])][int(rng.integers(neighbours.size))]
+        w = lo + int(cands[int(rng.integers(cands.size))])
+        neighbours = np.asarray(nbr[off[w] : off[w] + cnt[w]], dtype=np.int64)
+        v = int(neighbours[np.argsort(node[neighbours])[int(rng.integers(neighbours.size))]])
         repairs[f] += 1
-        budget = REPAIR_BUDGET_FACTOR * int(hi - lo)
+        budget = REPAIR_BUDGET_FACTOR * (hi - lo)
         if repairs[f] > budget:
             raise WiringError(f"wiring repair budget ({budget}) exhausted")
         st[_PICK_W], st[_PICK_V] = w, v
@@ -1091,9 +1032,11 @@ def check_connectivity(
     smaller of the two, and pointer jumping then points every node at its
     root; once no link joins two roots, each root is one component of its
     node's community.  Returns ``community_count`` counts; an empty
-    community has 0 components.
+    community has 0 components.  Ids that do not strictly ascend raise
+    ``ConfigurationError``.
     """
     ids = np.asarray(ids, dtype=np.int64)
+    _check_ascending(ids)
     community = np.asarray(community, dtype=np.int64)
     n = ids.size
     at, known = _lookup(ids, endpoints)

@@ -759,6 +759,23 @@ def test_check_connectivity_equals_the_union_find_reference():
     assert got.tolist() == [empty, empty] == [0, 0]
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [[10**9 // 2, 1, 2, 10**9], [3, 1, 2], [300, 1, 2], [1, 1, 2]],
+    ids=["wrong_count", "index_error", "value_error", "repeated"],
+)
+def test_check_connectivity_refuses_ids_that_do_not_strictly_ascend(ids):
+    # the links form one path over the sorted ids, one component; unsorted,
+    # the id lookup gave 4 components, a bare IndexError or ValueError, and
+    # for the repeated id 2 components
+    ordered = sorted(set(ids))
+    links = _rows(zip(ordered, ordered[1:]))
+    got = check_connectivity(np.array(ordered), np.zeros(len(ordered)), links, 1)
+    assert got.tolist() == [1]
+    with pytest.raises(ConfigurationError, match="do not strictly ascend"):
+        check_connectivity(np.array(ids), np.zeros(len(ids)), links, 1)
+
+
 def test_joint_distribution_baseline_trivial_cases():
     p = degree_joint_distribution_baseline((1, 1))
     assert p[0, 1] == pytest.approx(1.0)
@@ -1279,6 +1296,27 @@ def test_negative_stub_counts_are_refused_before_any_draw(wire, nodes):
     rng = np.random.default_rng(3)
     with pytest.raises(WiringError, match=r"negative stub count \(-2\)"):
         wire(*node_columns(nodes), ShapeParams(), rng)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+@pytest.mark.parametrize("wire", [wire_intra, wire_inter])
+@pytest.mark.parametrize(
+    "columns, match",
+    [
+        (([1, 1], [1, 1], [1, 1], [0, 0]), "node id 1 repeats"),
+        (([4, 2, 4], [1, 1, 2], [0, 1, 1], [0, 1, 1]), "node id 4 repeats"),
+        (([1, 2], [1, 1], [1, 1, 1], [0, 0]), "differ in length"),
+        (([1, 2], [1, 1], [1], [0, 1]), "differ in length"),
+        (([1, 2, 3], [1, 1, 2], [1, 1, 2], [0, 1]), "differ in length"),
+    ],
+    ids=["repeated_pair", "repeated_unsorted", "long_stubs", "short_stubs", "short_community"],
+)
+def test_wiring_refuses_bad_node_columns_before_any_draw(wire, columns, match):
+    # a repeated id used to wire nothing silently, a long stubs column to
+    # have its last entry ignored, and a short one to raise IndexError
+    rng = np.random.default_rng(3)
+    with pytest.raises(ConfigurationError, match=match):
+        wire(*(np.array(c, dtype=np.int64) for c in columns), ShapeParams(), rng)
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 

@@ -2,13 +2,15 @@
 
 ``assembler._kernel`` builds ``_fill.c`` at the first wiring call of a
 process and caches the build per user; where no build loads, wiring runs
-``_pair``.  The tests here compare the two paths on random phases, bound the
+``_pair``.  The tests here compare the two paths on random phases, match
+``_fill.c``'s status codes and state slots to ``assembler``'s names, bound the
 Beta variates a repair reads again, and check the cache.
 ``test_fill_fallback.py`` runs the wiring tests on the ``_pair`` path.
 """
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -52,7 +54,8 @@ def test_the_kernel_loads_where_a_compiler_exists():
 @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (0.5, 0.5)])
 def test_kernel_wires_like_pair_on_random_phases(shape, monkeypatch):
     # both modes on the same nodes, several communities: the same links,
-    # repairs, error texts and final generator state on both paths.  Every
+    # repairs, error texts, final generator state and Beta variates read on
+    # both paths, so the two loops ask for blocks at the same points.  Every
     # fifth trial is dense, so that phases dead-end, run out of candidates
     # or exhaust their repair budget; every seventh has a negative count.
     # "stubs left unpaired" cannot be reached: every position with open
@@ -75,8 +78,9 @@ def test_kernel_wires_like_pair_on_random_phases(shape, monkeypatch):
             for kernel in (assembler._kernel(), None):
                 with monkeypatch.context() as patch:
                     patch.setattr(assembler, "_kernel", lambda kernel=kernel: kernel)
-                    rng = np.random.default_rng(7000 + trial)
-                    outcomes.append(_outcome(wire, nodes, ShapeParams(*shape), rng))
+                    rng = CountingGenerator(np.random.default_rng(7000 + trial))
+                    result, state = _outcome(wire, nodes, ShapeParams(*shape), rng)
+                    outcomes.append((result, state, rng.variates))
             assert outcomes[0] == outcomes[1], (trial, wire.__name__)
             ends[_kind(outcomes[0][0])] += 1
     kinds = {
@@ -88,6 +92,19 @@ def test_kernel_wires_like_pair_on_random_phases(shape, monkeypatch):
         "wiring repair budget",
     }
     assert kinds <= set(ends) and min(ends.values()) >= 5, ends
+
+
+def test_the_status_codes_and_state_slots_are_the_kernel_sources():
+    # the two enums of _fill.c, in order, against the names assembler gives
+    # them: _pair returns the codes, and _fill reads the slots of both loops
+    enums = re.findall(r"^enum \{ (.*) \};$", assembler._FILL_SOURCE.read_text(), re.M)
+    assert [names.split(", ") for names in enums] == [
+        ["DONE", "BLOCK", "REPAIR", "UNPAIRED", "BROKEN"],
+        ["PHASE", "NODE", "USED", "READ", "QUEUED", "PICK_W", "PICK_V"],
+    ]
+    for names in enums:
+        codes = [getattr(assembler, f"_{name}") for name in names.split(", ")]
+        assert codes == list(range(len(codes))), names
 
 
 class CountingGenerator:

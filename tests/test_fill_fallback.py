@@ -30,6 +30,7 @@ from test_assembler import (  # noqa: F401
     test_wire_intra_forced_k4,
     test_wiring_error_on_ungraphable_injection,
     test_wiring_gives_up_after_50_repairs_per_node,
+    test_wiring_refuses_bad_node_columns_before_any_draw,
     test_worked_example_snapshot_counts_and_exactness,
 )
 from test_golden import test_golden_sampler_mode, test_golden_sequence_file_mode  # noqa: F401
