@@ -1,12 +1,15 @@
-/* The fill loop of temponet's wiring phases, compiled at first use.
+/* The compiled kernel of temponet: the fill loop of its wiring phases and
+ * the text of its CSV export, built at first use.
  *
- * temponet.assembler builds this file with the system C compiler and calls
- * temponet_fill through ctypes; assembler._pair is the same loop in Python
- * and the reference for every pick.  One call wires phases in order until
- * they are done or the loop needs the caller: for the next block of Beta
- * variates, or for a repair, whose random choices the caller makes.  All
- * state lives in the caller's arrays, so the next call resumes where the
- * last one returned.
+ * temponet.assembler builds this file with the system C compiler at the
+ * first wiring or export call of a process and calls it through ctypes.
+ *
+ * temponet_fill is the wiring's fill loop; assembler._pair is the same loop
+ * in Python and the reference for every pick.  One call wires phases in
+ * order until they are done or the loop needs the caller: for the next
+ * block of Beta variates, or for a repair, whose random choices the caller
+ * makes.  All state lives in the caller's arrays, so the next call resumes
+ * where the last one returned.
  *
  * Positions are the caller's: phase f holds positions bounds[f] to
  * bounds[f + 1] - 1, in (total degree, id) order.  Position q has
@@ -15,6 +18,9 @@
  * has a Fenwick tree over its positions' effective weights, rem[q] or 0
  * while q is banned, in tree[1..size]; with comm (inter mode), owns holds one
  * tree of size + 1 cells per community, over its members' weights.
+ *
+ * temponet_format writes one block of the export, as output._write_block's
+ * bytes % format call would (see there).
  */
 
 #include <stdint.h>
@@ -186,4 +192,38 @@ int64_t temponet_fill(int64_t phases, const int64_t *bounds, const int64_t *degr
                 return UNPAIRED;
     }
     return DONE;
+}
+
+
+/* Copy the pieces named by code[0..codes - 1], in order, into out, each
+ * "%d" in them written as the next of values in Python's %d text: a minus
+ * sign for a negative value, then its digits.  Piece i is text[start[i]]
+ * to text[start[i + 1] - 1], and "%d" is the only directive read.  Returns
+ * the bytes written; the caller sizes out for them. */
+int64_t temponet_format(const char *text, const int64_t *start, const int64_t *code,
+                        int64_t codes, const int64_t *values, char *out)
+{
+    char *o = out, digits[20];
+    for (int64_t i = 0; i < codes; i++) {
+        const char *s = text + start[code[i]], *end = text + start[code[i] + 1];
+        while (s < end) {
+            if (s[0] != '%' || s + 1 == end || s[1] != 'd') {
+                *o++ = *s++;
+                continue;
+            }
+            int64_t x = *values++;
+            /* the magnitude as unsigned, so that -2**63 has one too */
+            uint64_t m = x < 0 ? -(uint64_t)x : (uint64_t)x;
+            int k = 0;
+            do
+                digits[k++] = (char)('0' + m % 10);
+            while (m /= 10);
+            if (x < 0)
+                *o++ = '-';
+            while (k)
+                *o++ = digits[--k];
+            s += 2;
+        }
+    }
+    return o - out;
 }

@@ -17,16 +17,17 @@ community over the same positions, k * n cells in all, and descends the
 global tree minus the node's own-community tree.  A draw picks exactly the
 position that a cumulative sum and ``searchsorted`` would pick.
 
-The fill loop is C (``_fill.c``), which the system C compiler builds at
-the first wiring call of a process into the user's cache (see
-``_kernel``); where no build loads, ``_pair``, its port to Python, runs
-instead.  One driver, ``_fill``, runs either loop: it allocates the loop's
-state once, and it alone calls the generator, picks repairs, checks the
-repair budget and raises, so both loops wire alike.  One ``wire_intra``
-call wires all communities of a snapshot, in index order, each as a phase
-with its own tree, and ``wire_inter`` every node in one phase; one
-lexsort of the snapshot's int64 node columns orders the positions and one
-numpy pass turns the loop's partner array into link rows.  A phase of S
+The fill loop is C (``_fill.c``, whose library also formats the CSV
+export's text), which the system C compiler builds at the first wiring or
+export call of a process into the user's cache (see ``_kernel``); where no
+build loads, ``_pair``, its port to Python, runs instead.  One driver,
+``_fill``, runs either loop: it allocates the loop's state once, and it
+alone calls the generator, picks repairs, checks the repair budget and
+raises, so both loops wire alike.  One ``wire_intra`` call wires all
+communities of a snapshot, in index order, each as a phase with its own
+tree, and ``wire_inter`` every node in one phase; one lexsort of the
+snapshot's int64 node columns orders the positions and one numpy pass turns
+the loop's partner array into link rows.  A phase of S
 stubs makes exactly S / 2 draws, and ``_fill`` states the block rule by
 which it reads their Beta variates: every exit leaves the generator where
 one ``rng.beta`` call per draw would.
@@ -873,13 +874,16 @@ def _compile(library: Path) -> None:
 
 @functools.cache
 def _kernel():
-    """The compiled ``temponet_fill``, built at the first wiring call of a
-    process, or None where no build loads.
+    """The compiled kernel of ``_fill.c``, built at the first wiring or
+    export call of a process, or None where no build loads.
 
-    A cached build whose bytes match the sha256 at its end is loaded
-    without compiling; any other, such as a truncated file, which could
-    crash the process that maps it, is built again.  Where that fails (no
-    compiler, a cache that cannot be written), wiring runs ``_pair`` and one
+    The library's ``temponet_fill`` (wiring, see ``_fill``) and
+    ``temponet_format`` (export, see ``output._write_block``) come with
+    their argument types set.  A cached build whose bytes match the sha256
+    at its end is loaded without compiling; any other, such as a truncated
+    file, which could crash the process that maps it, is built again.
+    Where that fails (no compiler, a cache that cannot be written), wiring
+    runs ``_pair``, the export runs a bytes ``%`` format per block, and one
     WARNING says why.
     """
     try:
@@ -887,13 +891,20 @@ def _kernel():
         data = library.read_bytes() if library.exists() else b""
         if hashlib.sha256(data[:-32]).digest() != data[-32:]:
             _compile(library)
-        fill = ctypes.CDLL(str(library)).temponet_fill
+        kernel = ctypes.CDLL(str(library))
+        fill, format_ = kernel.temponet_fill, kernel.temponet_format
     except (OSError, AttributeError, RuntimeError) as exc:
-        log.warning("wiring runs the Python fill loop: the compiled one is unavailable (%s)", exc)
+        log.warning(
+            "wiring runs the Python fill loop and export a bytes %% format:"
+            " the compiled kernel is unavailable (%s)",
+            exc,
+        )
         return None
     fill.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 13
     fill.restype = ctypes.c_int64
-    return fill
+    format_.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
+    format_.restype = ctypes.c_int64
+    return kernel
 
 
 def _address(array: np.ndarray | None, length: int, dtype=np.int64) -> int | None:
@@ -964,10 +975,11 @@ def _fill(node, degree, stubs, bounds, shape, rng, comm) -> tuple[np.ndarray, in
         pointers = [_address(array, length) for array, length in zip(buffers, lengths)]
         # a Python sum would walk an int64 array element by element
         sum_of = np.add.reduce
+        compiled = kernel.temponet_fill
 
         def fill(variates: np.ndarray) -> int:
             at = _address(variates, variates.size, np.float64)
-            return kernel(phases, *pointers, at, _address(st, st.size))
+            return compiled(phases, *pointers, at, _address(st, st.size))
 
     alpha, beta = shape.alpha, shape.beta
     bitgen = rng.bit_generator
@@ -1032,13 +1044,24 @@ def check_connectivity(
     smaller of the two, and pointer jumping then points every node at its
     root; once no link joins two roots, each root is one component of its
     node's community.  Returns ``community_count`` counts; an empty
-    community has 0 components.  Ids that do not strictly ascend raise
-    ``ConfigurationError``.
+    community has 0 components.  Ids that do not strictly ascend, a
+    ``community`` column of another length than ``ids``, a negative
+    ``community_count`` and a community index outside
+    ``[0, community_count)`` raise ``ConfigurationError``.
     """
     ids = np.asarray(ids, dtype=np.int64)
     _check_ascending(ids)
     community = np.asarray(community, dtype=np.int64)
     n = ids.size
+    if community.shape != (n,):
+        raise ConfigurationError(f"{community.size} community indices for {n} node ids")
+    if community_count < 0:
+        raise ConfigurationError(f"community count {community_count} is negative")
+    if n and not 0 <= community.min() <= community.max() < community_count:
+        raise ConfigurationError(
+            f"community indices {community.min()}..{community.max()}"
+            f" outside [0, {community_count})"
+        )
     at, known = _lookup(ids, endpoints)
     u, v = at[known[:, 0] & known[:, 1]].T
     same = community[u] == community[v]

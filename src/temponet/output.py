@@ -12,11 +12,14 @@ same interval syntax.  Snapshot ``t`` covers ``[t, t+1)``.
 Both files come from one sort of per-step id arrays: node ids with their
 labels sorted by (id, t), link endpoints sorted by (u, v, t), with a run
 starting wherever the key changes, ``t`` skips a step or the label changes.
-They are written in blocks of ``_BLOCK`` keys, each by one bytes ``%``
-format call.  A block's template joins one piece per run, chosen by whether
-the run is its key's first (the piece then opens the row) and whether it is
-its key's last (the piece then closes the field); numpy passes over the
-block's rows build the pieces' indices and the integers that fill them.
+They are written in blocks of ``_BLOCK`` keys.  A block's text joins one
+piece per run, chosen by whether the run is its key's first (the piece then
+opens the row) and whether it is its key's last (the piece then closes the
+field); numpy passes over the block's rows build the pieces' indices and the
+integers that fill them.  The compiled kernel of ``_fill.c`` (see
+``assembler._kernel``), built at the first wiring or export call of a
+process, writes each block's text; where it does not load, one bytes ``%``
+format call per block writes the same bytes.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import __version__
-from .assembler import _pair_order
+from . import __version__, assembler
+from .assembler import _address, _pair_order
 from .errors import ConfigurationError
 from .lifecycle import EventRecord, render_event_table
 
@@ -102,6 +105,19 @@ _NODE_PIECES = (
 )
 
 
+def _table(pieces):
+    """The table of ``pieces`` that ``_write_block`` reads: the pieces, their
+    bytes joined, each piece's start in those bytes followed by their total
+    length, each piece's count of ``%d``, and the longest piece's length."""
+    start = np.cumsum([0, *map(len, pieces)], dtype=np.int64)
+    directives = np.array([piece.count(b"%d") for piece in pieces], dtype=np.int64)
+    return pieces, b"".join(pieces), start, directives, max(map(len, pieces))
+
+
+_EDGE_TABLE = _table(_EDGE_PIECES)
+_NODE_TABLE = _table(_NODE_PIECES)
+
+
 def _changed(*columns) -> np.ndarray:
     """Mask of the rows where any column differs from the row before; row 0 is set."""
     mark = np.zeros(len(columns[0]), dtype=bool)
@@ -141,11 +157,36 @@ def _runs(t, key_start, run_start, lo, hi):
     return rows, t[rows], t1, first, last
 
 
-def _write_block(fh, pieces, code, values, keep) -> None:
-    """Write the pieces named by ``code``, one per row of ``values``, filled
-    with the row-major ``values`` that ``keep`` selects, in one format call."""
-    template = b"".join(map(pieces.__getitem__, code.tolist()))
-    fh.write(template % tuple(values[keep].tolist()))
+def _write_block(fh, table, code, values, keep) -> None:
+    """Write the pieces of ``table`` named by ``code``, one per row of
+    ``values``, filled with the row-major ``values`` that ``keep`` selects.
+
+    The compiled ``temponet_format`` writes them into one buffer, whose
+    filled part goes to ``fh`` uncopied; without the kernel, one bytes ``%``
+    format call does.  Either writes the bytes of the other.
+    """
+    pieces, text, start, directives, longest = table
+    flat = values[keep]
+    kernel = assembler._kernel()  # looked up here, so that a test can patch the loader
+    if kernel is None:
+        template = b"".join(map(pieces.__getitem__, code.tolist()))
+        fh.write(template % tuple(flat.tolist()))
+        return
+    # the kernel reads one value per %d; then each piece writes at most its
+    # own length and each value at most the 20 bytes of -2**63
+    count = int(directives[code].sum())
+    if count != flat.size:
+        raise AssertionError(f"{flat.size} values fill the {count} %d of a block")
+    out = np.empty(code.size * longest + 20 * count, dtype=np.uint8)
+    written = kernel.temponet_format(
+        text,
+        start.ctypes.data,
+        _address(code, code.size),
+        code.size,
+        _address(flat, count),
+        _address(out, out.size, np.uint8),
+    )
+    fh.write(out[:written])
 
 
 def _write_nodes(snaps, path) -> None:
@@ -185,7 +226,7 @@ def _write_nodes(snaps, path) -> None:
             # each key's community runs, then its lifetime runs
             ordinal = np.cumsum(key[lo:hi])
             order = np.argsort(ordinal[np.concatenate((rc, rl)) - lo], kind="stable")
-            _write_block(fh, _NODE_PIECES, code[order], values[order], keep[order])
+            _write_block(fh, _NODE_TABLE, code[order], values[order], keep[order])
 
 
 def _write_edges(snaps, path) -> None:
@@ -209,7 +250,7 @@ def _write_edges(snaps, path) -> None:
             values = np.stack((u[rows], v[rows], t0, t1), axis=1)
             keep = np.ones(values.shape, dtype=bool)
             keep[:, :2] = first[:, None]
-            _write_block(fh, _EDGE_PIECES, 2 * first + last, values, keep)
+            _write_block(fh, _EDGE_TABLE, 2 * first + last, values, keep)
 
 
 def export_temporal_csv(snapshots, outdir) -> tuple[str, str]:

@@ -776,6 +776,27 @@ def test_check_connectivity_refuses_ids_that_do_not_strictly_ascend(ids):
         check_connectivity(np.array(ids), np.zeros(len(ids)), links, 1)
 
 
+@pytest.mark.parametrize(
+    "community, count, problem",
+    [
+        ([0, 0], 2, "2 community indices for 3 node ids"),
+        ([0, 0, 1, 1], 2, "4 community indices for 3 node ids"),
+        ([0, 0, 5], 2, r"indices 0\.\.5 outside \[0, 2\)"),
+        ([0, 0, -1], 2, r"indices -1\.\.0 outside \[0, 2\)"),
+        ([0, 0, 1], -1, "count -1 is negative"),
+    ],
+    ids=["short", "long", "above_count", "negative", "negative_count"],
+)
+def test_check_connectivity_refuses_a_bad_community_column(community, count, problem):
+    # ids [1, 2, 3] on the path (1, 2), (2, 3): a short or long column raised
+    # a bare IndexError, an index above the count returned more counts than
+    # the count, and a negative index a ValueError from np.bincount
+    ids, links = np.array([1, 2, 3]), _rows({(1, 2), (2, 3)})
+    assert check_connectivity(ids, np.array([0, 0, 1]), links, 2).tolist() == [1, 1]
+    with pytest.raises(ConfigurationError, match=problem):
+        check_connectivity(ids, np.array(community), links, count)
+
+
 def test_joint_distribution_baseline_trivial_cases():
     p = degree_joint_distribution_baseline((1, 1))
     assert p[0, 1] == pytest.approx(1.0)

@@ -1,14 +1,18 @@
-"""The compiled fill loop: the same wiring as ``assembler._pair``, and its build cache.
+"""The compiled kernel: the same wiring as ``assembler._pair``, the same
+export text as a bytes ``%`` format, and its build cache.
 
-``assembler._kernel`` builds ``_fill.c`` at the first wiring call of a
-process and caches the build per user; where no build loads, wiring runs
-``_pair``.  The tests here compare the two paths on random phases, match
-``_fill.c``'s status codes and state slots to ``assembler``'s names, bound the
-Beta variates a repair reads again, and check the cache.
-``test_fill_fallback.py`` runs the wiring tests on the ``_pair`` path.
+``assembler._kernel`` builds ``_fill.c`` at the first wiring or export call
+of a process and caches the build per user; where no build loads, wiring
+runs ``_pair`` and the export formats each block with ``%``.  The tests here
+compare the two fill loops on random phases, match ``_fill.c``'s status codes
+and state slots to ``assembler``'s names, bound the Beta variates a repair
+reads again, compare ``temponet_format`` with ``%`` on random blocks, and
+check the cache.  ``test_fill_fallback.py`` runs the wiring and export tests
+on the Python paths.
 """
 
 import hashlib
+import io
 import os
 import re
 import shutil
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from temponet import ShapeParams, WiringError, assembler, wire_inter, wire_intra
+from temponet import ShapeParams, WiringError, assembler, output, wire_inter, wire_intra
 
 from oracles import node_columns, reference_wire_phase
 
@@ -107,6 +111,43 @@ def test_the_status_codes_and_state_slots_are_the_kernel_sources():
         assert codes == list(range(len(codes))), names
 
 
+# ---------------------------------------------------------------------------
+# the export's text
+# ---------------------------------------------------------------------------
+
+# the kinds of bytes in the export's pieces, and %d
+_TOKENS = (b"%d", b"%d", b",", b"[", b")", b"<", b'"', b"\n", b"n", b"; ", b"Undirected")
+_EXTREMES = np.array([0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63)], dtype=np.int64)
+
+
+@needs_compiler
+def test_format_writes_what_the_bytes_format_writes():
+    # random piece tables with empty pieces and pieces of no, one or several
+    # %d; every tenth block has no code, and half the values are extremes
+    assert assembler._kernel() is not None
+    rng = np.random.default_rng(29)
+    for trial in range(400):
+        pieces = tuple(
+            b"".join(rng.choice(_TOKENS, int(rng.integers(0, 6))).tolist())
+            for _ in range(int(rng.integers(1, 7)))
+        )
+        table = output._table(pieces)
+        code = rng.integers(0, len(pieces), int(rng.integers(1, 60)) if trial % 10 else 0)
+        ends = rng.choice(_EXTREMES, sum(pieces[c].count(b"%d") for c in code.tolist()))
+        wide = rng.integers(-(2**63), 2**63 - 1, ends.size, dtype=np.int64, endpoint=True)
+        flat = np.where(rng.random(ends.size) < 0.5, ends, wide >> rng.integers(0, 64, ends.size))
+        want = b"".join(pieces[c] for c in code.tolist()) % tuple(flat.tolist())
+        got = io.BytesIO()
+        output._write_block(got, table, code, flat[:, None], np.ones((flat.size, 1), dtype=bool))
+        assert got.getvalue() == want, (trial, pieces, code, flat)
+
+
+def test_the_export_pieces_hold_no_directive_but_percent_d():
+    # %d is the only directive temponet_format reads
+    for piece in output._EDGE_PIECES + output._NODE_PIECES:
+        assert b"%" not in piece.replace(b"%d", b""), piece
+
+
 class CountingGenerator:
     """A generator that counts the Beta variates read from it."""
 
@@ -173,9 +214,15 @@ def _phase():
 
 
 def _digest() -> str:
-    """The sha256 of the outcome of wiring ``_phase`` from seed 1."""
+    """The sha256 of the outcome of wiring ``_phase`` from seed 1 and of
+    its links written as the edge rows of one snapshot."""
     outcome = _outcome(wire_inter, _phase(), ShapeParams(), np.random.default_rng(1))
-    return hashlib.sha256(repr(outcome).encode()).hexdigest()
+    values = np.zeros((len(outcome[0][0]), 4), dtype=np.int64)
+    values[:, :2], values[:, 3] = outcome[0][0], 1  # (u, v, 0, 1)
+    text = io.BytesIO()
+    code = np.full(len(values), 3)  # each row its key's first and last run
+    output._write_block(text, output._EDGE_TABLE, code, values, np.ones(values.shape, dtype=bool))
+    return hashlib.sha256(repr(outcome).encode() + text.getvalue()).hexdigest()
 
 
 def _child(tmp_path, **env) -> tuple[bool, str]:
@@ -227,8 +274,8 @@ def test_a_truncated_cached_build_is_built_again(tmp_path):
 
 def test_an_unwritable_cache_falls_back_with_one_warning(tmp_path, monkeypatch, caplog):
     # the cache home is a plain file, so no build can be written under it,
-    # whoever runs the test; the loader starts afresh, and the outputs are
-    # those of the kernel where one is loaded
+    # whoever runs the test; the loader starts afresh, and the links and
+    # their text are those of the kernel where one is loaded
     want = _digest()
     (tmp_path / "cache").write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -241,4 +288,6 @@ def test_an_unwritable_cache_falls_back_with_one_warning(tmp_path, monkeypatch, 
     finally:
         assembler._kernel.cache_clear()
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1 and "Python fill loop" in warnings[0].getMessage()
+    assert len(warnings) == 1, warnings
+    assert "Python fill loop" in warnings[0].getMessage()
+    assert "% format" in warnings[0].getMessage()

@@ -1,5 +1,7 @@
-"""The wiring tests again, on the Python fill loop that runs where no C compiler works.
+"""The wiring and export tests again, on the Python paths that run where no C compiler works.
 
+Where no build of the kernel loads, wiring runs the Python fill loop
+``_pair`` and the export writes each block with one bytes ``%`` format.
 Each test below is imported from its own module, so pytest collects it here
 too, under this module's autouse fixture: it makes the kernel loader report
 no build, as it does where none loads.  The tests in their own modules run
@@ -34,6 +36,12 @@ from test_assembler import (  # noqa: F401
     test_worked_example_snapshot_counts_and_exactness,
 )
 from test_golden import test_golden_sampler_mode, test_golden_sequence_file_mode  # noqa: F401
+from test_metrics_output import (  # noqa: F401
+    test_edge_order_matches_lexsort_on_ids_past_32_bits,
+    test_export_matches_the_per_field_reference,
+    test_export_matches_the_reference_at_block_edges,
+    test_export_matches_the_reference_on_wide_ids_and_long_runs,
+)
 
 
 @pytest.fixture(autouse=True)
