@@ -36,8 +36,11 @@ Node assignment draws from Fenwick trees too: bootstrap placement from one
 tree over the k community capacities, temporal placement from trees over
 the degree tuples.  Either mode checks Hall's count before it draws, and
 temporal placement keeps the count true pick by pick, so a pass that starts
-never fails.  A snapshot gates an assignment with one segmented pass over
-all communities, so its fixed cost grows with n log n, not n * k.
+never fails.  Placement takes and returns the same int64 node columns as
+wiring, in placement order, and parity repair swaps entries within them; a
+snapshot sorts them once by id, then gates the assignment with one
+segmented pass over all communities, so its fixed cost grows with n log n,
+not n * k.
 """
 
 from __future__ import annotations
@@ -57,11 +60,12 @@ import tempfile
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigurationError, GraphabilityError, WiringError
-from .graphability import assignment_feasible, check_graphable
+from .graphability import _membership_counts, assignment_feasible, check_graphable
 from .sequences import CommunitySpec, DegreeSpec
 
 log = logging.getLogger(__name__)
@@ -364,38 +368,46 @@ def assign_nodes(
     sizes: CommunitySpec,
     spec: DegreeSpec,
     rng: np.random.Generator,
-    surviving: dict[int, int] | None = None,
+    ids=None,
+    community=None,
     temporal_shape: ShapeParams | None = None,
-    prev_degrees: dict[int, int] | None = None,
-) -> dict[int, tuple[int, int, int]]:
-    """Assign communities and degree tuples to nodes; returns id -> (community, d, e).
+    prev_degree=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Assign communities and degree tuples to nodes, as int64 node columns.
 
-    Bootstrap mode (``surviving`` is None): node id ``slot`` takes the slot's
+    Returns ``(ids, community, degree, intra)`` in placement order: the j-th
+    node placed is ``ids[j]``, and it takes ``community[j]``, total degree
+    ``degree[j]`` and intra degree ``intra[j]``.  ``assemble_snapshot``
+    sorts the columns by id; ``repair_intra_parity`` reads the order first.
+
+    Bootstrap mode (``ids`` is None): node id ``slot`` takes the slot's
     degree tuple and is placed into a random community drawn with probability
     proportional to remaining capacity, never where ``e`` reaches the
-    community size.  Slots place in non-increasing ``e``, and a Fenwick tree
-    over the k community indices holds the remaining capacities of the
-    eligible communities: a community joins it, with its whole size, once
-    the falling ``e`` reaches its room ``size - 1``.  A node with uniform u
-    takes ``rank = int(u * total)``, ``total`` the capacity in the tree, and
-    the descent picks the first community whose capacity prefix sum exceeds
-    it, the rank rule of wiring and temporal placement; the pick gives up
-    one unit of capacity.  In this order no node runs out of capacity once
-    ``assignment_feasible`` holds, so that count runs first.
+    community size.  Slots place in non-increasing ``e``, then non-increasing
+    ``d``, then slot order, and a Fenwick tree over the k community indices
+    holds the remaining capacities of the eligible communities: a community
+    joins it, with its whole size, once the falling ``e`` reaches its room
+    ``size - 1``.  A node with uniform u takes ``rank = int(u * total)``,
+    ``total`` the capacity in the tree, and the descent picks the first
+    community whose capacity prefix sum exceeds it, the rank rule of wiring
+    and temporal placement; the pick gives up one unit of capacity.  In this
+    order no node runs out of capacity once ``assignment_feasible`` holds,
+    so that count runs first.
 
-    Temporal mode: every id in ``surviving`` keeps its flow-dictated
-    community; nodes with a previous degree draw their new tuple by sampling
-    a Beta(``temporal_shape``) position in the remaining degree-ordered tuple
-    list (restricted to tuples that fit the community), largest previous
-    degrees drawing first.  Ids without history (newborns) draw uniformly.
-    A Fenwick tree counts the alive tuples in (d, e) order, and a descent
-    selects the alive tuple of a given rank.  A community whose room
-    ``size - 1`` lies below the largest ``e`` excludes the alive tuples with
-    ``e`` above its room.  For each such room, one small tree counts those
-    excluded tuples over the positions of the tuples above the smallest room
-    in use.  The idx-th eligible tuple is then the alive tuple of rank r at
-    the fixed point r = idx + (excluded alive tuples at or before it),
-    reached from r = idx.
+    Temporal mode: node ``ids[i]`` keeps its flow-dictated ``community[i]``
+    and, unless its ``prev_degree[i]`` is 0 (a newborn; a missing column
+    makes every node one), draws its new tuple by sampling a
+    Beta(``temporal_shape``) position in the remaining degree-ordered tuple
+    list (restricted to tuples that fit the community).  Survivors place
+    first, by non-increasing previous degree and then id; newborns follow in
+    id order and draw uniformly.  A Fenwick tree counts the alive tuples in
+    (d, e) order, and a descent selects the alive tuple of a given rank.  A
+    community whose room ``size - 1`` lies below the largest ``e`` excludes
+    the alive tuples with ``e`` above its room.  For each such room, one
+    small tree counts those excluded tuples over the positions of the tuples
+    above the smallest room.  The idx-th eligible tuple is then the alive
+    tuple of rank r at the fixed point r = idx + (excluded alive tuples at
+    or before it), reached from r = idx.
 
     Hall's count keeps every pass whole.  For each of those rooms, its
     slack counts the unplaced nodes with a room above it minus the alive
@@ -413,16 +425,22 @@ def assign_nodes(
     Safe picks stay as drawn, so the rule changes only passes in which some
     later node would have found no fitting tuple.
 
-    ``GraphabilityError`` comes only from the count before the first draw
-    (in either mode), when no placement exists.  The uniforms (bootstrap)
-    and the survivors' Beta variates (temporal) are drawn in one call at the
-    start; newborns draw one ``rng.integers`` each.
+    Before any draw, ``ConfigurationError`` refuses temporal columns that
+    are not one entry per degree slot, a repeated id, a community index
+    outside ``range(len(sizes))``, a community count other than its size
+    and a negative previous degree.  ``GraphabilityError`` comes only from
+    the count before the first draw (in either mode), when no placement
+    exists.  The uniforms (bootstrap) and the survivors' Beta variates
+    (temporal) are drawn in one call at the start; newborns draw one
+    ``rng.integers`` each.
     """
     n = len(spec)
-    if surviving is None:
-        if not assignment_feasible(sizes.sizes, spec.intra):
+    if ids is None:
+        total = np.array(spec.total, dtype=np.int64)
+        intra = np.array(spec.intra, dtype=np.int64)
+        if not assignment_feasible(sizes.sizes, intra):
             raise GraphabilityError("node assignment ran out of community capacity")
-        order = sorted(range(n), key=lambda i: (-spec.intra[i], -spec.total[i], i))
+        order = np.lexsort((-total, -intra))
         k = len(sizes)
         ksize = 1 << (k - 1).bit_length()
         paths = _paths(ksize)
@@ -430,34 +448,33 @@ def assign_nodes(
         # communities by room, largest first; each joins once e falls to its room
         joining = sorted(range(k), key=sizes.sizes.__getitem__, reverse=True)
         joined = 0
-        uniforms = rng.random(n).tolist()
-        out: dict[int, tuple[int, int, int]] = {}
-        for j, slot in enumerate(order):
-            e = spec.intra[slot]
+        picks = []
+        for e, u in zip(intra[order].tolist(), rng.random(n).tolist()):
             while joined < k and sizes.sizes[joining[joined]] - 1 >= e:
                 c = joining[joined]
                 for i in paths[c]:
                     caps[i] += sizes.sizes[c]
                 joined += 1
-            c = _select(caps, ksize, int(uniforms[j] * caps[ksize]))
+            c = _select(caps, ksize, int(u * caps[ksize]))
             for i in paths[c]:
                 caps[i] -= 1
-            out[slot] = (c, spec.total[slot], e)
-        return out
+            picks.append(c)
+        return order, np.array(picks, dtype=np.int64), total[order], intra[order]
 
-    if len(surviving) != n:
-        raise ConfigurationError(
-            f"{len(surviving)} surviving memberships for {n} degree slots"
-        )
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size != n:
+        raise ConfigurationError(f"{ids.size} surviving memberships for {n} degree slots")
+    community = np.asarray(community, dtype=np.int64)
+    prev = np.zeros(n, np.int64) if prev_degree is None else np.asarray(prev_degree, np.int64)
+    _check_columns(ids, community, prev)
+    _membership_counts(sizes, community)
+    if prev.min() < 0:
+        raise ConfigurationError("previous degrees must be >= 0")
     shape = temporal_shape or ShapeParams()
-    prev_degrees = prev_degrees or {}
-    survivors = sorted(
-        (nid for nid in surviving if nid in prev_degrees),
-        key=lambda nid: (-prev_degrees[nid], nid),
-    )
-    newborns = sorted(nid for nid in surviving if nid not in prev_degrees)
-    tuples = sorted(zip(spec.total, spec.intra))
-    e_of = [e for _, e in tuples]
+    order = np.lexsort((ids, -prev))
+    survivors = int(np.count_nonzero(prev))
+    tuples = np.array(sorted(zip(spec.total, spec.intra)), dtype=np.int64)
+    e_of = tuples[:, 1].tolist()
     size = 1 << (n - 1).bit_length()
     flags = np.zeros(size, dtype=np.int64)
     flags[:n] = 1
@@ -466,7 +483,7 @@ def assign_nodes(
     # the rooms below the largest e, and the positions of the tuples above
     # the smallest of them: the only tuples any room excludes
     top = max(e_of)
-    rooms = sorted({r for r in (sizes.sizes[c] - 1 for c in surviving.values()) if r < top})
+    rooms = sorted({s - 1 for s in sizes.sizes if s - 1 < top})
     low = rooms[0] if rooms else top
     high = [q for q, e in enumerate(e_of) if e > low]
     hsize = 1 << max(len(high) - 1, 0).bit_length()
@@ -479,8 +496,8 @@ def assign_nodes(
     first = [bisect.bisect_left(rooms, e) for e in range(top + 1)]
     below = [bisect.bisect_left(rooms, s - 1) for s in sizes.sizes]
     left = [0] * (len(rooms) + 1)
-    for c in surviving.values():
-        left[below[c]] += 1
+    for b, s in zip(below, sizes.sizes):
+        left[b] += s
 
     def slacks() -> list[int]:
         """Per room, the nodes still to place above it minus the alive tuples above it."""
@@ -494,13 +511,12 @@ def assign_nodes(
         )
     # a lower bound on the smallest slack: a pick lowers each by at most one
     spare = min(slack, default=n)
-    variates = rng.beta(shape.alpha, shape.beta, size=len(survivors)).tolist() if survivors else []
-    out = {}
-    for j, nid in enumerate(survivors + newborns):
-        c = surviving[nid]
+    variates = rng.beta(shape.alpha, shape.beta, size=survivors).tolist() if survivors else []
+    picks = []
+    for j, c in enumerate(community[order].tolist()):
         ex = excluded.get(sizes.sizes[c] - 1)
         count = alive[size] - (0 if ex is None else ex[hsize])
-        if j < len(survivors):
+        if j < survivors:
             idx = min(int(variates[j] * count), count - 1)
         else:
             idx = int(rng.integers(count))
@@ -524,7 +540,7 @@ def assign_nodes(
                 z = b - 1 - slack[a:b][::-1].index(0)
                 within = excluded[rooms[z]]
                 sub = within[hsize] - (0 if ex is None else ex[hsize])
-                if j < len(survivors):
+                if j < survivors:
                     idx = min(int(variates[j] * sub), sub - 1)
                 else:
                     idx = idx * sub // count
@@ -540,55 +556,57 @@ def assign_nodes(
                 counts = excluded[r]
                 for i in at:
                     counts[i] -= 1
-        out[nid] = (c, *tuples[pick])
-    return out
+        picks.append(pick)
+    return ids[order], community[order], tuples[picks, 0], tuples[picks, 1]
 
 
-def repair_intra_parity(
-    assignment: dict[int, tuple[int, int, int]],
-    sizes: CommunitySpec,
-) -> dict[int, tuple[int, int, int]]:
+def repair_intra_parity(ids, community, degree, intra, sizes: CommunitySpec):
     """Make every community's intra degree sum even by swapping degree tuples.
 
-    Swaps exchange the (d, e) tuples of two nodes in different odd-parity
-    communities with different intra parity.  One scan takes the first
-    fitting pair: equal total degree pairs first (they also preserve
-    per-community degree sums), then any pair.  For deterministic splits the
-    intra degree is a function of the total degree, so equal-degree pairs
-    cannot differ in parity and only the second half of the scan can fit.
-    Community sizes and the global tuple multiset stay intact either way;
-    raises ``GraphabilityError`` when no swap sequence exists.
+    Takes ``assign_nodes``' int64 columns ``(ids, community, degree,
+    intra)`` in placement order and returns them in that order, with new
+    ``degree`` and ``intra`` columns where a swap was made.  A swap
+    exchanges the (d, e) entries of two nodes in different odd-parity
+    communities with different intra parity.  The odd communities pair off
+    in index order, each with the first later one that admits a swap.  For
+    a pair, one scan takes the first fitting swap: for each node of the
+    second community in id order, the equal total degree nodes of the first
+    in placement order (they also preserve per-community degree sums), and
+    only then, for each node of the second in id order, every node of the
+    first in id order.  For deterministic splits the intra degree is a
+    function of the total degree, so equal-degree pairs cannot differ in
+    parity and only the second half of the scan can fit.  Community sizes
+    and the global tuple multiset stay intact either way; raises
+    ``GraphabilityError`` when no swap sequence exists.
     """
-    out = dict(assignment)
-    parity = defaultdict(int)
-    for c, d, e in out.values():
-        parity[c] ^= e & 1
-    odd = sorted(c for c in range(len(sizes)) if parity[c])
+    k = len(sizes)
+    odd = np.flatnonzero(np.bincount(community[intra % 2 == 1], minlength=k) % 2).tolist()
     if not odd:
-        return out
+        return ids, community, degree, intra
     if len(odd) % 2 == 1:
         raise GraphabilityError("odd number of odd-parity communities; global parity broken")
 
-    # members per community; a swap leaves both lists stale, but both of
-    # its communities leave ``odd`` with it, and only those lists are read
-    by_comm: dict[int, list[int]] = defaultdict(list)
-    for nid, (c, _, _) in out.items():
-        by_comm[c].append(nid)
+    # each community's positions in placement order; a swap moves no node,
+    # and both of its communities leave ``odd`` with it, so the columns read
+    # below are still the placed ones
+    nid, d, e = ids.tolist(), degree.tolist(), intra.tolist()
+    members: list[list[int]] = [[] for _ in range(k)]
+    for p, c in enumerate(community.tolist()):
+        members[c].append(p)
 
     def find_swap(c1: int, c2: int):
         s1, s2 = sizes.sizes[c1], sizes.sizes[c2]
         by_degree: dict[int, list[int]] = defaultdict(list)
-        for nid in by_comm[c1]:
-            by_degree[out[nid][1]].append(nid)
-        ids1, ids2 = sorted(by_comm[c1]), sorted(by_comm[c2])
+        for p in members[c1]:
+            by_degree[d[p]].append(p)
+        ps1, ps2 = (sorted(members[c], key=nid.__getitem__) for c in (c1, c2))
         pairs = itertools.chain(
-            ((nid1, nid2) for nid2 in ids2 for nid1 in by_degree.get(out[nid2][1], ())),
-            ((nid1, nid2) for nid2 in ids2 for nid1 in ids1),
+            ((p1, p2) for p2 in ps2 for p1 in by_degree.get(d[p2], ())),
+            ((p1, p2) for p2 in ps2 for p1 in ps1),
         )
-        for nid1, nid2 in pairs:
-            e1, e2 = out[nid1][2], out[nid2][2]
-            if (e1 ^ e2) & 1 and e1 <= s2 - 1 and e2 <= s1 - 1:
-                return nid1, nid2
+        for p1, p2 in pairs:
+            if (e[p1] ^ e[p2]) & 1 and e[p1] <= s2 - 1 and e[p2] <= s1 - 1:
+                return p1, p2
         return None
 
     while odd:
@@ -596,18 +614,16 @@ def repair_intra_parity(
         for pos, c2 in enumerate(odd):
             pair = find_swap(c1, c2)
             if pair:
-                nid1, nid2 = pair
-                _, d1, e1 = out[nid1]
-                _, d2, e2 = out[nid2]
-                out[nid1] = (c1, d2, e2)
-                out[nid2] = (c2, d1, e1)
+                p1, p2 = pair
+                d[p1], d[p2] = d[p2], d[p1]
+                e[p1], e[p2] = e[p2], e[p1]
                 odd.pop(pos)
                 break
         else:
             raise GraphabilityError(
                 f"community {c1}: no parity-fixing tuple swap with any other odd community"
             )
-    return out
+    return ids, community, np.array(d, dtype=np.int64), np.array(e, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,12 +1112,17 @@ def assemble_snapshot(
     rng: np.random.Generator,
     pairing_shape: ShapeParams | None = None,
     temporal_shape: ShapeParams | None = None,
-    surviving: dict[int, int] | None = None,
-    prev_degrees: dict[int, int] | None = None,
+    ids=None,
+    community=None,
+    prev_degree=None,
 ) -> Snapshot:
     """Build one snapshot: assign, repair parity, gate, wire, and validate.
 
-    The full post-assignment graphability check runs before any wiring.  A
+    ``ids``, ``community`` and ``prev_degree`` are ``assign_nodes``'
+    temporal columns; without ``ids`` the snapshot bootstraps.  Placement
+    and parity repair keep the columns in placement order; one argsort by
+    id then orders them for the gate, the wiring and the ``Snapshot``.  The
+    full post-assignment graphability check runs before any wiring.  A
     placement pass that parity repair or the gate rejects is redrawn, and
     ``GraphabilityError`` ends the snapshot after ``ASSIGNMENT_ATTEMPTS``
     rejected passes.  Placement itself fails only when no placement exists,
@@ -1111,41 +1132,33 @@ def assemble_snapshot(
     failures: list[str] = []
     while len(failures) < ASSIGNMENT_ATTEMPTS:
         try:
-            assignment = assign_nodes(
+            placed = assign_nodes(
                 sizes,
                 spec,
                 rng,
-                surviving=surviving,
+                ids=ids,
+                community=community,
                 temporal_shape=temporal_shape,
-                prev_degrees=prev_degrees,
+                prev_degree=prev_degree,
             )
         except GraphabilityError as exc:
             raise GraphabilityError(f"timestep {t}: {exc}") from exc
         try:
-            assignment = repair_intra_parity(assignment, sizes)
+            placed = repair_intra_parity(*placed, sizes)
         except GraphabilityError as exc:
             failures.append(str(exc))
             continue
-        ids = sorted(assignment)
-        membership = [assignment[nid][0] for nid in ids]
-        aligned = DegreeSpec(
-            tuple(assignment[nid][1] for nid in ids),
-            tuple(assignment[nid][2] for nid in ids),
-        )
-        report = check_graphable(sizes, aligned, membership)
+        by_id = np.argsort(placed[0])
+        node_ids, member, degree, intra_degree = (column[by_id] for column in placed)
+        report = check_graphable(sizes, SimpleNamespace(total=degree, intra=intra_degree), member)
         if report.ok:
             break
         failures.append(report.reason)
     else:
         raise GraphabilityError.exhausted(t, "assignment attempt", failures)
 
-    node_ids = np.array(ids, dtype=np.int64)
-    community = np.array(membership, dtype=np.int64)
-    degree = np.array(aligned.total, dtype=np.int64)
-    intra_degree = np.array(aligned.intra, dtype=np.int64)
-
-    intra_links, repairs = wire_intra(node_ids, degree, intra_degree, community, pairing_shape, rng)
-    components = check_connectivity(node_ids, community, intra_links, len(sizes))
+    intra_links, repairs = wire_intra(node_ids, degree, intra_degree, member, pairing_shape, rng)
+    components = check_connectivity(node_ids, member, intra_links, len(sizes))
     disconnected = np.flatnonzero(components > 1).tolist()
     if disconnected:
         log.warning(
@@ -1153,7 +1166,7 @@ def assemble_snapshot(
         )
 
     inter_degree = degree - intra_degree
-    inter_links, used = wire_inter(node_ids, degree, inter_degree, community, pairing_shape, rng)
+    inter_links, used = wire_inter(node_ids, degree, inter_degree, member, pairing_shape, rng)
     repairs += used
 
     snap = Snapshot(
@@ -1161,7 +1174,7 @@ def assemble_snapshot(
         ids=node_ids,
         degree=degree,
         intra_degree=intra_degree,
-        community=community,
+        community=member,
         community_count=len(sizes),
         endpoints=np.concatenate((intra_links, inter_links)),
         wiring_repairs=repairs,

@@ -147,7 +147,7 @@ def assignment_feasible(sizes, intra) -> bool:
     before them: the communities open to the j-th node hold every earlier
     node, so one place is left for it whenever the count holds.
     """
-    e = np.sort(np.asarray(list(intra), dtype=np.int64))[::-1]
+    e = np.sort(np.asarray(intra, dtype=np.int64))[::-1]
     size = np.sort(np.asarray(list(sizes), dtype=np.int64))
     if e.size != size.sum():
         raise ConfigurationError("node count does not match the community sizes")
@@ -156,6 +156,25 @@ def assignment_feasible(sizes, intra) -> bool:
     suffix = np.append(np.cumsum(size[::-1])[::-1], 0)
     reach = suffix[np.searchsorted(size - 1, e, side="left")]
     return bool((np.arange(1, e.size + 1) <= reach).all())
+
+
+def _membership_counts(sizes: CommunitySpec, member: np.ndarray) -> np.ndarray:
+    """Each community's member count in the int64 ``member`` column of
+    community indices; ``ConfigurationError`` refuses an index outside
+    ``range(len(sizes))`` and a count other than the community's size."""
+    k = len(sizes)
+    outside_range = (member < 0) | (member >= k)
+    if outside_range.any():
+        slot = int(outside_range.argmax())
+        raise ConfigurationError(f"slot {slot}: community index {member[slot]} out of range")
+    counts = np.bincount(member, minlength=k)
+    miscounted = counts != sizes.sizes
+    if miscounted.any():
+        c = int(miscounted.argmax())
+        raise ConfigurationError(
+            f"community {c}: membership places {counts[c]} nodes, size is {sizes.sizes[c]}"
+        )
+    return counts
 
 
 def check_graphable(
@@ -184,37 +203,42 @@ def check_graphable(
     the node bound one first-index search.  Gale-Ryser is checked from each
     side, and the report names the community whose inequality fails by the
     most (the lower index on a tie).
+
+    Only ``spec.total`` and ``spec.intra`` are read, each once as int64, and
+    the inter degrees are their difference, so any pair of equal-length
+    integer columns under those names serves, as assembly's node columns do.
     """
-    n = len(spec)
+    total = np.asarray(spec.total, dtype=np.int64)
+    e = np.asarray(spec.intra, dtype=np.int64)
+    f = total - e
+    n = total.size
     if sizes.node_count != n:
         raise ConfigurationError(
             f"community sizes cover {sizes.node_count} nodes but {n} degree slots were given"
         )
-    intra = spec.intra
-    inter = spec.inter
 
     if membership is None:
-        if sum(intra) % 2 == 1:
+        if int(e.sum()) % 2 == 1:
             return GraphabilityReport(
                 False, None, FailedCondition.INTRA_PARITY, "total intra degree sum is odd"
             )
-        if sum(inter) % 2 == 1:
+        if int(f.sum()) % 2 == 1:
             return GraphabilityReport(
                 False, None, FailedCondition.INTER_PARITY, "total inter degree sum is odd"
             )
-        if not assignment_feasible(sizes.sizes, intra):
+        if not assignment_feasible(sizes.sizes, e):
             return GraphabilityReport(
                 False,
                 None,
                 FailedCondition.ASSIGNMENT_INFEASIBLE,
                 "some intra degree exceeds every community's capacity",
             )
-        if len(sizes) == 1 and sum(inter):
+        if len(sizes) == 1 and f.any():
             return GraphabilityReport(
                 False,
                 0,
                 FailedCondition.INTER_LONE_COMMUNITY,
-                f"{sum(inter)} inter stubs in a single community:"
+                f"{int(f.sum())} inter stubs in a single community:"
                 " no other community exists to take them",
             )
         return GraphabilityReport(True)
@@ -223,21 +247,10 @@ def check_graphable(
     if member.shape != (n,):
         raise ConfigurationError("membership length does not match the degree slots")
     k = len(sizes)
-    outside_range = (member < 0) | (member >= k)
-    if outside_range.any():
-        slot = int(outside_range.argmax())
-        raise ConfigurationError(f"slot {slot}: community index {member[slot]} out of range")
+    counts = _membership_counts(sizes, member)
     size = np.array(sizes.sizes, dtype=np.int64)
-    counts = np.bincount(member, minlength=k)
-    miscounted = counts != size
-    if miscounted.any():
-        c = int(miscounted.argmax())
-        raise ConfigurationError(
-            f"community {c}: membership places {counts[c]} nodes, size is {size[c]}"
-        )
 
     # every community is a non-empty segment of the sorted intra degrees
-    e = np.array(intra, dtype=np.int64)
     es, cum, starts, ends, not_graphic = _segmented_erdos_gallai(member, e, counts)
     too_high = es[ends - 1] > size - 1
     odd = (cum[ends] - cum[starts]) % 2 == 1
@@ -262,7 +275,6 @@ def check_graphable(
             f"community {c}: intra sequence fails the Erdos-Gallai condition",
         )
 
-    f = np.array(inter, dtype=np.int64)
     aggregates = np.bincount(member, weights=f, minlength=k).astype(np.int64)
     if int(aggregates.sum()) % 2 == 1:
         return GraphabilityReport(
@@ -285,7 +297,7 @@ def check_graphable(
             False,
             c,
             FailedCondition.INTER_NODE_MAX,
-            f"community {c}: slot {slot} needs {inter[slot]} inter partners,"
+            f"community {c}: slot {slot} needs {f[slot]} inter partners,"
             f" only {outside[slot]} nodes lie outside",
         )
     holders = np.flatnonzero(aggregates).tolist()

@@ -271,7 +271,8 @@ class _Moves:
     plan: TransitionPlan
     flow: np.ndarray
     pool_vi: list[float]
-    surviving: dict[int, int]  # node id -> community at the new timestep
+    ids: np.ndarray  # the new timestep's node ids, survivors first
+    community: np.ndarray  # and the community each takes there
 
 
 def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: int) -> _Moves:
@@ -304,16 +305,12 @@ def _plan_moves(cfg: RunConfig, rng, prev: _State, sizes_t1: CommunitySpec, t: i
     ends = np.bincount(community, minlength=k_real).cumsum().tolist()
     groups = [ids[a:b] for a, b in zip([0] + ends, ends)]
     moved = materialize_flow(flow[:k_real, :l_real], groups, rng)
-    surviving: dict[int, int] = {}
-    for chunks in moved:
-        for j, chunk in enumerate(chunks):
-            surviving.update(dict.fromkeys(chunk, j))
-    if plan.birth_row is not None:
-        nid = prev.next_id
-        for j, born in enumerate(flow[plan.birth_row, :l_real].tolist()):
-            surviving.update(dict.fromkeys(range(nid, nid + born), j))
-            nid += born
-    return _Moves(plan, flow, pool_vi, surviving)
+    # the chunks of survivors cell by cell, then the births of the last row,
+    # which take fresh ids target by target
+    born = range(prev.next_id, prev.next_id + plan.births)
+    ids = np.array([nid for row in moved for chunk in row for nid in chunk] + [*born], np.int64)
+    community = np.tile(np.arange(l_real), len(flow)).repeat(flow[:, :l_real].ravel())
+    return _Moves(plan, flow, pool_vi, ids, community)
 
 
 def _record_boundary(cfg: RunConfig, prev: _State, moves: _Moves, snap: Snapshot, report) -> int:
@@ -384,9 +381,11 @@ def _step(cfg: RunConfig, rng, prev: _State | None, sizes, spec, t: int, report)
         moves, placement = None, {}
     else:
         moves = _plan_moves(cfg, rng, prev, sizes, t)
+        at, known = _lookup(prev.snap.ids, moves.ids)
         placement = dict(
-            surviving=moves.surviving,
-            prev_degrees=dict(zip(prev.snap.ids.tolist(), prev.snap.degree.tolist())),
+            ids=moves.ids,
+            community=moves.community,
+            prev_degree=np.where(known, prev.snap.degree[at], 0),
         )
     snap = assemble_snapshot(
         t,

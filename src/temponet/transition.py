@@ -562,7 +562,8 @@ def materialize_flow(flow, groups, rng) -> list[list[list[int]]]:
 
     ``groups[i]`` holds the node ids of source community ``i``; the result's
     ``[i][j]`` is the list of ids flowing from i to j, drawn uniformly at
-    random without replacement.  Row sums must match the group populations.
+    random without replacement.  Row sums must match the group populations;
+    a negative flow entry raises ``ConfigurationError`` before any draw.
 
     Each group draws one ``rng.permutation`` of its size, in group order,
     also when it is empty or its row sends it to one target; the flow's row
@@ -571,6 +572,8 @@ def materialize_flow(flow, groups, rng) -> list[list[list[int]]]:
     u = np.asarray(flow, dtype=np.int64)
     if len(groups) != u.shape[0]:
         raise AssertionError("group count does not match the flow rows")
+    if u.size and u.min() < 0:
+        raise ConfigurationError("flow entries must be non-negative")
     out = []
     for i, (group, row) in enumerate(zip(groups, u.tolist())):
         if sum(row) != len(group):

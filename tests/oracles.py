@@ -544,6 +544,41 @@ def node_columns(nodes) -> tuple[np.ndarray, ...]:
     return tuple(np.array(list(nodes), dtype=np.int64).reshape(-1, 4).T)
 
 
+def placement_columns(assignment) -> tuple[np.ndarray, ...]:
+    """An id -> (community, d, e) dict of the placement references as the int64
+    columns ``(ids, community, degree, intra)`` that ``assign_nodes`` and
+    ``repair_intra_parity`` return, in the dict's order."""
+    rows = [(nid, *value) for nid, value in assignment.items()]
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+
+def placement_dict(ids, community, *degrees) -> dict:
+    """Node columns as the id-keyed dict of the placement references, in column
+    order: ``(ids, community)`` as ``{id: c}``, ``(ids, community, degree,
+    intra)`` as ``{id: (c, d, e)}``."""
+    columns = [np.asarray(column).tolist() for column in (community, *degrees)]
+    return dict(zip(np.asarray(ids).tolist(), zip(*columns) if degrees else columns[0]))
+
+
+def column_api(assign):
+    """The dict-API placement reference ``assign`` behind ``assign_nodes``' column API.
+
+    The temporal columns reach ``assign`` as ``surviving`` ({id: c}) and
+    ``prev_degrees`` ({id: d} over the ids whose previous degree is not 0),
+    and its {id: (c, d, e)} result comes back as ``placement_columns``.
+    """
+
+    def placed(sizes, spec, rng, ids=None, community=None, temporal_shape=None, prev_degree=None):
+        surviving = prev_degrees = None
+        if ids is not None:
+            surviving = placement_dict(ids, community)
+            if prev_degree is not None:
+                prev_degrees = {nid: d for nid, d in placement_dict(ids, prev_degree).items() if d}
+        return placement_columns(assign(sizes, spec, rng, surviving, temporal_shape, prev_degrees))
+
+    return placed
+
+
 def reference_wire_intra(nodes, shape, rng, budget_factor=REPAIR_BUDGET_FACTOR):
     """Every community's intra phase through ``reference_wire_phase``, in index order.
 
@@ -1385,7 +1420,8 @@ def reference_seed_pool(system) -> list[np.ndarray]:
 
 def reference_plan_moves(cfg, rng, prev, sizes_t1, t):
     """``pipeline._plan_moves`` with the dead nodes per community, the
-    survivor groups and the surviving map counted in plain loops.
+    survivor groups and the surviving map counted in plain loops; the map
+    becomes the new timestep's ``ids`` and ``community`` columns.
 
     The kill plan (``plan_transition``, which draws the kills), the seed
     pool, the flow search and the materialization are called through
@@ -1429,7 +1465,8 @@ def reference_plan_moves(cfg, rng, prev, sizes_t1, t):
             for _ in range(int(flow[plan.birth_row, j])):
                 surviving[nid] = j
                 nid += 1
-    return pipeline._Moves(plan, flow, pool_vi, surviving)
+    ids, community = (np.array(list(x), dtype=np.int64) for x in (surviving, surviving.values()))
+    return pipeline._Moves(plan, flow, pool_vi, ids, community)
 
 
 @contextlib.contextmanager
@@ -1438,7 +1475,7 @@ def reference_layers():
     CSV export and flow transition in temponet.
 
     Inside the block, ``assemble_snapshot`` places nodes through
-    ``reference_assign_nodes``, gates each assignment through
+    ``reference_assign_nodes`` behind ``column_api``, gates each assignment through
     ``reference_check_graphable`` and wires through ``reference_wire_phase``
     with the library's repair bound: ``wire_intra`` becomes one reference
     phase per community in index order (``reference_wire_intra``), and
@@ -1475,7 +1512,7 @@ def reference_layers():
         return rows(links), repairs
 
     installed = {
-        (assembler, "assign_nodes"): reference_assign_nodes,
+        (assembler, "assign_nodes"): column_api(reference_assign_nodes),
         (assembler, "check_graphable"): reference_check_graphable,
         (assembler, "wire_intra"): wire_intra,
         (assembler, "wire_inter"): wire_inter,
@@ -1757,14 +1794,17 @@ def reference_check_graphable(
     communities hold inter stubs, the Gale-Ryser inequalities between them.
     Without one, only the global parities, the capacity matching and, for a
     single community, an inter sum of 0 can be verified, in that order.
+    Only ``spec.total`` and ``spec.intra`` are read, as the library reads
+    them, so assembly's node columns serve as a spec.
     """
-    n = len(spec)
+    total = [int(d) for d in spec.total]
+    intra = [int(e) for e in spec.intra]
+    inter = [d - e for d, e in zip(total, intra)]
+    n = len(total)
     if sizes.node_count != n:
         raise ConfigurationError(
             f"community sizes cover {sizes.node_count} nodes but {n} degree slots were given"
         )
-    intra = spec.intra
-    inter = spec.inter
 
     if membership is None:
         if sum(intra) % 2 == 1:

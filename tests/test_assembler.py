@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import hashlib
+import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -34,9 +36,12 @@ from temponet.assembler import ASSIGNMENT_ATTEMPTS, repair_intra_parity
 from temponet.metrics import assortativity_details
 
 from oracles import (
+    column_api,
     degree_joint_distribution_baseline,
     first_fit_assign_nodes,
     node_columns,
+    placement_columns,
+    placement_dict,
     realizable_with_parts,
     reference_assign_nodes,
     reference_check_connectivity,
@@ -91,60 +96,48 @@ def test_assign_bootstrap_respects_capacity():
     sizes = CommunitySpec((4, 2))
     spec = DegreeSpec((3, 3, 3, 3, 1, 1), (3, 3, 3, 3, 1, 1))
     for _ in range(30):
-        assignment = assign_nodes(sizes, spec, rng)
-        counts = [0, 0]
-        for c, d, e in assignment.values():
-            counts[c] += 1
-            assert e <= sizes.sizes[c] - 1
-        assert counts == [4, 2]
+        ids, community, degree, intra = assign_nodes(sizes, spec, rng)
+        assert (intra <= np.array(sizes.sizes)[community] - 1).all()
+        assert np.bincount(community).tolist() == [4, 2]
+        assert degree.tolist() == [spec.total[i] for i in ids]
         # the e=3 slots only fit into the size-4 community
-        for slot in range(4):
-            assert assignment[slot][0] == 0
+        assert (community[ids < 4] == 0).all()
 
 
 def test_assign_single_community_takes_everyone():
     rng = np.random.default_rng(1)
     sizes = CommunitySpec((5,))
     spec = DegreeSpec((2, 2, 2, 2, 2), (2, 2, 2, 2, 2))
-    assignment = assign_nodes(sizes, spec, rng, temporal_shape=ShapeParams(9, 1))
-    assert all(c == 0 for c, _, _ in assignment.values())
+    _, community, _, _ = assign_nodes(sizes, spec, rng, temporal_shape=ShapeParams(9, 1))
+    assert (community == 0).all()
+
+
+def _temporal_correlation(shape, spec, rng):
+    """The correlation of 40 ids' previous degrees 1..40 with their new degrees."""
+    ids = np.arange(40)
+    prev = ids + 1  # distinct previous degrees
+    placed, _, new_d, _ = assign_nodes(
+        CommunitySpec((40,)), spec, rng, ids=ids, community=np.zeros(40, np.int64),
+        temporal_shape=shape, prev_degree=prev,
+    )
+    return np.corrcoef(prev[placed], new_d)[0, 1]
 
 
 def test_assign_temporal_uniform_shape_uncorrelated():
     # alpha = beta = 1 reverts to a uniform draw: repeating the assignment
     # many times shows no systematic degree correlation
     rng = np.random.default_rng(2)
-    sizes = CommunitySpec((40,))
     total = tuple(int(x) for x in rng.integers(1, 20, 40))
     spec = DegreeSpec(total, (0,) * 40)
-    surviving = {nid: 0 for nid in range(40)}
-    prev = {nid: nid + 1 for nid in range(40)}  # distinct previous degrees
-    corrs = []
-    for _ in range(120):
-        assignment = assign_nodes(
-            sizes, spec, rng, surviving=surviving, temporal_shape=ShapeParams(1, 1),
-            prev_degrees=prev,
-        )
-        new_d = np.array([assignment[nid][1] for nid in range(40)], float)
-        prev_d = np.array([prev[nid] for nid in range(40)], float)
-        corrs.append(np.corrcoef(prev_d, new_d)[0, 1])
+    corrs = [_temporal_correlation(ShapeParams(1, 1), spec, rng) for _ in range(120)]
     assert abs(np.mean(corrs)) < 0.05
 
 
 def test_assign_temporal_skewed_shape_correlates():
     rng = np.random.default_rng(3)
-    sizes = CommunitySpec((40,))
     total = tuple(sorted(int(x) for x in rng.integers(1, 30, 40)))
     spec = DegreeSpec(total, (0,) * 40)
-    surviving = {nid: 0 for nid in range(40)}
-    prev = {nid: nid + 1 for nid in range(40)}
-    assignment = assign_nodes(
-        sizes, spec, rng, surviving=surviving, temporal_shape=ShapeParams(50, 1),
-        prev_degrees=prev,
-    )
-    new_d = np.array([assignment[nid][1] for nid in range(40)], float)
-    prev_d = np.array([prev[nid] for nid in range(40)], float)
-    assert np.corrcoef(prev_d, new_d)[0, 1] > 0.9
+    assert _temporal_correlation(ShapeParams(50, 1), spec, rng) > 0.9
 
 
 def _counting_assign(monkeypatch):
@@ -184,12 +177,27 @@ def test_unmatchable_placement_raises_once_before_any_draw(monkeypatch):
     calls = _counting_assign(monkeypatch)
     rng = np.random.default_rng(0)
     with pytest.raises(GraphabilityError) as info:
-        assemble_snapshot(2, sizes, spec, rng, surviving={0: 0, 1: 1, 2: 1, 3: 1})
+        assemble_snapshot(2, sizes, spec, rng, ids=[0, 1, 2, 3], community=[0, 1, 1, 1])
     assert str(info.value) == (
         "timestep 2: degree tuples could not be matched to the flow-dictated communities"
     )
     assert len(calls) == 1
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def _lists(columns) -> list[list[int]]:
+    return [np.asarray(column).tolist() for column in columns]
+
+
+def _check_repair(assignment, sizes) -> None:
+    """Check that ``repair_intra_parity`` of an id -> (c, d, e) dict swaps
+    only (d, e) entries, leaves every community's intra sum even and keeps
+    the tuple multiset."""
+    placed = placement_columns(assignment)
+    fixed = repair_intra_parity(*placed, sizes)
+    assert _lists(fixed[:2]) == _lists(placed[:2])
+    assert (np.bincount(fixed[1], weights=fixed[3]) % 2 == 0).all()
+    assert sorted(zip(*_lists(fixed[2:]))) == sorted(zip(*_lists(placed[2:])))
 
 
 def test_repair_intra_parity_fixes_odd_communities():
@@ -199,13 +207,7 @@ def test_repair_intra_parity_fixes_odd_communities():
         0: (0, 4, 1), 1: (0, 4, 2), 2: (0, 4, 2),
         3: (1, 4, 2), 4: (1, 4, 1), 5: (1, 4, 2),
     }
-    fixed = repair_intra_parity(assignment, sizes)
-    for c in (0, 1):
-        total = sum(e for cc, _, e in fixed.values() if cc == c)
-        assert total % 2 == 0
-    assert sorted((d, e) for _, d, e in fixed.values()) == sorted(
-        (d, e) for _, d, e in assignment.values()
-    )
+    _check_repair(assignment, sizes)
 
 
 def test_repair_intra_parity_unequal_degree_fallback():
@@ -218,14 +220,9 @@ def test_repair_intra_parity_unequal_degree_fallback():
     }
     # community sums: 13 odd, 14 even -> odd count of odd communities
     with pytest.raises(GraphabilityError):
-        repair_intra_parity(assignment, sizes)
+        repair_intra_parity(*placement_columns(assignment), sizes)
     assignment[5] = (1, 5, 5)  # sums 13, 15: swap a 4-tuple against a 5-tuple
-    fixed = repair_intra_parity(assignment, sizes)
-    for c in (0, 1):
-        assert sum(e for cc, _, e in fixed.values() if cc == c) % 2 == 0
-    assert sorted((d, e) for _, d, e in fixed.values()) == sorted(
-        (d, e) for _, d, e in assignment.values()
-    )
+    _check_repair(assignment, sizes)
 
 
 def _outcome(fn, *args):
@@ -255,23 +252,106 @@ def test_parity_repair_matches_the_two_loop_reference():
         if cases % 4 >= 2:
             ids = [int(x) for x in rng.permutation(3 * n)[:n]]
             membership = rng.permutation(np.repeat(np.arange(k), sizes.sizes))
-            placement["surviving"] = {nid: int(c) for nid, c in zip(ids, membership)}
-            placement["prev_degrees"] = {nid: int(rng.integers(1, 9)) for nid in ids[: n // 2]}
+            prev = [int(rng.integers(1, 9)) for _ in ids[: n // 2]] + [0] * (n - n // 2)
+            placement = dict(ids=ids, community=membership, prev_degree=prev)
         try:
-            assignment = assign_nodes(sizes, spec, rng, **placement)
+            placed = assign_nodes(sizes, spec, rng, **placement)
         except GraphabilityError:
             continue
         cases += 1
+        assignment = placement_dict(*placed)
         want = _outcome(reference_repair_intra_parity, assignment, sizes)
-        got = _outcome(repair_intra_parity, assignment, sizes)
+        got = _outcome(repair_intra_parity, *placed, sizes)
         if want[0] == "ok":
-            # equal content and equal insertion order
-            assert got[0] == "ok" and list(got[1].items()) == list(want[1].items())
+            # equal content in equal order
+            assert got[0] == "ok" and _lists(got[1]) == _lists(placement_columns(want[1]))
             tally["even" if want[1] == assignment else "swapped"] += 1
         else:
             assert got == want
             tally["raised"] += 1
     assert min(tally.values()) >= 200, tally
+
+
+# sha256 of the outcomes below as placement on id-keyed dicts ({id:
+# community} in, {id: (community, d, e)} out, in placement order) made them
+PLACEMENT_DIGEST = "f4e657ec2dfba133cee5b4b9d66077fb07fd858c8a30fe87de60efd4150f6ee2"
+
+
+def test_placement_and_parity_make_the_pinned_picks():
+    """2,000 placement-plus-parity passes hash to ``PLACEMENT_DIGEST``.
+
+    Bootstrap and temporal placement (without previous degrees, with them
+    for every node, and for about half), both roundings and four temporal
+    shapes, on specs with even global sums; each outcome hashes the four
+    columns in placement order, or the error text, and the final generator
+    state.  So the column API makes the dict API's picks, swaps and
+    generator calls, and the parity scan's order (equal-degree candidates
+    in placement order, the rest in id order) is pinned.
+    """
+    gen = np.random.default_rng(3030)
+    shapes = [(1, 1), (5, 1), (1, 5), (0.5, 0.5)]
+    h = hashlib.sha256()
+    tally = Counter()
+    for trial in range(2000):
+        k = int(gen.integers(1, 7))
+        sizes = CommunitySpec(tuple(int(x) for x in gen.integers(2, 10, k)))
+        n = sizes.node_count
+        total = sample_degrees(SamplerConfig("uniform", 1, 9), n, gen)
+        rounding = ("nearest", "stochastic")[trial % 2]
+        spec = fix_parity(
+            split_degrees(total, float(gen.uniform(0.0, 0.8)), "fixed", rounding, gen), gen
+        )
+        ids = community = prev = None
+        mode = trial // 2 % 4  # bootstrap, then temporal with no, all or some history
+        if mode:
+            ids = gen.permutation(3 * n)[:n].tolist()
+            community = gen.permutation(np.repeat(np.arange(k), sizes.sizes)).tolist()
+            if mode > 1:
+                share = (1.0, 0.5)[mode - 2]
+                prev = [int(gen.integers(1, 12)) if gen.random() < share else 0 for _ in ids]
+        rng = np.random.default_rng(trial)
+        try:
+            placed = assign_nodes(
+                sizes, spec, rng, ids=ids, community=community,
+                temporal_shape=ShapeParams(*shapes[trial % 4]), prev_degree=prev,
+            )
+            fixed = repair_intra_parity(*placed, sizes)
+            outcome = _lists(fixed)
+            tally["swapped" if outcome != _lists(placed) else "even"] += 1
+        except GraphabilityError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+            tally["raised"] += 1
+        h.update(json.dumps([outcome, rng.bit_generator.state], sort_keys=True).encode())
+    assert h.hexdigest() == PLACEMENT_DIGEST
+    assert min(tally.values()) >= 300, tally
+
+
+@pytest.mark.parametrize(
+    "ids, community, prev, match",
+    [
+        (range(6), [0, 0, 0, 1, 1, -1], None, "slot 5: community index -1 out of range"),
+        (range(6), [0, 0, 0, 1, 1, 2], None, "slot 5: community index 2 out of range"),
+        (range(6), [0, 0, 0, 0, 1, 1], None, "community 0: membership places 4 nodes, size is 3"),
+        ([0, 1, 2, 3, 4, 4], [0, 0, 0, 1, 1, 1], None, "node id 4 repeats"),
+        (range(6), [0, 0, 0, 1, 1, 1], [3, 3, -1, 0, 0, 0], "previous degrees must be >= 0"),
+        (range(6), [0, 0, 0, 1, 1], None, "the node columns differ in length"),
+    ],
+)
+def test_placement_refuses_bad_membership_columns_before_any_draw(ids, community, prev, match):
+    # two triangles' worth of tuples, which the right columns assemble
+    sizes = CommunitySpec((3, 3))
+    spec = DegreeSpec((2,) * 6, (2,) * 6)
+    placement = dict(ids=list(ids), community=community, prev_degree=prev)
+    for place in (
+        lambda rng: assign_nodes(sizes, spec, rng, **placement),
+        lambda rng: assemble_snapshot(1, sizes, spec, rng, **placement),
+    ):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match=re.escape(match)):
+            place(rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    good = dict(ids=list(range(6)), community=[0, 0, 0, 1, 1, 1], prev_degree=[3, 3, 3, 0, 0, 0])
+    assert assemble_snapshot(1, sizes, spec, np.random.default_rng(0), **good).link_count == 6
 
 
 def _with_row(snap: Snapshot, row, at: int) -> Snapshot:
@@ -882,12 +962,13 @@ def test_batched_beta_draws_equal_single_draws(a, b):
 
 
 def _assign_both(sizes, spec, seed, **placement):
-    """(assignment or error text, generator state) of assign_nodes and of its reference."""
+    """(columns in placement order or error text, generator state) of
+    assign_nodes and of its reference."""
     outcomes = []
-    for assign in (assign_nodes, reference_assign_nodes):
+    for assign in (assign_nodes, column_api(reference_assign_nodes)):
         rng = np.random.default_rng(seed)
         try:
-            result = assign(sizes, spec, rng, **placement)
+            result = _lists(assign(sizes, spec, rng, **placement))
         except (GraphabilityError, ConfigurationError) as exc:
             result = f"{type(exc).__name__}: {exc}"
         outcomes.append((result, rng.bit_generator.state))
@@ -935,11 +1016,12 @@ def test_temporal_assignment_equals_the_reference(temporal):
         sizes, spec = _random_assignment_spec(gen, 6 if trial < 540 else 40)
         n = sizes.node_count
         ids = gen.permutation(3 * n)[:n].tolist()
-        surviving = dict(zip(ids, (c for c, s in enumerate(sizes.sizes) for _ in range(s))))
+        community = [c for c, s in enumerate(sizes.sizes) for _ in range(s)]
         share = (0.0, 1.0, 0.6)[trial % 3]
-        prev = {nid: int(gen.integers(1, 12)) for nid in ids if gen.random() < share}
+        prev = [int(gen.integers(1, 12)) if gen.random() < share else 0 for _ in ids]
         new, reference = _assign_both(
-            sizes, spec, trial, surviving=surviving, temporal_shape=shape, prev_degrees=prev
+            sizes, spec, trial, ids=ids, community=community, temporal_shape=shape,
+            prev_degree=prev,
         )
         assert new == reference, trial
         top = max(spec.intra)
@@ -960,18 +1042,19 @@ def test_temporal_assignment_fails_like_the_reference(failing):
     # survivor.
     sizes = CommunitySpec((1, 1, 4))
     spec = DegreeSpec((1, 2, 2, 3, 3, 3), (0, 1, 1, 1, 1, 1))
-    surviving = {10: 0, 11: 1, 12: 2, 13: 2, 14: 2, 15: 2}
-    prev = {12: 9, 13: 8, 10: 7, 11: 6, 14: 5, 15: 4}
+    ids, community = [10, 11, 12, 13, 14, 15], [0, 1, 2, 2, 2, 2]
+    prev = [7, 6, 9, 8, 5, 4]
     if failing == "newborn":
-        del prev[10], prev[11]
+        prev[:2] = [0, 0]
     for seed in range(40):
         new, reference = _assign_both(
             sizes,
             spec,
             seed,
-            surviving=surviving,
+            ids=ids,
+            community=community,
             temporal_shape=ShapeParams(0.5, 0.5),
-            prev_degrees=prev,
+            prev_degree=prev,
         )
         assert new == reference, seed
         assert new == (
@@ -998,30 +1081,31 @@ def test_temporal_placement_fails_only_up_front_and_keeps_first_fit_picks(tempor
         sizes, spec = _random_assignment_spec(gen, 6)
         n = sizes.node_count
         ids = gen.permutation(3 * n)[:n].tolist()
-        surviving = dict(zip(ids, (c for c, s in enumerate(sizes.sizes) for _ in range(s))))
+        community = [c for c, s in enumerate(sizes.sizes) for _ in range(s)]
         share = (0.0, 1.0, 0.6)[trial % 3]
-        prev = {nid: int(gen.integers(1, 12)) for nid in ids if gen.random() < share}
-        placement = dict(surviving=surviving, temporal_shape=shape, prev_degrees=prev)
+        prev = [int(gen.integers(1, 12)) if gen.random() < share else 0 for _ in ids]
+        placement = dict(ids=ids, community=community, temporal_shape=shape, prev_degree=prev)
         rng = np.random.default_rng(trial)
         fresh = rng.bit_generator.state
-        rooms = [sizes.sizes[c] - 1 for c in surviving.values()]
+        rooms = [sizes.sizes[c] - 1 for c in community]
         if not rooms_admit_tuples(rooms, spec.intra):
             with pytest.raises(GraphabilityError, match="could not be matched"):
                 assign_nodes(sizes, spec, rng, **placement)
             assert rng.bit_generator.state == fresh, trial
             tally["unmatchable"] += 1
             continue
-        got = assign_nodes(sizes, spec, rng, **placement)
-        assert sorted(got) == sorted(ids), trial
-        assert all(e <= sizes.sizes[c] - 1 for c, _, e in got.values()), trial
-        assert sorted((d, e) for _, d, e in got.values()) == sorted(zip(spec.total, spec.intra))
+        got = _lists(assign_nodes(sizes, spec, rng, **placement))
+        # every node keeps its community and takes a fitting tuple of the spec
+        assert placement_dict(*got[:2]) == placement_dict(ids, community), trial
+        assert all(e <= sizes.sizes[c] - 1 for c, e in zip(got[1], got[3])), trial
+        assert sorted(zip(got[2], got[3])) == sorted(zip(spec.total, spec.intra))
         first_rng = np.random.default_rng(trial)
         try:
-            first_fit = first_fit_assign_nodes(sizes, spec, first_rng, **placement)
+            first_fit = column_api(first_fit_assign_nodes)(sizes, spec, first_rng, **placement)
         except GraphabilityError:
             tally["re-mapped"] += 1
             continue
-        assert got == first_fit, trial
+        assert got == _lists(first_fit), trial
         assert rng.bit_generator.state == first_rng.bit_generator.state, trial
         tally["first fit"] += 1
     assert min(tally.values()) > 200, tally
@@ -1030,7 +1114,7 @@ def test_temporal_placement_fails_only_up_front_and_keeps_first_fit_picks(tempor
 def test_assignment_length_mismatch_raises_like_the_reference():
     sizes = CommunitySpec((3,))
     spec = DegreeSpec((2, 2, 2), (2, 2, 2))
-    new, reference = _assign_both(sizes, spec, 0, surviving={1: 0, 2: 0})
+    new, reference = _assign_both(sizes, spec, 0, ids=[1, 2], community=[0, 0])
     assert new == reference
     assert new[0] == "ConfigurationError: 2 surviving memberships for 3 degree slots"
 

@@ -229,19 +229,20 @@ def test_boundary_recount_reads_the_realized_snapshots(monkeypatch):
         built.append(real_assemble(*args, **kwargs))
         return built[-1]
 
-    def assign(*args, surviving=None, **kwargs):
-        out = real_assign(*args, surviving=surviving, **kwargs)
-        if surviving is not None:
+    def assign(*args, ids=None, **kwargs):
+        nodes, community, *degrees = real_assign(*args, ids=ids, **kwargs)
+        if ids is not None:
             old = built[-1].nodes
-            ids = sorted(nid for nid in out if nid in old)
+            kept = sorted((nid, p) for p, nid in enumerate(nodes.tolist()) if nid in old)
             a, b = next(
                 (a, b)
-                for a in ids
-                for b in ids
-                if old[a].community != old[b].community and out[a][0] != out[b][0]
+                for nid_a, a in kept
+                for nid_b, b in kept
+                if old[nid_a].community != old[nid_b].community and community[a] != community[b]
             )
-            out[a], out[b] = out[b], out[a]
-        return out
+            nodes = nodes.copy()
+            nodes[[a, b]] = nodes[[b, a]]
+        return (nodes, community, *degrees)
 
     monkeypatch.setattr(pipeline, "assemble_snapshot", assemble)
     monkeypatch.setattr(assembler, "assign_nodes", assign)

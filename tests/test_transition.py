@@ -488,6 +488,19 @@ def test_materialize_population_mismatch_is_bug_signal():
         materialize_flow(np.array([[2]]), [[1, 2, 3]], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "flow, groups",
+    [([[3, -1]], [[10, 11]]), ([[-1, 3]], [[10, 11]]), ([[2, 0], [-1, 2]], [[10, 11], [20]])],
+)
+def test_materialize_refuses_negative_flow_before_any_draw(flow, groups):
+    # every row sums to its group's population, so only the sign check
+    # stands between the flow and its draws
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigurationError, match="flow entries must be non-negative"):
+        materialize_flow(flow, groups, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def _vi_flows(rng):
     """Over 2,000 flows: every seed and a random vertex of pipeline-style
     systems (every other one with a pinned death column), churn-size pools,
